@@ -8,6 +8,11 @@
 //   ./micro_replica [--n=20000] [--dim=8] [--out=results]
 //                   [--min-solve-ratio=0]   fail when follower cached
 //                                           SOLVE/s < ratio × primary's
+//                   [--max-fetch-bytes-per-record=0]
+//                                           fail when the lag section's
+//                                           follower fetched more bytes per
+//                                           applied record (a byte count,
+//                                           so the gate cannot flap)
 //   ./micro_replica --soak --n=200000 --kills=10 --seed=7
 //                                           randomized kill/restart soak:
 //                                           ingest the stream in seeded
@@ -24,7 +29,8 @@
 //   bootstrap       snapshot-restore + tail-apply time of a cold follower
 //   catchup         WAL-tail-only apply points/sec (no snapshot available)
 //   lag             per-poll lag samples while the primary ingests live
-//                   (bounded polls) — p50/p99 + final lag
+//                   (bounded polls) — p50/p99 + final lag, and the bytes
+//                   the follower fetched per record it applied
 //   solve_ratio     follower cached SOLVE/s ÷ primary cached SOLVE/s
 
 #include <algorithm>
@@ -178,6 +184,8 @@ int Main(int argc, char** argv) {
   const size_t dim = static_cast<size_t>(args.GetInt("dim", 8));
   const std::string out_dir = args.GetString("out", "results");
   const double min_solve_ratio = args.GetDouble("min-solve-ratio", 0.0);
+  const double max_fetch_bytes_per_record =
+      args.GetDouble("max-fetch-bytes-per-record", 0.0);
 
   BlobsOptions data_options;
   data_options.n = n;
@@ -206,6 +214,7 @@ int Main(int argc, char** argv) {
   double catchup_pps = 0.0;
   double lag_p50 = 0.0, lag_p99 = 0.0;
   int64_t final_lag = -1;
+  double fetch_bytes_per_record = 0.0;
   double primary_solves_per_sec = 0.0, follower_solves_per_sec = 0.0;
 
   // --- Bootstrap (snapshot at midpoint + WAL tail) --------------------
@@ -304,13 +313,18 @@ int Main(int argc, char** argv) {
       lag_hist.Record(
           static_cast<uint64_t>(std::max<int64_t>(0, follower->Stats().lag)));
     }
-    final_lag = follower->Stats().lag;
+    const auto stats = follower->Stats();
+    final_lag = stats.lag;
+    fetch_bytes_per_record = static_cast<double>(stats.fetched_bytes) /
+                             static_cast<double>(stats.applied_seq);
     lag_p50 = static_cast<double>(lag_hist.Percentile(0.5));
     lag_p99 = static_cast<double>(lag_hist.Percentile(0.99));
     std::printf("lag:             p50=%.0f p99=%.0f final=%lld "
                 "(records behind, %llu polls)\n",
                 lag_p50, lag_p99, static_cast<long long>(final_lag),
                 static_cast<unsigned long long>(lag_hist.count));
+    std::printf("fetch:           %10.1f bytes per applied record\n",
+                fetch_bytes_per_record);
   }
 
   std::filesystem::remove_all(scratch);
@@ -327,7 +341,9 @@ int Main(int argc, char** argv) {
          << "  \"bootstrap\": {\"latency_ms\": " << bootstrap_ms << "},\n"
          << "  \"catchup\": {\"points_per_sec\": " << catchup_pps << "},\n"
          << "  \"lag\": {\"p50\": " << lag_p50 << ", \"p99\": " << lag_p99
-         << ", \"final\": " << final_lag << "},\n"
+         << ", \"final\": " << final_lag
+         << ", \"fetch_bytes_per_record\": " << fetch_bytes_per_record
+         << "},\n"
          << "  \"cached_solve\": {\"primary_per_sec\": "
          << primary_solves_per_sec << ", \"follower_per_sec\": "
          << follower_solves_per_sec << ", \"ratio\": "
@@ -345,6 +361,14 @@ int Main(int argc, char** argv) {
   if (final_lag != 0) {
     std::fprintf(stderr, "FAIL: follower never fully caught up (lag %lld)\n",
                  static_cast<long long>(final_lag));
+    return 1;
+  }
+  if (max_fetch_bytes_per_record > 0.0 &&
+      fetch_bytes_per_record > max_fetch_bytes_per_record) {
+    std::fprintf(stderr,
+                 "FAIL: follower fetched %.1f bytes per applied record > "
+                 "%.1f\n",
+                 fetch_bytes_per_record, max_fetch_bytes_per_record);
     return 1;
   }
   if (min_solve_ratio > 0.0 &&

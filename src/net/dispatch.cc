@@ -102,6 +102,12 @@ std::string ParsePointFields(std::istringstream& in, int64_t* id,
 
 }  // namespace
 
+struct RequestDispatcher::ReplSource {
+  explicit ReplSource(std::string dir) : source(std::move(dir)) {}
+  std::mutex mu;  // serializes this session's R-verbs
+  DirReplicationSource source;
+};
+
 bool StringLineSource::NextLine(std::string* line) {
   if (rest_.empty()) return false;
   const size_t nl = rest_.find('\n');
@@ -187,28 +193,40 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
     return;
   }
   int64_t seq = 0;
-  if (command != "RMANIFEST") {
+  uint64_t offset = 0;
+  if (command == "RFETCHSNAP") {
     if (!(in >> seq) || !AtLineEnd(in)) {
-      out->append("ERR ").append(command).append(" requires <name> <seq>\n");
+      out->append("ERR RFETCHSNAP requires <name> <seq>\n");
+      return;
+    }
+  } else if (command == "RFETCHWAL") {
+    std::string offset_text;
+    if (!(in >> seq) || ((in >> offset_text) && !AtLineEnd(in)) ||
+        (!offset_text.empty() && !ParseUint64(offset_text, &offset))) {
+      out->append("ERR RFETCHWAL requires <name> <first_seq> [<offset>]\n");
       return;
     }
   } else if (!AtLineEnd(in)) {
     out->append("ERR RMANIFEST takes only a session name\n");
     return;
   }
-  std::lock_guard<std::mutex> lock(repl_mu_);
-  auto it = repl_sources_.find(name);
-  if (it == repl_sources_.end()) {
-    const std::string dir = root_dir_ + "/" + name;
-    if (!DurableSession::Exists(dir)) {
-      out->append("ERR no session named '").append(name).append("'\n");
-      return;
+  std::shared_ptr<ReplSource> entry;
+  {
+    std::lock_guard<std::mutex> lock(repl_mu_);
+    auto it = repl_sources_.find(name);
+    if (it == repl_sources_.end()) {
+      const std::string dir = root_dir_ + "/" + name;
+      if (!DurableSession::Exists(dir)) {
+        out->append("ERR no session named '").append(name).append("'\n");
+        return;
+      }
+      it = repl_sources_.emplace(name, std::make_shared<ReplSource>(dir))
+               .first;
     }
-    it = repl_sources_
-             .emplace(name, std::make_unique<DirReplicationSource>(dir))
-             .first;
+    entry = it->second;
   }
-  ReplicationSource& source = *it->second;
+  std::lock_guard<std::mutex> lock(entry->mu);
+  ReplicationSource& source = entry->source;
   if (command == "RMANIFEST") {
     auto manifest = source.GetManifest();
     if (!manifest.ok()) {
@@ -246,7 +264,7 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
     return;
   }
   auto bytes = command == "RFETCHSNAP" ? source.FetchSnapshot(seq)
-                                       : source.FetchWalSegment(seq);
+                                       : source.FetchWalSegment(seq, offset);
   if (!bytes.ok()) {
     out->append("ERR ").append(bytes.status().ToString()).append("\n");
     return;
@@ -254,10 +272,12 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
   // Binary reply: a one-line header announcing the byte count, the raw
   // bytes, then a newline to restore line discipline. Over TCP the whole
   // reply is one length-delimited frame; over stdin the client reads
-  // exactly `bytes=` bytes after the header line.
-  out->append("OK bytes=").append(std::to_string(bytes->size())).append("\n");
-  out->append(*bytes);
-  out->push_back('\n');
+  // exactly `bytes=` bytes after the header line. Sized up front: growing
+  // by the trailing newline would double a multi-MiB buffer.
+  const std::string header =
+      "OK bytes=" + std::to_string(bytes->size()) + "\n";
+  out->reserve(out->size() + header.size() + bytes->size() + 1);
+  out->append(header).append(*bytes).push_back('\n');
 }
 
 RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,

@@ -12,7 +12,6 @@
 namespace fdm {
 class SessionManager;
 class ReplicaManager;
-class ReplicationSource;
 }  // namespace fdm
 
 namespace fdm::net {
@@ -95,12 +94,15 @@ struct RequestInfo {
 ///   RMANIFEST <name>        one-line manifest: primary position/version,
 ///                           snapshot and WAL-segment lists, sink spec
 ///   RFETCHSNAP <name> <seq> `OK bytes=<n>` + n raw snapshot bytes
-///   RFETCHWAL <name> <first_seq>  same, for one WAL segment
+///   RFETCHWAL <name> <first_seq> [<offset>]
+///                           same, for one WAL segment from byte `offset`
+///                           (default 0, the whole segment) to its end
 ///
-/// They read the session's on-disk state (`DirReplicationSource` under
-/// the hood, with its sealed-checksum caches kept warm across polls), so
-/// a follower sees exactly what a shared-filesystem follower would: the
-/// durable prefix.
+/// They read the session's on-disk state through a per-session
+/// `DirReplicationSource`, whose sealed-segment checksums and
+/// active-segment scan position persist across polls; fetched bytes are
+/// read for the reply and not kept. A follower sees exactly what a
+/// shared-filesystem follower would: the durable prefix.
 class RequestDispatcher {
  public:
   /// Primary serving mode. `root_dir` is the session-manager root (the
@@ -140,11 +142,14 @@ class RequestDispatcher {
   const std::string root_dir_;
 
   /// Per-session replication sources behind the R-verbs, kept so sealed
-  /// WAL-segment checksums are computed once per segment, not once per
-  /// follower poll. DirReplicationSource is not thread-safe and manifest
-  /// traffic is light, so one lock serializes all R-verb handling.
-  mutable std::mutex repl_mu_;
-  std::map<std::string, std::unique_ptr<ReplicationSource>> repl_sources_;
+  /// WAL-segment checksums are computed once per segment and each byte
+  /// appended to the active segment is scanned once, not once per follower
+  /// poll. `DirReplicationSource` is not thread-safe, so each entry has
+  /// its own lock; `repl_mu_` guards only the map (lookup and insert), so
+  /// one session's fetch never waits on another's.
+  struct ReplSource;
+  std::mutex repl_mu_;
+  std::map<std::string, std::shared_ptr<ReplSource>> repl_sources_;
 };
 
 /// The stdin transport: reads '\n'-separated requests from `in`, writes

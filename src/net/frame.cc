@@ -11,6 +11,15 @@ void AppendFrame(std::string_view payload, std::string* out) {
   out->append(payload);
 }
 
+size_t ReleaseIfDrained(std::string& buf) {
+  if (buf.capacity() <= kRetainedBufferBytes) return 0;
+  if (buf.empty()) {
+    std::string().swap(buf);
+    return 0;
+  }
+  return buf.capacity();
+}
+
 FrameParse ParseFrame(std::string_view buf, std::string_view* payload,
                       size_t* consumed, size_t max_payload) {
   if (buf.size() < kFrameHeaderBytes) return FrameParse::kNeedMore;

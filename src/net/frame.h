@@ -31,6 +31,18 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// and close the connection.
 inline constexpr size_t kMaxFramePayloadBytes = 64u << 20;
 
+/// Capacity a drained connection buffer may keep. A buffer that grew past
+/// this for one large frame (a bulk batch, a shipped snapshot) is released
+/// once empty, so an idle connection never pins its largest message; below
+/// it, capacity is reused and steady small traffic allocates nothing.
+inline constexpr size_t kRetainedBufferBytes = 256u << 10;
+
+/// Frees `buf` when it is empty but holds more than `kRetainedBufferBytes`
+/// of capacity. Returns the capacity of a buffer still over the bound (one
+/// not drained yet), else 0; the TCP server sums these into the
+/// `fdm_net_buffered_bytes` gauge.
+size_t ReleaseIfDrained(std::string& buf);
+
 /// Appends the 4-byte header + payload to `*out`.
 void AppendFrame(std::string_view payload, std::string* out);
 

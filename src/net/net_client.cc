@@ -112,6 +112,7 @@ Result<std::string> NetClient::Recv() {
     if (parsed == FrameParse::kFrame) {
       std::string reply(payload);
       in_.erase(0, consumed);
+      ReleaseIfDrained(in_);  // don't pin the largest reply ever read
       return reply;
     }
     if (parsed == FrameParse::kError) {

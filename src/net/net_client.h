@@ -46,6 +46,7 @@ class NetClient {
   int fd_ = -1;
   // Bytes read past the frame a Recv returned. Pipelined replies can land
   // in one TCP segment, so the surplus must survive until the next Recv.
+  // Capacity past `kRetainedBufferBytes` is released once drained.
   std::string in_;
 };
 

@@ -33,6 +33,7 @@ struct NetCounters {
   obs::Counter& bytes_in;
   obs::Counter& bytes_out;
   obs::Counter& protocol_errors;
+  obs::Gauge& buffered_bytes;
 };
 
 NetCounters& Counters() {
@@ -44,6 +45,9 @@ NetCounters& Counters() {
       reg.GetCounter("fdm_net_bytes_out_total", "Bytes written to TCP clients"),
       reg.GetCounter("fdm_net_protocol_errors_total",
                      "Connections closed on malformed frames"),
+      reg.GetGauge("fdm_net_buffered_bytes",
+                   "Capacity of connection buffers over the 256 KiB "
+                   "retention bound, not yet drained"),
   };
   return c;
 }
@@ -58,11 +62,26 @@ struct Conn {
   std::string in;          // raw bytes not yet parsed into a frame
   std::string frame_rest;  // requests of the current frame not yet run
   std::string out;         // reply bytes not yet written
+  size_t buffered = 0;     // this conn's share of fdm_net_buffered_bytes
   bool busy = false;       // offloaded cold SOLVE in flight
   bool want_out = false;   // EPOLLOUT currently armed
   bool closing = false;    // QUIT: flush `out`, then close
   bool closed = false;     // fd gone; late completions are dropped
 };
+
+/// Releases the connection's drained oversized buffers and moves the
+/// `fdm_net_buffered_bytes` gauge by however much the capacity of its
+/// over-bound buffers changed — so under the bound (every cached SOLVE)
+/// this costs three capacity compares and no atomic.
+void SettleBuffers(Conn& conn) {
+  const size_t held = ReleaseIfDrained(conn.in) +
+                      ReleaseIfDrained(conn.frame_rest) +
+                      ReleaseIfDrained(conn.out);
+  if (held == conn.buffered) return;
+  Counters().buffered_bytes.Add(static_cast<double>(held) -
+                                static_cast<double>(conn.buffered));
+  conn.buffered = held;
+}
 
 struct SolveTask {
   std::shared_ptr<Conn> conn;
@@ -277,6 +296,7 @@ void TcpServer::Impl::FlushConn(EventLoop& loop,
         ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
         conn->want_out = true;
       }
+      SettleBuffers(*conn);
       return;
     }
     CloseConn(loop, conn);
@@ -289,6 +309,7 @@ void TcpServer::Impl::FlushConn(EventLoop& loop,
     ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
     conn->want_out = false;
   }
+  SettleBuffers(*conn);
   if (conn->closing) CloseConn(loop, conn);
 }
 
@@ -298,6 +319,11 @@ void TcpServer::Impl::CloseConn(EventLoop& loop,
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conn->closed = true;
+  if (conn->buffered != 0) {
+    Counters().buffered_bytes.Add(-static_cast<double>(conn->buffered));
+    conn->buffered = 0;
+  }
+  // Last: `conn` may be a reference into `loop.conns` itself.
   loop.conns.erase(conn->fd);
   Counters().connections_open.Add(-1.0);
 }

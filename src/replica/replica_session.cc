@@ -89,6 +89,11 @@ void ReplicaSession::NoteManifest(const ReplicaManifest& manifest) {
   last_advert_seq_ = manifest.advert_seq;
 }
 
+void ReplicaSession::NoteFetched(size_t bytes) {
+  fetched_bytes_ += bytes;
+  FetchBytesCounter().Add(bytes);
+}
+
 Result<ReplicaSession> ReplicaSession::Bootstrap(
     std::shared_ptr<ReplicationSource> source, ReplicaOptions options) {
   if (options.apply_batch == 0) options.apply_batch = 1;
@@ -175,8 +180,10 @@ Result<int64_t> ReplicaSession::SyncOnce() {
           ++divergence_rebuilds_;
           DivergenceCounter().Inc();
           // A rewritten log can reuse segment names and sizes, so any
-          // transport cache may be serving the pre-rewrite bytes.
+          // transport cache may be serving the pre-rewrite bytes — and the
+          // fetch offset points into the old log.
           source_->InvalidateCaches();
+          DropFetchOffset();
           sink_.reset();
           // The filter mirrors the discarded history — discard it with
           // the sink (the snapshot restore below brings back the footer
@@ -204,10 +211,12 @@ Result<int64_t> ReplicaSession::SyncOnce() {
       case ApplyOutcome::kStaleManifest:
         // A listed file vanished, shrank, or failed its checksum between
         // manifest and fetch — the primary pruned/rotated mid-poll, or a
-        // transport cache is stale. Drop caches, refetch, retry.
+        // transport cache is stale, or a ranged fetch did not resume at
+        // the next record. Drop caches and the offset, refetch, retry.
         ++stale_manifest_retries_;
         StaleManifestCounter().Inc();
         source_->InvalidateCaches();
+        DropFetchOffset();
         continue;
       case ApplyOutcome::kNeedSnapshot: {
         // The tail right after our position was pruned: only a snapshot
@@ -239,7 +248,7 @@ Result<bool> ReplicaSession::BootstrapFromSnapshot(
     if (it->seq <= min_seq) break;
     auto bytes = source_->FetchSnapshot(it->seq);
     if (!bytes.ok()) continue;  // pruned since the manifest; try older
-    FetchBytesCounter().Add(bytes->size());
+    NoteFetched(bytes->size());
     if (it->checksum != 0 &&
         (bytes->size() != it->bytes ||
          Fnv1a64(bytes->data(), bytes->size()) != it->checksum)) {
@@ -265,6 +274,7 @@ Result<bool> ReplicaSession::BootstrapFromSnapshot(
       }
     }
     applied_seq_ = it->seq;
+    DropFetchOffset();  // the new position is not where the offset was
     ++snapshots_loaded_;
     SnapshotsLoadedCounter().Inc();
     return true;
@@ -302,30 +312,51 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
     if (seg.first_seq > applied_seq_ + 1) {
       return ApplyOutcome::kNeedSnapshot;
     }
-    auto bytes = source_->FetchWalSegment(seg.first_seq);
-    if (!bytes.ok()) return ApplyOutcome::kStaleManifest;
+    // In the segment holding the last applied record, ask only for bytes
+    // not fetched yet: past that record and past whatever a budget-bound
+    // poll left unapplied. Any other segment is fetched whole.
+    const uint64_t offset =
+        seg.first_seq == fetch_first_seq_ ? fetch_offset_ : 0;
+    auto fetched = source_->FetchWalSegment(
+        seg.first_seq, offset == 0 ? 0 : offset + unapplied_.size());
+    if (!fetched.ok()) return ApplyOutcome::kStaleManifest;
     ++segments_fetched_;
     SegmentsFetchedCounter().Inc();
-    FetchBytesCounter().Add(bytes->size());
-    if (bytes->empty()) continue;  // zero-length crash artifact
-    if (seg.checksum != 0 &&
-        (bytes->size() != seg.bytes ||
-         Fnv1a64(bytes->data(), bytes->size()) != seg.checksum)) {
-      return ApplyOutcome::kStaleManifest;  // short/garbled ship of a
-                                            // sealed (immutable) segment
+    NoteFetched(fetched->size());
+    // The segment's bytes from `offset` on.
+    std::string bytes = offset == 0 ? std::move(fetched.value())
+                                    : std::move(unapplied_) + *fetched;
+    unapplied_.clear();
+    if (seg.checksum != 0) {
+      // A sealed segment is immutable: a whole fetch must match the listed
+      // size and checksum; a ranged one must end exactly at the listed
+      // size (its records carry their own checksums).
+      const bool intact =
+          offset == 0 ? bytes.size() == seg.bytes &&
+                            Fnv1a64(bytes.data(), bytes.size()) == seg.checksum
+                      : offset + bytes.size() == seg.bytes;
+      if (!intact) return ApplyOutcome::kStaleManifest;
     }
+    if (offset == 0 && bytes.empty()) continue;  // zero-length crash artifact
 
-    WalSegmentCursor cursor(*bytes);
+    WalSegmentCursor cursor(bytes, offset);
     WalRecordView record;
+    const int64_t start_seq = applied_seq_;
+    // Seq of the record that ends at `cursor.valid_bytes()` (for a whole
+    // segment with no record yet, the one before its first).
+    int64_t last_read = offset != 0 ? start_seq : seg.first_seq - 1;
     while (cursor.Next(record)) {
       const int64_t expected =
           applied_seq_ + static_cast<int64_t>(applier.pending()) + 1;
-      if (record.seq < expected) continue;  // below the snapshot: skip
-      if (record.seq > expected) {
-        // Records within a segment are dense by construction; a gap means
-        // the shipped bytes are bad. Refetch (bounded by the sync loop).
+      // Records within a segment are dense by construction, so a gap means
+      // the shipped bytes are bad; and a ranged fetch must resume exactly
+      // at the next record, or its offset no longer points where it did.
+      // Either way: refetch (bounded by the sync loop).
+      if (record.seq > expected || (record.seq < expected && offset != 0)) {
         return ApplyOutcome::kStaleManifest;
       }
+      last_read = record.seq;
+      if (record.seq < expected) continue;  // below the snapshot: skip
       if (!applier.Add(record)) {
         return Status::IoError("WAL record dimension changed mid-stream");
       }
@@ -340,25 +371,39 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
       // bad ship and refetch; persistent corruption exhausts the attempts.
       return ApplyOutcome::kStaleManifest;
     }
+    if (!budget_hit && cursor.torn_tail() && !is_last) {
+      return ApplyOutcome::kStaleManifest;  // sealed segments never tear
+    }
+    if (offset != 0 && last_read == start_seq &&
+        manifest.primary_seq > start_seq) {
+      // The manifest saw the next record, yet nothing intact sits at the
+      // offset: the segment was rewritten under the follower.
+      return ApplyOutcome::kStaleManifest;
+    }
+    flush();
+    // The next fetch may start at `valid_bytes()` only when every record
+    // before it is applied, i.e. the last one read is the applied position.
+    if (last_read == applied_seq_) {
+      fetch_first_seq_ = seg.first_seq;
+      fetch_offset_ = cursor.valid_bytes();
+    } else {
+      DropFetchOffset();
+    }
     if (budget_hit) {
-      flush();
+      // Keep what was fetched but not applied, so the next poll pays only
+      // for bytes the primary appended since.
+      unapplied_ = bytes.substr(cursor.valid_bytes() - offset);
       return ApplyOutcome::kBudgetExhausted;
     }
     if (cursor.torn_tail()) {
-      if (is_last) {
-        // The active segment's in-flight record (or a mid-write ship of
-        // it): apply the intact prefix and stop cleanly; the next poll
-        // refetches a longer prefix.
-        flush();
-        ++torn_tails_seen_;
-        TornTailCounter().Inc();
-        return ApplyOutcome::kTornActiveTail;
-      }
-      return ApplyOutcome::kStaleManifest;  // sealed segments never tear
+      // The active segment's in-flight record (or a mid-write ship of it):
+      // the intact prefix is applied; stop cleanly and let the next poll
+      // fetch from there.
+      ++torn_tails_seen_;
+      TornTailCounter().Inc();
+      return ApplyOutcome::kTornActiveTail;
     }
-    flush();  // segment boundary: keep applied_seq_ aligned with fetches
   }
-  flush();
   return ApplyOutcome::kCaughtUp;
 }
 
@@ -377,6 +422,7 @@ ReplicaSession::ReplicaStats ReplicaSession::Stats() const {
   stats.segments_fetched = segments_fetched_;
   stats.snapshots_loaded = snapshots_loaded_;
   stats.torn_tails_seen = torn_tails_seen_;
+  stats.fetched_bytes = fetched_bytes_;
   stats.dedup = dedup_enabled_;
   stats.duplicates_rejected = duplicates_rejected_;
   if (dedup_ != nullptr) {

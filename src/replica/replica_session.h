@@ -39,6 +39,15 @@ struct ReplicaOptions {
 /// `StateVersion` contract is chunking-invariant, so batched tailing
 /// reproduces the primary's per-element version exactly).
 ///
+/// Tailing pays for new records only: the follower keeps the offset just
+/// past its last applied record and asks for the bytes after it (a ranged
+/// `FetchWalSegment`). Whole-segment fetches are checked against the
+/// manifest's whole-file checksum when the segment is sealed. A ranged
+/// fetch is checked by its records' own checksums, by opening with record
+/// `applied_seq() + 1`, and, when the segment is sealed, by ending exactly
+/// at the size the manifest lists. Every stale-manifest, divergence and
+/// re-sync path drops the offset, so the next fetch starts from byte 0.
+///
 /// Staleness is detected for free: the manifest advertises the primary's
 /// durable position (and, at durability points, its state version), so
 /// `Stats().lag` = advertised position − applied position, and a follower
@@ -132,6 +141,10 @@ class ReplicaSession {
     uint64_t stale_manifest_retries = 0;
     uint64_t segments_fetched = 0;
     uint64_t snapshots_loaded = 0;
+    /// Bytes received from the source (WAL ranges and snapshots) — what
+    /// the follower pays for the records it applied. Kept here as well as
+    /// on the metrics plane so it holds in FDM_NO_METRICS builds.
+    uint64_t fetched_bytes = 0;
     /// Torn tails observed on the active segment (healed by later polls).
     uint64_t torn_tails_seen = 0;
     /// Exactly-once ingest surface, mirrored from the primary's footers
@@ -188,6 +201,16 @@ class ReplicaSession {
   }
 
   void NoteManifest(const ReplicaManifest& manifest);
+  void NoteFetched(size_t bytes);
+
+  /// The next fetch of every segment starts at offset 0. Every path that
+  /// moves `applied_seq_` other than tail application, or that doubts the
+  /// source's bytes, calls this.
+  void DropFetchOffset() {
+    fetch_first_seq_ = 0;
+    fetch_offset_ = 0;
+    unapplied_ = std::string();
+  }
 
   std::shared_ptr<ReplicationSource> source_;
   ReplicaOptions options_;
@@ -201,6 +224,13 @@ class ReplicaSession {
   int64_t duplicates_rejected_ = 0;  // primary's count, footer-mirrored
   std::shared_ptr<SolveCache> solve_cache_;  // never null
   int64_t applied_seq_ = 0;
+  /// Ranged-fetch position: the segment holding record `applied_seq_` and
+  /// the offset just past that record, so a poll fetches only new records.
+  int64_t fetch_first_seq_ = 0;
+  uint64_t fetch_offset_ = 0;
+  /// That segment's bytes from `fetch_offset_` on that a budget-bound poll
+  /// fetched but did not apply; the next poll starts from them.
+  std::string unapplied_;
 
   // Last-manifest view + counters behind Stats().
   int64_t last_primary_seq_ = 0;
@@ -212,6 +242,7 @@ class ReplicaSession {
   uint64_t segments_fetched_ = 0;
   uint64_t snapshots_loaded_ = 0;
   uint64_t torn_tails_seen_ = 0;
+  uint64_t fetched_bytes_ = 0;
 };
 
 }  // namespace fdm

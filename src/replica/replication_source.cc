@@ -1,5 +1,6 @@
 #include "replica/replication_source.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -85,32 +86,29 @@ Result<ReplicaManifest> DirReplicationSource::GetManifest() {
 
   // The durable stream position: the last intact record of the newest
   // segment (records past a torn tail do not count — they are exactly what
-  // a follower cannot fetch). Segments are append-only, so when the newest
-  // segment's identity and size are unchanged since the last manifest, the
-  // previous scan result still holds and the read is skipped — the idle
-  // polling loop then costs directory stats, not a segment decode.
+  // a follower cannot fetch). Segments are append-only, so the scan
+  // resumes where the previous manifest's stopped: a growing segment costs
+  // a read of its new bytes, and an idle one only directory stats.
   if (!manifest.segments.empty()) {
     const WalSegmentInfo& newest = manifest.segments.back();
-    if (newest.first_seq == scanned_first_seq_ &&
-        newest.bytes == scanned_bytes_) {
-      if (scanned_last_seq_ > manifest.primary_seq) {
-        manifest.primary_seq = scanned_last_seq_;
-      }
-    } else {
-      auto bytes = ReadFileToString(newest.path);
-      if (bytes.ok()) {
-        WalSegmentCursor cursor(*bytes);
+    if (newest.first_seq != scanned_first_seq_ ||
+        newest.bytes < scanned_bytes_) {
+      scanned_first_seq_ = newest.first_seq;
+      scanned_bytes_ = 0;
+      scanned_valid_bytes_ = 0;
+      scanned_last_seq_ = newest.first_seq - 1;
+    }
+    if (newest.bytes != scanned_bytes_) {
+      auto tail = ReadFileToString(newest.path, scanned_valid_bytes_);
+      if (tail.ok()) {
+        WalSegmentCursor cursor(*tail, scanned_valid_bytes_);
         WalRecordView record;
-        int64_t last = 0;
-        while (cursor.Next(record)) last = record.seq;
-        if (last == 0) last = newest.first_seq - 1;
-        scanned_first_seq_ = newest.first_seq;
-        scanned_bytes_ = bytes->size();
-        scanned_last_seq_ = last;
-        scanned_segment_bytes_ = std::move(bytes.value());
-        if (last > manifest.primary_seq) manifest.primary_seq = last;
+        while (cursor.Next(record)) scanned_last_seq_ = record.seq;
+        scanned_bytes_ = scanned_valid_bytes_ + tail->size();
+        scanned_valid_bytes_ = cursor.valid_bytes();
       }
     }
+    manifest.primary_seq = std::max(manifest.primary_seq, scanned_last_seq_);
   }
   return manifest;
 }
@@ -120,8 +118,8 @@ void DirReplicationSource::InvalidateCaches() {
   snapshot_checksums_.clear();
   scanned_first_seq_ = 0;
   scanned_bytes_ = 0;
+  scanned_valid_bytes_ = 0;
   scanned_last_seq_ = 0;
-  scanned_segment_bytes_.clear();
 }
 
 Result<std::string> DirReplicationSource::FetchSnapshot(int64_t seq) {
@@ -129,18 +127,10 @@ Result<std::string> DirReplicationSource::FetchSnapshot(int64_t seq) {
                           SessionSnapshotFileName(seq));
 }
 
-Result<std::string> DirReplicationSource::FetchWalSegment(int64_t first_seq) {
-  // The active segment was just read (and scanned) by GetManifest — serve
-  // those bytes instead of re-reading the file. They describe exactly the
-  // state the manifest in hand advertises; anything appended since simply
-  // waits for the next poll. Sealed segments (rotation moved the newest
-  // first_seq past this one) always re-read, so their manifest checksums
-  // verify against the final file.
-  if (first_seq == scanned_first_seq_ && !scanned_segment_bytes_.empty()) {
-    return scanned_segment_bytes_;
-  }
-  return ReadFileToString(SessionWalDir(dir_) + "/" +
-                          WalSegmentFileName(first_seq));
+Result<std::string> DirReplicationSource::FetchWalSegment(int64_t first_seq,
+                                                          uint64_t offset) {
+  return ReadFileToString(
+      SessionWalDir(dir_) + "/" + WalSegmentFileName(first_seq), offset);
 }
 
 }  // namespace fdm

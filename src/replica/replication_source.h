@@ -65,18 +65,25 @@ class ReplicationSource {
   /// Framed snapshot bytes for the snapshot at `seq`.
   virtual Result<std::string> FetchSnapshot(int64_t seq) = 0;
 
-  /// Raw bytes of the WAL segment whose first record is `first_seq`. The
+  /// Raw bytes of the WAL segment whose first record is `first_seq`, from
+  /// segment byte `offset` to its current end. Offset 0 is the whole
+  /// segment, magic included; a follower that has applied a prefix passes
+  /// the offset just past its last applied record and receives only the
+  /// records after it. An offset past the end of the file is an error. The
   /// active segment may gain records between manifest and fetch, and its
   /// tail may be torn mid-record — callers stop cleanly at the intact
-  /// prefix (`WalSegmentCursor`).
-  virtual Result<std::string> FetchWalSegment(int64_t first_seq) = 0;
+  /// prefix (`WalSegmentCursor`, started at the same offset).
+  virtual Result<std::string> FetchWalSegment(int64_t first_seq,
+                                              uint64_t offset) = 0;
 };
 
 /// Filesystem-directory transport: reads a primary `DurableSession`
 /// directory in place (same host or a shared/replicated mount). Sealed
 /// WAL segments are immutable, so their whole-file checksums are cached by
-/// (first_seq, size) and computed once; the active segment and the
-/// snapshots are re-examined per manifest.
+/// (first_seq, size) and computed once; the snapshots are re-examined per
+/// manifest, and the active segment is scanned only past the point the
+/// previous manifest reached. Fetches are positioned reads of exactly the
+/// requested range; nothing fetched is kept.
 class DirReplicationSource final : public ReplicationSource {
  public:
   /// `session_dir` is the primary session directory (the one holding
@@ -86,7 +93,8 @@ class DirReplicationSource final : public ReplicationSource {
   Result<ReplicaManifest> GetManifest() override;
   void InvalidateCaches() override;
   Result<std::string> FetchSnapshot(int64_t seq) override;
-  Result<std::string> FetchWalSegment(int64_t first_seq) override;
+  Result<std::string> FetchWalSegment(int64_t first_seq,
+                                      uint64_t offset) override;
 
   const std::string& dir() const { return dir_; }
 
@@ -97,19 +105,16 @@ class DirReplicationSource final : public ReplicationSource {
   /// seq -> (bytes, checksum) for snapshots already hashed (immutable once
   /// renamed into place, so a matching size means a valid cache hit).
   std::map<int64_t, std::pair<uint64_t, uint64_t>> snapshot_checksums_;
-  /// Last primary-position scan of the active segment: (first_seq, size)
-  /// -> last intact record seq, plus the scanned bytes themselves.
-  /// Segments are append-only, so an unchanged size means an unchanged
-  /// tail and the scan can be skipped — and `FetchWalSegment` of the
-  /// still-newest segment is served from these bytes, so one poll reads
-  /// the active segment once (the manifest scan), not twice. The cached
-  /// bytes can only trail the file, which is exactly the torn/short state
-  /// every consumer already handles; a rotation changes the newest
-  /// first_seq and bypasses the cache.
+  /// Where the primary-position scan of the newest segment stands: which
+  /// segment, the file size it last read up to, the offset just past the
+  /// last intact record, and that record's seq. Segments are append-only,
+  /// so the next manifest reads only the bytes past `scanned_valid_bytes_`
+  /// (none when the size is unchanged); a rotation or a shorter file
+  /// restarts the scan at offset 0.
   int64_t scanned_first_seq_ = 0;
   uint64_t scanned_bytes_ = 0;
+  uint64_t scanned_valid_bytes_ = 0;
   int64_t scanned_last_seq_ = 0;
-  std::string scanned_segment_bytes_;
 };
 
 }  // namespace fdm

@@ -1,24 +1,13 @@
 #include "replica/socket_source.h"
 
-#include <charconv>
 #include <functional>
 #include <utility>
 #include <vector>
 
+#include "util/stringutil.h"
+
 namespace fdm {
 namespace {
-
-bool ParseInt(std::string_view text, int64_t* value) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *value);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool ParseUint(std::string_view text, uint64_t* value) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *value);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
 
 /// Splits one `<a>:<b>:<c>` list element.
 bool ParseTriple(std::string_view item, int64_t* a, uint64_t* b,
@@ -27,9 +16,9 @@ bool ParseTriple(std::string_view item, int64_t* a, uint64_t* b,
   if (first == std::string_view::npos) return false;
   const size_t second = item.find(':', first + 1);
   if (second == std::string_view::npos) return false;
-  return ParseInt(item.substr(0, first), a) &&
-         ParseUint(item.substr(first + 1, second - first - 1), b) &&
-         ParseUint(item.substr(second + 1), c);
+  return ParseInt64(item.substr(0, first), a) &&
+         ParseUint64(item.substr(first + 1, second - first - 1), b) &&
+         ParseUint64(item.substr(second + 1), c);
 }
 
 /// Iterates `x,y,z` (or the empty-list marker `-`).
@@ -108,11 +97,11 @@ Result<ReplicaManifest> SocketReplicationSource::GetManifest() {
     const std::string_view key = token.substr(0, eq);
     const std::string_view value = token.substr(eq + 1);
     if (key == "primary_seq") {
-      ok = ParseInt(value, &manifest.primary_seq);
+      ok = ParseInt64(value, &manifest.primary_seq);
     } else if (key == "version") {
-      ok = ParseUint(value, &manifest.primary_version);
+      ok = ParseUint64(value, &manifest.primary_version);
     } else if (key == "advert_seq") {
-      ok = ParseInt(value, &manifest.advert_seq);
+      ok = ParseInt64(value, &manifest.advert_seq);
     } else if (key == "snapshots") {
       ok = ForEachListItem(value, [&manifest](std::string_view item) {
         ReplicaSnapshotInfo info;
@@ -150,7 +139,7 @@ Result<std::string> SocketReplicationSource::ParseBytesReply(
   constexpr std::string_view kPrefix = "OK bytes=";
   int64_t bytes = -1;
   if (header.substr(0, kPrefix.size()) != kPrefix ||
-      !ParseInt(header.substr(kPrefix.size()), &bytes) || bytes < 0 ||
+      !ParseInt64(header.substr(kPrefix.size()), &bytes) || bytes < 0 ||
       reply.size() < nl + 1 + static_cast<size_t>(bytes)) {
     return Status::IoError("malformed fetch reply");
   }
@@ -164,9 +153,11 @@ Result<std::string> SocketReplicationSource::FetchSnapshot(int64_t seq) {
 }
 
 Result<std::string> SocketReplicationSource::FetchWalSegment(
-    int64_t first_seq) {
-  auto reply =
-      Call("RFETCHWAL " + session_ + " " + std::to_string(first_seq));
+    int64_t first_seq, uint64_t offset) {
+  std::string request =
+      "RFETCHWAL " + session_ + " " + std::to_string(first_seq);
+  if (offset != 0) request += " " + std::to_string(offset);
+  auto reply = Call(request);
   if (!reply.ok()) return reply.status();
   return ParseBytesReply(*reply);
 }

@@ -13,14 +13,17 @@ namespace fdm {
 /// interface over a primary's TCP front end (net/tcp_server.h). Each call
 /// maps to exactly one request/response frame:
 ///
-///   GetManifest()        -> `RMANIFEST <session>`
-///   FetchSnapshot(seq)   -> `RFETCHSNAP <session> <seq>`
-///   FetchWalSegment(s)   -> `RFETCHWAL <session> <s>`
+///   GetManifest()              -> `RMANIFEST <session>`
+///   FetchSnapshot(seq)         -> `RFETCHSNAP <session> <seq>`
+///   FetchWalSegment(s, 0)      -> `RFETCHWAL <session> <s>`
+///   FetchWalSegment(s, off)    -> `RFETCHWAL <session> <s> <off>`
 ///
 /// so a follower tails a primary it cannot share a filesystem with. The
 /// primary serves these from its own durable directory, meaning a socket
 /// follower sees exactly the durable prefix a shared-filesystem follower
-/// would — the replica determinism story is transport-independent.
+/// would — the replica determinism story is transport-independent. A
+/// tailing follower asks for the bytes past its last applied record, so
+/// a poll ships only the new records.
 ///
 /// The connection is lazy and self-healing: established on first use,
 /// re-established once per call after a transport error (a restarting
@@ -34,7 +37,8 @@ class SocketReplicationSource final : public ReplicationSource {
 
   Result<ReplicaManifest> GetManifest() override;
   Result<std::string> FetchSnapshot(int64_t seq) override;
-  Result<std::string> FetchWalSegment(int64_t first_seq) override;
+  Result<std::string> FetchWalSegment(int64_t first_seq,
+                                      uint64_t offset) override;
   /// Drops the connection; the next call reconnects. (Server-side
   /// manifest caches are invalidated by the primary itself — this only
   /// discards transport state.)

@@ -130,7 +130,16 @@ std::string WalSegmentFileName(int64_t first_seq) {
   return name;
 }
 
-WalSegmentCursor::WalSegmentCursor(std::string_view bytes) : bytes_(bytes) {
+WalSegmentCursor::WalSegmentCursor(std::string_view bytes, size_t start_offset)
+    : bytes_(bytes), start_offset_(start_offset) {
+  if (start_offset_ != 0) {
+    // A ranged read starts on a record boundary, never inside the magic.
+    if (start_offset_ < sizeof(kSegmentMagic)) {
+      status_ = Status::IoError("WAL range starts inside the segment magic");
+      offset_ = bytes_.size();
+    }
+    return;
+  }
   if (bytes_.size() < sizeof(kSegmentMagic) ||
       std::memcmp(bytes_.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     status_ = Status::IoError("not a WAL segment (bad magic)");

@@ -34,9 +34,16 @@ struct WalRecordView {
 /// latches a non-OK `status()` on real corruption: a bad segment magic, or
 /// a record whose checksum verifies but whose payload is malformed (that is
 /// never a crash artifact).
+///
+/// The same parser reads a ranged fetch: `start_offset` is the segment
+/// offset `bytes` begin at. 0 means the whole segment (which must open with
+/// the segment magic); a non-zero offset must sit on a record boundary past
+/// the magic, and the bytes start with a record. `valid_bytes()` is a
+/// segment offset either way, so it can be handed back as the next fetch's
+/// start.
 class WalSegmentCursor {
  public:
-  explicit WalSegmentCursor(std::string_view bytes);
+  explicit WalSegmentCursor(std::string_view bytes, size_t start_offset = 0);
 
   /// Advances to the next intact record. Returns false at the end of the
   /// intact prefix (check `status()` to distinguish "clean end / torn
@@ -49,14 +56,15 @@ class WalSegmentCursor {
   /// True iff bytes remain past the last intact record (a crash tail).
   bool torn_tail() const { return valid_bytes_ < bytes_.size(); }
 
-  /// Offset just past the last intact record (segment magic included), i.e.
-  /// the truncation point that removes a torn tail.
-  size_t valid_bytes() const { return valid_bytes_; }
+  /// Segment offset just past the last intact record (segment magic
+  /// included), i.e. the truncation point that removes a torn tail.
+  size_t valid_bytes() const { return start_offset_ + valid_bytes_; }
 
  private:
   std::string_view bytes_;
-  size_t offset_ = 0;
-  size_t valid_bytes_ = 0;
+  size_t start_offset_ = 0;
+  size_t offset_ = 0;       // into bytes_
+  size_t valid_bytes_ = 0;  // into bytes_
   Status status_;
   std::vector<double> coords_;  // per-record scratch behind `record.coords`
 };

@@ -1,12 +1,11 @@
 #include "util/binary_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 namespace fdm {
 
@@ -136,16 +135,51 @@ Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
   if (stored_checksum != computed) {
     return Status::IoError("snapshot checksum mismatch");
   }
-  return SnapshotReader(framed.substr(kHeader, size));
+  // Strip the framing in place: a substr would copy the whole payload.
+  framed.resize(kHeader + size);
+  framed.erase(0, kHeader);
+  return SnapshotReader(std::move(framed));
 }
 
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed: " + path);
-  return buffer.str();
+Result<std::string> ReadFileToString(const std::string& path,
+                                     uint64_t offset) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open for read: " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status error =
+        Status::IoError("cannot stat: " + path + ": " + std::strerror(errno));
+    ::close(fd);
+    return error;
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (offset > size) {
+    ::close(fd);
+    return Status::IoError("read offset " + std::to_string(offset) +
+                           " past end of " + path + " (" +
+                           std::to_string(size) + " bytes)");
+  }
+  std::string bytes(size - offset, '\0');
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + done, bytes.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const Status error =
+          Status::IoError("read failed: " + path + ": " + std::strerror(errno));
+      ::close(fd);
+      return error;
+    }
+    if (n == 0) break;  // shrank since fstat: return what is there
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(done);
+  return bytes;
 }
 
 Result<SnapshotReader> SnapshotReader::FromFile(const std::string& path) {

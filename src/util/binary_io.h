@@ -18,9 +18,12 @@ namespace fdm {
 uint64_t Fnv1a64(const void* data, size_t len,
                  uint64_t seed = 0xcbf29ce484222325ull);
 
-/// Reads a whole file into memory (binary). Shared by the snapshot reader
-/// and the WAL segment scanner.
-Result<std::string> ReadFileToString(const std::string& path);
+/// Reads a file from byte `offset` to its end (binary) with one positioned
+/// read into a string sized by `fstat` — no growth, no second copy. Offset
+/// 0 is the whole file; an offset past the end is an error. Shared by the
+/// snapshot reader, WAL replay and the replication source.
+Result<std::string> ReadFileToString(const std::string& path,
+                                     uint64_t offset = 0);
 
 /// Buffered writer for the versioned, checksummed snapshot format.
 ///

@@ -1,10 +1,30 @@
 #include "util/stringutil.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace fdm {
+
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view text, T* value) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), *value);
+  return ec == std::errc() && ptr == text.data() + text.size();
+}
+
+}  // namespace
+
+bool ParseInt64(std::string_view text, int64_t* value) {
+  return ParseWhole(text, value);
+}
+
+bool ParseUint64(std::string_view text, uint64_t* value) {
+  return ParseWhole(text, value);
+}
 
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;

@@ -1,6 +1,7 @@
 #ifndef FDM_UTIL_STRINGUTIL_H_
 #define FDM_UTIL_STRINGUTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,12 @@ std::string FormatDouble(double value, int precision);
 
 /// Human-friendly engineering formatting for counts: `1234567` -> `"1.23M"`.
 std::string FormatCount(double value);
+
+/// Checked decimal parse of all of `text`: false (never an exception, unlike
+/// `std::stoull`) on an empty string, a stray character, or overflow.
+/// `ParseUint64` takes no sign, so a negative value is rejected too.
+bool ParseInt64(std::string_view text, int64_t* value);
+bool ParseUint64(std::string_view text, uint64_t* value);
 
 /// True iff `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

@@ -1,5 +1,7 @@
 #include "util/binary_io.h"
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,32 @@ TEST(BinaryIoTest, Fnv1a64MatchesKnownVector) {
   // FNV-1a 64 of "a" is 0xaf63dc4c8601ec8c (published test vector).
   EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ull);
+}
+
+TEST(BinaryIoTest, ReadFileToStringReadsFromAnOffsetToTheEnd) {
+  const std::string path = ::testing::TempDir() + "/binary_io_read_test.bin";
+  std::string contents(100000, '\0');
+  for (size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<char>(i * 31 + 7);  // binary, NULs included
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << contents;
+  }
+
+  auto whole = ReadFileToString(path);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(*whole, contents);
+  auto tail = ReadFileToString(path, 99000);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_EQ(*tail, contents.substr(99000));
+  auto at_end = ReadFileToString(path, contents.size());
+  ASSERT_TRUE(at_end.ok()) << at_end.status().ToString();
+  EXPECT_TRUE(at_end->empty());
+
+  EXPECT_FALSE(ReadFileToString(path, contents.size() + 1).ok());
+  EXPECT_FALSE(ReadFileToString(path + ".missing").ok());
+  std::remove(path.c_str());
 }
 
 }  // namespace

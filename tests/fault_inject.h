@@ -5,11 +5,13 @@
 // `ReplicationSource` wrapper that reshapes what a follower sees, so tests
 // can freeze the primary's visible position at any record ("kill the
 // follower here"), tear the tail of the last visible segment mid-record,
-// drop listed files between manifest and fetch (pruning races), and serve
-// a stale manifest captured earlier. Everything is pure function of the
+// drop listed files between manifest and fetch (pruning races), serve a
+// stale manifest captured earlier, and knock a ranged fetch's offset off
+// the follower's next record. Everything is pure function of the
 // wrapped source plus explicit knobs — no timing, no randomness — so every
 // injected failure replays exactly.
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -64,8 +66,22 @@ class FaultInjectingSource : public ReplicationSource {
     failed_segments_.clear();
   }
 
+  /// Shifts the next ranged (non-zero offset) WAL fetch by `delta` bytes
+  /// before it reaches the wrapped source — a follower whose offset no
+  /// longer points at its next record (past the end of the file, onto an
+  /// already-applied record, or mid-record). One-shot.
+  void SkewNextRangedFetch(int64_t delta) { ranged_skew_ = delta; }
+
+  /// Drops the last `bytes` bytes of the next ranged WAL fetch's reply — a
+  /// ship cut short, possibly on a record boundary. One-shot.
+  void ShortenNextRangedFetch(size_t bytes) { ranged_drop_tail_ = bytes; }
+
   int64_t manifest_fetches() const { return manifest_fetches_; }
   int64_t forced_failures() const { return forced_failures_; }
+  /// WAL fetches that asked for a range (offset != 0), and the offset the
+  /// most recent WAL fetch asked for.
+  int64_t ranged_fetches() const { return ranged_fetches_; }
+  uint64_t last_fetch_offset() const { return last_fetch_offset_; }
 
   void InvalidateCaches() override { inner_->InvalidateCaches(); }
 
@@ -114,19 +130,31 @@ class FaultInjectingSource : public ReplicationSource {
     return inner_->FetchSnapshot(seq);
   }
 
-  Result<std::string> FetchWalSegment(int64_t first_seq) override {
+  Result<std::string> FetchWalSegment(int64_t first_seq,
+                                      uint64_t offset) override {
     if (failed_segments_.count(first_seq) != 0 ||
         (max_visible_seq_ >= 0 && first_seq > max_visible_seq_)) {
       ++forced_failures_;
       return Status::IoError("fault injection: segment " +
                              std::to_string(first_seq) + " unavailable");
     }
-    auto bytes = inner_->FetchWalSegment(first_seq);
+    last_fetch_offset_ = offset;
+    size_t drop_tail = 0;
+    if (offset != 0) {
+      ++ranged_fetches_;
+      offset += static_cast<uint64_t>(std::exchange(ranged_skew_, 0));
+      drop_tail = std::exchange(ranged_drop_tail_, 0);
+    }
+    auto bytes = inner_->FetchWalSegment(first_seq, offset);
+    if (bytes.ok() && drop_tail > 0) {
+      bytes->resize(bytes->size() - std::min(drop_tail, bytes->size()));
+    }
     if (!bytes.ok() || max_visible_seq_ < 0) return bytes;
 
     // Cut at the last record <= cap, optionally re-exposing a torn prefix
-    // of the next record.
-    WalSegmentCursor cursor(*bytes);
+    // of the next record. Cursor offsets are segment offsets; the cut is
+    // taken relative to where the fetched range starts.
+    WalSegmentCursor cursor(*bytes, offset);
     WalRecordView record;
     size_t cut = cursor.valid_bytes();
     size_t next_record_end = cut;
@@ -140,11 +168,11 @@ class FaultInjectingSource : public ReplicationSource {
       cut = cursor.valid_bytes();
     }
     if (!capped) return bytes;
-    std::string visible = bytes->substr(0, cut);
+    std::string visible = bytes->substr(0, cut - offset);
     if (torn_tail_bytes_ > 0) {
       const size_t torn =
           std::min(torn_tail_bytes_, next_record_end - cut - 1);
-      visible.append(bytes->substr(cut, torn));
+      visible.append(bytes->substr(cut - offset, torn));
     }
     return visible;
   }
@@ -171,6 +199,10 @@ class FaultInjectingSource : public ReplicationSource {
   std::set<int64_t> failed_segments_;
   int64_t manifest_fetches_ = 0;
   int64_t forced_failures_ = 0;
+  int64_t ranged_skew_ = 0;
+  size_t ranged_drop_tail_ = 0;
+  int64_t ranged_fetches_ = 0;
+  uint64_t last_fetch_offset_ = 0;
 };
 
 }  // namespace fdm

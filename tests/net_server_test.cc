@@ -5,8 +5,15 @@
 
 #include "net/tcp_server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +24,9 @@
 #include "net/dispatch.h"
 #include "net/frame.h"
 #include "net/net_client.h"
+#include "obs/metrics.h"
 #include "replica/replica_manager.h"
+#include "service/session_layout.h"
 #include "service/session_manager.h"
 
 namespace fdm {
@@ -252,12 +261,19 @@ TEST_F(NetServerTest, SocketReplicationFollowsPrimaryOverTcp) {
   }
   ASSERT_TRUE(manager->Ingest("rep", extra, true).ok());
   ASSERT_TRUE(manager->DropResident("rep").ok());  // make the tail durable
+  auto before = (*replicas)->Stats("rep");
+  ASSERT_TRUE(before.ok());
   auto applied = (*replicas)->Poll("rep");
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(*applied, static_cast<int64_t>(extra.size()));
   auto lag = (*replicas)->Stats("rep");
   ASSERT_TRUE(lag.ok());
   EXPECT_EQ(lag->lag, 0);
+  // The poll shipped only the new records (a ranged RFETCHWAL), not the
+  // whole active segment, which still holds the entire stream.
+  const uint64_t record_bytes = 4 + 24 + 8 * 2 + 8;  // dim-2 WAL record
+  EXPECT_LE(lag->fetched_bytes - before->fetched_bytes,
+            extra.size() * record_bytes);
 
   // The follower survives a primary front-end restart: stop the server,
   // a poll fails, restart on a new port is NOT transparent (the address
@@ -274,6 +290,106 @@ TEST_F(NetServerTest, SocketReplicationFollowsPrimaryOverTcp) {
   ASSERT_TRUE(revived.ok()) << revived.status().ToString();
   auto healed = (*replicas)->Poll("rep");
   EXPECT_TRUE(healed.ok()) << healed.status().ToString();
+}
+
+/// A plain blocking TCP socket, for writing a frame in pieces (NetClient
+/// only sends whole frames). -1 on failure.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+/// Reads one reply frame's payload off a raw socket ("" on error).
+std::string ReadFrame(int fd) {
+  std::string buf;
+  char chunk[4096];
+  while (true) {
+    std::string_view payload;
+    size_t consumed = 0;
+    if (net::ParseFrame(buf, &payload, &consumed) == net::FrameParse::kFrame) {
+      return std::string(payload);
+    }
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) return "";
+    buf.append(chunk, static_cast<size_t>(n));
+  }
+}
+
+// Connection buffers give back capacity past the 256 KiB retention bound
+// once drained, so an idle follower connection never pins its largest
+// reply. The `fdm_net_buffered_bytes` gauge shows a half-received 2 MiB
+// frame held in a connection's input buffer, and falls back once that
+// frame — and then a multi-MiB RFETCHSNAP reply — has been handled.
+TEST_F(NetServerTest, OversizedBuffersAreReleasedOnceDrained) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "needs the metrics registry";
+  const Dataset ds = TestData(60, 47);
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(ds)).ok());
+  // RFETCHSNAP ships a snapshot file's raw bytes, so any file under a
+  // snapshot name makes a multi-MiB reply.
+  const std::string snap_dir = SessionSnapDir(root_ + "/big");
+  std::filesystem::create_directories(snap_dir);
+  constexpr size_t kSnapBytes = 3u << 20;
+  {
+    std::ofstream snap(snap_dir + "/" + SessionSnapshotFileName(1),
+                       std::ios::binary);
+    snap << std::string(kSnapBytes, 'x');
+  }
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const obs::Gauge& buffered =
+      obs::MetricsRegistry::Global().GetGauge("fdm_net_buffered_bytes", "");
+  const double baseline = buffered.Value();
+  // The loop thread moves the gauge after the client's own I/O returns.
+  const auto eventually = [&buffered](auto holds) {
+    for (int i = 0; i < 500 && !holds(buffered.Value()); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return holds(buffered.Value());
+  };
+
+  const int fd = ConnectRaw((*server)->port());
+  ASSERT_GE(fd, 0);
+  std::string frame;
+  net::AppendFrame("LIST" + std::string((2u << 20) - 5, ' ') + "\n", &frame);
+  ASSERT_TRUE(WriteAll(fd, std::string_view(frame).substr(0, 1u << 20)));
+  EXPECT_TRUE(eventually([&](double v) { return v >= baseline + (1u << 19); }))
+      << buffered.Value();
+  ASSERT_TRUE(WriteAll(fd, std::string_view(frame).substr(1u << 20)));
+  EXPECT_EQ(ReadFrame(fd), "OK big\n");
+  EXPECT_TRUE(eventually([&](double v) { return v == baseline; }))
+      << buffered.Value();
+  ::close(fd);
+
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  auto reply = client->Call("RFETCHSNAP big 1");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->size(),
+            ("OK bytes=" + std::to_string(kSnapBytes) + "\n").size() +
+                kSnapBytes + 1);
+  EXPECT_TRUE(eventually([&](double v) { return v == baseline; }))
+      << buffered.Value();
 }
 
 TEST_F(NetServerTest, QuitOverTcpClosesOnlyThatConnection) {

@@ -152,6 +152,7 @@ TEST_F(ReplicaTest, KillRestartBitIdenticalAtEveryBoundaryForEveryKind) {
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     int64_t reference_fed = 0;
 
+    int ranged_kill_points = 0;
     for (const KillPoint& kill : kill_points) {
       SCOPED_TRACE("kill at seq " + std::to_string(kill.seq) +
                    (kill.torn ? " (torn tail)" : ""));
@@ -169,7 +170,23 @@ TEST_F(ReplicaTest, KillRestartBitIdenticalAtEveryBoundaryForEveryKind) {
       ExpectSameSolution(**reference, follower->sink());
       EXPECT_EQ(follower->Stats().lag, 0);  // caught up with the capped view
 
-      // Restart: the fault clears and the follower tails the rest.
+      // Still frozen: a follower whose position sits in a visible segment
+      // now holds an offset into it, so the next poll asks only for the
+      // bytes past its last record — nothing intact (at most the torn
+      // tail) — and stays put.
+      const int64_t ranged_before = fault->ranged_fetches();
+      auto idle = follower->Poll();
+      ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+      EXPECT_EQ(*idle, 0);
+      if (manifest->segments.front().first_seq <= kill.seq) {
+        EXPECT_GT(fault->ranged_fetches(), ranged_before);
+        ++ranged_kill_points;
+      }
+      ExpectSameSolution(**reference, follower->sink());
+      EXPECT_EQ(follower->Stats().stale_manifest_retries, 0u);
+
+      // Restart: the fault clears and the follower tails the rest, from
+      // its offset on.
       fault->SetMaxVisibleSeq(-1);
       fault->SetTornTailBytes(0);
       auto caught_up = follower->Poll();
@@ -178,7 +195,9 @@ TEST_F(ReplicaTest, KillRestartBitIdenticalAtEveryBoundaryForEveryKind) {
                 static_cast<int64_t>(ds.size()) - kill.seq);
       ExpectSameSolution(primary->sink(), follower->sink());
       EXPECT_EQ(follower->Stats().lag, 0);
+      EXPECT_EQ(follower->Stats().stale_manifest_retries, 0u);
     }
+    EXPECT_GT(ranged_kill_points, 4);
 
     // Cold restart over the healthy source converges identically too.
     auto cold = ReplicaSession::Bootstrap(base);
@@ -360,8 +379,9 @@ TEST_F(ReplicaTest, RewrittenLogForcesDivergenceRebuild) {
     }
     ASSERT_TRUE(primary->Sync().ok());
   }
-  auto follower = ReplicaSession::Bootstrap(
+  auto fault = std::make_shared<FaultInjectingSource>(
       std::make_shared<DirReplicationSource>(dir_));
+  auto follower = ReplicaSession::Bootstrap(fault);
   ASSERT_TRUE(follower.ok()) << follower.status().ToString();
   const uint64_t old_version = follower->StateVersion();
 
@@ -381,10 +401,158 @@ TEST_F(ReplicaTest, RewrittenLogForcesDivergenceRebuild) {
   ASSERT_TRUE(rewritten->Sync().ok());
   ASSERT_NE(rewritten->StateVersion(), old_version);
 
+  // The follower resumes from its offset (the rewritten segment has the
+  // same name and size, so the range is empty) and only the version check
+  // exposes the rewrite. The rebuild must drop the offset: its tail is
+  // refetched from byte 0 without a detour through the stale-manifest
+  // path, which an offset into the old log would have forced.
   auto polled = follower->Poll();
   ASSERT_TRUE(polled.ok()) << polled.status().ToString();
   EXPECT_GE(follower->Stats().divergence_rebuilds, 1u);
+  EXPECT_GT(fault->ranged_fetches(), 0);
+  EXPECT_EQ(fault->last_fetch_offset(), 0u);
+  EXPECT_EQ(follower->Stats().stale_manifest_retries, 0u);
   ExpectSameSolution(rewritten->sink(), follower->sink());
+}
+
+// What a follower pays per new record: tailing a live primary in many
+// small polls, each poll fetches only the records it has not applied (a
+// ranged fetch from its offset), so the bytes fetched stay within 1.2x the
+// records' own WAL bytes — instead of growing with every re-ship of the
+// active segment. `Stats().fetched_bytes` is session bookkeeping, so this
+// holds in FDM_NO_METRICS builds too.
+TEST_F(ReplicaTest, FetchedBytesGrowInProportionToNewRecords) {
+  const Dataset ds = TestData(2, 600, 59);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  DurableSessionOptions options;
+  options.wal.segment_bytes = 4096;  // a few rotations mid-stream
+  auto primary = DurableSession::Create(dir_, spec, options);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  ASSERT_TRUE(primary->Sync().ok());
+
+  auto follower = ReplicaSession::Bootstrap(
+      std::make_shared<DirReplicationSource>(dir_));
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  constexpr size_t kPerPoll = 4;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    if ((i + 1) % kPerPoll == 0) {
+      ASSERT_TRUE(primary->Sync().ok());
+      auto applied = follower->Poll();
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+      ASSERT_EQ(*applied, static_cast<int64_t>(kPerPoll));
+    }
+  }
+  const auto stats = follower->Stats();
+  ASSERT_EQ(stats.applied_seq, static_cast<int64_t>(ds.size()));
+  EXPECT_EQ(stats.stale_manifest_retries, 0u);
+  // WAL framing: u32 length | seq, id, group, dim (24 B) | coords | u64
+  // checksum.
+  const uint64_t record_bytes = 4 + 24 + 8 * ds.dim() + 8;
+  EXPECT_LE(static_cast<double>(stats.fetched_bytes),
+            1.2 * static_cast<double>(ds.size() * record_bytes))
+      << stats.fetched_bytes << " bytes fetched for " << ds.size()
+      << " records of " << record_bytes << " bytes";
+  ExpectSameSolution(primary->sink(), follower->sink());
+}
+
+// A ranged fetch that does not resume at the follower's next record —
+// its offset lands past the end of the file, back on an applied record,
+// or mid-record — takes the stale-manifest path: the offset is dropped,
+// the segment refetched from byte 0, and the follower stays bit-identical.
+TEST_F(ReplicaTest, BadRangedFetchRefetchesFromZero) {
+  const Dataset ds = TestData(2, 200, 61);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  auto primary = DurableSession::Create(dir_, spec);  // one segment
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  for (size_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+  }
+  ASSERT_TRUE(primary->Sync().ok());
+  auto fault = std::make_shared<FaultInjectingSource>(
+      std::make_shared<DirReplicationSource>(dir_));
+  auto follower = ReplicaSession::Bootstrap(fault);
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+
+  const int64_t record_bytes = 4 + 24 + 8 * 2 + 8;  // see above
+  const struct {
+    const char* what;
+    int64_t skew;
+  } cases[] = {
+      {"offset past end of file", int64_t{1} << 30},
+      {"first record already applied", -record_bytes},
+      {"offset mid-record", -3},
+  };
+  size_t fed = 50;
+  uint64_t retries = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    for (const size_t end = fed + 50; fed < end; ++fed) {
+      ASSERT_TRUE(primary->Observe(ds.At(fed)).ok());
+    }
+    ASSERT_TRUE(primary->Sync().ok());
+    const int64_t ranged_before = fault->ranged_fetches();
+    fault->SkewNextRangedFetch(c.skew);
+    auto applied = follower->Poll();
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(*applied, 50);
+    EXPECT_EQ(fault->ranged_fetches(), ranged_before + 1);  // the bad one
+    EXPECT_EQ(fault->last_fetch_offset(), 0u);              // the refetch
+    EXPECT_EQ(follower->Stats().stale_manifest_retries, ++retries);
+    ExpectSameSolution(primary->sink(), follower->sink());
+  }
+  // With the fault gone, the next poll is ranged again and needs no retry.
+  for (; fed < ds.size(); ++fed) {
+    ASSERT_TRUE(primary->Observe(ds.At(fed)).ok());
+  }
+  ASSERT_TRUE(primary->Sync().ok());
+  auto applied = follower->Poll();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_NE(fault->last_fetch_offset(), 0u);
+  EXPECT_EQ(follower->Stats().stale_manifest_retries, retries);
+  ExpectSameSolution(primary->sink(), follower->sink());
+}
+
+// A ranged fetch of a sealed segment must end exactly at the size the
+// manifest lists. A ship cut short on a record boundary holds only intact
+// records, so without that check the follower would stop short of the
+// next segment and fall back to a snapshot re-sync; with it, the segment
+// is refetched from byte 0.
+TEST_F(ReplicaTest, ShortRangedShipOfSealedSegmentRefetches) {
+  const Dataset ds = TestData(2, 150, 67);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  DurableSessionOptions options;
+  options.wal.segment_bytes = 4096;  // ~78 dim-2 records per segment
+  auto primary = DurableSession::Create(dir_, spec, options);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  for (size_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+  }
+  ASSERT_TRUE(primary->Sync().ok());
+  auto fault = std::make_shared<FaultInjectingSource>(
+      std::make_shared<DirReplicationSource>(dir_));
+  auto follower = ReplicaSession::Bootstrap(fault);
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  ASSERT_EQ(follower->Stats().applied_seq, 10);
+
+  // Fill and seal the follower's segment, with records in the next one.
+  for (size_t i = 10; i < ds.size(); ++i) {
+    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+  }
+  ASSERT_TRUE(primary->Sync().ok());
+  auto manifest = DirReplicationSource(dir_).GetManifest();
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_GE(manifest->segments.size(), 2u);
+  ASSERT_NE(manifest->segments.front().checksum, 0u);  // sealed
+
+  fault->ShortenNextRangedFetch(4 + 24 + 8 * 2 + 8);  // one whole record
+  auto applied = follower->Poll();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied, static_cast<int64_t>(ds.size()) - 10);
+  EXPECT_EQ(fault->ranged_fetches(), 1);
+  EXPECT_EQ(follower->Stats().stale_manifest_retries, 1u);
+  EXPECT_EQ(follower->Stats().resyncs, 0u);
+  ExpectSameSolution(primary->sink(), follower->sink());
 }
 
 // The duplicate-replay storm: every manifest lists every WAL segment

@@ -96,6 +96,24 @@ class ServeProtocolTest : public ::testing::Test {
 // one script twice against one state would mutate it in between).
 // ---------------------------------------------------------------------------
 
+/// Sends `script` as one pipelined frame to a TCP server over `dispatcher`
+/// and appends every reply frame's payload to `*out`.
+void RunTcp(net::RequestDispatcher& dispatcher, const std::string& script,
+            std::string* out) {
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Send(script).ok());
+  const size_t frames = CountReplies(dispatcher, script);
+  for (size_t i = 0; i < frames; ++i) {
+    auto reply = client->Recv();
+    ASSERT_TRUE(reply.ok()) << "frame " << i << ": "
+                            << reply.status().ToString();
+    out->append(*reply);
+  }
+}
+
 class ByteIdentityTest : public ServeProtocolTest {
  protected:
   void Check(const std::string& script) {
@@ -105,20 +123,8 @@ class ByteIdentityTest : public ServeProtocolTest {
                                             root_ + "/stdin");
     net::RequestDispatcher tcp_dispatcher(tcp_manager.get(), root_ + "/tcp");
     const std::string expected = RunStdin(stdin_dispatcher, script);
-
-    auto server = net::TcpServer::Start(&tcp_dispatcher, {});
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    ASSERT_TRUE(client->Send(script).ok());
     std::string actual;
-    const size_t frames = CountReplies(stdin_dispatcher, script);
-    for (size_t i = 0; i < frames; ++i) {
-      auto reply = client->Recv();
-      ASSERT_TRUE(reply.ok()) << "frame " << i << ": "
-                              << reply.status().ToString();
-      actual += *reply;
-    }
+    RunTcp(tcp_dispatcher, script, &actual);
     EXPECT_EQ(actual, expected);
   }
 };
@@ -173,6 +179,30 @@ TEST_F(ByteIdentityTest, TruncatedBatchEndsLikeEof) {
   Check(script);
 }
 
+TEST_F(ByteIdentityTest, ReplicationVerbs) {
+  // Binary replies included: the manifest, the whole WAL segment in its
+  // 2- and 3-argument forms, a ranged fetch, and every rejected offset.
+  // (No snapshot: its stats footer records how long the write took, so
+  // two servers never write the same snapshot bytes. 300 points cross the
+  // WAL's fsync batch, which makes them fetchable.)
+  const Dataset ds = TestData(300);
+  std::string script = "CREATE s " + SpecFor(ds) + "\n";
+  script += "OBSERVEB s 300\n";
+  for (size_t i = 0; i < ds.size(); ++i) {
+    const StreamPoint p = ds.At(i);
+    script += std::to_string(p.id) + " " + std::to_string(p.group);
+    for (const double c : p.coords) script += " " + std::to_string(c);
+    script += "\n";
+  }
+  script += "RMANIFEST s\n";
+  script += "RFETCHWAL s 1\nRFETCHWAL s 1 0\nRFETCHWAL s 1 60\n";
+  script += "RFETCHWAL s 1 -60\nRFETCHWAL s 1 abc\n";  // not an offset
+  script += "RFETCHWAL s 1 60 junk\nRFETCHWAL s\n";
+  script += "RFETCHWAL s 1 99999999999999999999999\n";  // overflows u64
+  script += "LIST\nQUIT\n";
+  Check(script);
+}
+
 TEST_F(ByteIdentityTest, FuzzedGarbageLines) {
   // Deterministic junk: no crashes, and both transports agree byte for
   // byte on every reply. (xorshift instead of a seeded <random> engine so
@@ -196,6 +226,75 @@ TEST_F(ByteIdentityTest, FuzzedGarbageLines) {
   }
   script += "LIST\nQUIT\n";
   Check(script);
+}
+
+// ---------------------------------------------------------------------------
+// Ranged RFETCHWAL: offset 0 is the old 2-argument form byte for byte, a
+// ranged reply is exactly the segment's suffix, and a bad offset is an
+// ERR from a checked parse (never an exception out of std::stoull).
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeProtocolTest, RangedWalFetchIsTheSegmentSuffix) {
+  const Dataset ds = TestData();
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
+  for (size_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(manager->Observe("s", ds.At(i)).ok());
+  }
+  ASSERT_TRUE(manager->Snapshot("s").ok());  // flushes the WAL
+
+  const std::string whole = RunStdin(dispatcher, "RFETCHWAL s 1\n");
+  EXPECT_EQ(RunStdin(dispatcher, "RFETCHWAL s 1 0\n"), whole);
+  const std::string header_prefix = "OK bytes=";
+  ASSERT_EQ(whole.rfind(header_prefix, 0), 0u) << whole.substr(0, 40);
+  const size_t nl = whole.find('\n');
+  const std::string segment =
+      whole.substr(nl + 1, std::stoul(whole.substr(header_prefix.size())));
+  ASSERT_GT(segment.size(), 100u);
+  for (const size_t offset : {size_t{8}, size_t{100}, segment.size()}) {
+    const std::string tail = segment.substr(offset);
+    EXPECT_EQ(RunStdin(dispatcher,
+                       "RFETCHWAL s 1 " + std::to_string(offset) + "\n"),
+              "OK bytes=" + std::to_string(tail.size()) + "\n" + tail + "\n")
+        << "offset " << offset;
+  }
+
+  const std::string usage =
+      "ERR RFETCHWAL requires <name> <first_seq> [<offset>]\n";
+  for (const std::string bad :
+       {"-8", "abc", "8x", "+8", "99999999999999999999999", "8 junk"}) {
+    EXPECT_EQ(RunStdin(dispatcher, "RFETCHWAL s 1 " + bad + "\n"), usage)
+        << bad;
+  }
+  const std::string past_end = RunStdin(
+      dispatcher, "RFETCHWAL s 1 " + std::to_string(segment.size() + 1) +
+                      "\n");
+  EXPECT_EQ(past_end.rfind("ERR ", 0), 0u) << past_end;
+  EXPECT_NE(past_end.find("past end"), std::string::npos) << past_end;
+}
+
+// The replication verbs only read, so both transports can run against one
+// server state — which is what covers RFETCHSNAP (two servers never write
+// the same snapshot bytes) and the ERR replies that name a file.
+TEST_F(ServeProtocolTest, ReadOnlyReplicationVerbsMatchOverTcp) {
+  const Dataset ds = TestData();
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
+  for (size_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(manager->Observe("s", ds.At(i)).ok());
+  }
+  ASSERT_TRUE(manager->Snapshot("s").ok());
+  const std::string script =
+      "RMANIFEST s\nRFETCHSNAP s 30\nRFETCHSNAP s 29\nRFETCHWAL s 1\n"
+      "RFETCHWAL s 1 0\nRFETCHWAL s 1 8\nRFETCHWAL s 1 99999999\n"
+      "RFETCHWAL s 7\nRFETCHWAL s 1 -8\nRMANIFEST ghost\n";
+  const std::string expected = RunStdin(dispatcher, script);
+  ASSERT_NE(expected.find("OK bytes="), std::string::npos);
+  std::string actual;
+  RunTcp(dispatcher, script, &actual);
+  EXPECT_EQ(actual, expected);
 }
 
 // ---------------------------------------------------------------------------

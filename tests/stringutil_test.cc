@@ -62,5 +62,20 @@ TEST(PadTest, LeftAndRight) {
   EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
 }
 
+TEST(ParseIntTest, AcceptsOnlyWholeInRangeDecimals) {
+  int64_t i = 0;
+  EXPECT_TRUE(ParseInt64("-42", &i));
+  EXPECT_EQ(i, -42);
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &u));
+  EXPECT_EQ(u, ~uint64_t{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUint64(bad, &u)) << bad;
+  }
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &i));
+  EXPECT_FALSE(ParseInt64("12a", &i));
+}
+
 }  // namespace
 }  // namespace fdm
