@@ -23,6 +23,9 @@
 //   --max-dedup-overhead=Y  fail if dedup=on costs more than fraction Y
 //                           over dedup=off on a clean (duplicate-free)
 //                           stream
+//   --max-dedup-bytes-per-id=Z  fail if the duplicate guard of the dedup
+//                           cell holds more than Z resident bytes per id
+//                           (a byte count: it cannot flip on noise)
 
 #include <cstdio>
 #include <filesystem>
@@ -59,6 +62,7 @@ struct ServiceBenchResult {
   double dup_admit_points_per_sec = 0.0;
   double dup_speedup = 0.0;
   size_t filter_bytes = 0;
+  double filter_bytes_per_id = 0.0;
 };
 
 std::string SpecFor(const Dataset& ds) {
@@ -85,6 +89,8 @@ int Main(int argc, char** argv) {
   const double min_dup_speedup = args.GetDouble("min-dup-speedup", 0.0);
   const double max_dedup_overhead =
       args.GetDouble("max-dedup-overhead", 0.0);
+  const double max_dedup_bytes_per_id =
+      args.GetDouble("max-dedup-bytes-per-id", 0.0);
 
   BlobsOptions data_options;
   data_options.n = n;
@@ -286,16 +292,19 @@ int Main(int argc, char** argv) {
         static_cast<double>(ds.size()) / best_admit_sec;
     result.dup_speedup = best_admit_sec / best_reject_sec;
     result.filter_bytes = reject->dedup_filter()->MemoryBytes();
+    result.filter_bytes_per_id =
+        static_cast<double>(result.filter_bytes) /
+        static_cast<double>(reject->dedup_filter()->Size());
     std::printf("dedup clean:     %10.0f points/sec on, %.0f off "
                 "(overhead %+.1f%%)\n",
                 result.clean_on_points_per_sec,
                 result.clean_off_points_per_sec,
                 result.clean_overhead_frac * 100.0);
     std::printf("dedup reject:    %10.0f points/sec vs %10.0f re-admit "
-                "(%.1fx, filter %zu B)\n",
+                "(%.1fx, filter %zu B = %.2f B/id)\n",
                 result.dup_reject_points_per_sec,
                 result.dup_admit_points_per_sec, result.dup_speedup,
-                result.filter_bytes);
+                result.filter_bytes, result.filter_bytes_per_id);
   }
 
   std::filesystem::remove_all(scratch);
@@ -329,7 +338,9 @@ int Main(int argc, char** argv) {
        << ", \"dup_admit_points_per_sec\": "
        << result.dup_admit_points_per_sec
        << ", \"dup_speedup\": " << result.dup_speedup
-       << ", \"filter_bytes\": " << result.filter_bytes << "}\n}\n";
+       << ", \"filter_bytes\": " << result.filter_bytes
+       << ", \"filter_bytes_per_id\": " << result.filter_bytes_per_id
+       << "}\n}\n";
   if (!json) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
@@ -354,11 +365,21 @@ int Main(int argc, char** argv) {
                  max_dedup_overhead * 100.0);
     gate_failed = true;
   }
+  if (max_dedup_bytes_per_id > 0.0 &&
+      result.filter_bytes_per_id > max_dedup_bytes_per_id) {
+    std::fprintf(stderr,
+                 "GATE FAILED: dedup guard holds %.2f B per id, "
+                 "allowed <= %.2f\n",
+                 result.filter_bytes_per_id, max_dedup_bytes_per_id);
+    gate_failed = true;
+  }
   if (gate_failed) return 1;
-  if (min_dup_speedup > 0.0 || max_dedup_overhead > 0.0) {
+  if (min_dup_speedup > 0.0 || max_dedup_overhead > 0.0 ||
+      max_dedup_bytes_per_id > 0.0) {
     std::printf("dedup gates passed (%.1fx rejection, %+.1f%% clean "
-                "overhead)\n",
-                result.dup_speedup, result.clean_overhead_frac * 100.0);
+                "overhead, %.2f B per id)\n",
+                result.dup_speedup, result.clean_overhead_frac * 100.0,
+                result.filter_bytes_per_id);
   }
   return 0;
 }

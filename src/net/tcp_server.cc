@@ -59,8 +59,14 @@ NetCounters& Counters() {
 struct Conn {
   int fd = -1;
   size_t loop = 0;
-  std::string in;          // raw bytes not yet parsed into a frame
-  std::string frame_rest;  // requests of the current frame not yet run
+  // Raw input, walked by offset: [0, pos) is consumed, and while a frame
+  // is in progress [pos, frame_end) holds its requests not yet run (pos ==
+  // frame_end: the next frame header starts at pos). Drive compacts the
+  // consumed prefix at most once per pass, so a frame of N requests costs
+  // O(frame bytes), not O(N × frame bytes).
+  std::string in;
+  size_t pos = 0;
+  size_t frame_end = 0;
   std::string out;         // reply bytes not yet written
   size_t buffered = 0;     // this conn's share of fdm_net_buffered_bytes
   bool busy = false;       // offloaded cold SOLVE in flight
@@ -69,14 +75,22 @@ struct Conn {
   bool closed = false;     // fd gone; late completions are dropped
 };
 
+/// Drops the consumed prefix of `conn.in` once it is at least as long as
+/// what is left, so every byte is moved O(1) times however many passes a
+/// frame takes (an offloaded cold SOLVE ends a pass mid-frame).
+void CompactInput(Conn& conn) {
+  if (conn.pos == 0 || conn.pos < conn.in.size() - conn.pos) return;
+  conn.in.erase(0, conn.pos);
+  conn.frame_end -= conn.pos;
+  conn.pos = 0;
+}
+
 /// Releases the connection's drained oversized buffers and moves the
 /// `fdm_net_buffered_bytes` gauge by however much the capacity of its
 /// over-bound buffers changed — so under the bound (every cached SOLVE)
-/// this costs three capacity compares and no atomic.
+/// this costs two capacity compares and no atomic.
 void SettleBuffers(Conn& conn) {
-  const size_t held = ReleaseIfDrained(conn.in) +
-                      ReleaseIfDrained(conn.frame_rest) +
-                      ReleaseIfDrained(conn.out);
+  const size_t held = ReleaseIfDrained(conn.in) + ReleaseIfDrained(conn.out);
   if (held == conn.buffered) return;
   Counters().buffered_bytes.Add(static_cast<double>(held) -
                                 static_cast<double>(conn.buffered));
@@ -200,39 +214,42 @@ void TcpServer::Impl::ReadConn(EventLoop& loop,
 
 void TcpServer::Impl::Drive(EventLoop& loop,
                             const std::shared_ptr<Conn>& conn) {
+  std::string line;
   while (!conn->busy && !conn->closing && !conn->closed) {
-    if (conn->frame_rest.empty()) {
+    if (conn->pos == conn->frame_end) {
       std::string_view payload;
       size_t consumed = 0;
-      const FrameParse parsed = ParseFrame(conn->in, &payload, &consumed);
+      const FrameParse parsed = ParseFrame(
+          std::string_view(conn->in).substr(conn->pos), &payload, &consumed);
       if (parsed == FrameParse::kNeedMore) break;
       if (parsed == FrameParse::kError) {
         Counters().protocol_errors.Inc();
         CloseConn(loop, conn);
         return;
       }
-      conn->frame_rest.assign(payload);
-      conn->in.erase(0, consumed);
+      conn->frame_end = conn->pos + consumed;
+      conn->pos += kFrameHeaderBytes;
       continue;  // empty frame: loop back and parse the next one
     }
-    // Pop the request's command line off the frame.
-    const size_t nl = conn->frame_rest.find('\n');
-    std::string line;
-    std::string rest;
-    if (nl == std::string::npos) {
-      line = std::move(conn->frame_rest);
-    } else {
-      line = conn->frame_rest.substr(0, nl);
-      rest = conn->frame_rest.substr(nl + 1);
-    }
-    conn->frame_rest.clear();
+    // Pop the request's command line off the frame. `payload_lines` views
+    // the rest of the frame in `conn->in`, which nothing appends to until
+    // this pass ends; the request resumes parsing where it stops.
+    const std::string_view frame = std::string_view(conn->in).substr(
+        conn->pos, conn->frame_end - conn->pos);
+    const size_t nl = frame.find('\n');
+    line.assign(frame.substr(0, nl));
+    StringLineSource payload_lines(nl == std::string_view::npos
+                                       ? std::string_view()
+                                       : frame.substr(nl + 1));
+    const auto resume = [&] {
+      conn->pos = conn->frame_end - payload_lines.rest().size();
+    };
 
     const RequestInfo info = dispatcher->Classify(line);
     if (info.verb.empty()) {  // blank line: no response frame
-      conn->frame_rest = std::move(rest);
+      resume();
       continue;
     }
-    StringLineSource payload_lines(rest);
     if (!info.session.empty() &&
         !admission.AdmitSessionRequest(info.session)) {
       // Shed, but stay in framing: the request's announced payload lines
@@ -244,20 +261,20 @@ void TcpServer::Impl::Drive(EventLoop& loop,
       AppendFrame("ERR shed session '" + info.session +
                       "' over rate limit\n",
                   &conn->out);
-      conn->frame_rest.assign(payload_lines.rest());
+      resume();
       continue;
     }
     if (info.cold_solve) {
       if (!admission.TryEnterColdSolve()) {
         AppendFrame("ERR shed cold solve capacity\n", &conn->out);
-        conn->frame_rest.assign(payload_lines.rest());
+        resume();
         continue;
       }
       // Admitted: run it on the solve pool. SOLVE announces no payload
       // lines, so the whole remainder of the frame is later requests —
       // they wait until the completion lands (FIFO per connection).
       conn->busy = true;
-      conn->frame_rest = std::move(rest);
+      resume();
       {
         std::lock_guard<std::mutex> lock(solve_mu);
         solve_queue.push_back(SolveTask{conn, std::move(line)});
@@ -269,12 +286,13 @@ void TcpServer::Impl::Drive(EventLoop& loop,
     const RequestOutcome outcome =
         dispatcher->HandleRequest(line, payload_lines, &reply);
     if (!reply.empty()) AppendFrame(reply, &conn->out);
-    conn->frame_rest.assign(payload_lines.rest());
+    resume();
     if (outcome == RequestOutcome::kQuit) {
       conn->closing = true;  // flush the reply, then close
       break;
     }
   }
+  CompactInput(*conn);
   FlushConn(loop, conn);
 }
 

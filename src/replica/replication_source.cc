@@ -49,10 +49,10 @@ Result<ReplicaManifest> DirReplicationSource::GetManifest() {
       info.bytes = size;
       info.checksum = cached->second.second;
     } else {
-      auto bytes = ReadFileToString(path);
-      if (!bytes.ok()) continue;  // pruned between stat and read
-      info.bytes = bytes->size();
-      info.checksum = Fnv1a64(bytes->data(), bytes->size());
+      auto sum = ChecksumFile(path);
+      if (!sum.ok()) continue;  // pruned between stat and read
+      info.bytes = sum->bytes;
+      info.checksum = sum->checksum;
       snapshot_checksums_[seq] = {info.bytes, info.checksum};
     }
     manifest.snapshots.push_back(info);
@@ -77,10 +77,10 @@ Result<ReplicaManifest> DirReplicationSource::GetManifest() {
       seg.checksum = cached->second.second;
       continue;
     }
-    auto bytes = ReadFileToString(seg.path);
-    if (!bytes.ok()) continue;  // pruned mid-manifest; fetch will fail too
-    seg.bytes = bytes->size();
-    seg.checksum = Fnv1a64(bytes->data(), bytes->size());
+    auto sum = ChecksumFile(seg.path);
+    if (!sum.ok()) continue;  // pruned mid-manifest; fetch will fail too
+    seg.bytes = sum->bytes;
+    seg.checksum = sum->checksum;
     sealed_checksums_[seg.first_seq] = {seg.bytes, seg.checksum};
   }
 

@@ -11,36 +11,31 @@ namespace fdm {
 class SnapshotWriter;
 class SnapshotReader;
 
-/// Exact-duplicate guard keyed by point id: a cuckoo-style 16-bit
-/// fingerprint filter (4-slot buckets, two candidate buckets per key,
-/// capacity doubling under load — the dynamic-flat-filter growth idea)
-/// in front of a compact open-addressing id set.
+/// Exact-duplicate guard keyed by point id: one exact id set kept in two
+/// disjoint parts.
 ///
-/// The division of labor is what makes the guard both fast and *exact*:
+///  * A bitmap over ids [0, 64·W), one bit per id. Point ids are usually
+///    numbered 0, 1, 2, … per stream, so this part normally holds every id
+///    at 1/8 B each.
+///  * An open-addressing int64 table (linear probing, load at most 50%, so
+///    16–32 B per id) for every other non-negative id: offset, sparse or
+///    random ids.
 ///
-///  * The fingerprint filter answers the common case — "this id was never
-///    seen" — from at most two cache lines, with zero false negatives
-///    (every inserted id's fingerprint lives in one of its two buckets;
-///    a cuckoo kick only ever moves a fingerprint to the other bucket of
-///    the same pair, so reachability is invariant).
-///  * A filter *hit* is only "maybe": 16-bit fingerprints collide. Every
-///    hit falls back to the exact id set, so a genuinely new point is
-///    NEVER dropped (the explicit false-positive policy) and a true
-///    duplicate is never admitted. `FalsePositives()` counts how often
-///    the fallback refuted the filter.
-///
-/// Growth: inserts that fail the bounded cuckoo kick walk — or push
-/// occupancy past ~94% — double the bucket count and rebuild the filter
-/// from the exact set (ids are always available, which is what lets a
-/// fingerprint-only structure grow at all). `Grows()` counts doublings.
+/// `W` (the bitmap's word count) doubles when an id lands in
+/// [64·W, 128·W) while the bitmap already holds at least W ids, so the
+/// bitmap never costs more than 16 B per id it holds — no more than the
+/// table would. A doubling moves the table ids it now covers into the
+/// bitmap, so every id lives in exactly one part and every probe is one
+/// bit test or one table probe. `Grows()` counts doublings of either part.
 ///
 /// Ids must be non-negative; the session layer routes negative ids (no
 /// identity) around the guard entirely.
 ///
-/// Determinism: the kick walk uses an internal deterministic generator,
-/// so the same insert sequence always yields the same structure — there
-/// is no timing or randomness anywhere, which keeps crash-recovery and
-/// follower rebuilds reproducible.
+/// The structure follows from the sequence of distinct ids inserted alone
+/// (a rejected duplicate changes nothing; no timing, no randomness), and a
+/// restore rebuilds the writer's bitmap width and table size. So a primary,
+/// its crash recovery and its followers report the same `MemoryBytes()`
+/// and `Grows()`.
 ///
 /// Not thread-safe; the owning session serializes access like the sink.
 class DedupFilter {
@@ -52,71 +47,51 @@ class DedupFilter {
   /// duplicate — reject). O(1) amortized.
   bool InsertIfAbsent(int64_t id);
 
-  /// Exact membership: false is guaranteed-absent, true is
-  /// guaranteed-present (filter hits are confirmed against the id set).
+  /// Exact membership.
   bool Contains(int64_t id) const;
 
   /// Distinct ids inserted.
   size_t Size() const { return size_; }
 
-  /// Resident bytes of the filter + exact set backing arrays.
+  /// Resident bytes of the bitmap and table backing arrays.
   size_t MemoryBytes() const;
 
-  /// Filter capacity doublings so far (restored across snapshots).
+  /// Bitmap and table doublings so far (restored across snapshots).
   uint64_t Grows() const { return grows_; }
 
-  /// Filter hits refuted by the exact set (restored across snapshots).
-  uint64_t FalsePositives() const { return false_positives_; }
-
-  /// Drops every id; capacity and cumulative counters are kept.
+  /// Drops every id and returns to the empty structure; the cumulative
+  /// grow count is kept.
   void Clear();
 
-  /// Appends the filter state to `writer` (bucket count, counters, and
-  /// the exact ids — the filter itself is rebuilt on load, so the format
-  /// is independent of the in-memory slot layout).
+  /// Appends the set to `writer` in the footer layout every release has
+  /// used: a bucket-count field (a legal constant), the grow count, a
+  /// retired counter slot (0), and the ids as one i64 list.
   void Serialize(SnapshotWriter& writer) const;
 
-  /// Rebuilds a filter from `Serialize` output. Fails loudly on
-  /// malformed bytes — callers treat that as "no filter persisted".
+  /// Rebuilds a set from `Serialize` output, including footers written by
+  /// the fingerprint-filter releases. Fails loudly on malformed bytes —
+  /// callers treat that as "no filter persisted".
   static Result<DedupFilter> Deserialize(SnapshotReader& reader);
 
  private:
-  static constexpr size_t kSlotsPerBucket = 4;
-  static constexpr size_t kInitialBuckets = 64;  // 512 B of fingerprints
-  static constexpr int kMaxKicks = 256;
+  /// Ids below this live in the bitmap; the table holds the rest.
+  uint64_t BitmapIds() const { return bits_.size() * 64; }
+  size_t TableSize() const { return size_ - bitmap_size_; }
 
-  /// The two hash views of one id, derived once per operation.
-  struct Probe {
-    uint16_t fp = 0;   // never 0 (0 marks an empty slot)
-    size_t bucket1 = 0;
-    size_t bucket2 = 0;
-  };
-  Probe MakeProbe(int64_t id) const;
-  size_t AltBucket(size_t bucket, uint16_t fp) const;
+  /// Doubles W and moves the table ids it now covers into the bitmap.
+  void GrowBitmap();
+  bool TableContains(int64_t id) const;
+  void TableInsert(int64_t id);  // id must be absent; capacity must fit
+  void RebuildTable(size_t slots);
 
-  bool FilterMaybeContains(const Probe& probe) const;
-  /// Places `fp` by cuckoo insertion; false = kick walk exhausted
-  /// (caller grows and retries).
-  bool FilterInsert(uint16_t fp, size_t bucket1);
-  /// Doubles the bucket count and re-inserts every id from the exact set.
-  void GrowFilter();
+  std::vector<uint64_t> bits_;  // bit (id & 63) of word id / 64
+  size_t bitmap_size_ = 0;      // ids set in bits_
 
-  bool ExactContains(int64_t id) const;
-  void ExactInsert(int64_t id);  // id must be absent
-  void ExactGrowIfNeeded();
-
-  // Fingerprint table: bucket-major, 0 = empty.
-  std::vector<uint16_t> slots_;
-  size_t bucket_mask_ = 0;  // bucket count - 1 (power of two)
-
-  // Exact id set: open addressing, linear probing, -1 = empty.
-  std::vector<int64_t> ids_;
-  size_t id_mask_ = 0;
+  std::vector<int64_t> table_;  // linear probing, -1 = empty
+  size_t table_mask_ = 0;
 
   size_t size_ = 0;
   uint64_t grows_ = 0;
-  uint64_t false_positives_ = 0;
-  uint64_t kick_state_ = 0x243f6a8885a308d3ull;  // deterministic kick walk
 };
 
 }  // namespace fdm

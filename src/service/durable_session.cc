@@ -77,7 +77,8 @@ obs::Counter& DedupRejectedCounter() {
 }
 obs::Counter& DedupFilterGrowsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "fdm_dedup_filter_grows_total", "dedup filter capacity doublings");
+      "fdm_dedup_filter_grows_total",
+      "dedup id-set doublings (id bitmap or sparse-id table)");
   return c;
 }
 obs::Histogram& DedupProbeHist() {

@@ -42,8 +42,8 @@ namespace fdm {
 ///   window   window length (algo=sliding_window; required for it)
 ///   checkpoints  window replicas (algo=sliding_window, default 4)
 ///   max_rungs    ladder cap (algo=adaptive, default 4096)
-///   dedup    on | off — exactly-once ingest: an id-keyed fingerprint
-///            filter in front of admission makes re-OBSERVEd points
+///   dedup    on | off — exactly-once ingest: an exact id set (bitmap
+///            + table) in front of admission makes re-OBSERVEd points
 ///            idempotent no-ops (no WAL record, no state-version bump).
 ///            Session-layer concern; the sink itself ignores it.
 ///            (default off — sliding-window streams legitimately

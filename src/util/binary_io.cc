@@ -19,15 +19,68 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
   return hash;
 }
 
+namespace {
+
+/// Writes all of `data` to `fd`, resuming short writes and EINTR.
+bool WriteAll(int fd, const void* data, size_t len) {
+  const char* bytes = static_cast<const char*>(data);
+  while (len > 0) {
+    const ssize_t n = ::write(fd, bytes, len);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes += n;
+    len -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<FileChecksum> ChecksumFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open for read: " + path + ": " +
+                           std::strerror(errno));
+  }
+  FileChecksum sum;
+  sum.checksum = Fnv1a64(nullptr, 0);  // the unseeded start value
+  char buf[64 << 10];
+  while (true) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const Status error =
+          Status::IoError("read failed: " + path + ": " + std::strerror(errno));
+      ::close(fd);
+      return error;
+    }
+    if (n == 0) break;
+    sum.checksum = Fnv1a64(buf, static_cast<size_t>(n), sum.checksum);
+    sum.bytes += static_cast<uint64_t>(n);
+  }
+  ::close(fd);
+  return sum;
+}
+
+std::array<char, SnapshotWriter::kHeaderBytes> SnapshotWriter::FrameHeader()
+    const {
+  std::array<char, kHeaderBytes> header{};
+  const uint32_t version = kFormatVersion;
+  const uint64_t size = payload_.size();
+  std::memcpy(header.data(), kMagic, sizeof(kMagic));
+  std::memcpy(header.data() + sizeof(kMagic), &version, sizeof(version));
+  std::memcpy(header.data() + sizeof(kMagic) + sizeof(version), &size,
+              sizeof(size));
+  return header;
+}
+
 std::string SnapshotWriter::Serialize() const {
   std::string framed;
-  framed.reserve(sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint64_t) +
-                 payload_.size() + sizeof(uint64_t));
-  framed.append(kMagic, sizeof(kMagic));
-  const uint32_t version = kFormatVersion;
-  framed.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  const uint64_t size = payload_.size();
-  framed.append(reinterpret_cast<const char*>(&size), sizeof(size));
+  framed.reserve(kHeaderBytes + payload_.size() + sizeof(uint64_t));
+  const auto header = FrameHeader();
+  framed.append(header.data(), header.size());
   framed.append(payload_);
   const uint64_t checksum = Fnv1a64(payload_.data(), payload_.size());
   framed.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
@@ -35,26 +88,24 @@ std::string SnapshotWriter::Serialize() const {
 }
 
 Status SnapshotWriter::WriteFile(const std::string& path) const {
-  const std::string framed = Serialize();
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::IoError("cannot open for write: " + tmp + ": " +
                            std::strerror(errno));
   }
-  size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd, framed.data() + written, framed.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status error =
-          Status::IoError("write failed: " + tmp + ": " + std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return error;
-    }
-    written += static_cast<size_t>(n);
+  // The frame goes out in its three parts straight from the payload
+  // buffer: no framed copy of the snapshot is ever built.
+  const auto header = FrameHeader();
+  const uint64_t checksum = Fnv1a64(payload_.data(), payload_.size());
+  if (!WriteAll(fd, header.data(), header.size()) ||
+      !WriteAll(fd, payload_.data(), payload_.size()) ||
+      !WriteAll(fd, &checksum, sizeof(checksum))) {
+    const Status error =
+        Status::IoError("write failed: " + tmp + ": " + std::strerror(errno));
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return error;
   }
   if (::fsync(fd) != 0) {
     const Status error =
@@ -97,8 +148,7 @@ Status SnapshotWriter::WriteFile(const std::string& path) const {
 }
 
 Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
-  constexpr size_t kHeader =
-      sizeof(SnapshotWriter::kMagic) + sizeof(uint32_t) + sizeof(uint64_t);
+  constexpr size_t kHeader = SnapshotWriter::kHeaderBytes;
   if (framed.size() < kHeader + sizeof(uint64_t)) {
     return Status::IoError("snapshot truncated: " +
                            std::to_string(framed.size()) + " bytes");

@@ -1,6 +1,7 @@
 #ifndef FDM_UTIL_BINARY_IO_H_
 #define FDM_UTIL_BINARY_IO_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -14,9 +15,21 @@ namespace fdm {
 
 /// FNV-1a 64-bit hash — the checksum behind snapshot files and WAL records.
 /// Not cryptographic; it detects torn writes and bit rot, which is all the
-/// durability layer needs, and it is dependency-free.
+/// durability layer needs, and it is dependency-free. Chains: hashing `b`
+/// with the hash of `a` as `seed` equals hashing `a` then `b` in one call.
 uint64_t Fnv1a64(const void* data, size_t len,
                  uint64_t seed = 0xcbf29ce484222325ull);
+
+/// A whole file's size and `Fnv1a64`.
+struct FileChecksum {
+  uint64_t bytes = 0;
+  uint64_t checksum = 0;
+};
+
+/// Hashes a file through a fixed 64 KiB buffer, so checksumming a large
+/// file never holds it in memory. The checksum equals `Fnv1a64` of
+/// `ReadFileToString(path)`.
+Result<FileChecksum> ChecksumFile(const std::string& path);
 
 /// Reads a file from byte `offset` to its end (binary) with one positioned
 /// read into a string sized by `fstat` — no growth, no second copy. Offset
@@ -35,9 +48,10 @@ Result<std::string> ReadFileToString(const std::string& path,
 /// with every scalar little-endian. The writer accumulates the payload in
 /// memory (sink state is tiny — coresets of O(k·log∆/ε) points — which is
 /// what makes checkpointing essentially free) and frames it on
-/// `WriteFile`/`Serialize`. `WriteFile` is atomic: it writes to a temp file
-/// in the target directory, fsyncs, and renames over the destination, so a
-/// crash mid-snapshot never clobbers the previous good snapshot.
+/// `WriteFile`/`Serialize`. `WriteFile` is atomic: it writes the frame
+/// straight from the payload buffer to a temp file in the target directory,
+/// fsyncs, and renames over the destination, so a crash mid-snapshot never
+/// clobbers the previous good snapshot.
 class SnapshotWriter {
  public:
   static constexpr char kMagic[8] = {'F', 'D', 'M', 'S', 'N', 'A', 'P', '1'};
@@ -46,6 +60,9 @@ class SnapshotWriter {
   /// cleanly at the header instead of being silently misparsed field by
   /// field.
   static constexpr uint32_t kFormatVersion = 2;
+  /// magic | version | payload size.
+  static constexpr size_t kHeaderBytes =
+      sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint64_t);
 
   void WriteU8(uint8_t v) { Raw(&v, sizeof(v)); }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
@@ -82,10 +99,14 @@ class SnapshotWriter {
   std::string Serialize() const;
 
   /// Atomically writes the framed snapshot to `path` (temp file + fsync +
-  /// rename).
+  /// rename + directory fsync); the file equals `Serialize()` byte for
+  /// byte, without building that copy.
   Status WriteFile(const std::string& path) const;
 
  private:
+  /// The frame's leading `kHeaderBytes` for the current payload.
+  std::array<char, kHeaderBytes> FrameHeader() const;
+
   void Raw(const void* data, size_t len) {
     if (len == 0) return;  // empty spans legitimately pass data() == null
     const char* bytes = static_cast<const char*>(data);

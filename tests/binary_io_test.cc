@@ -110,5 +110,50 @@ TEST(BinaryIoTest, ReadFileToStringReadsFromAnOffsetToTheEnd) {
   std::remove(path.c_str());
 }
 
+
+TEST(BinaryIoTest, ChecksumFileEqualsWholeFileHash) {
+  const std::string path = ::testing::TempDir() + "/binary_io_checksum.bin";
+  constexpr size_t kBuf = 64 << 10;  // the helper's read buffer
+  for (const size_t size : {size_t{0}, size_t{1}, kBuf - 1, kBuf, kBuf + 1,
+                            size_t{4} << 20}) {
+    std::string contents(size, '\0');
+    for (size_t i = 0; i < size; ++i) {
+      contents[i] = static_cast<char>(i * 131 + (i >> 16));
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << contents;
+    }
+    auto sum = ChecksumFile(path);
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+    EXPECT_EQ(sum->bytes, size);
+    EXPECT_EQ(sum->checksum, Fnv1a64(contents.data(), contents.size()))
+        << "size " << size;
+  }
+  std::remove(path.c_str());
+  EXPECT_FALSE(ChecksumFile(path + ".missing").ok());
+}
+
+TEST(BinaryIoTest, WriteFileEqualsSerialize) {
+  const std::string path = ::testing::TempDir() + "/binary_io_write.snap";
+  for (const size_t doubles : {size_t{0}, size_t{3}, size_t{100000}}) {
+    SnapshotWriter writer;
+    if (doubles > 0) {
+      writer.WriteString("payload");
+      std::vector<double> values(doubles);
+      for (size_t i = 0; i < doubles; ++i) values[i] = 0.5 * i - 7.0;
+      writer.WriteDoubleSpan(values);
+    }
+    ASSERT_TRUE(writer.WriteFile(path).ok());
+    auto written = ReadFileToString(path);
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    EXPECT_EQ(*written, writer.Serialize()) << doubles << " doubles";
+    auto reader = SnapshotReader::FromFile(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ(reader->Remaining(), writer.PayloadBytes());
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace fdm

@@ -211,6 +211,56 @@ TEST_F(DedupSessionTest, FilterSurvivesCrashRecovery) {
   ExpectFullReplayIsNoOp(*reopened, ds);
 }
 
+// Crash recovery must give back the guard's structure, not only its
+// membership: the reopened session reports the filter bytes and grows the
+// crashed one had. Ids 100..109 come first and wait in the table, just
+// past the bitmap; 0..49 then fill the bitmap, and the snapshot lands.
+// The restore must not double the bitmap for 100..109, and neither may
+// their re-sends after ids 200..299 (the WAL never sees rejects, so
+// recovery could not repeat that doubling).
+TEST_F(DedupSessionTest, CrashRecoveryRebuildsTheFilterStructure) {
+  const Dataset ds = TestData(2, 160, 11);
+  const std::string spec =
+      "algo=sfdm2 dim=2 quotas=3,3 dedup=on" + BoundsSuffix(ds);
+  const auto point = [&](size_t i) {
+    StreamPoint p = ds.At(i);
+    p.id = i < 10   ? static_cast<int64_t>(100 + i)
+           : i < 60 ? static_cast<int64_t>(i - 10)
+                    : static_cast<int64_t>(200 + (i - 60));
+    return p;
+  };
+  size_t crashed_bytes = 0;
+  uint64_t crashed_grows = 0;
+  {
+    DurableSessionOptions options;
+    options.wal.segment_bytes = 1024;
+    auto session = DurableSession::Create(dir_, spec, options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (size_t i = 0; i < 60; ++i) {
+      ASSERT_TRUE(session->Observe(point(i)).ok());
+    }
+    ASSERT_TRUE(session->TakeSnapshot().ok());
+    for (size_t i = 60; i < ds.size(); ++i) {
+      ASSERT_TRUE(session->Observe(point(i)).ok());
+    }
+    for (size_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(session->Observe(point(i)).ok());
+    }
+    ASSERT_EQ(session->DuplicatesRejected(), 10);
+    crashed_bytes = session->dedup_filter()->MemoryBytes();
+    crashed_grows = session->dedup_filter()->Grows();
+  }
+  auto reopened = DurableSession::Open(dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_NE(reopened->dedup_filter(), nullptr);
+  EXPECT_EQ(reopened->ObservedElements(), static_cast<int64_t>(ds.size()));
+  EXPECT_EQ(reopened->dedup_filter()->MemoryBytes(), crashed_bytes);
+  EXPECT_EQ(reopened->dedup_filter()->Grows(), crashed_grows);
+  for (size_t i = 0; i < ds.size(); ++i) {
+    EXPECT_TRUE(reopened->dedup_filter()->Contains(point(i).id)) << i;
+  }
+}
+
 // LRU spill under SessionManager: spilling snapshots the session (footer
 // included), reloading restores it — duplicate rejection and its count
 // must be exact across the cycle.

@@ -624,6 +624,9 @@ TEST_F(ReplicaTest, DuplicateReplayStormStaysBitIdentical) {
   EXPECT_TRUE(stats.dedup);
   EXPECT_EQ(stats.duplicates_rejected, 20);
   EXPECT_GT(stats.filter_bytes, 0u);
+  // The mirror holds the primary's structure, not just its membership.
+  EXPECT_EQ(stats.filter_bytes, primary->dedup_filter()->MemoryBytes());
+  EXPECT_EQ(stats.filter_grows, primary->dedup_filter()->Grows());
 
   // The mirrored filter answers membership without replaying: the
   // snapshot footer taught it the first half, the (re-shipped) tail the

@@ -228,6 +228,32 @@ TEST_F(ByteIdentityTest, FuzzedGarbageLines) {
   Check(script);
 }
 
+TEST_F(ByteIdentityTest, TwentyThousandRequestFrame) {
+  // One frame of 20,000 mixed requests, walked by offset on the TCP side:
+  // OBSERVEB batches (each followed by a cold SOLVE offloaded mid-frame),
+  // cached SOLVEs and LISTs.
+  const Dataset ds = TestData();
+  std::string script = "CREATE s " + SpecFor(ds) + "\n";
+  size_t next = 0;
+  for (int i = 0; i < 20000; ++i) {
+    if (i % 8 == 0) {
+      script += "OBSERVEB s 2\n";
+      for (int j = 0; j < 2; ++j, ++next) {
+        const StreamPoint p = ds.At(next % ds.size());
+        script += std::to_string(next) + " " + std::to_string(p.group);
+        for (const double c : p.coords) script += " " + std::to_string(c);
+        script += "\n";
+      }
+    } else if (i % 8 < 6) {
+      script += "SOLVE s\n";
+    } else {
+      script += "LIST\n";
+    }
+  }
+  script += "QUIT\n";
+  Check(script);
+}
+
 // ---------------------------------------------------------------------------
 // Ranged RFETCHWAL: offset 0 is the old 2-argument form byte for byte, a
 // ranged reply is exactly the segment's suffix, and a bad offset is an
