@@ -3,7 +3,7 @@
 // machine-readable BENCH_solve.json (default: results/BENCH_solve.json) so
 // future PRs can track the serving-perf trajectory, plus a human summary.
 //
-//   ./micro_solve [--n=20000] [--dim=8] [--reps=25] [--cold_reps=3]
+//   ./micro_solve [--n=20000] [--dim=8] [--reps=25] [--cold_reps=25]
 //                 [--out=results] [--min-cold-speedup=0]
 //                 [--min-parallel-cold-speedup=0]
 //
@@ -16,9 +16,12 @@
 //                    the serving hot path (a memoized copy per query)
 //   cold_grid        cache-miss Solve() per registered streaming kind ×
 //                    n {4096, 16384} × k {10, 20} at dim 25 (Euclidean),
-//                    under every reachable kernel target × solve_threads
+//                    under every reachable kernel target × solve width
 //                    {1, 2, 4} — the offline Solve-path routing's SIMD ×
-//                    rung-parallel speedup surface
+//                    rung-parallel speedup surface. Each cell's
+//                    (target, width) runs are interleaved rep by rep and
+//                    each reports its median over --cold_reps reps, so
+//                    drift in machine load hits every column alike
 //   under_ingest     SOLVE latency against a live SessionManager session
 //                    while a writer floods OBSERVE into another session
 //
@@ -37,6 +40,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -47,6 +51,7 @@
 #include "core/sfdm2.h"
 #include "core/sink_snapshot.h"
 #include "core/solve_cache.h"
+#include "core/solve_pool.h"
 #include "data/synthetic.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/histogram.h"
@@ -74,10 +79,24 @@ struct ColdCell {
   double parallel_speedup = 0.0;
 };
 
-/// Cache-miss Solve() cost per kernel target for one (kind, n, k) cell:
-/// ingest once, snapshot, then per target restore a fresh sink (empty
-/// memo) and time Solve() alone. Returns false if the kind cannot run the
-/// cell (creation or solve error) — the grid skips it.
+/// Median of `values` (which it reorders); 0 when empty.
+double Median(std::vector<double>& values) {
+  if (values.empty()) return 0.0;
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(
+                                        values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  if (values.size() % 2 == 1) return *mid;
+  return (*mid + *std::max_element(values.begin(), mid)) / 2.0;
+}
+
+/// Cache-miss Solve() cost per (kernel target, solve width) for one
+/// (kind, n, k) cell: ingest once, snapshot, then restore a fresh sink
+/// (empty memo) per run and time Solve() alone. The runs are interleaved
+/// rep by rep — every (target, width) pair once per rep — and each pair
+/// reports its median, so a burst of load on a shared machine skews one
+/// rep of every column rather than all reps of one. Returns false if the
+/// kind cannot run the cell (creation or solve error) — the grid skips
+/// it.
 bool TimeColdCell(AlgorithmKind kind, size_t n, const std::vector<int>& quotas,
                   int cold_reps, std::vector<ColdCell>& cells) {
   BlobsOptions data_options;
@@ -107,32 +126,51 @@ bool TimeColdCell(AlgorithmKind kind, size_t n, const std::vector<int>& quotas,
   if (!(*sink)->Snapshot(writer).ok()) return false;
   const std::string bytes = writer.Serialize();
 
-  const int k = config.constraint.TotalK();
-  for (const std::string_view target : simd::AvailableKernelTargets()) {
-    FDM_CHECK(simd::internal::ForceKernelTargetForTest(target));
-    for (const int threads : {1, 2, 4}) {
-      double total = 0.0;
-      for (int r = 0; r < cold_reps; ++r) {
-        auto reader = SnapshotReader::FromBytes(bytes);
-        if (!reader.ok()) return false;
-        auto fresh = RestoreSink(*reader);
-        if (!fresh.ok()) return false;
-        (*fresh)->SetSolveThreads(threads);
-        Timer timer;
-        if (!(*fresh)->Solve().ok()) return false;
-        total += timer.ElapsedSeconds();
+  // One cold Solve() under the current target and width, in seconds;
+  // negative on error.
+  auto time_cold_solve = [&bytes]() -> double {
+    auto reader = SnapshotReader::FromBytes(bytes);
+    if (!reader.ok()) return -1.0;
+    auto fresh = RestoreSink(*reader);
+    if (!fresh.ok()) return -1.0;
+    Timer timer;
+    if (!(*fresh)->Solve().ok()) return -1.0;
+    return timer.ElapsedSeconds();
+  };
+  const std::vector<std::string_view> targets =
+      simd::AvailableKernelTargets();
+  const std::vector<int> widths = {1, 2, 4};
+  // seconds[t * widths.size() + w]: one sample per rep.
+  std::vector<std::vector<double>> seconds(targets.size() * widths.size());
+  bool ok = true;
+  for (int r = 0; r < cold_reps && ok; ++r) {
+    for (size_t t = 0; t < targets.size() && ok; ++t) {
+      FDM_CHECK(simd::internal::ForceKernelTargetForTest(targets[t]));
+      for (size_t w = 0; w < widths.size() && ok; ++w) {
+        FDM_CHECK(SolveParallelism::SetThreads(widths[w]).ok());
+        const double sample = time_cold_solve();
+        ok = sample >= 0.0;
+        seconds[t * widths.size() + w].push_back(sample);
       }
+    }
+  }
+  simd::internal::ForceKernelTargetForTest("");
+  FDM_CHECK(SolveParallelism::SetThreads(1).ok());
+  if (!ok) return false;
+
+  const int k = config.constraint.TotalK();
+  for (size_t t = 0; t < targets.size(); ++t) {
+    for (size_t w = 0; w < widths.size(); ++w) {
       ColdCell cell;
       cell.kind = std::string(AlgorithmName(kind));
       cell.n = n;
       cell.k = k;
-      cell.target = std::string(target);
-      cell.threads = threads;
-      cell.cold_ms = total * 1000.0 / cold_reps;
+      cell.target = std::string(targets[t]);
+      cell.threads = widths[w];
+      cell.cold_ms = Median(seconds[t * widths.size() + w]) * 1000.0;
       cells.push_back(cell);
     }
   }
-  simd::internal::ForceKernelTargetForTest("");
   return true;
 }
 
@@ -160,7 +198,7 @@ int Main(int argc, char** argv) {
   result.n = static_cast<size_t>(args.GetInt("n", 20000));
   result.dim = static_cast<size_t>(args.GetInt("dim", 8));
   result.reps = static_cast<int>(args.GetInt("reps", 25));
-  const int cold_reps = static_cast<int>(args.GetInt("cold_reps", 3));
+  const int cold_reps = static_cast<int>(args.GetInt("cold_reps", 25));
   const double min_cold_speedup = args.GetDouble("min-cold-speedup", 0.0);
   const double min_parallel_cold_speedup =
       args.GetDouble("min-parallel-cold-speedup", 0.0);
@@ -250,7 +288,8 @@ int Main(int argc, char** argv) {
   // --- Cold-SOLVE grid across kinds, sizes, and kernel targets --------
   std::vector<ColdCell> cold_cells;
   {
-    std::printf("\ncold grid (dim 25, euclidean, %d reps/cell):\n",
+    std::printf("\ncold grid (dim 25, euclidean, median of %d interleaved "
+                "reps/cell):\n",
                 cold_reps);
     for (const AlgorithmKind kind : AlgorithmRegistry::Instance().Kinds()) {
       const AlgorithmEntry* entry = AlgorithmRegistry::Instance().Find(kind);

@@ -6,6 +6,7 @@
 
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
+#include "core/solve_pool.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "util/check.h"
@@ -15,8 +16,7 @@ namespace fdm {
 Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Create(int k, size_t dim,
                                                         MetricKind metric,
                                                         double epsilon,
-                                                        size_t max_rungs,
-                                                        int solve_threads) {
+                                                        size_t max_rungs) {
   if (k < 1) {
     return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
   }
@@ -27,7 +27,7 @@ Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Create(int k, size_t dim,
   if (max_rungs < 1) {
     return Status::InvalidArgument("max_rungs must be >= 1");
   }
-  AdaptiveStreamingDm algo(k, dim, metric, epsilon, max_rungs, solve_threads);
+  AdaptiveStreamingDm algo(k, dim, metric, epsilon, max_rungs);
   algo.pending_ = PointBuffer(dim, 1);
   return algo;
 }
@@ -113,13 +113,13 @@ bool AdaptiveStreamingDm::Observe(const StreamPoint& point) {
 }
 
 Result<Solution> AdaptiveStreamingDm::Solve() const {
-  // Per-rung diversity over `solve_threads` (each task writes only its own
+  // Per-rung diversity over the solve width (each task writes only its own
   // slot), then a sequential ascending-µ winner scan with strict `>` — the
   // same split as the fixed-ladder sinks, so output is bit-identical to
   // the sequential path at any thread count.
   std::vector<double> diversity(rungs_.size(), -1.0);
   std::vector<uint8_t> full(rungs_.size(), 0);
-  solve_parallelism_.Run(rungs_.size(), [&](size_t j) {
+  SolveParallelism::Run(rungs_.size(), [&](size_t j) {
     const StreamingCandidate& rung = rungs_[j];
     if (!rung.Full()) return;
     full[j] = 1;
@@ -156,7 +156,7 @@ Status AdaptiveStreamingDm::Snapshot(SnapshotWriter& writer) const {
   writer.WriteU8(static_cast<uint8_t>(metric_.kind()));
   writer.WriteDouble(epsilon_);
   writer.WriteU64(max_rungs_);
-  writer.WriteI32(solve_parallelism_.solve_threads());
+  internal::WriteReservedSlot(writer);
   writer.WriteI64(observed_);
   writer.WriteU64(state_version_);
   writer.WriteBool(pending_valid_);
@@ -177,12 +177,12 @@ Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Restore(
   const MetricKind metric = internal::ReadMetricKind(reader);
   const double epsilon = reader.ReadDouble();
   const size_t max_rungs = reader.ReadU64();
-  const int solve_threads = reader.ReadI32();
+  internal::SkipReservedSlot(reader);
   const int64_t observed = reader.ReadI64();
   const uint64_t state_version = reader.ReadU64();
   const bool pending_valid = reader.ReadBool();
   if (!reader.ok()) return reader.status();
-  auto created = Create(k, dim, metric, epsilon, max_rungs, solve_threads);
+  auto created = Create(k, dim, metric, epsilon, max_rungs);
   if (!created.ok()) return created.status();
   AdaptiveStreamingDm algo = std::move(created.value());
   DeserializePointBuffer(reader, algo.pending_);

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_candidate.h"
 #include "geo/metric.h"
@@ -47,12 +46,9 @@ class AdaptiveStreamingDm : public StreamSink {
  public:
   /// `k >= 1`, `0 < epsilon < 1`, `max_rungs` bounds the lazily grown
   /// ladder (a spread of 10^9 at ε = 0.1 needs ~200 rungs).
-  /// `solve_threads` follows the shared knob encoding (`1` = sequential,
-  /// `0` = all hardware threads, `n` = at most n).
   static Result<AdaptiveStreamingDm> Create(int k, size_t dim,
                                             MetricKind metric, double epsilon,
-                                            size_t max_rungs = 4096,
-                                            int solve_threads = 1);
+                                            size_t max_rungs = 4096);
 
   /// Processes one element, growing the ladder as needed. Returns true iff
   /// the element mutated state: it was held as the pending seed, seeded or
@@ -71,15 +67,10 @@ class AdaptiveStreamingDm : public StreamSink {
   /// equivalent here.
 
   /// Best full candidate, as in Algorithm 1. Fails if no candidate filled.
-  /// Per-rung diversity fans out over `solve_threads`; the winner scan
-  /// stays a sequential ascending-µ pass, so output is bit-identical to
-  /// the sequential path at any thread count.
+  /// Per-rung diversity fans out over the process-wide solve width
+  /// (`SolveParallelism`); the winner scan stays a sequential ascending-µ
+  /// pass, so output is bit-identical to the sequential path at any width.
   Result<Solution> Solve() const override;
-
-  /// Adjusts `solve_threads` on the live sink; see `StreamSink`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Distinct stored elements across rungs.
   size_t StoredElements() const override;
@@ -102,9 +93,9 @@ class AdaptiveStreamingDm : public StreamSink {
 
  private:
   AdaptiveStreamingDm(int k, size_t dim, MetricKind metric, double epsilon,
-                      size_t max_rungs, int solve_threads)
+                      size_t max_rungs)
       : k_(k), dim_(dim), metric_(metric), epsilon_(epsilon),
-        max_rungs_(max_rungs), solve_parallelism_(solve_threads) {}
+        max_rungs_(max_rungs) {}
 
   /// Appends a rung with `µ = top·growth`, seeding its candidate by
   /// greedily filtering the current top candidate.
@@ -119,7 +110,6 @@ class AdaptiveStreamingDm : public StreamSink {
   Metric metric_;
   double epsilon_;
   size_t max_rungs_;
-  SolveParallelism solve_parallelism_;
   std::deque<StreamingCandidate> rungs_;  // ascending µ
   /// First point seen before the ladder exists (needed to seed d_min from
   /// the first nonzero pairwise distance).

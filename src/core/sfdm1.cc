@@ -8,6 +8,7 @@
 #include "core/batch_replay.h"
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
+#include "core/solve_pool.h"
 #include "geo/point_buffer_io.h"
 #include "obs/metrics.h"
 #include "util/binary_io.h"
@@ -30,14 +31,13 @@ obs::Histogram& RungSolveHist() {
 }  // namespace
 
 Sfdm1::Sfdm1(FairnessConstraint constraint, size_t dim, MetricKind metric,
-             GuessLadder ladder, int batch_threads, int solve_threads)
+             GuessLadder ladder, int batch_threads)
     : constraint_(std::move(constraint)),
       k_(constraint_.TotalK()),
       dim_(dim),
       metric_(metric),
       ladder_(std::move(ladder)),
-      parallelism_(batch_threads),
-      solve_parallelism_(solve_threads) {
+      parallelism_(batch_threads) {
   blind_.reserve(ladder_.size());
   for (int i = 0; i < 2; ++i) specific_[i].reserve(ladder_.size());
   for (size_t j = 0; j < ladder_.size(); ++j) {
@@ -65,7 +65,7 @@ Result<Sfdm1> Sfdm1::Create(const FairnessConstraint& constraint, size_t dim,
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
   return Sfdm1(constraint, dim, metric, std::move(ladder.value()),
-               options.batch_threads, options.solve_threads);
+               options.batch_threads);
 }
 
 bool Sfdm1::Observe(const StreamPoint& point) {
@@ -185,7 +185,7 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
 
 Result<Solution> Sfdm1::Solve() const {
   const size_t rungs = ladder_.size();
-  // Phase 1 — balance every eligible rung, fanned out over `solve_threads`:
+  // Phase 1 — balance every eligible rung, fanned out over the solve width:
   // task j reads only rung j's candidates and writes only slot j
   // (`BalancedCandidate` works on copies, so concurrent tasks share nothing
   // mutable). Phase 2 — the best-rung selection — stays a sequential
@@ -193,7 +193,7 @@ Result<Solution> Sfdm1::Solve() const {
   // is bit-identical to the sequential path at any thread count.
   std::vector<std::optional<PointBuffer>> balanced(rungs);
   std::vector<double> diversity(rungs, -1.0);
-  solve_parallelism_.Run(rungs, [&](size_t j) {
+  SolveParallelism::Run(rungs, [&](size_t j) {
     // U' = {µ : |S_µ| = k ∧ |S_µ,i| = k_i for both i} (line 9).
     if (!blind_[j].Full() || !specific_[0][j].Full() ||
         !specific_[1][j].Full()) {
@@ -244,8 +244,7 @@ Status Sfdm1::Snapshot(SnapshotWriter& writer) const {
   writer.WriteU64(constraint_.quotas.size());
   for (const int quota : constraint_.quotas) writer.WriteI32(quota);
   internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads(),
-                                 solve_parallelism_.solve_threads());
+                                 parallelism_.batch_threads());
   writer.WriteI64(observed_);
   writer.WriteU64(state_version_);
   writer.WriteU64(ladder_.size());

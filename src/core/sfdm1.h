@@ -8,7 +8,6 @@
 #include "core/fairness.h"
 #include "core/guess_ladder.h"
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_candidate.h"
 #include "core/streaming_dm.h"
@@ -63,16 +62,11 @@ class Sfdm1 : public StreamSink {
   ///
   /// Does not consume the stream state: more elements may be observed and
   /// `Solve` called again (anytime behaviour). Per-rung balancing fans
-  /// out over `solve_threads` (each task reads only rung `j`'s candidates
-  /// and writes only slot `j`); the final best-rung selection stays a
-  /// sequential ascending-µ scan with strict `>`, so output is
-  /// bit-identical to the sequential path at any thread count.
+  /// out over the process-wide solve width (`SolveParallelism`; each task
+  /// reads only rung `j`'s candidates and writes only slot `j`); the final
+  /// best-rung selection stays a sequential ascending-µ scan with strict
+  /// `>`, so output is bit-identical to the sequential path at any width.
   Result<Solution> Solve() const override;
-
-  /// Adjusts `solve_threads` on the live sink; see `StreamSink`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Distinct elements stored across all candidates (space-usage measure).
   size_t StoredElements() const override;
@@ -91,7 +85,7 @@ class Sfdm1 : public StreamSink {
 
  private:
   Sfdm1(FairnessConstraint constraint, size_t dim, MetricKind metric,
-        GuessLadder ladder, int batch_threads, int solve_threads);
+        GuessLadder ladder, int batch_threads);
 
   /// Balances a copy of the group-blind candidate for guess index `j`
   /// (which must be in `U'`) and returns it; `nullopt`-like empty buffer is
@@ -106,7 +100,6 @@ class Sfdm1 : public StreamSink {
   std::vector<StreamingCandidate> blind_;      // S_µ, capacity k
   std::vector<StreamingCandidate> specific_[2];  // S_µ,i, capacity k_i
   BatchParallelism parallelism_;
-  SolveParallelism solve_parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<size_t> by_group_[2];  // per-group positions scratch
   std::vector<size_t> rung_kept_;    // per-rung batch insert counts scratch

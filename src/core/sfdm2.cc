@@ -10,6 +10,7 @@
 #include "core/clustering.h"
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
+#include "core/solve_pool.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "core/matroid.h"
@@ -33,7 +34,7 @@ obs::Histogram& RungSolveHist() {
 }  // namespace
 
 Sfdm2::Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
-             GuessLadder ladder, int batch_threads, int solve_threads)
+             GuessLadder ladder, int batch_threads)
     : constraint_(std::move(constraint)),
       k_(constraint_.TotalK()),
       m_(constraint_.num_groups()),
@@ -41,7 +42,6 @@ Sfdm2::Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
       metric_(metric),
       ladder_(std::move(ladder)),
       parallelism_(batch_threads),
-      solve_parallelism_(solve_threads),
       rung_version_(ladder_.size(), 0),
       rung_solve_(ladder_.size()) {
   blind_.reserve(ladder_.size());
@@ -67,7 +67,7 @@ Result<Sfdm2> Sfdm2::Create(const FairnessConstraint& constraint, size_t dim,
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
   return Sfdm2(constraint, dim, metric, std::move(ladder.value()),
-               options.batch_threads, options.solve_threads);
+               options.batch_threads);
 }
 
 bool Sfdm2::Observe(const StreamPoint& point) {
@@ -235,7 +235,7 @@ std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
 Result<Solution> Sfdm2::Solve() const {
   const size_t rungs = ladder_.size();
 
-  // Phase 1 — memo fill, fanned out over `solve_threads`: re-run the
+  // Phase 1 — memo fill, fanned out over the solve width: re-run the
   // post-processing only for rungs whose candidates changed since the
   // memoized run. A rung's outcome is a pure function of its own
   // candidates (and the ablation knobs, which invalidate the memo when
@@ -243,7 +243,7 @@ Result<Solution> Sfdm2::Solve() const {
   // candidates and its own `rung_solve_[j]` slot — `SolveRung` builds all
   // of its scratch (ground set, cluster labels, kernel mirrors) locally,
   // so concurrent tasks share nothing mutable.
-  solve_parallelism_.Run(rungs, [this](size_t j) {
+  SolveParallelism::Run(rungs, [this](size_t j) {
     RungSolve& memo = rung_solve_[j];
     if (memo.computed && memo.version == rung_version_[j]) return;
     obs::ScopedTimer timer(RungSolveHist());
@@ -291,8 +291,7 @@ Status Sfdm2::Snapshot(SnapshotWriter& writer) const {
   writer.WriteU64(constraint_.quotas.size());
   for (const int quota : constraint_.quotas) writer.WriteI32(quota);
   internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads(),
-                                 solve_parallelism_.solve_threads());
+                                 parallelism_.batch_threads());
   writer.WriteBool(warm_start_);
   writer.WriteBool(greedy_augmentation_);
   writer.WriteI64(observed_);

@@ -9,7 +9,6 @@
 #include "core/fairness.h"
 #include "core/guess_ladder.h"
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_candidate.h"
 #include "core/streaming_dm.h"
@@ -81,11 +80,12 @@ class Sfdm2 : public StreamSink {
   /// coarsest split that keeps the output bit-identical to an
   /// uninterrupted from-scratch `Solve()` at every stream prefix.
   ///
-  /// Internally rung-parallel: dirty rungs fan out over `solve_threads`
-  /// (each task fills only its own `rung_solve_[j]` memo slot and builds
-  /// its own `KernelWorkspace` scratch), while the final best-rung
-  /// selection stays a sequential ascending-µ scan with strict `>` — so
-  /// output is bit-identical to the sequential path at any thread count.
+  /// Internally rung-parallel: dirty rungs fan out over the process-wide
+  /// solve width (`SolveParallelism`; each task fills only its own
+  /// `rung_solve_[j]` memo slot and builds its own `KernelWorkspace`
+  /// scratch), while the final best-rung selection stays a sequential
+  /// ascending-µ scan with strict `>` — so output is bit-identical to the
+  /// sequential path at any width.
   ///
   /// `Solve()` stays logically const (the memo is mutable scratch), but
   /// concurrent *calls* must still be externally serialized — two
@@ -94,11 +94,6 @@ class Sfdm2 : public StreamSink {
   /// issues one `Solve()` at a time and lets the rung fan-out use the
   /// threads.
   Result<Solution> Solve() const override;
-
-  /// Adjusts `solve_threads` on the live sink; see `StreamSink`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Distinct elements stored across all candidates (space-usage measure).
   size_t StoredElements() const override;
@@ -140,7 +135,7 @@ class Sfdm2 : public StreamSink {
 
  private:
   Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
-        GuessLadder ladder, int batch_threads, int solve_threads);
+        GuessLadder ladder, int batch_threads);
 
   /// One memoized per-guess post-processing outcome (see `Solve`).
   struct RungSolve {
@@ -173,7 +168,6 @@ class Sfdm2 : public StreamSink {
   // specific_[i * ladder_.size() + j] = S_µj,i, capacity k.
   std::vector<StreamingCandidate> specific_;
   BatchParallelism parallelism_;
-  SolveParallelism solve_parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<std::vector<size_t>> by_group_;  // per-group positions scratch
   std::vector<size_t> rung_kept_;  // per-rung batch insert counts scratch

@@ -8,6 +8,7 @@
 #include "core/diversity.h"
 #include "core/gmm.h"
 #include "core/snapshot_util.h"
+#include "core/solve_pool.h"
 #include "util/binary_io.h"
 #include "util/check.h"
 
@@ -15,13 +16,12 @@ namespace fdm {
 
 ShardedStreamingDm::ShardedStreamingDm(int k, size_t dim, MetricKind metric,
                                        std::vector<StreamingDm> shards,
-                                       int batch_threads, int solve_threads)
+                                       int batch_threads)
     : k_(k),
       dim_(dim),
       metric_(metric),
       shards_(std::move(shards)),
-      parallelism_(batch_threads),
-      solve_parallelism_(solve_threads) {}
+      parallelism_(batch_threads) {}
 
 Result<ShardedStreamingDm> ShardedStreamingDm::Create(
     int k, size_t dim, MetricKind metric, const StreamingOptions& options,
@@ -29,11 +29,10 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Create(
   if (sharding.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  // Shards ingest (and solve) sequentially within a partition; parallelism
-  // lives at the shard level, so nested rung-parallelism is disabled.
+  // Shards ingest sequentially within a partition; parallelism lives at
+  // the shard level, so nested rung-parallelism is disabled.
   StreamingOptions shard_options = options;
   shard_options.batch_threads = 1;
-  shard_options.solve_threads = 1;
   std::vector<StreamingDm> shards;
   shards.reserve(sharding.num_shards);
   for (size_t s = 0; s < sharding.num_shards; ++s) {
@@ -42,7 +41,7 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Create(
     shards.push_back(std::move(shard.value()));
   }
   return ShardedStreamingDm(k, dim, metric, std::move(shards),
-                            sharding.batch_threads, sharding.solve_threads);
+                            sharding.batch_threads);
 }
 
 bool ShardedStreamingDm::Observe(const StreamPoint& point) {
@@ -78,12 +77,11 @@ uint64_t ShardedStreamingDm::StateVersion() const {
 }
 
 Result<Solution> ShardedStreamingDm::Solve() const {
-  // Per-shard solves fan out over `solve_threads` — shards share no
-  // mutable state and each task writes only its own slot. The inner
-  // shards solve sequentially (forced at Create), so no task re-enters
-  // the shared solve pool.
+  // Per-shard solves fan out over the solve width — shards share no
+  // mutable state and each task writes only its own slot. A shard's own
+  // rung fan-out is a nested `Run`, which stays inline on its task.
   std::vector<std::optional<Solution>> locals(shards_.size());
-  solve_parallelism_.Run(shards_.size(), [&](size_t s) {
+  SolveParallelism::Run(shards_.size(), [&](size_t s) {
     auto local = shards_[s].Solve();
     if (local.ok()) locals[s] = std::move(local.value());
   });
@@ -132,7 +130,7 @@ Status ShardedStreamingDm::Snapshot(SnapshotWriter& writer) const {
   writer.WriteU64(dim_);
   writer.WriteU8(static_cast<uint8_t>(metric_.kind()));
   writer.WriteI32(parallelism_.batch_threads());
-  writer.WriteI32(solve_parallelism_.solve_threads());
+  internal::WriteReservedSlot(writer);
   writer.WriteI64(observed_);
   writer.WriteU64(shards_.size());
   for (const StreamingDm& shard : shards_) {
@@ -147,7 +145,7 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Restore(SnapshotReader& reader) {
   const size_t dim = reader.ReadU64();
   const MetricKind metric = internal::ReadMetricKind(reader);
   const int batch_threads = reader.ReadI32();
-  const int solve_threads = reader.ReadI32();
+  internal::SkipReservedSlot(reader);
   const int64_t observed = reader.ReadI64();
   const size_t num_shards = reader.ReadU64();
   if (!reader.ok()) return reader.status();
@@ -162,8 +160,7 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Restore(SnapshotReader& reader) {
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard.value()));
   }
-  ShardedStreamingDm driver(k, dim, metric, std::move(shards), batch_threads,
-                            solve_threads);
+  ShardedStreamingDm driver(k, dim, metric, std::move(shards), batch_threads);
   driver.observed_ = observed;
   return driver;
 }

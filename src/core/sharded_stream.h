@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_dm.h"
 #include "geo/metric.h"
@@ -25,12 +24,6 @@ struct ShardedStreamingOptions {
   /// `0` = all hardware threads). Per-shard processing stays sequential,
   /// so results are bit-identical regardless.
   int batch_threads = 0;
-  /// Threads `Solve` spreads the per-shard solves over (same encoding).
-  /// The inner shards always solve sequentially — query-path parallelism
-  /// lives at the shard level, like `batch_threads` for ingest — and the
-  /// merge + GMM reduce stays a sequential in-shard-order pass, so output
-  /// is bit-identical at any setting.
-  int solve_threads = 1;
 };
 
 /// Sharded ingestion driver for *unconstrained* max-min diversity
@@ -78,15 +71,11 @@ class ShardedStreamingDm : public StreamSink {
   /// farthest-first selection of `k` points over the union. Fails with
   /// `Infeasible` when no shard filled a candidate (stream too small or
   /// too concentrated for this shard count). Per-shard solves fan out
-  /// over `solve_threads`; the merge keeps shard order and the reduce is
-  /// sequential, so output is bit-identical at any thread count.
+  /// over the process-wide solve width (`SolveParallelism`), and each
+  /// shard's own rung fan-out then runs inline on its task; the merge
+  /// keeps shard order and the reduce is sequential, so output is
+  /// bit-identical at any width.
   Result<Solution> Solve() const override;
-
-  /// Adjusts the driver-level `solve_threads`; see `StreamSink`. The
-  /// inner shards stay sequential regardless.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Sum of the shards' distinct stored elements (substreams are disjoint,
   /// so the sum is the distinct total).
@@ -108,15 +97,13 @@ class ShardedStreamingDm : public StreamSink {
 
  private:
   ShardedStreamingDm(int k, size_t dim, MetricKind metric,
-                     std::vector<StreamingDm> shards, int batch_threads,
-                     int solve_threads);
+                     std::vector<StreamingDm> shards, int batch_threads);
 
   int k_;
   size_t dim_;
   Metric metric_;
   std::vector<StreamingDm> shards_;
   BatchParallelism parallelism_;
-  SolveParallelism solve_parallelism_;
   int64_t observed_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -45,9 +44,14 @@ namespace fdm {
 /// so this only fires for genuinely stateful factories).
 ///
 /// `Algo` must provide `Observe(const StreamPoint&)`,
-/// `Result<Solution> Solve() const`, `size_t StoredElements() const`,
-/// `SetSolveThreads(int)`, and — for `Snapshot`/`Restore` — the static
-/// `Restore(SnapshotReader&)` hook plus copyability.
+/// `Result<Solution> Solve() const`, `size_t StoredElements() const`, and
+/// — for `Snapshot`/`Restore` — the static `Restore(SnapshotReader&)` hook
+/// plus copyability.
+///
+/// A query is answered by exactly one replica (the oldest in-window one —
+/// the others exist for coverage, not for answering), so query-path
+/// parallelism lives inside that replica's own rung fan-out rather than
+/// across checkpoints; replicas that will never answer are not solved.
 template <typename Algo>
 class SlidingWindow : public StreamSink {
  public:
@@ -94,9 +98,6 @@ class SlidingWindow : public StreamSink {
         return true;
       }
       replicas_.push_back({position_, std::move(fresh.value())});
-      if (solve_threads_override_.has_value()) {
-        replicas_.back().algo.SetSolveThreads(*solve_threads_override_);
-      }
       mutated = true;
     }
     for (auto& replica : replicas_) {
@@ -136,21 +137,6 @@ class SlidingWindow : public StreamSink {
     return Status::Infeasible(
         "no replica covers the current window yet (stream shorter than one "
         "checkpoint stride)");
-  }
-
-  /// Routes `solve_threads` into the underlying algorithm: applied to
-  /// every live replica and remembered for future spawns. A query is
-  /// answered by exactly one replica (the oldest in-window one — the
-  /// others exist for coverage, not for answering), so query-path
-  /// parallelism lives inside that replica's own rung fan-out rather than
-  /// across checkpoints; replicas that will never answer are not solved
-  /// at all. Like every `solve_threads` path this is bit-identity
-  /// preserving and does not advance `StateVersion`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_threads_override_ = solve_threads;
-    for (auto& replica : replicas_) {
-      replica.algo.SetSolveThreads(solve_threads);
-    }
   }
 
   /// Elements stored across all live replicas.
@@ -254,10 +240,6 @@ class SlidingWindow : public StreamSink {
   int64_t position_ = 0;
   uint64_t state_version_ = 0;
   Status error_;
-  /// Set by `SetSolveThreads`; not serialized — the factory/prototype and
-  /// each replica snapshot already carry their configured `solve_threads`,
-  /// and the override is a runtime knob of this adapter instance.
-  std::optional<int> solve_threads_override_;
 };
 
 }  // namespace fdm

@@ -1,50 +1,69 @@
 #ifndef FDM_CORE_SOLVE_POOL_H_
 #define FDM_CORE_SOLVE_POOL_H_
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
 
 #include "obs/metrics.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace fdm {
 
-/// The `solve_threads` knob shared by every sink's query path: `1` =
-/// sequential (the default), `0` = all hardware threads, `n > 1` = at most
-/// `n` threads.
+/// The process-wide width of every sink's query path: `1` = sequential
+/// (the default), `0` = all hardware threads, `n > 1` = at most `n`
+/// threads. A deployment setting like the kernel dispatch target — set
+/// once at startup (tools/fdm_serve.cc), never part of a sink's
+/// configuration or durable state. `Solve()` output is bit-identical at
+/// every width, so changing it never advances a `StateVersion`.
 ///
-/// Unlike `BatchParallelism` (one lazily-created pool per sink family,
-/// sized by the knob), every parallel solve in the process runs on ONE
-/// shared machine-sized pool and passes its knob as a per-call
-/// `max_parallelism` cap. That sharing is the oversubscription guard the
-/// serving plane needs: the pool is fork-join (one `ParallelFor` at a
-/// time), so concurrent cold solves on different sessions queue for the
-/// pool instead of multiplying threads — total solve parallelism never
-/// exceeds the machine no matter how many sessions go cold at once.
+/// Unlike `BatchParallelism` (one lazily-created pool per sink family),
+/// every parallel solve in the process runs on ONE shared machine-sized
+/// pool, capped per call at the width. That sharing is the
+/// oversubscription guard the serving plane needs: the pool is fork-join
+/// (one `ParallelFor` at a time), so concurrent cold solves on different
+/// sessions queue for the pool instead of multiplying threads — total
+/// solve parallelism never exceeds the machine no matter how many
+/// sessions go cold at once.
 ///
-/// `Run` is const and callable from logically-const `Solve()` paths; the
-/// shared pool is internally synchronized. Tasks must touch disjoint
-/// state, and each task needing kernel scratch builds its own
-/// `KernelWorkspace` (per-worker instances — the mirrors are mutable and
-/// would race if shared).
+/// `Run` is callable from logically-const `Solve()` paths; the shared pool
+/// is internally synchronized. Tasks must touch disjoint state, and each
+/// task needing kernel scratch builds its own `KernelWorkspace`
+/// (per-worker instances — the mirrors are mutable and would race if
+/// shared).
 class SolveParallelism {
  public:
-  explicit SolveParallelism(int solve_threads = 1)
-      : solve_threads_(solve_threads) {}
+  /// Sets the width for every later `Run` and publishes it as the
+  /// `fdm_solve_threads` info series. A negative `threads` is
+  /// `InvalidArgument` and leaves the width unchanged.
+  static Status SetThreads(int threads) {
+    if (threads < 0) {
+      return Status::InvalidArgument("solve threads must be >= 0, got " +
+                                     std::to_string(threads));
+    }
+    Width().store(threads);
+    obs::MetricsRegistry::Global().SetInfo("fdm_solve_threads",
+                                           std::to_string(threads));
+    return Status::Ok();
+  }
 
-  /// Runs `fn(0) … fn(n-1)` — on the shared pool when the knob asks for
+  /// The current width (see the class comment for the encoding).
+  static int Threads() { return Width().load(); }
+
+  /// Runs `fn(0) … fn(n-1)` — on the shared pool when the width asks for
   /// parallelism, inline otherwise. `fn` must not throw. A nested call (a
-  /// task that itself calls `Run`, e.g. a sharded driver whose shards were
-  /// handed `solve_threads != 1`) degrades to sequential instead of
-  /// deadlocking on the pool's fork-join mutex.
-  void Run(size_t n, const std::function<void(size_t)>& fn) const {
-    if (solve_threads_ == 1 || n <= 1 || InSolveTask()) {
+  /// task that itself calls `Run`, e.g. a shard's rung fan-out inside the
+  /// sharded driver's shard fan-out) runs inline instead of deadlocking
+  /// on the pool's fork-join mutex.
+  static void Run(size_t n, const std::function<void(size_t)>& fn) {
+    const int threads = Threads();
+    if (threads == 1 || n <= 1 || InSolveTask()) {
       for (size_t i = 0; i < n; ++i) fn(i);
       return;
     }
     auto& registry = obs::MetricsRegistry::Global();
-    registry.SetInfo("fdm_solve_threads", std::to_string(solve_threads_));
     static obs::Counter& runs = registry.GetCounter(
         "fdm_solve_parallel_runs_total",
         "rung/shard fan-outs dispatched to the shared solve pool");
@@ -60,13 +79,11 @@ class SolveParallelism {
           fn(i);
           InSolveTask() = false;
         },
-        solve_threads_ <= 0 ? 0 : static_cast<size_t>(solve_threads_));
+        static_cast<size_t>(threads));
     depth.Add(-static_cast<double>(n));
   }
 
-  int solve_threads() const { return solve_threads_; }
-  void set_solve_threads(int solve_threads) { solve_threads_ = solve_threads; }
-
+ private:
   /// The process-wide pool every parallel solve shares, sized to the
   /// hardware on first use and leaked so solves reached from static
   /// sinks or detached serving threads stay safe at exit.
@@ -75,13 +92,15 @@ class SolveParallelism {
     return *pool;
   }
 
- private:
+  static std::atomic<int>& Width() {
+    static std::atomic<int> width{1};
+    return width;
+  }
+
   static bool& InSolveTask() {
     static thread_local bool in_task = false;
     return in_task;
   }
-
-  int solve_threads_ = 1;
 };
 
 }  // namespace fdm

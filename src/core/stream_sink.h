@@ -38,9 +38,10 @@ class SnapshotReader;
 ///    state (anytime behaviour): more elements may be observed afterwards
 ///    and `Solve` called again. The query path mirrors the ingest-side
 ///    determinism contract: a sink may post-process *independent internal
-///    state* (rungs, shards) on `solve_threads` workers, but the final
-///    winner selection must stay a sequential in-order scan, so `Solve`
-///    output is bit-identical at every `solve_threads` setting.
+///    state* (rungs, shards) over the process-wide solve width
+///    (core/solve_pool.h), but the final winner selection must stay a
+///    sequential in-order scan, so `Solve` output is bit-identical at
+///    every width.
 ///  * `StateVersion` is a monotone counter that advances *only* when
 ///    `Observe`/`ObserveBatch` mutates retained state. It is the cache key
 ///    of the incremental query path: equal versions guarantee bit-identical
@@ -80,14 +81,6 @@ class StreamSink {
 
   /// The current best solution over everything observed so far.
   virtual Result<Solution> Solve() const = 0;
-
-  /// Reconfigures the query-path parallelism knob on sinks that have one
-  /// (`1` = sequential, `0` = all hardware threads, `n` = at most n); the
-  /// default is a no-op for sinks without a threaded query path. Purely a
-  /// latency knob: `Solve()` output is bit-identical at any setting, so
-  /// changing it does NOT advance `StateVersion` — the serving layer and
-  /// benches may flip it on a live (even restored) sink at will.
-  virtual void SetSolveThreads(int solve_threads) { (void)solve_threads; }
 
   /// Distinct elements currently stored.
   virtual size_t StoredElements() const = 0;

@@ -6,6 +6,7 @@
 #include "core/batch_replay.h"
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
+#include "core/solve_pool.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "util/check.h"
@@ -13,14 +14,12 @@
 namespace fdm {
 
 StreamingDm::StreamingDm(int k, size_t dim, MetricKind metric,
-                         GuessLadder ladder, int batch_threads,
-                         int solve_threads)
+                         GuessLadder ladder, int batch_threads)
     : k_(k),
       dim_(dim),
       metric_(metric),
       ladder_(std::move(ladder)),
-      parallelism_(batch_threads),
-      solve_parallelism_(solve_threads) {
+      parallelism_(batch_threads) {
   candidates_.reserve(ladder_.size());
   for (size_t j = 0; j < ladder_.size(); ++j) {
     candidates_.emplace_back(ladder_.At(j), static_cast<size_t>(k_), dim_);
@@ -37,7 +36,7 @@ Result<StreamingDm> StreamingDm::Create(int k, size_t dim, MetricKind metric,
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
   return StreamingDm(k, dim, metric, std::move(ladder.value()),
-                     options.batch_threads, options.solve_threads);
+                     options.batch_threads);
 }
 
 bool StreamingDm::Observe(const StreamPoint& point) {
@@ -79,7 +78,7 @@ size_t StreamingDm::ObserveBatch(std::span<const StreamPoint> raw_batch) {
 }
 
 Result<Solution> StreamingDm::Solve() const {
-  // Phase 1 — per-candidate diversity, fanned out over `solve_threads`:
+  // Phase 1 — per-candidate diversity, fanned out over the solve width:
   // each task writes only its own slot, and `MinPairwiseDistance` touches
   // nothing but the candidate's points and local scratch. Phase 2 — the
   // winner scan — stays a sequential ascending-µ pass with strict `>`, so
@@ -87,7 +86,7 @@ Result<Solution> StreamingDm::Solve() const {
   // sequential path at any thread count.
   std::vector<double> diversity(candidates_.size(), -1.0);
   std::vector<uint8_t> full(candidates_.size(), 0);
-  solve_parallelism_.Run(candidates_.size(), [&](size_t j) {
+  SolveParallelism::Run(candidates_.size(), [&](size_t j) {
     const StreamingCandidate& candidate = candidates_[j];
     if (!candidate.Full()) return;
     full[j] = 1;
@@ -123,8 +122,7 @@ Status StreamingDm::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteI32(k_);
   internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads(),
-                                 solve_parallelism_.solve_threads());
+                                 parallelism_.batch_threads());
   writer.WriteI64(observed_);
   writer.WriteU64(state_version_);
   writer.WriteU64(candidates_.size());

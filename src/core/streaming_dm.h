@@ -7,7 +7,6 @@
 
 #include "core/guess_ladder.h"
 #include "core/solution.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "core/streaming_candidate.h"
 #include "geo/metric.h"
@@ -29,11 +28,6 @@ struct StreamingOptions {
   /// independent, so results stay bit-identical to per-element
   /// processing): `1` = sequential, `0` = all hardware threads, `n` = n.
   int batch_threads = 1;
-  /// Threads `Solve` spreads its per-rung post-processing over. Same
-  /// encoding as `batch_threads`; purely a latency knob — the final
-  /// best-rung selection stays a sequential in-order scan, so `Solve`
-  /// output is bit-identical at any setting (see `SolveParallelism`).
-  int solve_threads = 1;
 };
 
 /// Algorithm 1 — one-pass streaming algorithm for *unconstrained* max-min
@@ -68,15 +62,11 @@ class StreamingDm : public StreamSink {
 
   /// Algorithm 1, line 7: the full candidate maximizing `div(S_µ)`.
   /// Fails with `Infeasible` if no candidate filled (fewer than `k`
-  /// sufficiently distinct points seen). Per-candidate diversity is
-  /// computed over `solve_threads`; the winner scan stays sequential, so
-  /// output is bit-identical at any setting.
+  /// sufficiently distinct points seen). Per-candidate diversity fans
+  /// out over the process-wide solve width (`SolveParallelism`); the
+  /// winner scan stays sequential, so output is bit-identical at any
+  /// width.
   Result<Solution> Solve() const override;
-
-  /// Adjusts `solve_threads` on the live sink; see `StreamSink`.
-  void SetSolveThreads(int solve_threads) override {
-    solve_parallelism_.set_solve_threads(solve_threads);
-  }
 
   /// Number of *distinct* elements currently stored across all candidates
   /// (the paper's space-usage measure).
@@ -98,7 +88,7 @@ class StreamingDm : public StreamSink {
 
  private:
   StreamingDm(int k, size_t dim, MetricKind metric, GuessLadder ladder,
-              int batch_threads, int solve_threads);
+              int batch_threads);
 
   int k_;
   size_t dim_;
@@ -106,7 +96,6 @@ class StreamingDm : public StreamSink {
   GuessLadder ladder_;
   std::vector<StreamingCandidate> candidates_;  // one per rung, ascending µ
   BatchParallelism parallelism_;
-  SolveParallelism solve_parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<size_t> rung_kept_;  // per-rung batch insert counts scratch
   int64_t observed_ = 0;

@@ -1,10 +1,7 @@
 #include "harness/experiment.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -14,10 +11,6 @@
 #include "geo/point_buffer.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "harness/registry.h"
-#include "replica/replica_session.h"
-#include "replica/replication_source.h"
-#include "service/durable_session.h"
-#include "service/sink_spec.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -115,112 +108,6 @@ RunResult RunStreaming(const Dataset& dataset, const RunConfig& config,
   return r;
 }
 
-/// The sink spec a drill primary runs under — the same algorithm family
-/// and parameters as the harness run, expressed in the service layer's
-/// dataset-free configuration language.
-Result<std::string> DrillSpecFor(const Dataset& dataset,
-                                 const RunConfig& config) {
-  SinkSpec spec;
-  switch (config.algorithm) {
-    case AlgorithmKind::kStreamingDm: spec.algo = "streaming_dm"; break;
-    case AlgorithmKind::kSfdm1: spec.algo = "sfdm1"; break;
-    case AlgorithmKind::kSfdm2: spec.algo = "sfdm2"; break;
-    case AlgorithmKind::kSharded: spec.algo = "sharded"; break;
-    case AlgorithmKind::kSlidingWindow: spec.algo = "sliding_window"; break;
-    default:
-      return Status::Unsupported(
-          "no sink-spec mapping for algorithm '" +
-          std::string(AlgorithmName(config.algorithm)) + "'");
-  }
-  spec.dim = dataset.dim();
-  spec.metric = dataset.metric_kind();
-  spec.epsilon = config.epsilon;
-  spec.d_min = config.bounds.min;
-  spec.d_max = config.bounds.max;
-  if (config.algorithm == AlgorithmKind::kSfdm1 ||
-      config.algorithm == AlgorithmKind::kSfdm2) {
-    spec.quotas = config.constraint.quotas;
-  } else {
-    spec.k = config.constraint.TotalK();
-  }
-  if (config.algorithm == AlgorithmKind::kSharded) {
-    spec.shards = config.num_shards;
-  }
-  if (config.algorithm == AlgorithmKind::kSlidingWindow) {
-    spec.window = config.window_size > 0
-                      ? config.window_size
-                      : static_cast<int64_t>(dataset.size());
-    spec.checkpoints = config.window_checkpoints;
-  }
-  return spec.ToString();
-}
-
-/// Runs the replica drill: durable primary over the run's permuted stream
-/// (midpoint snapshot + WAL-only tail), follower bootstrapped through the
-/// replication layer, bit-identical comparison at the matched version.
-void RunReplicaDrill(const Dataset& dataset, const RunConfig& config,
-                     std::span<const size_t> order, RunResult& r) {
-  auto spec = DrillSpecFor(dataset, config);
-  if (!spec.ok()) {
-    r.replica_error = spec.status().ToString();
-    return;
-  }
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("fdm_replica_drill_p" + std::to_string(::getpid()) + "_s" +
-        std::to_string(config.permutation_seed) + "_a" +
-        std::to_string(static_cast<int>(config.algorithm))))
-          .string();
-  std::filesystem::remove_all(dir);
-  auto fail = [&](const Status& status) {
-    r.replica_error = status.ToString();
-    std::filesystem::remove_all(dir);
-  };
-
-  auto primary = DurableSession::Create(dir, *spec);
-  if (!primary.ok()) return fail(primary.status());
-  std::vector<StreamPoint> batch;
-  batch.reserve(256);
-  const size_t mid = order.size() / 2;
-  for (size_t i = 0; i < order.size(); ++i) {
-    batch.push_back(dataset.At(order[i]));
-    if (batch.size() == 256 || i + 1 == mid || i + 1 == order.size()) {
-      if (Status s = primary->ObserveBatch(batch); !s.ok()) return fail(s);
-      batch.clear();
-      if (i + 1 == mid) {
-        if (Status s = primary->TakeSnapshot(); !s.ok()) return fail(s);
-      }
-    }
-  }
-  if (Status s = primary->Sync(); !s.ok()) return fail(s);
-
-  Timer timer;
-  auto follower = ReplicaSession::Bootstrap(
-      std::make_shared<DirReplicationSource>(dir));
-  const double catchup_sec = timer.ElapsedSeconds();
-  if (!follower.ok()) return fail(follower.status());
-
-  r.replica_checked = true;
-  r.replica_catchup_points_per_sec =
-      catchup_sec > 0.0
-          ? static_cast<double>(order.size()) / catchup_sec
-          : 0.0;
-  r.replica_final_lag = follower->Stats().lag;
-
-  const auto follower_solution = follower->Solve();
-  const auto primary_solution = primary->Solve();
-  bool identical = follower->StateVersion() == primary->StateVersion() &&
-                   follower_solution.ok() == primary_solution.ok();
-  if (identical && follower_solution.ok()) {
-    identical = follower_solution->Ids() == primary_solution->Ids() &&
-                follower_solution->diversity ==
-                    primary_solution->diversity &&
-                follower_solution->mu == primary_solution->mu;
-  }
-  r.replica_identical = identical;
-  std::filesystem::remove_all(dir);
-}
-
 }  // namespace
 
 RunResult RunAlgorithm(const Dataset& dataset, const RunConfig& config) {
@@ -230,11 +117,6 @@ RunResult RunAlgorithm(const Dataset& dataset, const RunConfig& config) {
   FDM_CHECK_MSG(entry != nullptr, "algorithm kind not registered");
   RunResult r = entry->streaming ? RunStreaming(dataset, config, *entry)
                                  : RunOffline(dataset, config, *entry);
-  if (config.replica_drill && entry->streaming) {
-    const std::vector<size_t> order =
-        StreamOrder(dataset.size(), config.permutation_seed);
-    RunReplicaDrill(dataset, config, order, r);
-  }
   r.kernel_target = std::string(simd::ActiveKernelName());
   return r;
 }

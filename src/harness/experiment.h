@@ -53,11 +53,6 @@ struct RunConfig {
   /// Threads batched ingestion spreads rungs/shards over
   /// (see `StreamingOptions::batch_threads`).
   int batch_threads = 1;
-  /// Threads `Solve()` fans the per-rung (per-shard) post-processing over
-  /// (see `StreamingOptions::solve_threads`; 1 = sequential, 0 = all
-  /// hardware threads). Bit-identity preserving, so it never changes a
-  /// cell's reported solution — only its query latency.
-  int solve_threads = 1;
   /// Shard count for `AlgorithmKind::kSharded`.
   size_t num_shards = 4;
   /// Window length for `AlgorithmKind::kSlidingWindow`; `0` means the whole
@@ -73,15 +68,6 @@ struct RunConfig {
   /// The final reported solution is unchanged either way (`Solve` is
   /// anytime and the cache is exact).
   size_t solve_every = 0;
-  /// Replica drill (streaming kinds with a sink-spec mapping): after the
-  /// run, re-ingest the same permuted stream through a durable primary
-  /// session in a scratch directory (snapshot at the midpoint, WAL-only
-  /// tail), bootstrap a follower off it through the replication layer
-  /// (`src/replica/`), and verify the follower's `Solve()` is
-  /// bit-identical to the primary's at the matched state version. Results
-  /// land in `RunResult::replica_*`; the drill never alters the run's own
-  /// metrics or solution.
-  bool replica_drill = false;
 };
 
 /// Measured outcome of one run.
@@ -116,18 +102,6 @@ struct RunResult {
   /// every build configuration; the histogram type is plain arithmetic and
   /// is not compiled out by `FDM_NO_METRICS`.
   obs::HistogramSnapshot trace_solve_hist;
-
-  /// Replica drill (`RunConfig::replica_drill`): whether the drill ran to
-  /// the comparison (false also when the kind has no sink-spec mapping or
-  /// scratch I/O failed — see `replica_error`), whether the follower's
-  /// solution and state version matched the primary's exactly, the
-  /// follower's end-to-end bootstrap+catch-up throughput, and its lag
-  /// after the final poll (0 = fully caught up).
-  bool replica_checked = false;
-  bool replica_identical = false;
-  double replica_catchup_points_per_sec = 0.0;
-  int64_t replica_final_lag = 0;
-  std::string replica_error;
 
   std::vector<int64_t> selected_ids;
 };

@@ -20,7 +20,6 @@ StreamingOptions StreamingOptionsFrom(const RunConfig& config) {
   streaming.d_min = config.bounds.min;
   streaming.d_max = config.bounds.max;
   streaming.batch_threads = config.batch_threads;
-  streaming.solve_threads = config.solve_threads;
   return streaming;
 }
 
@@ -125,7 +124,6 @@ AlgorithmEntry ShardedEntry() {
     ShardedStreamingOptions sharding;
     sharding.num_shards = config.num_shards;
     sharding.batch_threads = config.batch_threads;
-    sharding.solve_threads = config.solve_threads;
     return WrapSink(ShardedStreamingDm::Create(
         config.constraint.TotalK(), dataset.dim(), dataset.metric_kind(),
         StreamingOptionsFrom(config), sharding));

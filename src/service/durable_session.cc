@@ -235,9 +235,6 @@ Result<DurableSession> DurableSession::Create(std::string dir,
 
   DurableSession session(std::move(dir), std::move(spec), options);
   session.sink_ = std::move(sink.value());
-  if (options.solve_threads != 0) {
-    session.sink_->SetSolveThreads(options.solve_threads);
-  }
   session.wal_ =
       std::make_unique<WriteAheadLog>(std::move(wal.value()));
   session.dim_ = parsed->dim;
@@ -315,12 +312,6 @@ Result<DurableSession> DurableSession::Open(std::string dir,
 
   DurableSession session(std::move(dir), std::move(spec), options);
   session.sink_ = std::move(sink);
-  // Re-apply the server-level query parallelism after every restore: the
-  // snapshot carries the spec-configured value, and the override is a
-  // deployment knob, not stream state (bit-identity makes this safe).
-  if (options.solve_threads != 0) {
-    session.sink_->SetSolveThreads(options.solve_threads);
-  }
   session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
   session.dim_ = parsed->dim;
   session.snapshot_seq_ = snapshot_seq;

@@ -104,13 +104,6 @@ struct DurableSessionOptions {
   /// Snapshots retained on disk (older ones are pruned after each new one;
   /// at least 1).
   size_t keep_snapshots = 2;
-  /// Query-path parallelism applied to the sink after every build/restore
-  /// via `StreamSink::SetSolveThreads`: 0 = keep whatever the sink spec
-  /// (or the restored snapshot) configured, 1 = force sequential, n = fan
-  /// cold solves out over up to n workers of the shared solve pool (see
-  /// core/solve_pool.h). Bit-identity preserving — the served solutions
-  /// are byte-for-byte the sequential ones at any setting.
-  int solve_threads = 0;
 };
 
 /// One durable streaming session: a sink plus its write-ahead log and

@@ -28,13 +28,12 @@ struct SessionManagerOptions {
   /// idle session is snapshotted and spilled to disk (it reloads lazily on
   /// the next touch). 0 = unlimited.
   size_t max_resident = 0;
-  /// Per-session durability knobs (auto-snapshot cadence, WAL batching)
-  /// plus the server-wide `solve_threads` query-parallelism override,
-  /// applied to every session the manager builds or recovers. All
-  /// sessions share ONE process-wide solve pool (core/solve_pool.h) whose
-  /// fork-join runs serialize, so concurrent cold SOLVEs on different
-  /// sessions queue for the pool rather than multiplying threads — the
-  /// manager never oversubscribes the machine through this knob.
+  /// Per-session durability knobs (auto-snapshot cadence, WAL batching),
+  /// applied to every session the manager builds or recovers. Cold
+  /// SOLVEs of all sessions share ONE process-wide solve pool and width
+  /// (core/solve_pool.h) whose fork-join runs serialize, so concurrent
+  /// cold SOLVEs on different sessions queue for the pool rather than
+  /// multiplying threads.
   DurableSessionOptions session;
   /// Period of the background snapshot thread, which persists every
   /// resident session with unsnapshotted records. 0 = no background

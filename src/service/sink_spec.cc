@@ -99,10 +99,10 @@ Result<SinkSpec> SinkSpec::Parse(std::string_view text) {
       if (!v.ok()) return v.status();
       spec.threads = static_cast<int>(*v);
     } else if (key == "solve_threads") {
+      // Legacy key, ignored: see the class comment.
       auto v = ParseInt(key, value);
       if (!v.ok()) return v.status();
       if (*v < 0) return Invalid("solve_threads must be >= 0");
-      spec.solve_threads = static_cast<int>(*v);
     } else if (key == "shards") {
       auto v = ParseInt(key, value);
       if (!v.ok()) return v.status();
@@ -153,7 +153,6 @@ std::string SinkSpec::ToString() const {
   out << " metric=" << MetricKindName(metric) << " eps=" << epsilon;
   if (algo != "adaptive") out << " dmin=" << d_min << " dmax=" << d_max;
   if (threads != 1) out << " threads=" << threads;
-  if (solve_threads != 1) out << " solve_threads=" << solve_threads;
   if (algo == "sharded") out << " shards=" << shards;
   if (algo == "sliding_window") {
     out << " window=" << window << " checkpoints=" << checkpoints;
@@ -169,7 +168,6 @@ Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
   streaming.d_min = d_min;
   streaming.d_max = d_max;
   streaming.batch_threads = threads;
-  streaming.solve_threads = solve_threads;
 
   if (algo == "streaming_dm") {
     if (k < 1) return Invalid("algo=streaming_dm requires k>=1");
@@ -186,15 +184,14 @@ Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
   }
   if (algo == "adaptive") {
     if (k < 1) return Invalid("algo=adaptive requires k>=1");
-    return WrapSink(AdaptiveStreamingDm::Create(k, dim, metric, epsilon,
-                                                max_rungs, solve_threads));
+    return WrapSink(
+        AdaptiveStreamingDm::Create(k, dim, metric, epsilon, max_rungs));
   }
   if (algo == "sharded") {
     if (k < 1) return Invalid("algo=sharded requires k>=1");
     ShardedStreamingOptions sharding;
     sharding.num_shards = shards;
     sharding.batch_threads = threads;
-    sharding.solve_threads = solve_threads;
     return WrapSink(
         ShardedStreamingDm::Create(k, dim, metric, streaming, sharding));
   }

@@ -35,9 +35,6 @@ namespace fdm {
 ///   dmin     lower distance bound (required unless algo=adaptive)
 ///   dmax     upper distance bound (required unless algo=adaptive)
 ///   threads  ObserveBatch parallelism              (default 1)
-///   solve_threads  Solve() parallelism over the shared solve pool
-///            (1 = sequential, 0 = all hardware threads; bit-identity
-///            preserving — see core/solve_pool.h)     (default 1)
 ///   shards   shard count (algo=sharded)            (default 4)
 ///   window   window length (algo=sliding_window; required for it)
 ///   checkpoints  window replicas (algo=sliding_window, default 4)
@@ -48,6 +45,11 @@ namespace fdm {
 ///            Session-layer concern; the sink itself ignores it.
 ///            (default off — sliding-window streams legitimately
 ///            re-observe ids)
+///
+/// `solve_threads=N` (N >= 0) is accepted and ignored, so SPEC lines
+/// written when the solve width was a per-sink key still parse. The width
+/// is one process-wide setting now (core/solve_pool.h); `ToString` never
+/// writes the key.
 struct SinkSpec {
   std::string algo;
   size_t dim = 0;
@@ -58,7 +60,6 @@ struct SinkSpec {
   double d_min = 0.0;
   double d_max = 0.0;
   int threads = 1;
-  int solve_threads = 1;
   size_t shards = 4;
   int64_t window = 0;
   int64_t checkpoints = 4;

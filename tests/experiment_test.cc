@@ -139,29 +139,6 @@ TEST(RunAlgorithmTest, SolveEveryTraceMatchesPlainRun) {
   EXPECT_EQ(plain.trace_solve_hist.count, 0u);
 }
 
-TEST(RunAlgorithmTest, ReplicaDrillVerifiesBitIdenticalFollower) {
-  const Dataset ds = TestData(2, 117, 400);
-  for (const AlgorithmKind algo :
-       {AlgorithmKind::kSfdm2, AlgorithmKind::kStreamingDm}) {
-    RunConfig config = ConfigFor(ds, algo, 6);
-    config.replica_drill = true;
-    const RunResult r = RunAlgorithm(ds, config);
-    ASSERT_TRUE(r.ok) << AlgorithmName(algo) << ": " << r.error;
-    ASSERT_TRUE(r.replica_checked)
-        << AlgorithmName(algo) << ": " << r.replica_error;
-    EXPECT_TRUE(r.replica_identical) << AlgorithmName(algo);
-    EXPECT_EQ(r.replica_final_lag, 0) << AlgorithmName(algo);
-    EXPECT_GT(r.replica_catchup_points_per_sec, 0.0) << AlgorithmName(algo);
-  }
-  // Offline kinds have no sink-spec mapping: the drill reports itself
-  // unchecked instead of pretending to have verified anything.
-  RunConfig offline = ConfigFor(ds, AlgorithmKind::kFairSwap, 6);
-  offline.replica_drill = true;
-  const RunResult r = RunAlgorithm(ds, offline);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.replica_checked);
-}
-
 TEST(BoundsForExperimentsTest, PositiveAndOrdered) {
   const Dataset ds = TestData(2);
   const DistanceBounds b = BoundsForExperiments(ds);

@@ -8,6 +8,12 @@
 //                [--solve_workers=N] [--rate=R [--burst=B]] [--cold_cap=N]]
 //   ./fdm_serve --follow=DIR|tcp://HOST:PORT [--poll_ms=N] [...]
 //
+// `--solve_threads=N` sets the process-wide width of cold SOLVE
+// post-processing in both modes (core/solve_pool.h): 1 = sequential (the
+// default), 0 = all hardware threads, N = at most N threads on the one
+// shared solve pool. Replies are byte-identical at every width; a
+// negative N is a usage error.
+//
 // Reads commands from stdin, one per line; writes one `OK ...` or
 // `ERR <message>` line per command to stdout:
 //
@@ -84,6 +90,7 @@
 #include <memory>
 #include <string>
 
+#include "core/solve_pool.h"
 #include "net/dispatch.h"
 #include "net/tcp_server.h"
 #include "obs/metrics_dump.h"
@@ -93,6 +100,19 @@
 
 namespace fdm {
 namespace {
+
+/// Applies `--solve_threads`, or reports the usage error. Returns false
+/// when the process should exit 1.
+bool SetSolveWidthOrUsageError(const ArgParser& args) {
+  const Status status = SolveParallelism::SetThreads(
+      static_cast<int>(args.GetInt("solve_threads", 1)));
+  if (!status.ok()) {
+    std::fprintf(stderr, "fdm_serve: %s\nusage: --solve_threads=N (N >= 0)\n",
+                 status.ToString().c_str());
+    return false;
+  }
+  return true;
+}
 
 /// Builds the dumper from `--metrics-dump`, or reports the usage error.
 /// `*ok=false` means the process should exit 1.
@@ -160,6 +180,7 @@ int FollowerMain(const ArgParser& args) {
 
 int Main(int argc, char** argv) {
   const ArgParser args(argc, argv);
+  if (!SetSolveWidthOrUsageError(args)) return 1;
   if (args.Has("follow")) return FollowerMain(args);
   SessionManagerOptions options;
   options.root_dir = args.GetString("root", "fdm_sessions");
@@ -170,10 +191,6 @@ int Main(int argc, char** argv) {
   options.background_snapshot_ms =
       static_cast<int>(args.GetInt("background_ms", 0));
   options.threads = static_cast<int>(args.GetInt("threads", 1));
-  // Server-wide cold-SOLVE parallelism (0 = keep each spec's setting).
-  // Bit-identity preserving: answers match sequential byte for byte.
-  options.session.solve_threads =
-      static_cast<int>(args.GetInt("solve_threads", 0));
 
   auto manager = SessionManager::Create(options);
   if (!manager.ok()) {
