@@ -40,13 +40,16 @@ namespace fdm {
 /// enforce across every dispatch target.
 class KernelWorkspace {
  public:
-  /// `capacity` pre-reserves the mirror (rows are still appended lazily).
+  /// `capacity` caps the mirror's growth schedule (see `PointBuffer`);
+  /// rows are still appended lazily.
   explicit KernelWorkspace(size_t dim, size_t capacity = 0)
       : buffer_(dim, capacity) {}
 
-  /// Rebuilds the mirror to hold exactly `rows` of `dataset`, in order.
+  /// Rebuilds the mirror to hold exactly `rows` of `dataset`, in order,
+  /// reserving them up front.
   void AssignRows(const Dataset& dataset, std::span<const size_t> rows) {
     buffer_.Clear();
+    buffer_.Reserve(rows.size());
     for (const size_t row : rows) buffer_.Add(dataset.At(row));
   }
 

@@ -124,35 +124,37 @@ size_t Sfdm2::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   return mutations;
 }
 
-std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
+void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
+  memo.picks.clear();
   const size_t rungs = ladder_.size();
   // U' membership for this guess: |S_µ| = k ∧ |S_µ,i| >= k_i ∀i (line 9).
-  if (!blind_[j].Full()) return std::nullopt;
+  if (!blind_[j].Full()) return;
   for (int i = 0; i < m_; ++i) {
     const auto& cand = specific_[static_cast<size_t>(i) * rungs + j];
     if (static_cast<int>(cand.points().size()) <
         constraint_.quotas[static_cast<size_t>(i)]) {
-      return std::nullopt;
+      return;
     }
   }
   const double mu = ladder_.At(j);
 
-  // S_all = S_µ ∪ (∪_i S_µ,i), deduplicated by element id (line 12).
-  // The blind candidate's elements come first so the initial partial
-  // solution can be addressed by ground-set position.
+  // S_all = S_µ ∪ (∪_i S_µ,i), deduplicated by element id (line 12): the
+  // first copy of an id wins, and `origin` records where it sits. The
+  // blind candidate's elements come first so the initial partial solution
+  // can be addressed by ground-set position.
   PointBuffer ground(dim_, static_cast<size_t>(k_ * (m_ + 1)));
+  std::vector<std::pair<uint32_t, uint32_t>> origin;
   std::unordered_set<int64_t> seen;
-  const PointBuffer& blind = blind_[j].points();
-  for (size_t i = 0; i < blind.size(); ++i) {
-    if (seen.insert(blind.IdAt(i)).second) ground.Add(blind.ViewAt(i));
-  }
-  const size_t blind_count = ground.size();
-  for (int g = 0; g < m_; ++g) {
-    const PointBuffer& cand =
-        specific_[static_cast<size_t>(g) * rungs + j].points();
+  size_t blind_count = 0;
+  for (size_t slot = 0; slot <= static_cast<size_t>(m_); ++slot) {
+    const PointBuffer& cand = RungCandidate(j, slot);
     for (size_t i = 0; i < cand.size(); ++i) {
-      if (seen.insert(cand.IdAt(i)).second) ground.Add(cand.ViewAt(i));
+      if (!seen.insert(cand.IdAt(i)).second) continue;
+      ground.Add(cand.ViewAt(i));
+      origin.emplace_back(static_cast<uint32_t>(slot),
+                          static_cast<uint32_t>(i));
     }
+    if (slot == 0) blind_count = ground.size();
   }
   const int l = static_cast<int>(ground.size());
 
@@ -220,16 +222,15 @@ std::optional<Solution> Sfdm2::SolveRung(size_t j) const {
   const std::vector<int> result = MaxCardinalityMatroidIntersection(
       m1, m2, initial,
       greedy_augmentation_ ? DistanceToSetFn(distance_to_set) : nullptr);
-  if (static_cast<int>(result.size()) != k_) return std::nullopt;
+  if (static_cast<int>(result.size()) != k_) return;
 
-  Solution solution(dim_);
+  PointBuffer selected(dim_, result.size());
   for (const int e : result) {
-    solution.points.Add(ground.ViewAt(static_cast<size_t>(e)));
+    selected.Add(ground.ViewAt(static_cast<size_t>(e)));
+    memo.picks.push_back(origin[static_cast<size_t>(e)]);
   }
-  FDM_DCHECK(SatisfiesQuotas(solution.points, constraint_.quotas));
-  solution.diversity = MinPairwiseDistance(solution.points, metric_);
-  solution.mu = mu;
-  return solution;
+  FDM_DCHECK(SatisfiesQuotas(selected, constraint_.quotas));
+  memo.diversity = MinPairwiseDistance(selected, metric_);
 }
 
 Result<Solution> Sfdm2::Solve() const {
@@ -247,7 +248,7 @@ Result<Solution> Sfdm2::Solve() const {
     RungSolve& memo = rung_solve_[j];
     if (memo.computed && memo.version == rung_version_[j]) return;
     obs::ScopedTimer timer(RungSolveHist());
-    memo.solution = SolveRung(j);
+    SolveRung(j, memo);
     memo.version = rung_version_[j];
     memo.computed = true;
   });
@@ -255,23 +256,31 @@ Result<Solution> Sfdm2::Solve() const {
   // Phase 2 — final selection (line 19), identical to the historical
   // single-pass scan: ascending µ, strictly-greater diversity wins, so
   // the winner is bit-identical to the sequential path at any thread
-  // count. Only the winner is copied out of the memo, after the scan.
-  const RungSolve* best = nullptr;
+  // count. Only the winner's elements are copied out of its candidates,
+  // after the scan.
+  size_t best = rungs;
   for (size_t j = 0; j < rungs; ++j) {
     const RungSolve& memo = rung_solve_[j];
-    if (!memo.solution.has_value()) continue;
-    if (best == nullptr ||
-        memo.solution->diversity > best->solution->diversity) {
-      best = &memo;
+    if (memo.picks.empty()) continue;
+    if (best == rungs || memo.diversity > rung_solve_[best].diversity) {
+      best = j;
     }
   }
 
-  if (best == nullptr) {
+  if (best == rungs) {
     return Status::Infeasible(
         "no guess µ yielded a size-k fair solution; stream too small for "
         "the constraint or d_min overestimated");
   }
-  return *best->solution;
+  const RungSolve& winner = rung_solve_[best];
+  Solution solution(dim_);
+  solution.points.Reserve(winner.picks.size());
+  for (const auto& [slot, position] : winner.picks) {
+    solution.points.Add(RungCandidate(best, slot).ViewAt(position));
+  }
+  solution.diversity = winner.diversity;
+  solution.mu = ladder_.At(best);
+  return solution;
 }
 
 size_t Sfdm2::StoredElements() const {

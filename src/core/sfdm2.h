@@ -1,9 +1,10 @@
 #ifndef FDM_CORE_SFDM2_H_
 #define FDM_CORE_SFDM2_H_
 
-#include <optional>
+#include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/fairness.h"
@@ -137,19 +138,33 @@ class Sfdm2 : public StreamSink {
   Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
         GuessLadder ladder, int batch_threads);
 
-  /// One memoized per-guess post-processing outcome (see `Solve`).
+  /// One memoized per-guess post-processing outcome (see `Solve`). It
+  /// keeps references into rung `j`'s candidates, not a copy of the
+  /// solution. They stay valid because candidates only ever append, any
+  /// insert into rung `j` bumps `rung_version_[j]` (so the entry is
+  /// recomputed before it is read again), and a restore starts from an
+  /// empty memo.
   struct RungSolve {
     bool computed = false;
     /// `rung_version_[j]` at compute time; a mismatch marks the rung dirty.
     uint64_t version = 0;
-    /// The rung's size-`k` fair solution, or nullopt when the rung was not
-    /// eligible / could not be augmented to size `k`.
-    std::optional<Solution> solution;
+    /// `div` of the rung's size-`k` fair solution (when `picks` is set).
+    double diversity = 0.0;
+    /// The solution's elements in selection order, as (candidate slot,
+    /// position) pairs — see `RungCandidate` for the slots. Empty when the
+    /// rung was not eligible / could not be augmented to size `k`.
+    std::vector<std::pair<uint32_t, uint32_t>> picks;
   };
 
   /// Runs the full Algorithm 3 post-processing (lines 10–18) for guess
-  /// index `j`; nullopt when the rung yields no size-`k` fair solution.
-  std::optional<Solution> SolveRung(size_t j) const;
+  /// index `j`, leaving its outcome in `memo.picks` and `memo.diversity`.
+  void SolveRung(size_t j, RungSolve& memo) const;
+
+  /// Rung `j`'s candidate in `slot`: 0 is `S_µj`, `g + 1` is `S_µj,g`.
+  const PointBuffer& RungCandidate(size_t j, size_t slot) const {
+    return slot == 0 ? blind_[j].points()
+                     : specific_[(slot - 1) * ladder_.size() + j].points();
+  }
 
   /// Drops every memoized rung result and advances the state version
   /// (used when a reconfiguration changes what `Solve` would compute).

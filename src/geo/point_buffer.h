@@ -1,6 +1,7 @@
 #ifndef FDM_GEO_POINT_BUFFER_H_
 #define FDM_GEO_POINT_BUFFER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -42,10 +43,21 @@ struct StreamPoint {
 ///    full-width vector loads and no tail masking anywhere — the replicated
 ///    padding can tie with a real lane in a min reduction but never win it.
 ///
-/// The duplication costs one extra copy of the coordinates; buffers hold at
-/// most `capacity · dim` doubles (streaming memory stays O(capacity · dim),
-/// independent of the stream length), and in exchange every existing span
-/// consumer keeps working while the admission hot path runs at SIMD speed.
+/// The duplication costs one extra copy of the coordinates, and in exchange
+/// every existing span consumer keeps working while the admission hot path
+/// runs at SIMD speed.
+///
+/// Growth: the constructor reserves nothing, so a buffer nothing has
+/// entered holds no heap. When a point opens a new block, all five arrays
+/// grow together to twice the current block count, but never past the
+/// blocks that hold `capacity`, and the point-major arrays never past
+/// `capacity` rows — a full buffer holds exactly what an up-front
+/// reservation would, and a 3-point one a single block. With `capacity`
+/// 0, or once it is exceeded, growth doubles without a cap. `Reserve`
+/// sizes a buffer that is about to be filled to a known size in one go.
+/// Growth moves storage, so the span contract is strict: every span and
+/// `StreamPoint` view into a buffer is invalidated by the next mutation of
+/// that buffer, and a buffer must never `Add` a view of its own points.
 ///
 /// Each stored point's squared L2 norm is cached on insertion (one extra
 /// double per point, padded and replicated like the coordinates), so the
@@ -57,43 +69,37 @@ struct StreamPoint {
 /// admission scan that accompanies it.
 class PointBuffer {
  public:
-  /// `dim` is the point dimension; `capacity` reserves space (may be 0 for
-  /// unbounded use by offline helpers).
-  PointBuffer(size_t dim, size_t capacity) : dim_(dim) {
+  /// `dim` is the point dimension; `capacity` is the number of points the
+  /// buffer is meant to hold (0 when unknown). It caps the growth schedule
+  /// (see the class comment) and is not a limit: more points still fit.
+  PointBuffer(size_t dim, size_t capacity) : dim_(dim), capacity_(capacity) {
     FDM_CHECK(dim > 0);
-    coords_.reserve(capacity * dim);
-    ids_.reserve(capacity);
-    groups_.reserve(capacity);
-    const size_t blocks = simd::PointBlockCount(capacity);
-    blocks_.reserve(blocks * simd::PointBlockStride(dim));
+  }
+
+  /// Reserves room for `n` points in all five arrays (never shrinks).
+  void Reserve(size_t n) {
+    coords_.reserve(n * dim_);
+    ids_.reserve(n);
+    groups_.reserve(n);
+    const size_t blocks = simd::PointBlockCount(n);
+    blocks_.reserve(blocks * simd::PointBlockStride(dim_));
     norms_.reserve(blocks * simd::kPointBlockLanes);
   }
 
-  /// Copies `p` into the buffer.
+  /// Heap bytes held by the five arrays, computed from their capacities.
+  size_t MemoryBytes() const {
+    return (coords_.capacity() + blocks_.capacity() + norms_.capacity()) *
+               sizeof(double) +
+           ids_.capacity() * sizeof(int64_t) +
+           groups_.capacity() * sizeof(int32_t);
+  }
+
+  /// Copies `p` into the buffer. The new point is now the last point, so
+  /// its lane is replicated into every padding lane after it (see the
+  /// class comment).
   void Add(const StreamPoint& p) {
-    FDM_DCHECK(p.coords.size() == dim_);
-    const size_t i = size();
-    coords_.insert(coords_.end(), p.coords.begin(), p.coords.end());
-    ids_.push_back(p.id);
-    groups_.push_back(p.group);
-    const double norm = internal::SquaredNorm(p.coords.data(), dim_);
-    const size_t lane = i % simd::kPointBlockLanes;
-    if (lane == 0) {
-      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
-      norms_.resize(norms_.size() + simd::kPointBlockLanes);
-    }
-    // The new point is now the last point: write its lane and replicate it
-    // into every padding lane after it (see the class comment).
-    double* block =
-        blocks_.data() + (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-    for (size_t d = 0; d < dim_; ++d) {
-      double* row = block + d * simd::kPointBlockLanes;
-      for (size_t l = lane; l < simd::kPointBlockLanes; ++l) row[l] = p.coords[d];
-    }
-    const size_t norm_base = (i / simd::kPointBlockLanes) * simd::kPointBlockLanes;
-    for (size_t l = lane; l < simd::kPointBlockLanes; ++l) {
-      norms_[norm_base + l] = norm;
-    }
+    AddDeferPadding(p);
+    RepadTail();
   }
 
   /// Batched-append fast path (the fused admission+insert of
@@ -111,21 +117,24 @@ class PointBuffer {
   void AddDeferPadding(const StreamPoint& p) {
     FDM_DCHECK(p.coords.size() == dim_);
     const size_t i = size();
+    const size_t lane = i % simd::kPointBlockLanes;
+    const size_t stride = simd::PointBlockStride(dim_);
+    if (i == ids_.capacity() ||
+        (lane == 0 && blocks_.size() + stride > blocks_.capacity())) {
+      Grow(i);
+    }
     coords_.insert(coords_.end(), p.coords.begin(), p.coords.end());
     ids_.push_back(p.id);
     groups_.push_back(p.group);
-    const double norm = internal::SquaredNorm(p.coords.data(), dim_);
-    const size_t lane = i % simd::kPointBlockLanes;
     if (lane == 0) {
-      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
+      blocks_.resize(blocks_.size() + stride);
       norms_.resize(norms_.size() + simd::kPointBlockLanes);
     }
-    double* block = blocks_.data() +
-                    (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
+    double* block = blocks_.data() + (i / simd::kPointBlockLanes) * stride;
     for (size_t d = 0; d < dim_; ++d) {
       block[d * simd::kPointBlockLanes + lane] = p.coords[d];
     }
-    norms_[i] = norm;
+    norms_[i] = internal::SquaredNorm(p.coords.data(), dim_);
   }
 
   /// Restores the replicate-last-point padding invariant after a run of
@@ -387,8 +396,22 @@ class PointBuffer {
     return 0.0;
   }
 
+  /// The growth schedule (class comment), for point `i`, the first that
+  /// does not fit. A point that opens a block doubles the block count; one
+  /// inside the last block (only in a copy, whose capacities equal its
+  /// sizes, or past `capacity`) fills the point-major arrays to that block.
+  void Grow(size_t i) {
+    const size_t used = simd::PointBlockCount(i);
+    const size_t blocks = i % simd::kPointBlockLanes == 0
+                              ? std::max<size_t>(1, 2 * used)
+                              : used;
+    size_t rows = blocks * simd::kPointBlockLanes;
+    if (i < capacity_) rows = std::min(rows, capacity_);
+    Reserve(rows);
+  }
+
   /// Restores the replicate-last-point invariant of the final block's
-  /// padding lanes (coordinates and norms) after a removal.
+  /// padding lanes (coordinates and norms) after an append or a removal.
   void RepadTail() {
     const size_t n = size();
     if (n == 0) return;
@@ -409,6 +432,7 @@ class PointBuffer {
   }
 
   size_t dim_;
+  size_t capacity_;  // growth cap (class comment); 0 = uncapped
   std::vector<double> coords_;  // point-major, the span/serde layout
   std::vector<int64_t> ids_;
   std::vector<int32_t> groups_;

@@ -32,10 +32,14 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 inline constexpr size_t kMaxFramePayloadBytes = 64u << 20;
 
 /// Capacity a drained connection buffer may keep. A buffer that grew past
-/// this for one large frame (a bulk batch, a shipped snapshot) is released
-/// once empty, so an idle connection never pins its largest message; below
-/// it, capacity is reused and steady small traffic allocates nothing.
-inline constexpr size_t kRetainedBufferBytes = 256u << 10;
+/// this for one large frame (a bulk batch, a shipped snapshot, a follower's
+/// bootstrap WAL fetch) is released once empty, so an idle connection never
+/// pins its largest message; below it, capacity is reused and steady small
+/// traffic allocates nothing. The bound is paid once per connection — and
+/// a follower opens one per replicated session — so it is sized to the
+/// largest steady-state frame (a 256-line OBSERVEB is ~21 KB), not to
+/// bulk transfers.
+inline constexpr size_t kRetainedBufferBytes = 64u << 10;
 
 /// Frees `buf` when it is empty but holds more than `kRetainedBufferBytes`
 /// of capacity. Returns the capacity of a buffer still over the bound (one

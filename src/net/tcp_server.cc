@@ -46,7 +46,7 @@ NetCounters& Counters() {
       reg.GetCounter("fdm_net_protocol_errors_total",
                      "Connections closed on malformed frames"),
       reg.GetGauge("fdm_net_buffered_bytes",
-                   "Capacity of connection buffers over the 256 KiB "
+                   "Capacity of connection buffers over the 64 KiB "
                    "retention bound, not yet drained"),
   };
   return c;
@@ -67,7 +67,12 @@ struct Conn {
   std::string in;
   size_t pos = 0;
   size_t frame_end = 0;
-  std::string out;         // reply bytes not yet written
+  // Reply bytes, walked by offset: [0, out_pos) is already written.
+  // FlushConn drops the written prefix once `out` drains or the prefix is
+  // at least half the buffer, so a reply leaving in many partial writes
+  // costs O(reply bytes), not O(reply bytes² / write size).
+  std::string out;
+  size_t out_pos = 0;
   size_t buffered = 0;     // this conn's share of fdm_net_buffered_bytes
   bool busy = false;       // offloaded cold SOLVE in flight
   bool want_out = false;   // EPOLLOUT currently armed
@@ -299,11 +304,19 @@ void TcpServer::Impl::Drive(EventLoop& loop,
 void TcpServer::Impl::FlushConn(EventLoop& loop,
                                 const std::shared_ptr<Conn>& conn) {
   if (conn->closed) return;
-  while (!conn->out.empty()) {
-    const ssize_t n = ::write(conn->fd, conn->out.data(), conn->out.size());
+  while (conn->out_pos < conn->out.size()) {
+    const ssize_t n = ::write(conn->fd, conn->out.data() + conn->out_pos,
+                              conn->out.size() - conn->out_pos);
     if (n > 0) {
       Counters().bytes_out.Add(static_cast<uint64_t>(n));
-      conn->out.erase(0, static_cast<size_t>(n));
+      conn->out_pos += static_cast<size_t>(n);
+      if (conn->out_pos == conn->out.size()) {
+        conn->out.clear();
+        conn->out_pos = 0;
+      } else if (conn->out_pos >= conn->out.size() - conn->out_pos) {
+        conn->out.erase(0, conn->out_pos);
+        conn->out_pos = 0;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {

@@ -6,13 +6,19 @@
 // incremental per-rung post-processing can never change results, including
 // across a snapshot/restore in the middle of the stream.
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/diversity.h"
 #include "core/sink_snapshot.h"
 #include "core/solve_cache.h"
 #include "core/stream_sink.h"
@@ -59,7 +65,8 @@ void ExpectSameOutcome(const Result<Solution>& a, const Result<Solution>& b,
   for (size_t i = 0; i < a->points.size(); ++i) {
     EXPECT_EQ(a->points.GroupAt(i), b->points.GroupAt(i));
     for (size_t d = 0; d < a->points.dim(); ++d) {
-      EXPECT_EQ(a->points.CoordsAt(i)[d], b->points.CoordsAt(i)[d])
+      EXPECT_EQ(std::bit_cast<uint64_t>(a->points.CoordsAt(i)[d]),
+                std::bit_cast<uint64_t>(b->points.CoordsAt(i)[d]))
           << "prefix " << prefix << " point " << i << " dim " << d;
     }
   }
@@ -159,6 +166,61 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// SFDM-2's rung memo keeps (candidate, position) references, not copies of
+// each rung's solution. With dedup off, a stream may reuse an id with new
+// coordinates and a new group, so one id can sit in the blind candidate
+// and in a group candidate with different bytes; a reference must name
+// the copy the rung's ground set kept. After every batch, the long-lived
+// sink's Solve() must match a fresh replay of the same prefix byte for
+// byte, and the memo is exercised warm between batches.
+TEST(IncrementalSolveReusedIdsTest, Sfdm2BatchesMatchFreshReplay) {
+  const Dataset ds = TestData(120);
+  const AlgorithmEntry* entry =
+      AlgorithmRegistry::Instance().Find(AlgorithmKind::kSfdm2);
+  ASSERT_NE(entry, nullptr);
+  const RunConfig config = ConfigFor(ds, AlgorithmKind::kSfdm2);
+  // Every id is sent twice in a row, once in each group, with the two
+  // rows' different coordinates.
+  std::vector<StreamPoint> stream;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    StreamPoint p = ds.At(i);
+    p.id = static_cast<int64_t>(i / 2);
+    p.group = static_cast<int32_t>(i % 2);
+    stream.push_back(p);
+  }
+
+  constexpr std::array<size_t, 5> kBatchSizes = {1, 4, 9, 2, 16};
+  auto live = entry->make_sink(ds, config);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  size_t solved = 0;
+  size_t next = 0;
+  for (size_t b = 0; next < stream.size(); ++b) {
+    const size_t size =
+        std::min(stream.size() - next, kBatchSizes[b % kBatchSizes.size()]);
+    (*live)->ObserveBatch(std::span(stream).subspan(next, size));
+    next += size;
+
+    auto fresh = entry->make_sink(ds, config);
+    ASSERT_TRUE(fresh.ok());
+    for (size_t t = 0; t < next; ++t) (*fresh)->Observe(stream[t]);
+    const Result<Solution> expected = (*fresh)->Solve();
+    const Result<Solution> got = (*live)->Solve();
+    ExpectSameOutcome(expected, got, next);
+    if (!got.ok()) continue;
+    ++solved;
+    // Independent of the memo: a reference to the wrong copy of an id
+    // would return bytes the rung's diversity and quotas were not
+    // computed on.
+    EXPECT_EQ(std::bit_cast<uint64_t>(got->diversity),
+              std::bit_cast<uint64_t>(MinPairwiseDistance(
+                  got->points, Metric(ds.metric_kind()))))
+        << "prefix " << next;
+    EXPECT_TRUE(SatisfiesQuotas(got->points, config.constraint.quotas))
+        << "prefix " << next;
+  }
+  EXPECT_GT(solved, 10u) << "too few feasible prefixes to test the memo";
+}
 
 // Batched ingestion must land on the same state version as per-element
 // ingestion (chunking-invariance) — this is what keeps a WAL replay's

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -99,6 +100,31 @@ TEST(FrameTest, RoundTripAndLimits) {
   const std::string huge{'\xff', '\xff', '\xff', '\xff'};
   EXPECT_EQ(net::ParseFrame(huge, &payload, &consumed),
             net::FrameParse::kError);
+}
+
+// A drained buffer keeps at most 64 KiB of capacity: the bound is paid
+// once per connection, and a follower opens one per replicated session.
+// Anything above is given back; a buffer still holding bytes never is.
+TEST(FrameTest, ReleaseIfDrainedKeepsAtMost64KiB) {
+  constexpr size_t kBound = 64u << 10;
+  std::string at_bound;
+  at_bound.reserve(kBound);
+  ASSERT_EQ(at_bound.capacity(), kBound);
+  EXPECT_EQ(net::ReleaseIfDrained(at_bound), 0u);
+  EXPECT_EQ(at_bound.capacity(), kBound);
+
+  std::string above;
+  above.reserve(kBound + 1);
+  ASSERT_EQ(above.capacity(), kBound + 1);
+  EXPECT_EQ(net::ReleaseIfDrained(above), 0u);
+  EXPECT_EQ(above.capacity(), std::string().capacity());
+
+  std::string pending(1, 'x');
+  pending.reserve(4 * kBound);
+  const size_t held = pending.capacity();
+  EXPECT_EQ(net::ReleaseIfDrained(pending), held);
+  EXPECT_EQ(pending.capacity(), held);
+  EXPECT_EQ(pending, "x");
 }
 
 TEST(ParseTcpAddressTest, Forms) {
@@ -293,9 +319,13 @@ TEST_F(NetServerTest, SocketReplicationFollowsPrimaryOverTcp) {
 }
 
 /// A plain blocking TCP socket, for writing a frame in pieces (NetClient
-/// only sends whole frames). -1 on failure.
-int ConnectRaw(int port) {
+/// only sends whole frames). A nonzero `rcvbuf` sets SO_RCVBUF before the
+/// connect, so the window it advertises stays that small. -1 on failure.
+int ConnectRaw(int port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd >= 0 && rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -333,7 +363,7 @@ std::string ReadFrame(int fd) {
   }
 }
 
-// Connection buffers give back capacity past the 256 KiB retention bound
+// Connection buffers give back capacity past the 64 KiB retention bound
 // once drained, so an idle follower connection never pins its largest
 // reply. The `fdm_net_buffered_bytes` gauge shows a half-received 2 MiB
 // frame held in a connection's input buffer, and falls back once that
@@ -390,6 +420,68 @@ TEST_F(NetServerTest, OversizedBuffersAreReleasedOnceDrained) {
                 kSnapBytes + 1);
   EXPECT_TRUE(eventually([&](double v) { return v == baseline; }))
       << buffered.Value();
+}
+
+// A reply far larger than the socket buffers leaves in many partial
+// writes, which FlushConn walks by offset instead of erasing each written
+// prefix. Read through a small receive window in 4 KiB reads, a 9 MiB
+// RFETCHSNAP reply still arrives byte for byte, and the request pipelined
+// behind it on the same connection is answered after it.
+TEST_F(NetServerTest, LargeReplyThroughSmallWindowArrivesWhole) {
+  const Dataset ds = TestData(60, 53);
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(ds)).ok());
+  const std::string snap_dir = SessionSnapDir(root_ + "/big");
+  std::filesystem::create_directories(snap_dir);
+  std::string snap(9u << 20, '\0');
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (char& c : snap) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(state >> 56);
+  }
+  {
+    std::ofstream out(snap_dir + "/" + SessionSnapshotFileName(1),
+                      std::ios::binary);
+    out << snap;
+  }
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int fd = ConnectRaw((*server)->port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  std::string frames;
+  net::AppendFrame("RFETCHSNAP big 1\n", &frames);
+  net::AppendFrame("LIST\n", &frames);
+  ASSERT_TRUE(WriteAll(fd, frames));
+
+  std::string wire;
+  const auto next_frame = [&]() -> std::string {
+    char chunk[4096];
+    while (true) {
+      std::string_view payload;
+      size_t consumed = 0;
+      if (net::ParseFrame(wire, &payload, &consumed) ==
+          net::FrameParse::kFrame) {
+        std::string frame(payload);
+        wire.erase(0, consumed);
+        return frame;
+      }
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) return "";
+      wire.append(chunk, static_cast<size_t>(n));
+    }
+  };
+  const std::string expected =
+      "OK bytes=" + std::to_string(snap.size()) + "\n" + snap + "\n";
+  const std::string reply = next_frame();
+  ASSERT_EQ(reply.size(), expected.size());
+  const auto diff =
+      std::mismatch(reply.begin(), reply.end(), expected.begin()).first;
+  EXPECT_TRUE(diff == reply.end())
+      << "first differing byte at " << (diff - reply.begin());
+  EXPECT_EQ(next_frame(), "OK big\n");
+  ::close(fd);
 }
 
 TEST_F(NetServerTest, QuitOverTcpClosesOnlyThatConnection) {

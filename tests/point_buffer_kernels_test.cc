@@ -184,39 +184,71 @@ TEST(PointBufferKernelsTest, MinRawDistanceToManyMatchesSingleQueryScans) {
 }
 
 TEST(PointBufferKernelsTest, FuzzInterleavedMutationsKeepLayoutsConsistent) {
-  // Fuzz-style interleaving of Add / RemoveSwap / Clear with kernel scans:
-  // the padded block layout and the cached squared-norm array must track
-  // every mutation exactly (replicate-last padding included), for all
-  // three metrics and every reachable dispatch target.
+  // Fuzz-style interleaving of Add / AddDeferPadding runs / RemoveSwap /
+  // Clear / copies with kernel scans: the padded block layout and the
+  // cached squared-norm array must track every mutation exactly
+  // (replicate-last padding included), for all three metrics and every
+  // reachable dispatch target. Clears are rare, so buffers grow across
+  // several 8-point blocks — capped at a capacity of 20 and then past it,
+  // and uncapped — and copies restart growth from arrays exactly their
+  // size, so every growth step moves storage mid-stream.
   ForEachKernelTarget([](std::string_view target) {
     for (const MetricKind kind : kAllKinds) {
       const Metric metric(kind);
       for (const size_t dim : {1u, 3u, 8u, 17u}) {
-        Rng rng(1000 + dim);
-        PointBuffer buffer(dim, 0);
-        int64_t next_id = 0;
-        for (int step = 0; step < 400; ++step) {
-          const uint64_t op = rng.NextBounded(10);
-          if (op < 6 || buffer.empty()) {
-            const std::vector<double> coords = RandomPoint(rng, dim);
-            buffer.Add(StreamPoint{next_id++, 0, coords});
-          } else if (op < 9) {
-            buffer.RemoveSwap(rng.NextBounded(buffer.size()));
-          } else {
-            buffer.Clear();
+        for (const size_t capacity : {0u, 20u}) {
+          Rng rng(1000 + dim + capacity);
+          PointBuffer buffer(dim, capacity);
+          int64_t next_id = 0;
+          size_t largest = 0;
+          for (int step = 0; step < 600; ++step) {
+            const uint64_t op = rng.NextBounded(100);
+            if (op < 50 || buffer.empty()) {
+              const std::vector<double> coords = RandomPoint(rng, dim);
+              buffer.Add(StreamPoint{next_id++, 0, coords});
+            } else if (op < 60) {
+              const size_t run = 1 + rng.NextBounded(12);
+              for (size_t r = 0; r < run; ++r) {
+                const std::vector<double> coords = RandomPoint(rng, dim);
+                buffer.AddDeferPadding(StreamPoint{next_id++, 0, coords});
+              }
+              buffer.SealPadding();
+            } else if (op < 93) {
+              buffer.RemoveSwap(rng.NextBounded(buffer.size()));
+            } else if (op < 98) {
+              buffer = PointBuffer(buffer);
+            } else {
+              buffer.Clear();
+            }
+            largest = std::max(largest, buffer.size());
+            // Norm cache tracks the compaction bit-exactly.
+            for (size_t i = 0; i < buffer.size(); ++i) {
+              ASSERT_EQ(internal::SquaredNorm(buffer.CoordsAt(i).data(), dim),
+                        buffer.SquaredNormAt(i))
+                  << target << " " << MetricKindName(kind) << " step=" << step;
+            }
+            if (step % 7 != 0) continue;  // scan periodically, mutate often
+            const std::vector<double> query = RandomPoint(rng, dim);
+            const double want = ScalarMinRaw(buffer, query, metric);
+            ASSERT_EQ(want, buffer.MinRawDistanceTo(query, metric))
+                << target << " " << MetricKindName(kind) << " dim=" << dim
+                << " step=" << step << " n=" << buffer.size();
+            const double* queries[] = {query.data()};
+            const double stops[] = {-std::numeric_limits<double>::infinity()};
+            double many[1];
+            buffer.MinRawDistanceToMany(queries, metric, stops, many);
+            ASSERT_EQ(want, many[0]) << target << " step=" << step;
+            std::vector<double> all;
+            buffer.RawDistancesToAll(query, metric, all);
+            for (size_t i = 0; i < buffer.size(); ++i) {
+              ASSERT_EQ(metric.RawDistance(query.data(),
+                                           buffer.CoordsAt(i).data(), dim),
+                        all[i])
+                  << target << " step=" << step << " i=" << i;
+            }
           }
-          // Norm cache tracks the compaction bit-exactly.
-          for (size_t i = 0; i < buffer.size(); ++i) {
-            ASSERT_EQ(internal::SquaredNorm(buffer.CoordsAt(i).data(), dim),
-                      buffer.SquaredNormAt(i))
-                << target << " " << MetricKindName(kind) << " step=" << step;
-          }
-          if (step % 7 != 0) continue;  // scan periodically, mutate often
-          const std::vector<double> query = RandomPoint(rng, dim);
-          ASSERT_EQ(ScalarMinRaw(buffer, query, metric),
-                    buffer.MinRawDistanceTo(query, metric))
-              << target << " " << MetricKindName(kind) << " dim=" << dim
-              << " step=" << step << " n=" << buffer.size();
+          EXPECT_GE(largest, 3 * simd::kPointBlockLanes)
+              << "the fuzz never crossed two block boundaries";
         }
       }
     }

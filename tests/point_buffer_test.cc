@@ -113,6 +113,49 @@ TEST(PointBufferTest, ClearEmptiesBuffer) {
   EXPECT_EQ(buf.MinDistanceTo(q, m), std::numeric_limits<double>::infinity());
 }
 
+// Heap bytes of a buffer whose arrays hold `rows` point-major rows and
+// `blocks` 8-point kernel blocks, at dim 6.
+size_t Dim6Bytes(size_t rows, size_t blocks) {
+  constexpr size_t kDim = 6;
+  return rows * (kDim * sizeof(double) + sizeof(int64_t) + sizeof(int32_t)) +
+         blocks * 8 * (kDim + 1) * sizeof(double);
+}
+
+// The growth schedule at dim 6, capacity 20 (one k=20 candidate): no heap
+// before the first point, then one block, two, and finally exactly the 20
+// rows in 3 blocks an up-front reservation held. Removals and Clear keep
+// the capacity.
+TEST(PointBufferTest, GrowthFollowsBlocksUpToCapacity) {
+  PointBuffer buf(6, 20);
+  EXPECT_EQ(buf.MemoryBytes(), 0u);
+  const std::vector<double> c(6, 0.25);
+  for (int i = 1; i <= 20; ++i) {
+    buf.Add(Make(i, 0, c));
+    const size_t want = i <= 8    ? Dim6Bytes(8, 1)
+                        : i <= 16 ? Dim6Bytes(16, 2)
+                                  : Dim6Bytes(20, 3);
+    EXPECT_EQ(buf.MemoryBytes(), want) << "after add " << i;
+  }
+  EXPECT_EQ(Dim6Bytes(8, 1), 928u);    // a 3-point candidate: ~0.9 KB
+  EXPECT_EQ(Dim6Bytes(20, 3), 2544u);  // a full one, as reserved before
+  buf.RemoveSwap(3);
+  buf.RemoveSwap(0);
+  EXPECT_EQ(buf.MemoryBytes(), Dim6Bytes(20, 3));
+  buf.Clear();
+  EXPECT_EQ(buf.MemoryBytes(), Dim6Bytes(20, 3));
+  for (int i = 1; i <= 20; ++i) buf.Add(Make(i, 0, c));
+  EXPECT_EQ(buf.MemoryBytes(), Dim6Bytes(20, 3));
+
+  // Without a capacity the block count keeps doubling; `Reserve` sizes a
+  // buffer for a known fill up front.
+  PointBuffer uncapped(6, 0);
+  for (int i = 1; i <= 40; ++i) uncapped.Add(Make(i, 0, c));
+  EXPECT_EQ(uncapped.MemoryBytes(), Dim6Bytes(64, 8));
+  PointBuffer reserved(6, 0);
+  reserved.Reserve(20);
+  EXPECT_EQ(reserved.MemoryBytes(), Dim6Bytes(20, 3));
+}
+
 TEST(PointBufferTest, GrowsBeyondReservedCapacity) {
   PointBuffer buf(1, 1);  // capacity is a reservation hint, not a cap
   for (int i = 0; i < 10; ++i) {
