@@ -1,9 +1,10 @@
 // Batched-ingestion throughput microbenchmark (not a paper figure).
 //
 // Measures stream-phase points/sec of the StreamSink ingestion engine on a
-// synthetic stream, sweeping batch size {1, 64, 1024} × batch threads
-// {1, 4} for SFDM2 (the paper's flagship) and the unconstrained
-// Algorithm 1. Batch size 1 is the per-element `Observe` path — the
+// synthetic stream, sweeping batch size {1, 64, 1024} × process-wide
+// width {1, 4} (`Parallelism::SetThreads`) for SFDM2 (the paper's
+// flagship) and the unconstrained Algorithm 1. Batch size 1 is the
+// per-element `Observe` path — the
 // pre-refactor baseline every other row is compared against. The outputs
 // are bit-identical across all rows (the StreamSink contract); only the
 // cost profile changes.
@@ -14,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "core/parallelism.h"
 #include "core/sfdm2.h"
 #include "core/stream_sink.h"
 #include "core/streaming_dm.h"
 #include "data/synthetic.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "util/argparse.h"
+#include "util/check.h"
 #include "util/timer.h"
 
 namespace fdm {
@@ -85,7 +88,7 @@ int Main(int argc, char** argv) {
       streaming.epsilon = o.epsilon;
       streaming.d_min = bounds.min;
       streaming.d_max = bounds.max;
-      streaming.batch_threads = threads;
+      FDM_CHECK(Parallelism::SetThreads(threads).ok());
       auto algo = StreamingDm::Create(o.k, ds.dim(), ds.metric_kind(),
                                       streaming);
       if (!algo.ok()) {
@@ -118,7 +121,7 @@ int Main(int argc, char** argv) {
       streaming.epsilon = o.epsilon;
       streaming.d_min = bounds.min;
       streaming.d_max = bounds.max;
-      streaming.batch_threads = threads;
+      FDM_CHECK(Parallelism::SetThreads(threads).ok());
       auto algo = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
                                 streaming);
       if (!algo.ok()) {

@@ -48,10 +48,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/parallelism.h"
 #include "core/sfdm2.h"
 #include "core/sink_snapshot.h"
 #include "core/solve_cache.h"
-#include "core/solve_pool.h"
 #include "data/synthetic.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/histogram.h"
@@ -147,7 +147,7 @@ bool TimeColdCell(AlgorithmKind kind, size_t n, const std::vector<int>& quotas,
     for (size_t t = 0; t < targets.size() && ok; ++t) {
       FDM_CHECK(simd::internal::ForceKernelTargetForTest(targets[t]));
       for (size_t w = 0; w < widths.size() && ok; ++w) {
-        FDM_CHECK(SolveParallelism::SetThreads(widths[w]).ok());
+        FDM_CHECK(Parallelism::SetThreads(widths[w]).ok());
         const double sample = time_cold_solve();
         ok = sample >= 0.0;
         seconds[t * widths.size() + w].push_back(sample);
@@ -155,7 +155,7 @@ bool TimeColdCell(AlgorithmKind kind, size_t n, const std::vector<int>& quotas,
     }
   }
   simd::internal::ForceKernelTargetForTest("");
-  FDM_CHECK(SolveParallelism::SetThreads(1).ok());
+  FDM_CHECK(Parallelism::SetThreads(1).ok());
   if (!ok) return false;
 
   const int k = config.constraint.TotalK();

@@ -6,7 +6,7 @@
 
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
-#include "core/solve_pool.h"
+#include "core/parallelism.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "util/check.h"
@@ -113,13 +113,13 @@ bool AdaptiveStreamingDm::Observe(const StreamPoint& point) {
 }
 
 Result<Solution> AdaptiveStreamingDm::Solve() const {
-  // Per-rung diversity over the solve width (each task writes only its own
+  // Per-rung diversity over the width (each task writes only its own
   // slot), then a sequential ascending-µ winner scan with strict `>` — the
   // same split as the fixed-ladder sinks, so output is bit-identical to
   // the sequential path at any thread count.
   std::vector<double> diversity(rungs_.size(), -1.0);
   std::vector<uint8_t> full(rungs_.size(), 0);
-  SolveParallelism::Run(rungs_.size(), [&](size_t j) {
+  Parallelism::Run(rungs_.size(), [&](size_t j) {
     const StreamingCandidate& rung = rungs_[j];
     if (!rung.Full()) return;
     full[j] = 1;

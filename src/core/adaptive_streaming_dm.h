@@ -67,8 +67,8 @@ class AdaptiveStreamingDm : public StreamSink {
   /// equivalent here.
 
   /// Best full candidate, as in Algorithm 1. Fails if no candidate filled.
-  /// Per-rung diversity fans out over the process-wide solve width
-  /// (`SolveParallelism`); the winner scan stays a sequential ascending-µ
+  /// Per-rung diversity fans out over the process-wide width
+  /// (`Parallelism`); the winner scan stays a sequential ascending-µ
   /// pass, so output is bit-identical to the sequential path at any width.
   Result<Solution> Solve() const override;
 

@@ -5,11 +5,11 @@
 #include <span>
 #include <vector>
 
+#include "core/parallelism.h"
 #include "core/streaming_candidate.h"
 #include "geo/metric.h"
 #include "geo/point_buffer.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 #ifndef FDM_NO_METRICS
 #include <atomic>
 #include <chrono>
@@ -28,8 +28,9 @@ namespace fdm {
 /// stored blocks; per-candidate state still evolves exactly as under
 /// per-element `Observe` (admission decisions depend only on that
 /// candidate's own contents, and the batched form is decision-identical).
-/// Rungs never share state, so partitioning them over threads is exact. A
-/// full candidate is skipped with one check per batch (full is permanent).
+/// Rungs never share state, so fanning them out over the process-wide width
+/// (`Parallelism`, core/parallelism.h) is exact. A full candidate is
+/// skipped with one check per batch (full is permanent).
 ///
 /// `by_group[g]` lists the batch positions holding group-`g` elements
 /// (computed once by the caller, read-only here); `blind_at(j)` and
@@ -43,10 +44,10 @@ namespace fdm {
 /// the counts are chunking-invariant — they feed the rung-level and
 /// sink-level state versions that key the incremental query path.
 ///
-/// The query path mirrors this determinism contract exactly
-/// (`SolveParallelism`, core/solve_pool.h): a parallel `Solve()` fans its
-/// per-rung (or per-shard) post-processing out with task `j` owning rung
-/// `j`'s inputs and writing only slot `j` of the result array — each task
+/// The query path mirrors this determinism contract exactly, on the same
+/// width and pool: a parallel `Solve()` fans its per-rung (or per-shard)
+/// post-processing out with task `j` owning rung `j`'s inputs and writing
+/// only slot `j` of the result array — each task
 /// builds its own scratch (`KernelWorkspace` mirrors included) — while
 /// the final best-rung selection stays a sequential ascending-index scan
 /// with strict `>`. Ingest-side rung parallelism is thus bit-identical to
@@ -54,8 +55,8 @@ namespace fdm {
 /// to the sequential solve, for the same structural reason: rungs share
 /// no state, and every cross-rung decision happens in one fixed order.
 template <typename BlindAt, typename SpecificAt>
-void ReplayBatchRungMajor(BatchParallelism& parallelism, size_t rungs,
-                          int num_groups, std::span<const StreamPoint> batch,
+void ReplayBatchRungMajor(size_t rungs, int num_groups,
+                          std::span<const StreamPoint> batch,
                           const std::vector<size_t>* by_group,
                           const Metric& metric, BlindAt&& blind_at,
                           SpecificAt&& specific_at, size_t* rung_kept) {
@@ -74,7 +75,7 @@ void ReplayBatchRungMajor(BatchParallelism& parallelism, size_t rungs,
           "fdm_ingest_rung_scan_ns",
           "per-rung admission-scan latency per batch (1/16 sampled)");
 #endif
-  parallelism.Run(rungs, [&](size_t j) {
+  Parallelism::Run(rungs, [&](size_t j) {
 #ifndef FDM_NO_METRICS
     // Clock reads only on sampled batches — an unconditional timer would
     // reintroduce the per-rung cost the sampling exists to avoid.

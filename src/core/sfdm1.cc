@@ -8,7 +8,7 @@
 #include "core/batch_replay.h"
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
-#include "core/solve_pool.h"
+#include "core/parallelism.h"
 #include "geo/point_buffer_io.h"
 #include "obs/metrics.h"
 #include "util/binary_io.h"
@@ -31,13 +31,12 @@ obs::Histogram& RungSolveHist() {
 }  // namespace
 
 Sfdm1::Sfdm1(FairnessConstraint constraint, size_t dim, MetricKind metric,
-             GuessLadder ladder, int batch_threads)
+             GuessLadder ladder)
     : constraint_(std::move(constraint)),
       k_(constraint_.TotalK()),
       dim_(dim),
       metric_(metric),
-      ladder_(std::move(ladder)),
-      parallelism_(batch_threads) {
+      ladder_(std::move(ladder)) {
   blind_.reserve(ladder_.size());
   for (int i = 0; i < 2; ++i) specific_[i].reserve(ladder_.size());
   for (size_t j = 0; j < ladder_.size(); ++j) {
@@ -64,8 +63,7 @@ Result<Sfdm1> Sfdm1::Create(const FairnessConstraint& constraint, size_t dim,
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
-  return Sfdm1(constraint, dim, metric, std::move(ladder.value()),
-               options.batch_threads);
+  return Sfdm1(constraint, dim, metric, std::move(ladder.value()));
 }
 
 bool Sfdm1::Observe(const StreamPoint& point) {
@@ -99,8 +97,8 @@ size_t Sfdm1::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   }
   rung_kept_.assign(ladder_.size(), 0);
   ReplayBatchRungMajor(
-      parallelism_, ladder_.size(), /*num_groups=*/2, batch, by_group_,
-      metric_, [&](size_t j) -> StreamingCandidate& { return blind_[j]; },
+      ladder_.size(), /*num_groups=*/2, batch, by_group_, metric_,
+      [&](size_t j) -> StreamingCandidate& { return blind_[j]; },
       [&](int g, size_t j) -> StreamingCandidate& { return specific_[g][j]; },
       rung_kept_.data());
   size_t mutations = 0;
@@ -185,7 +183,7 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
 
 Result<Solution> Sfdm1::Solve() const {
   const size_t rungs = ladder_.size();
-  // Phase 1 — balance every eligible rung, fanned out over the solve width:
+  // Phase 1 — balance every eligible rung, fanned out over the width:
   // task j reads only rung j's candidates and writes only slot j
   // (`BalancedCandidate` works on copies, so concurrent tasks share nothing
   // mutable). Phase 2 — the best-rung selection — stays a sequential
@@ -193,7 +191,7 @@ Result<Solution> Sfdm1::Solve() const {
   // is bit-identical to the sequential path at any thread count.
   std::vector<std::optional<PointBuffer>> balanced(rungs);
   std::vector<double> diversity(rungs, -1.0);
-  SolveParallelism::Run(rungs, [&](size_t j) {
+  Parallelism::Run(rungs, [&](size_t j) {
     // U' = {µ : |S_µ| = k ∧ |S_µ,i| = k_i for both i} (line 9).
     if (!blind_[j].Full() || !specific_[0][j].Full() ||
         !specific_[1][j].Full()) {
@@ -243,8 +241,7 @@ Status Sfdm1::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteU64(constraint_.quotas.size());
   for (const int quota : constraint_.quotas) writer.WriteI32(quota);
-  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads());
+  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_);
   writer.WriteI64(observed_);
   writer.WriteU64(state_version_);
   writer.WriteU64(ladder_.size());

@@ -13,7 +13,6 @@
 #include "core/streaming_dm.h"
 #include "geo/metric.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -49,7 +48,7 @@ class Sfdm1 : public StreamSink {
   /// Batched ingestion: rung `j`'s three candidates (`S_µj`, `S_µj,0`,
   /// `S_µj,1`) are touched only by rung `j`'s task, which replays the
   /// batch in stream order — bit-identical to per-element `Observe`,
-  /// partitioned over `batch_threads`.
+  /// fanned out over the process-wide width (`Parallelism`).
   size_t ObserveBatch(std::span<const StreamPoint> batch) override;
 
   /// Advances by the number of successful candidate insertions
@@ -62,10 +61,10 @@ class Sfdm1 : public StreamSink {
   ///
   /// Does not consume the stream state: more elements may be observed and
   /// `Solve` called again (anytime behaviour). Per-rung balancing fans
-  /// out over the process-wide solve width (`SolveParallelism`; each task
-  /// reads only rung `j`'s candidates and writes only slot `j`); the final
-  /// best-rung selection stays a sequential ascending-µ scan with strict
-  /// `>`, so output is bit-identical to the sequential path at any width.
+  /// out over the process-wide width (`Parallelism`; each task reads only
+  /// rung `j`'s candidates and writes only slot `j`); the final best-rung
+  /// selection stays a sequential ascending-µ scan with strict `>`, so
+  /// output is bit-identical to the sequential path at any width.
   Result<Solution> Solve() const override;
 
   /// Distinct elements stored across all candidates (space-usage measure).
@@ -85,7 +84,7 @@ class Sfdm1 : public StreamSink {
 
  private:
   Sfdm1(FairnessConstraint constraint, size_t dim, MetricKind metric,
-        GuessLadder ladder, int batch_threads);
+        GuessLadder ladder);
 
   /// Balances a copy of the group-blind candidate for guess index `j`
   /// (which must be in `U'`) and returns it; `nullopt`-like empty buffer is
@@ -99,7 +98,6 @@ class Sfdm1 : public StreamSink {
   GuessLadder ladder_;
   std::vector<StreamingCandidate> blind_;      // S_µ, capacity k
   std::vector<StreamingCandidate> specific_[2];  // S_µ,i, capacity k_i
-  BatchParallelism parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<size_t> by_group_[2];  // per-group positions scratch
   std::vector<size_t> rung_kept_;    // per-rung batch insert counts scratch

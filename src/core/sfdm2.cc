@@ -10,7 +10,7 @@
 #include "core/clustering.h"
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
-#include "core/solve_pool.h"
+#include "core/parallelism.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "core/matroid.h"
@@ -34,14 +34,13 @@ obs::Histogram& RungSolveHist() {
 }  // namespace
 
 Sfdm2::Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
-             GuessLadder ladder, int batch_threads)
+             GuessLadder ladder)
     : constraint_(std::move(constraint)),
       k_(constraint_.TotalK()),
       m_(constraint_.num_groups()),
       dim_(dim),
       metric_(metric),
       ladder_(std::move(ladder)),
-      parallelism_(batch_threads),
       rung_version_(ladder_.size(), 0),
       rung_solve_(ladder_.size()) {
   blind_.reserve(ladder_.size());
@@ -66,8 +65,7 @@ Result<Sfdm2> Sfdm2::Create(const FairnessConstraint& constraint, size_t dim,
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
-  return Sfdm2(constraint, dim, metric, std::move(ladder.value()),
-               options.batch_threads);
+  return Sfdm2(constraint, dim, metric, std::move(ladder.value()));
 }
 
 bool Sfdm2::Observe(const StreamPoint& point) {
@@ -109,7 +107,7 @@ size_t Sfdm2::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   }
   rung_kept_.assign(rungs, 0);
   ReplayBatchRungMajor(
-      parallelism_, rungs, m_, batch, by_group_.data(), metric_,
+      rungs, m_, batch, by_group_.data(), metric_,
       [&](size_t j) -> StreamingCandidate& { return blind_[j]; },
       [&](int g, size_t j) -> StreamingCandidate& {
         return specific_[static_cast<size_t>(g) * rungs + j];
@@ -236,7 +234,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
 Result<Solution> Sfdm2::Solve() const {
   const size_t rungs = ladder_.size();
 
-  // Phase 1 — memo fill, fanned out over the solve width: re-run the
+  // Phase 1 — memo fill, fanned out over the width: re-run the
   // post-processing only for rungs whose candidates changed since the
   // memoized run. A rung's outcome is a pure function of its own
   // candidates (and the ablation knobs, which invalidate the memo when
@@ -244,7 +242,7 @@ Result<Solution> Sfdm2::Solve() const {
   // candidates and its own `rung_solve_[j]` slot — `SolveRung` builds all
   // of its scratch (ground set, cluster labels, kernel mirrors) locally,
   // so concurrent tasks share nothing mutable.
-  SolveParallelism::Run(rungs, [this](size_t j) {
+  Parallelism::Run(rungs, [this](size_t j) {
     RungSolve& memo = rung_solve_[j];
     if (memo.computed && memo.version == rung_version_[j]) return;
     obs::ScopedTimer timer(RungSolveHist());
@@ -299,8 +297,7 @@ Status Sfdm2::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteU64(constraint_.quotas.size());
   for (const int quota : constraint_.quotas) writer.WriteI32(quota);
-  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads());
+  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_);
   writer.WriteBool(warm_start_);
   writer.WriteBool(greedy_augmentation_);
   writer.WriteI64(observed_);

@@ -15,7 +15,6 @@
 #include "core/streaming_dm.h"
 #include "geo/metric.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -58,8 +57,8 @@ class Sfdm2 : public StreamSink {
 
   /// Batched ingestion: rung `j`'s candidates (`S_µj` and `S_µj,i` for all
   /// `i`) are touched only by rung `j`'s task, which replays the batch in
-  /// stream order — bit-identical to per-element `Observe`, partitioned
-  /// over `batch_threads`.
+  /// stream order — bit-identical to per-element `Observe`, fanned out
+  /// over the process-wide width (`Parallelism`).
   size_t ObserveBatch(std::span<const StreamPoint> batch) override;
 
   /// Advances by the number of successful candidate insertions
@@ -82,11 +81,11 @@ class Sfdm2 : public StreamSink {
   /// uninterrupted from-scratch `Solve()` at every stream prefix.
   ///
   /// Internally rung-parallel: dirty rungs fan out over the process-wide
-  /// solve width (`SolveParallelism`; each task fills only its own
-  /// `rung_solve_[j]` memo slot and builds its own `KernelWorkspace`
-  /// scratch), while the final best-rung selection stays a sequential
-  /// ascending-µ scan with strict `>` — so output is bit-identical to the
-  /// sequential path at any width.
+  /// width (`Parallelism`; each task fills only its own `rung_solve_[j]`
+  /// memo slot and builds its own `KernelWorkspace` scratch), while the
+  /// final best-rung selection stays a sequential ascending-µ scan with
+  /// strict `>` — so output is bit-identical to the sequential path at any
+  /// width.
   ///
   /// `Solve()` stays logically const (the memo is mutable scratch), but
   /// concurrent *calls* must still be externally serialized — two
@@ -136,7 +135,7 @@ class Sfdm2 : public StreamSink {
 
  private:
   Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
-        GuessLadder ladder, int batch_threads);
+        GuessLadder ladder);
 
   /// One memoized per-guess post-processing outcome (see `Solve`). It
   /// keeps references into rung `j`'s candidates, not a copy of the
@@ -182,7 +181,6 @@ class Sfdm2 : public StreamSink {
   std::vector<StreamingCandidate> blind_;  // S_µ, capacity k, per rung
   // specific_[i * ladder_.size() + j] = S_µj,i, capacity k.
   std::vector<StreamingCandidate> specific_;
-  BatchParallelism parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<std::vector<size_t>> by_group_;  // per-group positions scratch
   std::vector<size_t> rung_kept_;  // per-rung batch insert counts scratch

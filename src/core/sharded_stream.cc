@@ -8,20 +8,15 @@
 #include "core/diversity.h"
 #include "core/gmm.h"
 #include "core/snapshot_util.h"
-#include "core/solve_pool.h"
+#include "core/parallelism.h"
 #include "util/binary_io.h"
 #include "util/check.h"
 
 namespace fdm {
 
 ShardedStreamingDm::ShardedStreamingDm(int k, size_t dim, MetricKind metric,
-                                       std::vector<StreamingDm> shards,
-                                       int batch_threads)
-    : k_(k),
-      dim_(dim),
-      metric_(metric),
-      shards_(std::move(shards)),
-      parallelism_(batch_threads) {}
+                                       std::vector<StreamingDm> shards)
+    : k_(k), dim_(dim), metric_(metric), shards_(std::move(shards)) {}
 
 Result<ShardedStreamingDm> ShardedStreamingDm::Create(
     int k, size_t dim, MetricKind metric, const StreamingOptions& options,
@@ -29,19 +24,14 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Create(
   if (sharding.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  // Shards ingest sequentially within a partition; parallelism lives at
-  // the shard level, so nested rung-parallelism is disabled.
-  StreamingOptions shard_options = options;
-  shard_options.batch_threads = 1;
   std::vector<StreamingDm> shards;
   shards.reserve(sharding.num_shards);
   for (size_t s = 0; s < sharding.num_shards; ++s) {
-    auto shard = StreamingDm::Create(k, dim, metric, shard_options);
+    auto shard = StreamingDm::Create(k, dim, metric, options);
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard.value()));
   }
-  return ShardedStreamingDm(k, dim, metric, std::move(shards),
-                            sharding.batch_threads);
+  return ShardedStreamingDm(k, dim, metric, std::move(shards));
 }
 
 bool ShardedStreamingDm::Observe(const StreamPoint& point) {
@@ -59,7 +49,7 @@ size_t ShardedStreamingDm::ObserveBatch(std::span<const StreamPoint> batch) {
   const size_t start = static_cast<size_t>(observed_) % num_shards;
   const uint64_t version_before = StateVersion();
   observed_ += static_cast<int64_t>(batch.size());
-  parallelism_.Run(num_shards, [&](size_t s) {
+  Parallelism::Run(num_shards, [&](size_t s) {
     StreamingDm& shard = shards_[s];
     // Shard s receives batch positions t with (start + t) % num_shards == s.
     size_t t = (s + num_shards - start) % num_shards;
@@ -77,11 +67,11 @@ uint64_t ShardedStreamingDm::StateVersion() const {
 }
 
 Result<Solution> ShardedStreamingDm::Solve() const {
-  // Per-shard solves fan out over the solve width — shards share no
-  // mutable state and each task writes only its own slot. A shard's own
+  // Per-shard solves fan out over the width — shards share no mutable
+  // state and each task writes only its own slot. A shard's own
   // rung fan-out is a nested `Run`, which stays inline on its task.
   std::vector<std::optional<Solution>> locals(shards_.size());
-  SolveParallelism::Run(shards_.size(), [&](size_t s) {
+  Parallelism::Run(shards_.size(), [&](size_t s) {
     auto local = shards_[s].Solve();
     if (local.ok()) locals[s] = std::move(local.value());
   });
@@ -129,7 +119,7 @@ Status ShardedStreamingDm::Snapshot(SnapshotWriter& writer) const {
   writer.WriteI32(k_);
   writer.WriteU64(dim_);
   writer.WriteU8(static_cast<uint8_t>(metric_.kind()));
-  writer.WriteI32(parallelism_.batch_threads());
+  internal::WriteReservedSlot(writer);
   internal::WriteReservedSlot(writer);
   writer.WriteI64(observed_);
   writer.WriteU64(shards_.size());
@@ -144,7 +134,7 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Restore(SnapshotReader& reader) {
   const int k = reader.ReadI32();
   const size_t dim = reader.ReadU64();
   const MetricKind metric = internal::ReadMetricKind(reader);
-  const int batch_threads = reader.ReadI32();
+  internal::SkipReservedSlot(reader);
   internal::SkipReservedSlot(reader);
   const int64_t observed = reader.ReadI64();
   const size_t num_shards = reader.ReadU64();
@@ -160,7 +150,7 @@ Result<ShardedStreamingDm> ShardedStreamingDm::Restore(SnapshotReader& reader) {
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard.value()));
   }
-  ShardedStreamingDm driver(k, dim, metric, std::move(shards), batch_threads);
+  ShardedStreamingDm driver(k, dim, metric, std::move(shards));
   driver.observed_ = observed;
   return driver;
 }

@@ -12,7 +12,6 @@
 #include "geo/metric.h"
 #include "geo/point_buffer.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -20,10 +19,6 @@ namespace fdm {
 struct ShardedStreamingOptions {
   /// Number of independent shards the stream is split over (round-robin).
   size_t num_shards = 4;
-  /// Threads `ObserveBatch` spreads the shards over (`1` = sequential,
-  /// `0` = all hardware threads). Per-shard processing stays sequential,
-  /// so results are bit-identical regardless.
-  int batch_threads = 0;
 };
 
 /// Sharded ingestion driver for *unconstrained* max-min diversity
@@ -58,8 +53,10 @@ class ShardedStreamingDm : public StreamSink {
   bool Observe(const StreamPoint& point) override;
 
   /// Partitions the batch round-robin (continuing the `Observe` rotation)
-  /// and ingests the sub-batches in parallel — shards are fully
-  /// independent, so this is bit-identical to per-element routing.
+  /// and ingests the sub-batches fanned out over the process-wide width
+  /// (`Parallelism`) — shards are fully independent and each shard ingests
+  /// its sub-batch in order, so this is bit-identical to per-element
+  /// routing.
   size_t ObserveBatch(std::span<const StreamPoint> batch) override;
 
   /// Sum of the shards' state versions — monotone, chunking-invariant, and
@@ -71,7 +68,7 @@ class ShardedStreamingDm : public StreamSink {
   /// farthest-first selection of `k` points over the union. Fails with
   /// `Infeasible` when no shard filled a candidate (stream too small or
   /// too concentrated for this shard count). Per-shard solves fan out
-  /// over the process-wide solve width (`SolveParallelism`), and each
+  /// over the process-wide width (`Parallelism`), and each
   /// shard's own rung fan-out then runs inline on its task; the merge
   /// keeps shard order and the reduce is sequential, so output is
   /// bit-identical at any width.
@@ -97,13 +94,12 @@ class ShardedStreamingDm : public StreamSink {
 
  private:
   ShardedStreamingDm(int k, size_t dim, MetricKind metric,
-                     std::vector<StreamingDm> shards, int batch_threads);
+                     std::vector<StreamingDm> shards);
 
   int k_;
   size_t dim_;
   Metric metric_;
   std::vector<StreamingDm> shards_;
-  BatchParallelism parallelism_;
   int64_t observed_ = 0;
 };
 

@@ -32,36 +32,37 @@ inline MetricKind ReadMetricKind(SnapshotReader& reader) {
   return static_cast<MetricKind>(byte);
 }
 
-/// The reserved i32 of the streaming, sharded and adaptive snapshot
-/// headers. It once held a per-sink solve width; the width is now one
-/// process-wide setting (core/solve_pool.h) and no part of sink state.
-/// The slot keeps the layout: it is written as 1, so a default sink's
-/// snapshot is byte-identical to the older format, and skipped on read,
-/// so older snapshots holding any width still restore.
+/// A reserved i32 of the snapshot headers. The streaming and sharded
+/// headers hold two, which once held the per-sink ingest width
+/// (`batch_threads`) and the per-sink solve width; the adaptive header
+/// holds one, which once held its solve width. Both widths are now the one
+/// process-wide setting (core/parallelism.h) and no part of sink state.
+/// The slots keep the layout: each is written as 1, so a spec- or
+/// harness-built sink's snapshot is byte-identical to the older format,
+/// and skipped on read, so older snapshots holding any width (the sharded
+/// API default wrote 0 into the batch slot) still restore.
 inline void WriteReservedSlot(SnapshotWriter& writer) { writer.WriteI32(1); }
 inline void SkipReservedSlot(SnapshotReader& reader) { (void)reader.ReadI32(); }
 
-/// The `(dim, metric, d_min, d_max, ε, batch_threads, reserved)` block
-/// shared by the fixed-ladder algorithms' snapshots — one writer/reader
-/// pair so the field order can never drift between StreamingDm, Sfdm1,
-/// and Sfdm2.
+/// The `(dim, metric, d_min, d_max, ε, reserved, reserved)` block shared
+/// by the fixed-ladder algorithms' snapshots — one writer/reader pair so
+/// the field order can never drift between StreamingDm, Sfdm1, and Sfdm2.
 inline void WriteStreamingHeader(SnapshotWriter& writer, size_t dim,
                                  const Metric& metric,
-                                 const GuessLadder& ladder,
-                                 int batch_threads) {
+                                 const GuessLadder& ladder) {
   writer.WriteU64(dim);
   writer.WriteU8(static_cast<uint8_t>(metric.kind()));
   writer.WriteDouble(ladder.d_min());
   writer.WriteDouble(ladder.d_max());
   writer.WriteDouble(ladder.epsilon());
-  writer.WriteI32(batch_threads);
+  WriteReservedSlot(writer);
   WriteReservedSlot(writer);
 }
 
 struct StreamingHeader {
   size_t dim = 0;
   MetricKind metric = MetricKind::kEuclidean;
-  StreamingOptions options;  // d_min, d_max, ε, batch_threads
+  StreamingOptions options;  // d_min, d_max, ε
 };
 
 inline StreamingHeader ReadStreamingHeader(SnapshotReader& reader) {
@@ -71,7 +72,7 @@ inline StreamingHeader ReadStreamingHeader(SnapshotReader& reader) {
   header.options.d_min = reader.ReadDouble();
   header.options.d_max = reader.ReadDouble();
   header.options.epsilon = reader.ReadDouble();
-  header.options.batch_threads = reader.ReadI32();
+  SkipReservedSlot(reader);
   SkipReservedSlot(reader);
   return header;
 }

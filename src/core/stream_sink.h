@@ -38,8 +38,8 @@ class SnapshotReader;
 ///    state (anytime behaviour): more elements may be observed afterwards
 ///    and `Solve` called again. The query path mirrors the ingest-side
 ///    determinism contract: a sink may post-process *independent internal
-///    state* (rungs, shards) over the process-wide solve width
-///    (core/solve_pool.h), but the final winner selection must stay a
+///    state* (rungs, shards) over the process-wide width
+///    (core/parallelism.h), but the final winner selection must stay a
 ///    sequential in-order scan, so `Solve` output is bit-identical at
 ///    every width.
 ///  * `StateVersion` is a monotone counter that advances *only* when

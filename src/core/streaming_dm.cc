@@ -6,7 +6,7 @@
 #include "core/batch_replay.h"
 #include "core/diversity.h"
 #include "core/snapshot_util.h"
-#include "core/solve_pool.h"
+#include "core/parallelism.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "util/check.h"
@@ -14,12 +14,8 @@
 namespace fdm {
 
 StreamingDm::StreamingDm(int k, size_t dim, MetricKind metric,
-                         GuessLadder ladder, int batch_threads)
-    : k_(k),
-      dim_(dim),
-      metric_(metric),
-      ladder_(std::move(ladder)),
-      parallelism_(batch_threads) {
+                         GuessLadder ladder)
+    : k_(k), dim_(dim), metric_(metric), ladder_(std::move(ladder)) {
   candidates_.reserve(ladder_.size());
   for (size_t j = 0; j < ladder_.size(); ++j) {
     candidates_.emplace_back(ladder_.At(j), static_cast<size_t>(k_), dim_);
@@ -35,8 +31,7 @@ Result<StreamingDm> StreamingDm::Create(int k, size_t dim, MetricKind metric,
   auto ladder =
       GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
   if (!ladder.ok()) return ladder.status();
-  return StreamingDm(k, dim, metric, std::move(ladder.value()),
-                     options.batch_threads);
+  return StreamingDm(k, dim, metric, std::move(ladder.value()));
 }
 
 bool StreamingDm::Observe(const StreamPoint& point) {
@@ -66,8 +61,8 @@ size_t StreamingDm::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   // chunking-invariant kept counts in one place for all ladder sinks.
   rung_kept_.assign(candidates_.size(), 0);
   ReplayBatchRungMajor(
-      parallelism_, candidates_.size(), /*num_groups=*/0, batch,
-      /*by_group=*/nullptr, metric_,
+      candidates_.size(), /*num_groups=*/0, batch, /*by_group=*/nullptr,
+      metric_,
       [&](size_t j) -> StreamingCandidate& { return candidates_[j]; },
       [&](int, size_t) -> StreamingCandidate& { return candidates_.front(); },
       rung_kept_.data());
@@ -78,7 +73,7 @@ size_t StreamingDm::ObserveBatch(std::span<const StreamPoint> raw_batch) {
 }
 
 Result<Solution> StreamingDm::Solve() const {
-  // Phase 1 — per-candidate diversity, fanned out over the solve width:
+  // Phase 1 — per-candidate diversity, fanned out over the width:
   // each task writes only its own slot, and `MinPairwiseDistance` touches
   // nothing but the candidate's points and local scratch. Phase 2 — the
   // winner scan — stays a sequential ascending-µ pass with strict `>`, so
@@ -86,7 +81,7 @@ Result<Solution> StreamingDm::Solve() const {
   // sequential path at any thread count.
   std::vector<double> diversity(candidates_.size(), -1.0);
   std::vector<uint8_t> full(candidates_.size(), 0);
-  SolveParallelism::Run(candidates_.size(), [&](size_t j) {
+  Parallelism::Run(candidates_.size(), [&](size_t j) {
     const StreamingCandidate& candidate = candidates_[j];
     if (!candidate.Full()) return;
     full[j] = 1;
@@ -121,8 +116,7 @@ Result<Solution> StreamingDm::Solve() const {
 Status StreamingDm::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteI32(k_);
-  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_,
-                                 parallelism_.batch_threads());
+  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_);
   writer.WriteI64(observed_);
   writer.WriteU64(state_version_);
   writer.WriteU64(candidates_.size());

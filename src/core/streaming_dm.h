@@ -12,7 +12,6 @@
 #include "geo/metric.h"
 #include "geo/point_buffer.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
@@ -24,10 +23,6 @@ struct StreamingOptions {
   double epsilon = 0.1;
   double d_min = 0.0;
   double d_max = 0.0;
-  /// Threads `ObserveBatch` splits the guess-ladder rungs over (rungs are
-  /// independent, so results stay bit-identical to per-element
-  /// processing): `1` = sequential, `0` = all hardware threads, `n` = n.
-  int batch_threads = 1;
 };
 
 /// Algorithm 1 — one-pass streaming algorithm for *unconstrained* max-min
@@ -52,8 +47,8 @@ class StreamingDm : public StreamSink {
 
   /// Batched ingestion: the per-rung insertions are independent across
   /// rungs, so the batch is processed rung-major (each rung replays the
-  /// batch in order), partitioned over `batch_threads` — bit-identical to
-  /// per-element `Observe`.
+  /// batch in order), fanned out over the process-wide width
+  /// (`Parallelism`) — bit-identical to per-element `Observe`.
   size_t ObserveBatch(std::span<const StreamPoint> batch) override;
 
   /// Advances by the number of successful candidate insertions, which is
@@ -63,9 +58,8 @@ class StreamingDm : public StreamSink {
   /// Algorithm 1, line 7: the full candidate maximizing `div(S_µ)`.
   /// Fails with `Infeasible` if no candidate filled (fewer than `k`
   /// sufficiently distinct points seen). Per-candidate diversity fans
-  /// out over the process-wide solve width (`SolveParallelism`); the
-  /// winner scan stays sequential, so output is bit-identical at any
-  /// width.
+  /// out over the process-wide width (`Parallelism`); the winner scan
+  /// stays sequential, so output is bit-identical at any width.
   Result<Solution> Solve() const override;
 
   /// Number of *distinct* elements currently stored across all candidates
@@ -87,15 +81,13 @@ class StreamingDm : public StreamSink {
   int k() const { return k_; }
 
  private:
-  StreamingDm(int k, size_t dim, MetricKind metric, GuessLadder ladder,
-              int batch_threads);
+  StreamingDm(int k, size_t dim, MetricKind metric, GuessLadder ladder);
 
   int k_;
   size_t dim_;
   Metric metric_;
   GuessLadder ladder_;
   std::vector<StreamingCandidate> candidates_;  // one per rung, ascending µ
-  BatchParallelism parallelism_;
   PackedBatch packed_;  // batch repack scratch, reused across batches
   std::vector<size_t> rung_kept_;  // per-rung batch insert counts scratch
   int64_t observed_ = 0;

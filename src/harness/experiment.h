@@ -50,9 +50,6 @@ struct RunConfig {
   /// either way (the StreamSink contract); batching changes only the cost
   /// profile.
   size_t batch_size = 0;
-  /// Threads batched ingestion spreads rungs/shards over
-  /// (see `StreamingOptions::batch_threads`).
-  int batch_threads = 1;
   /// Shard count for `AlgorithmKind::kSharded`.
   size_t num_shards = 4;
   /// Window length for `AlgorithmKind::kSlidingWindow`; `0` means the whole

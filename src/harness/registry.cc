@@ -19,7 +19,6 @@ StreamingOptions StreamingOptionsFrom(const RunConfig& config) {
   streaming.epsilon = config.epsilon;
   streaming.d_min = config.bounds.min;
   streaming.d_max = config.bounds.max;
-  streaming.batch_threads = config.batch_threads;
   return streaming;
 }
 
@@ -123,7 +122,6 @@ AlgorithmEntry ShardedEntry() {
   entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
     ShardedStreamingOptions sharding;
     sharding.num_shards = config.num_shards;
-    sharding.batch_threads = config.batch_threads;
     return WrapSink(ShardedStreamingDm::Create(
         config.constraint.TotalK(), dataset.dim(), dataset.metric_kind(),
         StreamingOptionsFrom(config), sharding));

@@ -1,5 +1,6 @@
 #include "net/admission.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -41,10 +42,18 @@ AdmissionController::AdmissionController(AdmissionOptions options)
 
 bool AdmissionController::AdmitSessionRequest(const std::string& session) {
   if (options_.session_rate <= 0.0) return true;
-  const double now = NowSeconds();
   std::lock_guard<std::mutex> lock(mu_);
+  // Read under the lock, so buckets see time in admission order and a
+  // swept (full) bucket stays full for every later request.
+  const double now = NowSeconds();
   auto it = buckets_.find(session);
   if (it == buckets_.end()) {
+    if (buckets_.size() >= sweep_mark_) {
+      std::erase_if(buckets_, [now](const auto& entry) {
+        return entry.second.FullAt(now);
+      });
+      sweep_mark_ = std::max(kMinSweepMark, 2 * buckets_.size());
+    }
     const double burst = options_.session_burst > 0.0
                              ? options_.session_burst
                              : options_.session_rate;
@@ -86,6 +95,11 @@ uint64_t AdmissionController::rate_shed_total() const {
 uint64_t AdmissionController::cold_shed_total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cold_shed_total_;
+}
+
+size_t AdmissionController::buckets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return buckets_.size();
 }
 
 }  // namespace fdm::net

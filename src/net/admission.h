@@ -1,6 +1,7 @@
 #ifndef FDM_NET_ADMISSION_H_
 #define FDM_NET_ADMISSION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -47,6 +48,13 @@ class TokenBucket {
 
   double tokens() const { return tokens_; }
 
+  /// True iff the bucket has refilled to `burst` by `now_sec`. A full
+  /// bucket admits exactly like a fresh one created at any later time, so
+  /// dropping it changes no decision.
+  bool FullAt(double now_sec) const {
+    return tokens_ + (now_sec - last_sec_) * rate_ >= burst_;
+  }
+
  private:
   double rate_;
   double burst_;
@@ -58,6 +66,14 @@ class TokenBucket {
 /// global cold-SOLVE occupancy counter. Thread-safe; every event loop and
 /// solve worker shares one controller. Shed decisions are counted into the
 /// metrics plane (`fdm_net_shed_*_total`).
+///
+/// Buckets are keyed by whatever name a request carries, before the name
+/// is validated, so the map is swept: when an insert finds it at the sweep
+/// mark, every bucket that has refilled to `burst` is dropped (it would
+/// admit exactly like the fresh bucket a later request creates) and the
+/// mark becomes max(64, 2 × the buckets left). A client cycling random
+/// names therefore holds the map at a size set by the request rate, not by
+/// how many names it has ever sent, at amortized O(1) per insert.
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionOptions options);
@@ -74,12 +90,18 @@ class AdmissionController {
   uint64_t rate_shed_total() const;
   uint64_t cold_shed_total() const;
 
+  /// Token buckets currently held.
+  size_t buckets() const;
+
   const AdmissionOptions& options() const { return options_; }
 
  private:
+  static constexpr size_t kMinSweepMark = 64;
+
   const AdmissionOptions options_;
   mutable std::mutex mu_;  // buckets_ + counters below
   std::map<std::string, TokenBucket> buckets_;
+  size_t sweep_mark_ = kMinSweepMark;  // buckets_ size that triggers a sweep
   size_t cold_in_flight_ = 0;
   uint64_t rate_shed_total_ = 0;
   uint64_t cold_shed_total_ = 0;

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/parallelism.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/metrics.h"
 #include "service/sink_spec.h"
@@ -32,8 +33,7 @@ bool ValidSessionName(const std::string& name) {
 }  // namespace
 
 SessionManager::SessionManager(SessionManagerOptions options)
-    : options_(std::move(options)),
-      sweep_parallelism_(options_.threads) {}
+    : options_(std::move(options)) {}
 
 Result<std::unique_ptr<SessionManager>> SessionManager::Create(
     SessionManagerOptions options) {
@@ -380,8 +380,10 @@ size_t SessionManager::ResidentCount() const {
 
 Status SessionManager::SnapshotAll() {
   // Collect the resident entries under the map lock, then snapshot them
-  // outside it, fanned over the pool (each task takes its session's own
-  // mutex — sessions are disjoint, so this parallelizes cleanly).
+  // outside it, fanned over the shared pool (each task takes its session's
+  // own mutex — sessions are disjoint, so this parallelizes cleanly). A
+  // task blocked on a session lock cannot stall the lock's holder: the
+  // holder's own fan-outs are separate jobs that it drains itself.
   std::vector<std::shared_ptr<Entry>> resident;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -392,7 +394,7 @@ Status SessionManager::SnapshotAll() {
     }
   }
   std::vector<Status> results(resident.size());
-  sweep_parallelism_.Run(resident.size(), [&](size_t i) {
+  Parallelism::Run(resident.size(), [&](size_t i) {
     std::unique_lock<std::shared_mutex> lock(resident[i]->mu);
     if (resident[i]->session == nullptr) return;  // spilled meanwhile
     results[i] = resident[i]->session->TakeSnapshot();

@@ -17,10 +17,15 @@
 #include "core/solve_cache.h"
 #include "service/durable_session.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace fdm {
 
+/// Configuration of one `SessionManager`. No field sets a width: every
+/// session's ingest and cold-SOLVE fan-outs and the manager's `SnapshotAll`
+/// sweep run at the one process-wide width on the one shared pool
+/// (core/parallelism.h). That pool takes concurrent jobs, so cold SOLVEs on
+/// different sessions run side by side instead of queueing behind each
+/// other's fork-join, and no number of sessions adds threads beyond it.
 struct SessionManagerOptions {
   /// Root directory; each session lives in `<root_dir>/<name>/`.
   std::string root_dir;
@@ -29,19 +34,12 @@ struct SessionManagerOptions {
   /// the next touch). 0 = unlimited.
   size_t max_resident = 0;
   /// Per-session durability knobs (auto-snapshot cadence, WAL batching),
-  /// applied to every session the manager builds or recovers. Cold
-  /// SOLVEs of all sessions share ONE process-wide solve pool and width
-  /// (core/solve_pool.h) whose fork-join runs serialize, so concurrent
-  /// cold SOLVEs on different sessions queue for the pool rather than
-  /// multiplying threads.
+  /// applied to every session the manager builds or recovers.
   DurableSessionOptions session;
   /// Period of the background snapshot thread, which persists every
   /// resident session with unsnapshotted records. 0 = no background
   /// thread.
   int background_snapshot_ms = 0;
-  /// Threads for manager-wide parallel operations (`SnapshotAll`,
-  /// shutdown flush): `1` = sequential, `0` = hardware threads.
-  int threads = 1;
 };
 
 /// Serving-side façade: many named, concurrently accessible durable
@@ -57,7 +55,7 @@ struct SessionManagerOptions {
 /// version has not moved — a cached SOLVE never serializes against STATS
 /// on the same session or against any other session's ingest.
 /// Manager-wide sweeps (`SnapshotAll`, destructor flush) fan the sessions
-/// out over a `util/thread_pool.h` pool.
+/// out over the process-wide width (core/parallelism.h).
 ///
 /// Each entry owns its `SolveCache` and re-attaches it whenever the
 /// session is (re)loaded, so memoized solutions survive LRU spills and
@@ -218,8 +216,6 @@ class SessionManager {
   /// per-operation residency check is O(1); the O(sessions) LRU scan only
   /// runs once the cap is actually exceeded.
   std::atomic<size_t> resident_count_{0};
-
-  BatchParallelism sweep_parallelism_;
 
   std::thread background_;
   std::mutex background_mu_;

@@ -95,9 +95,9 @@ Result<SinkSpec> SinkSpec::Parse(std::string_view text) {
       if (!v.ok()) return v.status();
       spec.d_max = *v;
     } else if (key == "threads") {
+      // Legacy key, ignored: see the class comment.
       auto v = ParseInt(key, value);
       if (!v.ok()) return v.status();
-      spec.threads = static_cast<int>(*v);
     } else if (key == "solve_threads") {
       // Legacy key, ignored: see the class comment.
       auto v = ParseInt(key, value);
@@ -152,7 +152,6 @@ std::string SinkSpec::ToString() const {
   }
   out << " metric=" << MetricKindName(metric) << " eps=" << epsilon;
   if (algo != "adaptive") out << " dmin=" << d_min << " dmax=" << d_max;
-  if (threads != 1) out << " threads=" << threads;
   if (algo == "sharded") out << " shards=" << shards;
   if (algo == "sliding_window") {
     out << " window=" << window << " checkpoints=" << checkpoints;
@@ -167,7 +166,6 @@ Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
   streaming.epsilon = epsilon;
   streaming.d_min = d_min;
   streaming.d_max = d_max;
-  streaming.batch_threads = threads;
 
   if (algo == "streaming_dm") {
     if (k < 1) return Invalid("algo=streaming_dm requires k>=1");
@@ -191,7 +189,6 @@ Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
     if (k < 1) return Invalid("algo=sharded requires k>=1");
     ShardedStreamingOptions sharding;
     sharding.num_shards = shards;
-    sharding.batch_threads = threads;
     return WrapSink(
         ShardedStreamingDm::Create(k, dim, metric, streaming, sharding));
   }

@@ -34,7 +34,6 @@ namespace fdm {
 ///   eps      guess-ladder ε                        (default 0.1)
 ///   dmin     lower distance bound (required unless algo=adaptive)
 ///   dmax     upper distance bound (required unless algo=adaptive)
-///   threads  ObserveBatch parallelism              (default 1)
 ///   shards   shard count (algo=sharded)            (default 4)
 ///   window   window length (algo=sliding_window; required for it)
 ///   checkpoints  window replicas (algo=sliding_window, default 4)
@@ -46,10 +45,11 @@ namespace fdm {
 ///            (default off — sliding-window streams legitimately
 ///            re-observe ids)
 ///
-/// `solve_threads=N` (N >= 0) is accepted and ignored, so SPEC lines
-/// written when the solve width was a per-sink key still parse. The width
-/// is one process-wide setting now (core/solve_pool.h); `ToString` never
-/// writes the key.
+/// Two legacy keys are accepted and ignored, so SPEC lines written when
+/// the widths were per-sink keys still parse: `threads=N` (any integer;
+/// the ingest width) and `solve_threads=N` (N >= 0). Both widths are the
+/// one process-wide setting now (core/parallelism.h); `ToString` never
+/// writes either key.
 struct SinkSpec {
   std::string algo;
   size_t dim = 0;
@@ -59,7 +59,6 @@ struct SinkSpec {
   double epsilon = 0.1;
   double d_min = 0.0;
   double d_max = 0.0;
-  int threads = 1;
   size_t shards = 4;
   int64_t window = 0;
   int64_t checkpoints = 4;

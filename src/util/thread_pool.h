@@ -3,28 +3,29 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <condition_variable>
+#include <cstddef>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace fdm {
 
-/// A small reusable fork-join thread pool.
+/// A small reusable thread pool that runs concurrent fork-join jobs.
 ///
-/// Built for the batched ingestion paths: the guess-ladder rungs (and the
-/// shards of the sharded driver) are independent, so `ObserveBatch`
-/// partitions them over a pool and joins before returning. The pool is
-/// fork-join only — one `ParallelFor` runs at a time per pool (concurrent
-/// calls serialize on an internal mutex) — which keeps it tiny and is all
-/// the ingestion engine needs.
+/// Each `ParallelFor` call is its own job, with its own claim index,
+/// worker-slot budget and count of joined workers. Idle workers join any
+/// job that still has a free slot and an unclaimed task. The caller drains
+/// its own job and then waits only for the workers that joined it, so no
+/// caller ever waits on another caller's work, and every caller can finish
+/// its job alone. That is what lets every fan-out in the process share one
+/// pool (core/parallelism.h): a task that blocks on a lock held by another
+/// caller cannot stall that caller's job, and a task that itself calls
+/// `ParallelFor` simply becomes the caller of a new job.
 ///
-/// Workers idle on a condition variable between batches, so a pool can be
-/// kept alive across millions of `ObserveBatch` calls without burning CPU.
+/// Workers idle on a condition variable between jobs, so a pool can be
+/// kept alive for the life of the process without burning CPU.
 class ThreadPool {
  public:
   /// `num_threads` is the total parallelism including the calling thread;
@@ -55,54 +56,47 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size() + 1; }
 
   /// Runs `fn(0) … fn(n-1)`, distributing indices dynamically over the
-  /// workers and the calling thread; returns once every call finished.
-  /// `fn` must not throw. Distinct indices may run concurrently — callers
-  /// guarantee they touch disjoint state.
+  /// calling thread and the workers that join; returns once every call
+  /// finished. `fn` must not throw. Distinct indices may run concurrently
+  /// — callers guarantee they touch disjoint state. Safe to call from
+  /// many threads at once, and from inside a task.
   ///
-  /// Completion is counted per *task*, not per worker, so only as many
-  /// workers as there are tasks are woken — a pool sized for the machine
-  /// stays cheap when a batch has few rungs/shards to hand out.
-  ///
-  /// `max_parallelism` caps total concurrency for this call (caller
-  /// included) below the pool size; `0` means the whole pool. The cap is
-  /// hard: each job carries a worker-slot budget, so a stale worker that
-  /// wakes late cannot push the join count past it. This lets many owners
-  /// share one machine-sized pool while each runs at its own knob.
+  /// `max_parallelism` caps this call's concurrency (caller included)
+  /// below the pool size; `0` means the whole pool. The cap is hard: the
+  /// job's worker-slot budget is spent under the pool lock, so no more
+  /// than `max_parallelism - 1` workers ever join it. Only as many workers
+  /// as the job has slots are woken, so a machine-sized pool stays cheap
+  /// for a job with few tasks.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    size_t max_parallelism = 0) {
     if (n == 0) return;
-    const size_t width =
-        max_parallelism == 0
-            ? workers_.size() + 1
-            : std::min(max_parallelism, workers_.size() + 1);
-    if (workers_.empty() || n == 1 || width == 1) {
+    const size_t width = max_parallelism == 0
+                             ? num_threads()
+                             : std::min(max_parallelism, num_threads());
+    if (n == 1 || width == 1) {
       for (size_t i = 0; i < n; ++i) fn(i);
       return;
     }
-    std::lock_guard<std::mutex> serialize(run_mu_);
-    // Each job owns its counters (shared with any worker that picks it
-    // up), so a stale worker waking late — or looping one extra time
-    // after this job's tasks are exhausted — saturates on the OLD job's
-    // `next` and can never claim an index of a newer job or touch its
-    // (by then destroyed) closure.
-    auto job = std::make_shared<Job>(fn, n, width - 1);
+    Job job(fn, n, std::min(width, n) - 1);
+    // Sized before the job is published: from then on its slot count is
+    // the workers' to spend, under `mu_`.
+    const size_t to_wake = job.slots;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      job_ = job;
-      ++generation_;
+      jobs_.push_back(&job);
     }
-    const size_t to_wake = std::min({workers_.size(), n - 1, width - 1});
     if (to_wake >= workers_.size()) {
       wake_.notify_all();
     } else {
       for (size_t w = 0; w < to_wake; ++w) wake_.notify_one();
     }
-    Drain(*job);
+    Drain(job);
+    // Every task is claimed now. Withdraw the job so no late worker joins
+    // it, then wait for the workers still running its tasks; after that no
+    // worker holds a reference to it.
     std::unique_lock<std::mutex> lock(mu_);
-    done_.wait(lock, [&job] {
-      return job->remaining.load(std::memory_order_acquire) == 0;
-    });
-    job_ = nullptr;
+    std::erase(jobs_, &job);
+    job.done.wait(lock, [&job] { return job.active == 0; });
   }
 
   static size_t DefaultThreads() {
@@ -111,92 +105,60 @@ class ThreadPool {
   }
 
  private:
+  /// One `ParallelFor` call. It lives on the caller's stack; a worker
+  /// reaches it only through `jobs_`, and only while counted in `active`.
   struct Job {
     Job(const std::function<void(size_t)>& fn_in, size_t limit_in,
-        size_t worker_slots_in)
-        : fn(&fn_in),
-          limit(limit_in),
-          remaining(limit_in),
-          worker_slots(static_cast<int64_t>(worker_slots_in)) {}
-    const std::function<void(size_t)>* fn;
-    size_t limit;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> remaining;
-    // How many workers may still join (the caller is not counted). Signed:
-    // over-woken workers decrement past zero and simply bow out.
-    std::atomic<int64_t> worker_slots;
+        size_t slots_in)
+        : fn(fn_in), limit(limit_in), slots(slots_in) {}
+    const std::function<void(size_t)>& fn;
+    const size_t limit;
+    std::atomic<size_t> next{0};   // claim index
+    size_t slots;                  // workers that may still join; `mu_`
+    size_t active = 0;             // workers inside `Drain`; `mu_`
+    std::condition_variable done;  // `active` reached 0
   };
 
-  void Drain(Job& job) {
+  static void Drain(Job& job) {
     for (size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
          i < job.limit;
          i = job.next.fetch_add(1, std::memory_order_relaxed)) {
-      (*job.fn)(i);
-      if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last task: sync with the caller's wait (empty critical section
-        // prevents the notify racing past the predicate check), then wake.
-        { std::lock_guard<std::mutex> lock(mu_); }
-        done_.notify_one();
-      }
+      job.fn(i);
     }
   }
 
+  /// The oldest listed job with an unclaimed task. Listed jobs always have
+  /// a free slot: a job leaves `jobs_` when its last slot is taken.
+  Job* Claimable() const {
+    for (Job* job : jobs_) {
+      if (job->next.load(std::memory_order_relaxed) < job->limit) return job;
+    }
+    return nullptr;
+  }
+
   void WorkerLoop() {
-    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        job = job_;  // null when the job already finished (late wakeup)
-      }
-      if (job != nullptr &&
-          job->worker_slots.fetch_sub(1, std::memory_order_relaxed) > 0) {
-        Drain(*job);
-      }
+      Job* job = nullptr;
+      wake_.wait(lock,
+                 [&] { return stop_ || (job = Claimable()) != nullptr; });
+      if (stop_) return;
+      if (--job->slots == 0) std::erase(jobs_, job);
+      ++job->active;
+      lock.unlock();
+      Drain(*job);
+      lock.lock();
+      // Notified under the lock: once it is released, the caller may
+      // return and destroy the job.
+      if (--job->active == 0) job->done.notify_one();
     }
   }
 
   std::vector<std::thread> workers_;
-  std::mutex run_mu_;  // serializes ParallelFor calls (fork-join contract)
-  std::mutex mu_;
+  std::mutex mu_;  // guards jobs_, stop_, and each listed job's counters
   std::condition_variable wake_;
-  std::condition_variable done_;
-  std::shared_ptr<Job> job_;
-  uint64_t generation_ = 0;
+  std::vector<Job*> jobs_;
   bool stop_ = false;
-};
-
-/// The `batch_threads` knob shared by the streaming sinks, resolved into a
-/// lazily-created pool: `1` = sequential (no pool, no threads spawned —
-/// the default), `0` = one thread per hardware thread, `n > 1` = exactly
-/// `n` threads. Copyable; copies share the pool (safe: fork-join calls
-/// serialize).
-class BatchParallelism {
- public:
-  explicit BatchParallelism(int batch_threads = 1)
-      : batch_threads_(batch_threads) {}
-
-  /// Runs `fn(0) … fn(n-1)`, in parallel when the knob asks for it.
-  void Run(size_t n, const std::function<void(size_t)>& fn) {
-    if (batch_threads_ == 1 || n <= 1) {
-      for (size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    if (pool_ == nullptr) {
-      pool_ = std::make_shared<ThreadPool>(
-          batch_threads_ <= 0 ? 0 : static_cast<size_t>(batch_threads_));
-    }
-    pool_->ParallelFor(n, fn);
-  }
-
-  int batch_threads() const { return batch_threads_; }
-
- private:
-  int batch_threads_ = 1;
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 }  // namespace fdm

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "net/admission.h"
 #include "net/dispatch.h"
 #include "net/frame.h"
 #include "net/net_client.h"
@@ -232,6 +233,37 @@ TEST_F(NetServerTest, SessionRateLimitShedsAndPreservesFraming) {
   auto stats = manager->Stats("s");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->observed, 0);
+}
+
+// A client cycling fresh session names cannot grow the bucket map without
+// bound: at a rate that refills a spent token within a nanosecond, every
+// swept bucket is full again, so the map stays at its sweep mark.
+TEST(AdmissionControllerTest, DistinctNameFloodKeepsBucketsBounded) {
+  net::AdmissionOptions options;
+  options.session_rate = 1e9;
+  options.session_burst = 1.0;
+  net::AdmissionController admission(options);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(admission.AdmitSessionRequest("name" + std::to_string(i)));
+  }
+  EXPECT_LE(admission.buckets(), 128u);
+}
+
+// Only full buckets are swept: a session that spent its burst keeps its
+// (empty) bucket through a flood of other names and is still shed.
+TEST(AdmissionControllerTest, SpentBucketSurvivesSweeps) {
+  net::AdmissionOptions options;
+  options.session_rate = 1.0;
+  options.session_burst = 2.0;
+  net::AdmissionController admission(options);
+  EXPECT_TRUE(admission.AdmitSessionRequest("hot"));
+  EXPECT_TRUE(admission.AdmitSessionRequest("hot"));
+  EXPECT_FALSE(admission.AdmitSessionRequest("hot"));
+  for (int i = 0; i < 10000; ++i) {
+    admission.AdmitSessionRequest("name" + std::to_string(i));
+  }
+  EXPECT_FALSE(admission.AdmitSessionRequest("hot"));
+  EXPECT_EQ(admission.rate_shed_total(), 2u);
 }
 
 TEST_F(NetServerTest, SocketReplicationFollowsPrimaryOverTcp) {

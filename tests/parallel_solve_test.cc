@@ -1,40 +1,53 @@
-// The query-path determinism contract (core/solve_pool.h): a Solve() that
+// The query-path determinism contract (core/parallelism.h): a Solve() that
 // fans its per-rung / per-shard / per-candidate post-processing out over
-// the shared solve pool must be bit-identical to the sequential solve —
-// for every sink kind, every reachable kernel dispatch target, and every
-// process-wide solve width — including across a mid-stream
-// snapshot/restore and when SFDM-2 reuses warm rung memos after a partial
-// invalidation. The width is a deployment setting, not sink state:
-// snapshots and SPEC lines written when it was a per-sink key still read,
-// and a reopened session needs nothing re-applied to solve on the pool.
+// the shared pool must be bit-identical to the sequential solve — for
+// every sink kind, every reachable kernel dispatch target, and every
+// process-wide width — including across a mid-stream snapshot/restore and
+// when SFDM-2 reuses warm rung memos after a partial invalidation. The
+// width is a deployment setting, not sink state: snapshots and SPEC lines
+// written when it was a per-sink key still read, and a reopened session
+// needs nothing re-applied to solve on the pool. At width 4, sessions that
+// ingest, solve and snapshot at once share the one pool without stalling,
+// serve the same bytes as a width-1 replay, and add no threads beyond it.
 // The ingest-side counterpart of this contract lives in
 // stream_sink_batch_test.cc; the cross-target counterpart in
 // incremental_solve_test.cc.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/parallelism.h"
 #include "core/sink_snapshot.h"
-#include "core/solve_pool.h"
 #include "core/stream_sink.h"
 #include "data/synthetic.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "net/dispatch.h"
 #include "obs/metrics.h"
+#include "scoped_width.h"
 #include "service/durable_session.h"
 #include "service/session_layout.h"
 #include "service/session_manager.h"
 #include "service/sink_spec.h"
 #include "util/binary_io.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fdm {
 namespace {
@@ -70,20 +83,6 @@ std::vector<std::string> AllKindSpecs(const Dataset& ds) {
       "algo=sliding_window k=4 window=40 checkpoints=3" + tail,
   };
 }
-
-/// Sets the process-wide solve width for one scope and restores the
-/// default (1, sequential) when the scope ends — also when an assertion
-/// returns early.
-class ScopedSolveWidth {
- public:
-  explicit ScopedSolveWidth(int threads) { Set(threads); }
-  ~ScopedSolveWidth() { Set(1); }
-  ScopedSolveWidth(const ScopedSolveWidth&) = delete;
-  ScopedSolveWidth& operator=(const ScopedSolveWidth&) = delete;
-  void Set(int threads) {
-    ASSERT_TRUE(SolveParallelism::SetThreads(threads).ok()) << threads;
-  }
-};
 
 void ExpectSameOutcome(const Result<Solution>& a, const Result<Solution>& b,
                        const std::string& what) {
@@ -132,7 +131,7 @@ Result<std::unique_ptr<StreamSink>> RestoreBytes(std::string bytes) {
 // snapshot-restored copy at the midpoint.
 TEST(ParallelSolveTest, BitIdenticalAcrossKindsTargetsAndWidths) {
   const Dataset ds = TestData();
-  ScopedSolveWidth width(1);
+  ScopedWidth width(1);
   for (const std::string& spec : AllKindSpecs(ds)) {
     for (const std::string_view target : simd::AvailableKernelTargets()) {
       ASSERT_TRUE(simd::internal::ForceKernelTargetForTest(target));
@@ -183,7 +182,7 @@ TEST(ParallelSolveTest, BitIdenticalAcrossKindsTargetsAndWidths) {
 TEST(ParallelSolveTest, Sfdm2WarmMemoReuseAfterPartialInvalidation) {
   const Dataset ds = TestData(60);
   const std::string spec = "algo=sfdm2 quotas=2,2" + Tail(ds);
-  ScopedSolveWidth width(1);
+  ScopedWidth width(1);
   auto sequential = MakeSink(spec);
   auto parallel = MakeSink(spec);
   ASSERT_NE(sequential, nullptr);
@@ -229,7 +228,7 @@ TEST(ParallelSolveTest, Sfdm2WarmMemoReuseAfterPartialInvalidation) {
 // memoized solution) and the next Solve() is bit-identical.
 TEST(ParallelSolveTest, WidthChangeDoesNotAdvanceStateVersion) {
   const Dataset ds = TestData();
-  ScopedSolveWidth width(1);
+  ScopedWidth width(1);
   for (const std::string& spec : AllKindSpecs(ds)) {
     auto sink = MakeSink(spec);
     ASSERT_NE(sink, nullptr);
@@ -247,37 +246,42 @@ TEST(ParallelSolveTest, WidthChangeDoesNotAdvanceStateVersion) {
 // A negative width is rejected and leaves the current width (and its
 // published info series) untouched; 0 means all hardware threads.
 TEST(ParallelSolveTest, SetThreadsRejectsNegativeWidth) {
-  ScopedSolveWidth width(3);
-  EXPECT_EQ(SolveParallelism::Threads(), 3);
-  const Status rejected = SolveParallelism::SetThreads(-1);
+  ScopedWidth width(3);
+  EXPECT_EQ(Parallelism::Threads(), 3);
+  const Status rejected = Parallelism::SetThreads(-1);
   EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
       << rejected.ToString();
-  EXPECT_EQ(SolveParallelism::Threads(), 3);
+  EXPECT_EQ(Parallelism::Threads(), 3);
   if (obs::kMetricsEnabled) {
     EXPECT_NE(obs::MetricsRegistry::Global().RenderPrometheus().find(
-                  "fdm_solve_threads{value=\"3\"}"),
+                  "fdm_parallel_threads{value=\"3\"}"),
               std::string::npos);
   }
   width.Set(0);
-  EXPECT_EQ(SolveParallelism::Threads(), 0);
+  EXPECT_EQ(Parallelism::Threads(), 0);
 }
 
-// `solve_threads=N` was a per-sink spec key; SPEC lines written with it
-// must still parse. N >= 0 is accepted and ignored, a negative N is
-// rejected as before, and the canonical form never carries the key.
-TEST(ParallelSolveTest, LegacySpecKeyIsAcceptedAndIgnored) {
+// `threads=N` (the ingest width) and `solve_threads=N` were per-sink spec
+// keys; SPEC lines written with them must still parse. Any integer
+// `threads` and any `solve_threads` >= 0 are accepted and ignored, the
+// values each key rejected before are still rejected, and the canonical
+// form never carries either key.
+TEST(ParallelSolveTest, LegacySpecKeysAreAcceptedAndIgnored) {
   const std::string plain = "algo=sfdm2 dim=4 quotas=2,2 dmin=0.1 dmax=50";
   auto reference = SinkSpec::Parse(plain);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  for (const std::string legacy : {"solve_threads=4", "solve_threads=0",
-                                   "solve_threads=1"}) {
+  for (const std::string legacy :
+       {"solve_threads=4", "solve_threads=0", "solve_threads=1", "threads=4",
+        "threads=0", "threads=1", "threads=-2",
+        "threads=4 solve_threads=4"}) {
     auto spec = SinkSpec::Parse(plain + " " + legacy);
     ASSERT_TRUE(spec.ok()) << legacy << ": " << spec.status().ToString();
     EXPECT_EQ(spec->ToString(), reference->ToString()) << legacy;
-    EXPECT_EQ(spec->ToString().find("solve_threads"), std::string::npos);
+    EXPECT_EQ(spec->ToString().find("threads"), std::string::npos);
   }
   EXPECT_FALSE(SinkSpec::Parse(plain + " solve_threads=-1").ok());
   EXPECT_FALSE(SinkSpec::Parse(plain + " solve_threads=many").ok());
+  EXPECT_FALSE(SinkSpec::Parse(plain + " threads=many").ok());
 }
 
 /// `framed` with the i32 at payload offset `at` set to `value` and the
@@ -298,36 +302,39 @@ int32_t I32At(const std::string& framed, size_t at) {
   return value;
 }
 
-// Snapshots of sinks built with a per-sink `solve_threads=4` hold 4 in the
-// reserved i32 of the streaming, sharded and adaptive headers. They must
-// restore, solve bit-identically to the width-1 sink, and re-snapshot with
-// 1 in the slot — byte for byte the snapshot of the width-1 sink.
+// Snapshots of sinks built with a per-sink width hold it in a reserved i32
+// of their header: `solve_threads=4` left 4 in the solve slot of the
+// streaming, sharded and adaptive headers, and `threads=4` left 4 in the
+// batch slot just before it in the streaming and sharded headers (the
+// sharded API default left 0 there). They must restore, solve
+// bit-identically to the width-1 sink, and re-snapshot with 1 in every
+// slot — byte for byte the snapshot of the width-1 sink.
 TEST(ParallelSolveTest, SnapshotsWithAStoredWidthStillRestore) {
   const Dataset ds = TestData();
   const std::string tail = Tail(ds);
-  // The slot's payload offset is the bytes each Snapshot writes before
-  // it: the tag (a u64 length, then its characters), then the fields
-  // named in the comments.
+  // The solve slot's payload offset is the bytes each Snapshot writes
+  // before it: the tag (a u64 length, then its characters), then the
+  // fields named in the comments.
   constexpr size_t kTag = sizeof(uint64_t);
-  // WriteStreamingHeader up to the slot: dim u64, metric u8,
-  // d_min/d_max/ε doubles, batch_threads i32.
+  // WriteStreamingHeader up to the solve slot: dim u64, metric u8,
+  // d_min/d_max/ε doubles, batch slot i32.
   constexpr size_t kHeader = 8 + 1 + 3 * 8 + 4;
   const struct {
     std::string spec;
     size_t slot;
+    bool batch_slot;  // a batch slot sits just before the solve slot
   } cases[] = {
       // "streaming_dm", k i32, header.
-      {"algo=streaming_dm k=4" + tail, kTag + 12 + 4 + kHeader},
+      {"algo=streaming_dm k=4" + tail, kTag + 12 + 4 + kHeader, true},
       // "sfdm1" / "sfdm2", group count u64, two quota i32s, header.
-      {"algo=sfdm1 quotas=2,2" + tail, kTag + 5 + 8 + 2 * 4 + kHeader},
-      {"algo=sfdm2 quotas=2,2" + tail, kTag + 5 + 8 + 2 * 4 + kHeader},
-      // "sharded_streaming_dm", k i32, dim u64, metric u8, batch_threads
-      // i32.
-      {"algo=sharded k=4 shards=3" + tail, kTag + 20 + 4 + 8 + 1 + 4},
+      {"algo=sfdm1 quotas=2,2" + tail, kTag + 5 + 8 + 2 * 4 + kHeader, true},
+      {"algo=sfdm2 quotas=2,2" + tail, kTag + 5 + 8 + 2 * 4 + kHeader, true},
+      // "sharded_streaming_dm", k i32, dim u64, metric u8, batch slot i32.
+      {"algo=sharded k=4 shards=3" + tail, kTag + 20 + 4 + 8 + 1 + 4, true},
       // "adaptive_streaming_dm", k i32, dim u64, metric u8, ε double,
       // max_rungs u64.
       {"algo=adaptive k=4 dim=" + std::to_string(ds.dim()),
-       kTag + 21 + 4 + 8 + 1 + 8 + 8},
+       kTag + 21 + 4 + 8 + 1 + 8 + 8, false},
   };
   for (const auto& c : cases) {
     auto sink = MakeSink(c.spec);
@@ -335,13 +342,23 @@ TEST(ParallelSolveTest, SnapshotsWithAStoredWidthStillRestore) {
     for (size_t i = 0; i < ds.size(); ++i) sink->Observe(ds.At(i));
     const std::string current = SnapshotBytes(*sink);
     ASSERT_EQ(I32At(current, c.slot), 1) << c.spec;
-
-    auto restored = RestoreBytes(WithI32At(current, c.slot, 4));
-    ASSERT_TRUE(restored.ok()) << c.spec << ": "
-                               << restored.status().ToString();
-    EXPECT_EQ((*restored)->StateVersion(), sink->StateVersion()) << c.spec;
-    ExpectSameOutcome(sink->Solve(), (*restored)->Solve(), c.spec);
-    EXPECT_EQ(SnapshotBytes(**restored), current) << c.spec;
+    // (offset, stored width) pairs to restore from.
+    std::vector<std::pair<size_t, int32_t>> stored = {{c.slot, 4}};
+    if (c.batch_slot) {
+      ASSERT_EQ(I32At(current, c.slot - 4), 1) << c.spec;
+      stored.push_back({c.slot - 4, 0});
+      stored.push_back({c.slot - 4, 4});
+    }
+    for (const auto& [at, width] : stored) {
+      const std::string what = c.spec + " [" + std::to_string(width) +
+                               " at " + std::to_string(at) + "]";
+      auto restored = RestoreBytes(WithI32At(current, at, width));
+      ASSERT_TRUE(restored.ok()) << what << ": "
+                                 << restored.status().ToString();
+      EXPECT_EQ((*restored)->StateVersion(), sink->StateVersion()) << what;
+      ExpectSameOutcome(sink->Solve(), (*restored)->Solve(), what);
+      EXPECT_EQ(SnapshotBytes(**restored), current) << what;
+    }
   }
 }
 
@@ -384,37 +401,47 @@ class SessionWidthTest : public ::testing::Test {
   std::string root_;
 };
 
-// A session directory whose SPEC line carries the legacy key opens and
-// serves the same SOLVE bytes as the same stream under the plain spec.
+// Session directories whose SPEC lines carry a legacy width key open and
+// serve the same SOLVE bytes as the same stream under the plain spec.
 TEST_F(SessionWidthTest, LegacySpecSessionServesSameSolveBytes) {
   const Dataset ds = TestData(120);
   const std::string plain = "algo=sfdm2 quotas=2,2" + Tail(ds);
   const size_t mid = ds.size() / 2;
-  std::string script = "CREATE legacy " + plain + " solve_threads=4\n" +
-                       "CREATE plain " + plain + "\n";
-  for (const std::string name : {"legacy", "plain"}) {
-    script += ObserveBatchScript(name, ds, 0, mid);
-    script += "SNAPSHOT " + name + "\n";
-    script += ObserveBatchScript(name, ds, mid, ds.size());  // WAL tail
+  const struct {
+    std::string name;
+    std::string key;
+  } sessions[] = {
+      {"legacy", " solve_threads=4"}, {"threads", " threads=4"}, {"plain", ""}};
+  std::string script;
+  for (const auto& s : sessions) {
+    script += "CREATE " + s.name + " " + plain + s.key + "\n";
+  }
+  for (const auto& s : sessions) {
+    script += ObserveBatchScript(s.name, ds, 0, mid);
+    script += "SNAPSHOT " + s.name + "\n";
+    script += ObserveBatchScript(s.name, ds, mid, ds.size());  // WAL tail
   }
   script += "QUIT\n";
   const std::string ingest = Serve(root_, script);
   EXPECT_EQ(ingest.find("ERR"), std::string::npos) << ingest;
 
-  std::ifstream spec_file(SessionSpecPath(root_ + "/legacy"));
-  std::string spec_line;
-  ASSERT_TRUE(std::getline(spec_file, spec_line));
-  EXPECT_NE(spec_line.find("solve_threads=4"), std::string::npos);
-
-  // A restarted server reopens both directories from disk.
-  const std::string replies = Serve(root_, "SOLVE legacy\nSOLVE plain\n");
+  // A restarted server reopens every directory from disk.
+  std::string solves;
+  for (const auto& s : sessions) {
+    std::ifstream spec_file(SessionSpecPath(root_ + "/" + s.name));
+    std::string spec_line;
+    ASSERT_TRUE(std::getline(spec_file, spec_line)) << s.name;
+    EXPECT_NE(spec_line.find(plain + s.key), std::string::npos) << spec_line;
+    solves += "SOLVE " + s.name + "\n";
+  }
+  const std::string replies = Serve(root_, solves);
   std::istringstream lines(replies);
-  std::string legacy_reply;
-  std::string plain_reply;
-  ASSERT_TRUE(std::getline(lines, legacy_reply)) << replies;
-  ASSERT_TRUE(std::getline(lines, plain_reply)) << replies;
-  EXPECT_EQ(legacy_reply.rfind("OK div=", 0), 0u) << legacy_reply;
-  EXPECT_EQ(legacy_reply, plain_reply);
+  std::vector<std::string> reply(std::size(sessions));
+  for (std::string& r : reply) ASSERT_TRUE(std::getline(lines, r)) << replies;
+  EXPECT_EQ(reply[0].rfind("OK div=", 0), 0u) << reply[0];
+  for (size_t i = 1; i < reply.size(); ++i) {
+    EXPECT_EQ(reply[i], reply[0]) << sessions[i].name;
+  }
 }
 
 // Nothing is re-applied after a restore: at width 4, a session reopened
@@ -435,16 +462,184 @@ TEST_F(SessionWidthTest, ReopenedSessionSolvesOnThePool) {
     }
     ASSERT_TRUE(session->Sync().ok());
   }
-  ScopedSolveWidth width(4);
+  ScopedWidth width(4);
   auto reopened = DurableSession::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   obs::Counter& runs = obs::MetricsRegistry::Global().GetCounter(
-      "fdm_solve_parallel_runs_total", "");
+      "fdm_parallel_runs_total", "");
   const uint64_t before = runs.Value();
   ASSERT_TRUE(reopened->Solve().ok());
   if (obs::kMetricsEnabled) {
     EXPECT_GT(runs.Value(), before);
   }
+}
+
+constexpr size_t kDrillBatch = 64;
+constexpr size_t kDrillDim = 4;
+const char kDrillSpec[] = "algo=sfdm2 dim=4 quotas=2,2 dmin=0.01 dmax=2";
+
+/// Batch `b` of drill stream `s`: 64 points in [0, 1)^4 with alternating
+/// groups and ids `64b` … `64b + 63`, a pure function of `(s, b)`.
+class DrillBatch {
+ public:
+  DrillBatch(int s, size_t b) : coords_(kDrillBatch * kDrillDim) {
+    Rng rng(static_cast<uint64_t>(s) * 1000003 + b);
+    for (double& c : coords_) c = rng.NextDouble();
+    for (size_t i = 0; i < kDrillBatch; ++i) {
+      StreamPoint& point = points_[i];
+      point.id = static_cast<int64_t>(b * kDrillBatch + i);
+      point.group = static_cast<int32_t>(i % 2);
+      point.coords =
+          std::span<const double>(coords_).subspan(i * kDrillDim, kDrillDim);
+    }
+  }
+  DrillBatch(const DrillBatch&) = delete;
+  DrillBatch& operator=(const DrillBatch&) = delete;
+
+  std::span<const StreamPoint> points() const { return points_; }
+
+ private:
+  std::vector<double> coords_;
+  std::vector<StreamPoint> points_ = std::vector<StreamPoint>(kDrillBatch);
+};
+
+std::string SolveReply(net::RequestDispatcher& dispatcher,
+                       const std::string& name) {
+  net::StringLineSource no_payload{std::string_view()};
+  std::string out;
+  dispatcher.HandleRequest("SOLVE " + name, no_payload, &out);
+  return out;
+}
+
+// Every fan-out shares one pool, so a SnapshotAll task can wait on a
+// session lock whose holder is mid-ingest and fanning out itself; on a pool
+// that ran one job at a time that stalls at once. At width 4, one thread
+// loops SnapshotAll, four ingest 64-point batches into four SFDM-2
+// sessions and one solves, for 2 s. Every thread must make progress and
+// stop on request, and the final SOLVE replies must equal a width-1 replay
+// of the same per-session streams. Ingest pauses 1 ms between batches, so
+// the window spans the whole 2 s and the replay stays short.
+TEST_F(SessionWidthTest, SnapshotSweepIngestAndSolveShareThePool) {
+  constexpr int kSessions = 4;
+  const auto name = [](int s) { return "s" + std::to_string(s); };
+  ScopedWidth width(4);
+  SessionManagerOptions options;
+  options.root_dir = root_ + "/drill";
+  auto manager = SessionManager::Create(options);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  for (int s = 0; s < kSessions; ++s) {
+    ASSERT_TRUE((*manager)->CreateSession(name(s), kDrillSpec).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> finished{0};
+  std::atomic<int> errors{0};
+  std::atomic<uint64_t> sweeps{0};
+  std::atomic<uint64_t> solves{0};
+  std::vector<size_t> batches(kSessions, 0);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      if (!(*manager)->SnapshotAll().ok()) errors.fetch_add(1);
+      sweeps.fetch_add(1);
+    }
+    finished.fetch_add(1);
+  });
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      for (size_t b = 0; !stop.load(); ++b) {
+        const DrillBatch batch(s, b);
+        if (!(*manager)->ObserveBatch(name(s), batch.points()).ok()) {
+          errors.fetch_add(1);
+        }
+        batches[static_cast<size_t>(s)] = b + 1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      finished.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      for (int s = 0; s < kSessions; ++s) (void)(*manager)->Solve(name(s));
+      solves.fetch_add(1);
+    }
+    finished.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  stop.store(true);
+  // A deadlocked pool cannot be joined; fail the binary instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (finished.load() < static_cast<int>(threads.size())) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr,
+                   "drill stalled: %d of %zu threads stopped, %llu sweeps\n",
+                   finished.load(), threads.size(),
+                   static_cast<unsigned long long>(sweeps.load()));
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(sweeps.load(), 0u);
+  EXPECT_GT(solves.load(), 0u);
+
+  net::RequestDispatcher dispatcher(manager->get(), options.root_dir);
+  width.Set(1);
+  SessionManagerOptions replay_options;
+  replay_options.root_dir = root_ + "/replay";
+  replay_options.session.wal.sync_every = size_t{1} << 30;  // no fsyncs
+  auto replay = SessionManager::Create(replay_options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  net::RequestDispatcher replay_dispatcher(replay->get(),
+                                           replay_options.root_dir);
+  for (int s = 0; s < kSessions; ++s) {
+    EXPECT_GT(batches[static_cast<size_t>(s)], 0u) << name(s);
+    ASSERT_TRUE((*replay)->CreateSession(name(s), kDrillSpec).ok());
+    for (size_t b = 0; b < batches[static_cast<size_t>(s)]; ++b) {
+      const DrillBatch batch(s, b);
+      ASSERT_TRUE((*replay)->ObserveBatch(name(s), batch.points()).ok());
+    }
+    width.Set(4);
+    const std::string drilled = SolveReply(dispatcher, name(s));
+    width.Set(1);
+    EXPECT_EQ(drilled.rfind("OK div=", 0), 0u) << drilled;
+    EXPECT_EQ(drilled, SolveReply(replay_dispatcher, name(s))) << name(s);
+  }
+}
+
+// One pool per process: 32 SFDM-2 sessions ingesting at width 4 add no
+// more threads than the shared pool's workers, whatever their specs say
+// (the legacy `threads=4` key once gave each sink a pool of its own).
+TEST_F(SessionWidthTest, SessionsAddNoThreadsBeyondTheSharedPool) {
+  const auto live_threads = [] {
+    int64_t count = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++count;
+    }
+    return count;
+  };
+  ScopedWidth width(4);
+  const int64_t before = live_threads();
+  SessionManagerOptions options;
+  options.root_dir = root_;
+  auto manager = SessionManager::Create(options);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  for (int s = 0; s < 32; ++s) {
+    const std::string name = "s" + std::to_string(s);
+    ASSERT_TRUE(
+        (*manager)->CreateSession(name, std::string(kDrillSpec) + " threads=4")
+            .ok());
+    for (size_t b = 0; b < 4; ++b) {
+      const DrillBatch batch(s, b);
+      ASSERT_TRUE((*manager)->ObserveBatch(name, batch.points()).ok());
+    }
+  }
+  EXPECT_LE(live_threads() - before,
+            static_cast<int64_t>(ThreadPool::DefaultThreads()) - 1);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "service/sink_spec.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -19,7 +21,10 @@ TEST(SinkSpecTest, ParsesFullSpec) {
   EXPECT_DOUBLE_EQ(spec->epsilon, 0.05);
   EXPECT_DOUBLE_EQ(spec->d_min, 0.01);
   EXPECT_DOUBLE_EQ(spec->d_max, 50);
-  EXPECT_EQ(spec->threads, 2);
+  // `threads` is a legacy key: accepted, ignored, never written back. The
+  // width is the process-wide `Parallelism` setting.
+  EXPECT_EQ(spec->ToString().find("threads"), std::string::npos);
+  EXPECT_TRUE(spec->MakeSink().ok());
 }
 
 TEST(SinkSpecTest, RejectsMalformedSpecs) {

@@ -133,7 +133,6 @@ TEST(SnapshotTest, ShardedStreamingDmEveryPrefix) {
   const Dataset ds = SmallData(1, 44);
   ShardedStreamingOptions sharding;
   sharding.num_shards = 3;
-  sharding.batch_threads = 1;
   auto algo = ShardedStreamingDm::Create(4, ds.dim(), ds.metric_kind(),
                                          OptionsFor(ds), sharding);
   ASSERT_TRUE(algo.ok());

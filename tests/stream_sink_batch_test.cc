@@ -1,6 +1,6 @@
 // The StreamSink contract: ingesting a stream through ObserveBatch — any
-// batch sizes, any thread count — yields exactly the same Solve() output
-// as per-element Observe, for every streaming algorithm.
+// batch sizes, at any process-wide width — yields exactly the same Solve()
+// output as per-element Observe, for every streaming algorithm.
 
 #include "core/stream_sink.h"
 
@@ -16,6 +16,7 @@
 #include "core/sharded_stream.h"
 #include "core/streaming_dm.h"
 #include "data/synthetic.h"
+#include "scoped_width.h"
 #include "util/rng.h"
 
 namespace fdm {
@@ -29,13 +30,12 @@ Dataset TestData(int m, uint64_t seed, size_t n = 400) {
   return MakeBlobs(opt);
 }
 
-StreamingOptions OptionsFor(const Dataset& ds, int batch_threads) {
+StreamingOptions OptionsFor(const Dataset& ds) {
   const DistanceBounds b = ComputeDistanceBoundsExact(ds);
   StreamingOptions o;
   o.epsilon = 0.1;
   o.d_min = b.min;
   o.d_max = b.max;
-  o.batch_threads = batch_threads;
   return o;
 }
 
@@ -77,18 +77,19 @@ void ExpectIdentical(const StreamSink& a, const StreamSink& b) {
 
 struct BatchCase {
   uint64_t seed;
-  int batch_threads;
+  int threads;  // process-wide width while the test runs
 };
 
 class StreamSinkBatchTest : public ::testing::TestWithParam<BatchCase> {};
 
 TEST_P(StreamSinkBatchTest, StreamingDmBatchEqualsSequential) {
   const BatchCase param = GetParam();
+  const ScopedWidth width(param.threads);
   const Dataset ds = TestData(2, 100 + param.seed);
   auto sequential = StreamingDm::Create(8, ds.dim(), ds.metric_kind(),
-                                        OptionsFor(ds, 1));
+                                        OptionsFor(ds));
   auto batched = StreamingDm::Create(8, ds.dim(), ds.metric_kind(),
-                                     OptionsFor(ds, param.batch_threads));
+                                     OptionsFor(ds));
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
@@ -98,12 +99,13 @@ TEST_P(StreamSinkBatchTest, StreamingDmBatchEqualsSequential) {
 
 TEST_P(StreamSinkBatchTest, Sfdm1BatchEqualsSequential) {
   const BatchCase param = GetParam();
+  const ScopedWidth width(param.threads);
   const Dataset ds = TestData(2, 200 + param.seed);
   const FairnessConstraint constraint = EqualRepresentation(8, 2).value();
   auto sequential = Sfdm1::Create(constraint, ds.dim(), ds.metric_kind(),
-                                  OptionsFor(ds, 1));
+                                  OptionsFor(ds));
   auto batched = Sfdm1::Create(constraint, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, param.batch_threads));
+                               OptionsFor(ds));
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
@@ -113,12 +115,13 @@ TEST_P(StreamSinkBatchTest, Sfdm1BatchEqualsSequential) {
 
 TEST_P(StreamSinkBatchTest, Sfdm2BatchEqualsSequential) {
   const BatchCase param = GetParam();
+  const ScopedWidth width(param.threads);
   const Dataset ds = TestData(3, 300 + param.seed);
   const FairnessConstraint constraint = EqualRepresentation(9, 3).value();
   auto sequential = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
-                                  OptionsFor(ds, 1));
+                                  OptionsFor(ds));
   auto batched = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, param.batch_threads));
+                               OptionsFor(ds));
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
@@ -128,14 +131,14 @@ TEST_P(StreamSinkBatchTest, Sfdm2BatchEqualsSequential) {
 
 TEST_P(StreamSinkBatchTest, ShardedBatchEqualsSequential) {
   const BatchCase param = GetParam();
+  const ScopedWidth width(param.threads);
   const Dataset ds = TestData(2, 400 + param.seed, /*n=*/800);
   ShardedStreamingOptions sharding;
   sharding.num_shards = 4;
-  sharding.batch_threads = param.batch_threads;
   auto sequential = ShardedStreamingDm::Create(
-      6, ds.dim(), ds.metric_kind(), OptionsFor(ds, 1), sharding);
+      6, ds.dim(), ds.metric_kind(), OptionsFor(ds), sharding);
   auto batched = ShardedStreamingDm::Create(
-      6, ds.dim(), ds.metric_kind(), OptionsFor(ds, 1), sharding);
+      6, ds.dim(), ds.metric_kind(), OptionsFor(ds), sharding);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(batched.ok());
   Feed(*sequential, ds, param.seed, /*batched=*/false);
@@ -149,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BatchCase{4, 4}, BatchCase{5, 0}, BatchCase{6, 4}),
     [](const auto& info) {
       return "seed" + std::to_string(info.param.seed) + "_threads" +
-             std::to_string(info.param.batch_threads);
+             std::to_string(info.param.threads);
     });
 
 TEST(StreamSinkBatchTest, AdaptiveDefaultBatchEqualsSequential) {
@@ -170,11 +173,12 @@ TEST(StreamSinkBatchTest, AdaptiveDefaultBatchEqualsSequential) {
 TEST(StreamSinkBatchTest, MixedObserveAndBatchEqualsSequential) {
   // Interleaving Observe and ObserveBatch on the same sink must match the
   // pure per-element run (the batch is not a separate mode, just a chunk).
+  const ScopedWidth width(2);
   const Dataset ds = TestData(2, 77);
   auto a = StreamingDm::Create(6, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, 2));
+                               OptionsFor(ds));
   auto b = StreamingDm::Create(6, ds.dim(), ds.metric_kind(),
-                               OptionsFor(ds, 1));
+                               OptionsFor(ds));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   const std::vector<size_t> order = StreamOrder(ds.size(), 5);
@@ -217,13 +221,13 @@ TEST(StreamSinkBatchTest, PolymorphicUseThroughBasePointer) {
   std::vector<std::unique_ptr<StreamSink>> sinks;
   {
     auto r = Sfdm1::Create(constraint, ds.dim(), ds.metric_kind(),
-                           OptionsFor(ds, 1));
+                           OptionsFor(ds));
     ASSERT_TRUE(r.ok());
     sinks.push_back(std::make_unique<Sfdm1>(std::move(r.value())));
   }
   {
     auto r = Sfdm2::Create(constraint, ds.dim(), ds.metric_kind(),
-                           OptionsFor(ds, 1));
+                           OptionsFor(ds));
     ASSERT_TRUE(r.ok());
     sinks.push_back(std::make_unique<Sfdm2>(std::move(r.value())));
   }

@@ -2,17 +2,18 @@
 // demos, soak tests, scripts, and (with --listen) networked clients.
 //
 //   ./fdm_serve [--root=DIR] [--snapshot_every=N] [--max_resident=N]
-//               [--background_ms=N] [--threads=N] [--solve_threads=N]
+//               [--background_ms=N] [--threads=N]
 //               [--metrics-dump=PATH[,PERIOD_MS]]
 //               [--listen=PORT [--listen_host=ADDR] [--net_threads=N]
 //                [--solve_workers=N] [--rate=R [--burst=B]] [--cold_cap=N]]
 //   ./fdm_serve --follow=DIR|tcp://HOST:PORT [--poll_ms=N] [...]
 //
-// `--solve_threads=N` sets the process-wide width of cold SOLVE
-// post-processing in both modes (core/solve_pool.h): 1 = sequential (the
+// `--threads=N` sets the process-wide width of every fan-out in both
+// modes (core/parallelism.h): batched ingest over rungs and shards, cold
+// SOLVE post-processing, and the snapshot sweep. 1 = sequential (the
 // default), 0 = all hardware threads, N = at most N threads on the one
-// shared solve pool. Replies are byte-identical at every width; a
-// negative N is a usage error.
+// shared pool. Replies are byte-identical at every width; a negative N is
+// a usage error.
 //
 // Reads commands from stdin, one per line; writes one `OK ...` or
 // `ERR <message>` line per command to stdout:
@@ -90,7 +91,7 @@
 #include <memory>
 #include <string>
 
-#include "core/solve_pool.h"
+#include "core/parallelism.h"
 #include "net/dispatch.h"
 #include "net/tcp_server.h"
 #include "obs/metrics_dump.h"
@@ -101,13 +102,13 @@
 namespace fdm {
 namespace {
 
-/// Applies `--solve_threads`, or reports the usage error. Returns false
-/// when the process should exit 1.
-bool SetSolveWidthOrUsageError(const ArgParser& args) {
-  const Status status = SolveParallelism::SetThreads(
-      static_cast<int>(args.GetInt("solve_threads", 1)));
+/// Applies `--threads`, or reports the usage error. Returns false when
+/// the process should exit 1.
+bool SetWidthOrUsageError(const ArgParser& args) {
+  const Status status =
+      Parallelism::SetThreads(static_cast<int>(args.GetInt("threads", 1)));
   if (!status.ok()) {
-    std::fprintf(stderr, "fdm_serve: %s\nusage: --solve_threads=N (N >= 0)\n",
+    std::fprintf(stderr, "fdm_serve: %s\nusage: --threads=N (N >= 0)\n",
                  status.ToString().c_str());
     return false;
   }
@@ -180,7 +181,7 @@ int FollowerMain(const ArgParser& args) {
 
 int Main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  if (!SetSolveWidthOrUsageError(args)) return 1;
+  if (!SetWidthOrUsageError(args)) return 1;
   if (args.Has("follow")) return FollowerMain(args);
   SessionManagerOptions options;
   options.root_dir = args.GetString("root", "fdm_sessions");
@@ -190,7 +191,6 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(args.GetInt("max_resident", 0));
   options.background_snapshot_ms =
       static_cast<int>(args.GetInt("background_ms", 0));
-  options.threads = static_cast<int>(args.GetInt("threads", 1));
 
   auto manager = SessionManager::Create(options);
   if (!manager.ok()) {
