@@ -77,7 +77,7 @@ int Main(int argc, char** argv) {
   auto add_from = [&](const StreamingCandidate& c) {
     for (size_t i = 0; i < c.points().size(); ++i) {
       if (seen.insert(c.points().IdAt(i)).second) {
-        all.Add(c.points().ViewAt(i));
+        all.AddFrom(c.points(), i);
       }
     }
   };
@@ -131,11 +131,15 @@ int Main(int argc, char** argv) {
   }
   std::printf("}\n");
 
+  std::vector<double> x_coords(all.dim());
+  std::vector<double> member_coords(all.dim());
   auto distance_fn = [&](int x, std::span<const int> members) {
     double best = std::numeric_limits<double>::infinity();
+    all.GatherCoords(static_cast<size_t>(x), x_coords);
     for (const int mm : members) {
-      best = std::min(best, metric(all.CoordsAt(static_cast<size_t>(x)),
-                                   all.CoordsAt(static_cast<size_t>(mm))));
+      best = std::min(
+          best, metric(x_coords,
+                       all.GatherCoords(static_cast<size_t>(mm), member_coords)));
     }
     return best;
   };
@@ -143,7 +147,7 @@ int Main(int argc, char** argv) {
       MaxCardinalityMatroidIntersection(m1, m2, initial, distance_fn);
   PointBuffer final_points(2, augmented.size());
   for (const int e : augmented) {
-    final_points.Add(all.ViewAt(static_cast<size_t>(e)));
+    final_points.AddFrom(all, static_cast<size_t>(e));
   }
   PrintSet("augmented S'_mu:", final_points);
   const std::vector<int> final_counts = GroupCounts(final_points, 2);

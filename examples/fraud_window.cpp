@@ -82,7 +82,7 @@ int main() {
       // Average amount of the panel reveals whether it tracks the drift.
       double mean_amount = 0.0;
       for (size_t p = 0; p < solution->points.size(); ++p) {
-        mean_amount += solution->points.CoordsAt(p)[0];
+        mean_amount += solution->points.CoordAt(p, 0);
       }
       mean_amount /= static_cast<double>(solution->points.size());
       const std::vector<int> counts = fdm::GroupCounts(solution->points, 2);

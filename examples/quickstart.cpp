@@ -77,8 +77,8 @@ int main() {
   for (size_t i = 0; i < solution->points.size(); ++i) {
     std::printf("%-8lld %-6d %-10.4f %-10.4f\n",
                 static_cast<long long>(solution->points.IdAt(i)),
-                solution->points.GroupAt(i), solution->points.CoordsAt(i)[0],
-                solution->points.CoordsAt(i)[1]);
+                solution->points.GroupAt(i), solution->points.CoordAt(i, 0),
+                solution->points.CoordAt(i, 1));
   }
   return 0;
 }

@@ -5,7 +5,6 @@
 
 #include "core/diversity.h"
 #include "core/gmm.h"
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -76,10 +75,10 @@ class Enumerator {
       if (d < with_row) with_row = d;
       if (with_row <= best_diversity_) continue;
       current_.push_back(row);
-      mirror_.Append(dataset_.At(row));
+      mirror_.Add(dataset_.At(row));
       RecurseChoose(group, pos + 1, remaining - 1, with_row);
       current_.pop_back();
-      mirror_.RemoveLast();
+      mirror_.RemoveSwap(mirror_.size() - 1);
     }
   }
 
@@ -90,7 +89,7 @@ class Enumerator {
   std::vector<size_t> current_;
   std::vector<size_t> best_indices_;
   /// `current_` mirrored into the kernel block layout (push/pop in step).
-  KernelWorkspace mirror_;
+  PointBuffer mirror_;
   double best_diversity_ = -1.0;
 };
 

@@ -6,7 +6,6 @@
 
 #include "core/diversity.h"
 #include "core/gmm.h"
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -68,9 +67,9 @@ Result<Solution> FairSwap(const Dataset& dataset,
     // filter walked (donors join on insertion; victims are never in it) —
     // the exact minimum of the same per-pair values, so every
     // argmax/argmin decision matches the scalar loops bit for bit.
-    KernelWorkspace under_side(dataset.dim(), static_cast<size_t>(k) + 1);
+    PointBuffer under_side(dataset.dim(), static_cast<size_t>(k) + 1);
     for (const size_t r : blind) {
-      if (dataset.GroupOf(r) == under) under_side.Append(dataset.At(r));
+      if (dataset.GroupOf(r) == under) under_side.Add(dataset.At(r));
     }
     auto distance_to_under_side = [&](size_t row) {
       return under_side.MinDistanceTo(dataset.Point(row), metric);
@@ -92,7 +91,7 @@ Result<Solution> FairSwap(const Dataset& dataset,
       FDM_CHECK_MSG(best_row < dataset.size(),
                     "FairSwap: donor pool exhausted");
       blind.push_back(best_row);
-      under_side.Append(dataset.At(best_row));
+      under_side.Add(dataset.At(best_row));
       ++have;
     }
 

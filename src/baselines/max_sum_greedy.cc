@@ -3,7 +3,6 @@
 #include <limits>
 #include <numeric>
 
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -21,10 +20,9 @@ std::vector<size_t> MaxSumGreedy(const Dataset& dataset, size_t k) {
   // calls. Each finished entry is bit-identical to the scalar distance
   // (squared diffs are sign-insensitive), and the scans are consumed in
   // the scalar loops' exact order, so the selection is unchanged.
-  KernelWorkspace workspace(dataset.dim(), n);
   std::vector<size_t> all_rows(n);
   std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-  workspace.AssignRows(dataset, all_rows);
+  const PointBuffer mirror = dataset.Rows(all_rows);
   std::vector<double> raw;
 
   // Farthest pair (exact, O(n^2) — illustration-scale datasets only).
@@ -32,7 +30,7 @@ std::vector<size_t> MaxSumGreedy(const Dataset& dataset, size_t k) {
   size_t best_j = 1 % n;
   double best_d = -1.0;
   for (size_t i = 0; i + 1 < n; ++i) {
-    workspace.RawDistancesTo(dataset.Point(i), metric, raw);
+    mirror.RawDistancesToAll(dataset.Point(i), metric, raw);
     for (size_t j = i + 1; j < n; ++j) {
       const double d = metric.FinishDistance(raw[j]);
       if (d > best_d) {
@@ -49,8 +47,8 @@ std::vector<size_t> MaxSumGreedy(const Dataset& dataset, size_t k) {
   std::vector<char> in_selected(n, 0);
   in_selected[best_i] = in_selected[best_j] = 1;
   std::vector<double> raw_j;
-  workspace.RawDistancesTo(dataset.Point(best_i), metric, raw);
-  workspace.RawDistancesTo(dataset.Point(best_j), metric, raw_j);
+  mirror.RawDistancesToAll(dataset.Point(best_i), metric, raw);
+  mirror.RawDistancesToAll(dataset.Point(best_j), metric, raw_j);
   for (size_t x = 0; x < n; ++x) {
     sum_dist[x] =
         metric.FinishDistance(raw[x]) + metric.FinishDistance(raw_j[x]);
@@ -69,7 +67,7 @@ std::vector<size_t> MaxSumGreedy(const Dataset& dataset, size_t k) {
     FDM_CHECK(best < n);
     selected.push_back(best);
     in_selected[best] = 1;
-    workspace.RawDistancesTo(dataset.Point(best), metric, raw);
+    mirror.RawDistancesToAll(dataset.Point(best), metric, raw);
     for (size_t x = 0; x < n; ++x) {
       sum_dist[x] += metric.FinishDistance(raw[x]);
     }

@@ -13,6 +13,24 @@
 
 namespace fdm {
 
+namespace {
+
+// Offers every point of `from` to `rung` in storage order (`TryAdd`, with
+// each point gathered); returns how many it kept.
+size_t Reseed(const PointBuffer& from, StreamingCandidate& rung,
+              const Metric& metric) {
+  std::vector<double> scratch(from.dim());
+  size_t kept = 0;
+  for (size_t i = 0; i < from.size(); ++i) {
+    kept += rung.TryAdd(StreamPoint{from.IdAt(i), from.GroupAt(i),
+                                    from.GatherCoords(i, scratch)},
+                        metric);
+  }
+  return kept;
+}
+
+}  // namespace
+
 Result<AdaptiveStreamingDm> AdaptiveStreamingDm::Create(int k, size_t dim,
                                                         MetricKind metric,
                                                         double epsilon,
@@ -39,9 +57,7 @@ void AdaptiveStreamingDm::GrowUp() {
   // Seed by greedy filtering: keep points of the old top candidate that
   // are pairwise >= new_mu (scan in insertion order; TryAdd enforces the
   // invariant). Capacity cannot overflow: the source has <= k points.
-  for (size_t i = 0; i < top.points().size(); ++i) {
-    rung.TryAdd(top.points().ViewAt(i), metric_);
-  }
+  Reseed(top.points(), rung, metric_);
   rungs_.push_back(std::move(rung));
 }
 
@@ -51,11 +67,9 @@ void AdaptiveStreamingDm::GrowDown() {
   StreamingCandidate rung(new_mu, static_cast<size_t>(k_), dim_);
   // Seed with a copy: the old bottom's points are pairwise >= µ_old >
   // new_mu, so the invariant holds and every TryAdd below succeeds.
-  for (size_t i = 0; i < bottom.points().size(); ++i) {
-    const bool added = rung.TryAdd(bottom.points().ViewAt(i), metric_);
-    FDM_DCHECK(added);
-    (void)added;
-  }
+  const size_t kept = Reseed(bottom.points(), rung, metric_);
+  FDM_DCHECK(kept == bottom.points().size());
+  (void)kept;
   rungs_.push_front(std::move(rung));
 }
 
@@ -71,14 +85,14 @@ bool AdaptiveStreamingDm::Observe(const StreamPoint& point) {
       ++state_version_;
       return true;
     }
-    const double d =
-        metric_(pending_.CoordsAt(0).data(), point.coords.data(), dim_);
+    std::vector<double> first(dim_);
+    const double d = metric_(pending_.GatherCoords(0, first), point.coords);
     // Duplicate of the first point — no information, nothing mutated.
     if (d <= 0.0) return false;
     // Seed the ladder at the first observed nonzero distance and replay
     // the held first point.
     StreamingCandidate rung(d, static_cast<size_t>(k_), dim_);
-    rung.TryAdd(pending_.ViewAt(0), metric_);
+    Reseed(pending_, rung, metric_);
     rungs_.push_back(std::move(rung));
     mutated = true;
   }
@@ -141,9 +155,7 @@ Result<Solution> AdaptiveStreamingDm::Solve() const {
         " elements; stream has fewer than k sufficiently distinct points");
   }
   Solution solution(dim_);
-  for (size_t i = 0; i < best->points().size(); ++i) {
-    solution.points.Add(best->points().ViewAt(i));
-  }
+  solution.points = best->points();
   solution.diversity = best_div;
   solution.mu = best->mu();
   return solution;

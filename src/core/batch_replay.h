@@ -48,7 +48,7 @@ namespace fdm {
 /// width and pool: a parallel `Solve()` fans its per-rung (or per-shard)
 /// post-processing out with task `j` owning rung `j`'s inputs and writing
 /// only slot `j` of the result array — each task
-/// builds its own scratch (`KernelWorkspace` mirrors included) — while
+/// builds its own scratch (kernel mirrors included) — while
 /// the final best-rung selection stays a sequential ascending-index scan
 /// with strict `>`. Ingest-side rung parallelism is thus bit-identical to
 /// per-element processing, and solve-side rung parallelism bit-identical

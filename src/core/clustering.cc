@@ -17,9 +17,10 @@ std::vector<int> ThresholdClusters(const PointBuffer& points,
   // partition (a `d < threshold` union of connected elements is a no-op,
   // and `DenseLabels` is partition-invariant), so the output is identical.
   std::vector<double> raw;
+  std::vector<double> row(points.dim());  // point `i`, gathered
   for (int i = 0; i + 1 < l; ++i) {
-    points.RawDistancesToAll(points.CoordsAt(static_cast<size_t>(i)), metric,
-                             raw);
+    points.RawDistancesToAll(
+        points.GatherCoords(static_cast<size_t>(i), row), metric, raw);
     for (int j = i + 1; j < l; ++j) {
       if (uf.Connected(i, j)) continue;
       const double d = metric.FinishDistance(raw[static_cast<size_t>(j)]);

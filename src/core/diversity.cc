@@ -3,7 +3,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -19,8 +18,9 @@ double MinPairwiseDistance(const PointBuffer& buffer, const Metric& metric) {
   const size_t n = buffer.size();
   double best = std::numeric_limits<double>::infinity();
   std::vector<double> raw;
+  std::vector<double> row(buffer.dim());  // point `i`, gathered
   for (size_t i = 0; i + 1 < n; ++i) {
-    buffer.RawDistancesToAll(buffer.CoordsAt(i), metric, raw);
+    buffer.RawDistancesToAll(buffer.GatherCoords(i, row), metric, raw);
     for (size_t j = i + 1; j < n; ++j) {
       const double d = metric.FinishDistance(raw[j]);
       if (d < best) best = d;
@@ -34,11 +34,10 @@ double MinPairwiseDistance(const Dataset& dataset,
   const Metric metric = dataset.metric();
   double best = std::numeric_limits<double>::infinity();
   if (indices.size() < 2) return best;
-  KernelWorkspace workspace(dataset.dim(), indices.size());
-  workspace.AssignRows(dataset, indices);
+  const PointBuffer mirror = dataset.Rows(indices);
   std::vector<double> raw;
   for (size_t i = 0; i + 1 < indices.size(); ++i) {
-    workspace.RawDistancesTo(dataset.Point(indices[i]), metric, raw);
+    mirror.RawDistancesToAll(dataset.Point(indices[i]), metric, raw);
     for (size_t j = i + 1; j < indices.size(); ++j) {
       const double d = metric.FinishDistance(raw[j]);
       if (d < best) best = d;
@@ -52,11 +51,10 @@ double SumPairwiseDistance(const Dataset& dataset,
   const Metric metric = dataset.metric();
   double sum = 0.0;
   if (indices.size() < 2) return sum;
-  KernelWorkspace workspace(dataset.dim(), indices.size());
-  workspace.AssignRows(dataset, indices);
+  const PointBuffer mirror = dataset.Rows(indices);
   std::vector<double> raw;
   for (size_t i = 0; i + 1 < indices.size(); ++i) {
-    workspace.RawDistancesTo(dataset.Point(indices[i]), metric, raw);
+    mirror.RawDistancesToAll(dataset.Point(indices[i]), metric, raw);
     for (size_t j = i + 1; j < indices.size(); ++j) {
       sum += metric.FinishDistance(raw[j]);
     }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <unordered_set>
 
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -35,11 +34,10 @@ std::vector<size_t> GreedyGmm(const Dataset& dataset,
   // order, and the squared diffs are sign-insensitive — so finishing it
   // reproduces the scalar relaxation value bit for bit and the
   // farthest-first selection order is unchanged.
-  KernelWorkspace workspace(dataset.dim(), universe.size());
-  workspace.AssignRows(dataset, universe);
+  const PointBuffer mirror = dataset.Rows(universe);
+  std::vector<double> raw;
   auto relax_against = [&](size_t row) {
-    const std::span<const double> raw =
-        workspace.RawDistancesTo(dataset.Point(row), metric);
+    mirror.RawDistancesToAll(dataset.Point(row), metric, raw);
     for (size_t i = 0; i < universe.size(); ++i) {
       if (distance[i] == kExcluded) continue;
       const double d = metric.FinishDistance(raw[i]);

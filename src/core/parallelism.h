@@ -33,7 +33,7 @@ namespace fdm {
 ///
 /// `Run` is callable from logically-const `Solve()` paths; the shared pool
 /// is internally synchronized. Tasks must touch disjoint state, and each
-/// task needing kernel scratch builds its own `KernelWorkspace`
+/// task needing kernel scratch builds its own `PointBuffer` mirrors
 /// (per-worker instances — the mirrors are mutable and would race if
 /// shared).
 class Parallelism {

@@ -110,9 +110,7 @@ size_t Sfdm1::ObserveBatch(std::span<const StreamPoint> raw_batch) {
 PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
   // Work on a copy of the group-blind candidate so Solve() stays const and
   // repeatable mid-stream.
-  PointBuffer working(dim_, static_cast<size_t>(k_) + 1);
-  const PointBuffer& blind = blind_[j].points();
-  for (size_t i = 0; i < blind.size(); ++i) working.Add(blind.ViewAt(i));
+  PointBuffer working = blind_[j].points();
 
   const std::vector<int> counts = GroupCounts(working, 2);
   int under = -1;  // the under-filled group i_u, if any
@@ -137,8 +135,9 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
   // bit-identical to the scalar loops.
   PointBuffer under_side(dim_, static_cast<size_t>(k_) + 1);
   for (size_t i = 0; i < working.size(); ++i) {
-    if (working.GroupAt(i) == under) under_side.Add(working.ViewAt(i));
+    if (working.GroupAt(i) == under) under_side.AddFrom(working, i);
   }
+  std::vector<double> query(dim_);  // a donor or victim, gathered
 
   // Algorithm 2, lines 12–14: insert the donor farthest from the selected
   // elements of the under-filled group, repeatedly.
@@ -148,7 +147,8 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
     for (size_t d = 0; d < donors.size(); ++d) {
       if (working.ContainsId(donors.IdAt(d))) continue;
       // d(x, S_µ ∩ X_iu): +infinity when the group is empty in S_µ.
-      const double dist = under_side.MinDistanceTo(donors.CoordsAt(d), metric_);
+      const double dist =
+          under_side.MinDistanceTo(donors.GatherCoords(d, query), metric_);
       if (dist > best_distance) {
         best_distance = dist;
         best_donor = d;
@@ -157,8 +157,8 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
     FDM_CHECK_MSG(best_donor < donors.size(),
                   "SFDM1 balance: donor pool exhausted (U' membership "
                   "should prevent this)");
-    working.Add(donors.ViewAt(best_donor));
-    under_side.Add(donors.ViewAt(best_donor));
+    working.AddFrom(donors, best_donor);
+    under_side.AddFrom(donors, best_donor);
   }
 
   // Algorithm 2, lines 15–17: delete the other-group element closest to the
@@ -169,7 +169,7 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
     for (size_t i = 0; i < working.size(); ++i) {
       if (working.GroupAt(i) == under) continue;
       const double dist =
-          under_side.MinDistanceTo(working.CoordsAt(i), metric_);
+          under_side.MinDistanceTo(working.GatherCoords(i, query), metric_);
       if (dist < best_distance) {
         best_distance = dist;
         victim = i;

@@ -148,7 +148,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
     const PointBuffer& cand = RungCandidate(j, slot);
     for (size_t i = 0; i < cand.size(); ++i) {
       if (!seen.insert(cand.IdAt(i)).second) continue;
-      ground.Add(cand.ViewAt(i));
+      ground.AddFrom(cand, i);
       origin.emplace_back(static_cast<uint32_t>(slot),
                           static_cast<uint32_t>(i));
     }
@@ -202,6 +202,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   // rounded sqrt), so augmentation decisions are bit-identical.
   PointBuffer member_mirror(dim_, static_cast<size_t>(k_));
   std::vector<int> mirrored;
+  std::vector<double> query(dim_);  // ground point `x`, gathered
   auto distance_to_set = [&](int x, std::span<const int> members) {
     const bool mirror_is_prefix =
         mirrored.size() <= members.size() &&
@@ -211,11 +212,11 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
       mirrored.clear();
     }
     for (size_t i = mirrored.size(); i < members.size(); ++i) {
-      member_mirror.Add(ground.ViewAt(static_cast<size_t>(members[i])));
+      member_mirror.AddFrom(ground, static_cast<size_t>(members[i]));
       mirrored.push_back(members[i]);
     }
     return member_mirror.MinDistanceTo(
-        ground.CoordsAt(static_cast<size_t>(x)), metric_);
+        ground.GatherCoords(static_cast<size_t>(x), query), metric_);
   };
   const std::vector<int> result = MaxCardinalityMatroidIntersection(
       m1, m2, initial,
@@ -224,7 +225,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
 
   PointBuffer selected(dim_, result.size());
   for (const int e : result) {
-    selected.Add(ground.ViewAt(static_cast<size_t>(e)));
+    selected.AddFrom(ground, static_cast<size_t>(e));
     memo.picks.push_back(origin[static_cast<size_t>(e)]);
   }
   FDM_DCHECK(SatisfiesQuotas(selected, constraint_.quotas));
@@ -274,7 +275,7 @@ Result<Solution> Sfdm2::Solve() const {
   Solution solution(dim_);
   solution.points.Reserve(winner.picks.size());
   for (const auto& [slot, position] : winner.picks) {
-    solution.points.Add(RungCandidate(best, slot).ViewAt(position));
+    solution.points.AddFrom(RungCandidate(best, slot), position);
   }
   solution.diversity = winner.diversity;
   solution.mu = ladder_.At(best);

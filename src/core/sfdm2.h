@@ -82,7 +82,7 @@ class Sfdm2 : public StreamSink {
   ///
   /// Internally rung-parallel: dirty rungs fan out over the process-wide
   /// width (`Parallelism`; each task fills only its own `rung_solve_[j]`
-  /// memo slot and builds its own `KernelWorkspace` scratch), while the
+  /// memo slot and builds its own kernel mirrors), while the
   /// final best-rung selection stays a sequential ascending-µ scan with
   /// strict `>` — so output is bit-identical to the sequential path at any
   /// width.

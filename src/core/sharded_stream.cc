@@ -83,7 +83,7 @@ Result<Solution> ShardedStreamingDm::Solve() const {
   for (const std::optional<Solution>& local : locals) {
     if (!local.has_value()) continue;  // under-filled shard contributes nothing
     const PointBuffer& points = local->points;
-    for (size_t i = 0; i < points.size(); ++i) merged.Add(points.ViewAt(i));
+    for (size_t i = 0; i < points.size(); ++i) merged.AddFrom(points, i);
   }
   if (merged.size() < static_cast<size_t>(k_)) {
     return Status::Infeasible(
@@ -98,15 +98,16 @@ Result<Solution> ShardedStreamingDm::Solve() const {
   // to `merged` to preserve the original stream ids and groups.
   Dataset coreset("sharded-coreset", dim_, /*num_groups=*/1, metric_.kind());
   coreset.Reserve(merged.size());
+  std::vector<double> row(dim_);
   for (size_t i = 0; i < merged.size(); ++i) {
-    coreset.Add(merged.CoordsAt(i), /*group=*/0);
+    coreset.Add(merged.GatherCoords(i, row), /*group=*/0);
   }
   const std::vector<size_t> selected =
       GreedyGmm(coreset, static_cast<size_t>(k_));
   FDM_CHECK(selected.size() == static_cast<size_t>(k_));
 
   Solution solution(dim_);
-  for (const size_t i : selected) solution.points.Add(merged.ViewAt(i));
+  for (const size_t i : selected) solution.points.AddFrom(merged, i);
   solution.diversity = k_ >= 2
                            ? MinPairwiseDistance(solution.points, metric_)
                            : std::numeric_limits<double>::infinity();

@@ -35,7 +35,8 @@ class StreamingCandidate {
   /// in one pass over the stored blocks (`MinRawDistanceToMany`, with the
   /// prepared `µ` as the per-query early-exit threshold — rejected points
   /// stop scanning at their first close block), and each point then only
-  /// re-checks the handful of points admitted earlier in the same batch.
+  /// re-checks the handful of points admitted earlier in the same batch,
+  /// reading their coordinates from the batch, not the buffer.
   /// Admission depends on `min(d to old points, d to new points) >= µ` and
   /// on the capacity, both of which the split preserves exactly.
   size_t TryAddBatch(std::span<const StreamPoint> batch, const Metric& metric) {
@@ -89,29 +90,30 @@ class StreamingCandidate {
         std::span<const double* const>(queries.data(), count), metric,
         std::span<const double>(stops.data(), count),
         std::span<double>(mins.data(), count));
-    const size_t pre_batch = points_.size();
+    // The intra-batch re-check reads the batch itself: `queries[0, kept)`
+    // is compacted to the points admitted so far (in admission order, and
+    // `kept <= t`, so no unread query is overwritten).
     size_t kept = 0;
     for (size_t t = 0; t < count; ++t) {
       if (points_.size() >= capacity_) break;  // full is permanent
       if (mins[t] < prepared) continue;        // too close to the old set
-      const StreamPoint& p = point_at(t);
+      const double* x = queries[t];
       bool admit = true;
-      for (size_t j = pre_batch; j < points_.size(); ++j) {
-        if (metric.RawDistance(p.coords.data(), points_.CoordsAt(j).data(),
-                               points_.dim()) < prepared) {
+      for (size_t a = 0; a < kept; ++a) {
+        if (metric.RawDistance(x, queries[a], points_.dim()) < prepared) {
           admit = false;
           break;
         }
       }
       if (!admit) continue;
       // Fused admission+insert: the kernel scan over the old set already
-      // ran (above, before any mutation) and the intra-batch re-check
-      // reads the point-major layout, so nothing scans the block layout
-      // again until the batch completes — each accepted point writes only
-      // its own block lane here, and the padding-replication invariant is
-      // restored once per batch below instead of once per insertion.
-      points_.AddDeferPadding(p);
-      ++kept;
+      // ran (above, before any mutation) and the re-check reads the batch,
+      // so nothing scans the block layout again until the batch completes
+      // — each accepted point writes only its own block lane here, and the
+      // padding-replication invariant is restored once per batch below
+      // instead of once per insertion.
+      points_.AddDeferPadding(point_at(t));
+      queries[kept++] = x;
     }
     if (kept > 0) points_.SealPadding();
     return kept;

@@ -105,9 +105,7 @@ Result<Solution> StreamingDm::Solve() const {
         "points or d_min is overestimated");
   }
   Solution solution(dim_);
-  for (size_t i = 0; i < best->points().size(); ++i) {
-    solution.points.Add(best->points().ViewAt(i));
-  }
+  solution.points = best->points();
   solution.diversity = best_div;
   solution.mu = best->mu();
   return solution;

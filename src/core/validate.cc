@@ -32,10 +32,9 @@ Status ValidateSolution(const Dataset& dataset, const Solution& solution,
     if (points.GroupAt(i) != dataset.GroupOf(row)) {
       return Status::Internal("group mismatch for id " + std::to_string(id));
     }
-    const auto stored = points.CoordsAt(i);
     const auto original = dataset.Point(row);
     for (size_t d = 0; d < dataset.dim(); ++d) {
-      if (stored[d] != original[d]) {
+      if (points.CoordAt(i, d) != original[d]) {
         return Status::Internal("coordinate mismatch for id " +
                                 std::to_string(id) + " at dimension " +
                                 std::to_string(d));

@@ -5,15 +5,14 @@
 #include <numeric>
 #include <span>
 
-#include "core/kernel_workspace.h"
 #include "util/rng.h"
 
 namespace fdm {
 
 namespace {
 
-/// The shared O(|rows|²) min/max scan behind both bounds functions, routed
-/// through a `KernelWorkspace` mirror so the distances come out of the
+/// The shared O(|rows|²) min/max scan behind both bounds functions, run
+/// over a `PointBuffer` of the rows so the distances come out of the
 /// dispatched SIMD kernels instead of the scalar `Metric`. Row `i`'s scan
 /// consults only the upper triangle (`j > i`) in the scalar loop's exact
 /// `(i, j)` order, and each finished entry is bit-identical to
@@ -26,11 +25,10 @@ DistanceBounds PairwiseExtrema(const Dataset& dataset,
   DistanceBounds bounds;
   bounds.min = std::numeric_limits<double>::infinity();
   bounds.max = 0.0;
-  KernelWorkspace workspace(dataset.dim(), rows.size());
-  workspace.AssignRows(dataset, rows);
+  const PointBuffer mirror = dataset.Rows(rows);
   std::vector<double> raw;
   for (size_t i = 0; i + 1 < rows.size(); ++i) {
-    workspace.RawDistancesTo(dataset.Point(rows[i]), metric, raw);
+    mirror.RawDistancesToAll(dataset.Point(rows[i]), metric, raw);
     for (size_t j = i + 1; j < rows.size(); ++j) {
       const double d = metric.FinishDistance(raw[j]);
       if (d > 0.0 && d < bounds.min) bounds.min = d;

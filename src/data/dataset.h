@@ -69,6 +69,15 @@ class Dataset {
     return StreamPoint{static_cast<int64_t>(i), GroupOf(i), Point(i)};
   }
 
+  /// `rows`, in order, copied into a `PointBuffer` sized for them: the
+  /// kernel block layout the offline distance scans run over.
+  PointBuffer Rows(std::span<const size_t> rows) const {
+    PointBuffer buffer(dim_, rows.size());
+    buffer.Reserve(rows.size());
+    for (const size_t row : rows) buffer.Add(At(row));
+    return buffer;
+  }
+
   /// Number of points per group (length `num_groups()`).
   std::vector<size_t> GroupSizes() const {
     std::vector<size_t> sizes(static_cast<size_t>(num_groups_), 0);
@@ -111,8 +120,8 @@ struct DistanceBounds {
 /// few thousand (tests, small figures). Zero distances (duplicate points)
 /// are excluded from the minimum, mirroring the paper's definition over
 /// *distinct* elements. The scan runs through the dispatched SIMD kernels
-/// (core/kernel_workspace.h) and is bit-identical to the scalar double
-/// loop on every target.
+/// (over `Rows`) and is bit-identical to the scalar double loop on every
+/// target.
 DistanceBounds ComputeDistanceBoundsExact(const Dataset& dataset);
 
 /// Sampled bounds for large datasets: distances among `sample_size` random

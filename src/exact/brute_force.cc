@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "core/diversity.h"
-#include "core/kernel_workspace.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -60,12 +59,12 @@ class Enumerator {
       if (d < with_i) with_i = d;
       if (with_i <= best_.diversity) continue;
       current_.push_back(i);
-      mirror_.Append(dataset_.At(i));
+      mirror_.Add(dataset_.At(i));
       if (constraint_ != nullptr) --remaining_quota_[static_cast<size_t>(g)];
       Recurse(i + 1, with_i);
       if (constraint_ != nullptr) ++remaining_quota_[static_cast<size_t>(g)];
       current_.pop_back();
-      mirror_.RemoveLast();
+      mirror_.RemoveSwap(mirror_.size() - 1);
     }
   }
 
@@ -76,7 +75,7 @@ class Enumerator {
   std::vector<size_t> current_;
   std::vector<int> remaining_quota_;
   /// `current_` mirrored into the kernel block layout (push/pop in step).
-  KernelWorkspace mirror_;
+  PointBuffer mirror_;
   ExactSolution best_;
 };
 

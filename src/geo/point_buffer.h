@@ -28,36 +28,30 @@ struct StreamPoint {
 
 /// Bounded, owning, structure-of-arrays point store.
 ///
-/// This is the storage behind every streaming candidate `S_µ`. Coordinates
-/// are kept in two mirrored layouts, maintained together by every mutation:
+/// This is the storage behind every streaming candidate `S_µ`. Four arrays
+/// grow together — ids, groups, coordinates and the norm cache — and each
+/// point's coordinates are stored once, in the kernel layout: blocks of 8
+/// points, dimension-major within a block (coordinate `d` of point `i` at
+/// `blocks_[(i/8)·dim·8 + d·8 + i%8]`), 64-byte aligned rows, with the
+/// padding lanes of the final block *replicating the last real point*.
+/// The one-to-many distance kernels (`geo/simd/`) scan this layout with
+/// full-width vector loads and no tail masking anywhere — the replicated
+/// padding can tie with a real lane in a min reduction but never win it.
 ///
-///  * `coords_` — point-major and contiguous, the layout behind the span
-///    API (`CoordsAt`/`ViewAt`/`coords()`) and the snapshot format. Spans
-///    into it stay valid until the buffer is mutated, which post-processing
-///    and serialization rely on.
-///  * `blocks_` — the kernel layout: blocks of 8 points, dimension-major
-///    within a block (coordinate `d` of point `i` at
-///    `blocks_[(i/8)·dim·8 + d·8 + i%8]`), 64-byte aligned rows, with the
-///    padding lanes of the final block *replicating the last real point*.
-///    The one-to-many distance kernels (`geo/simd/`) scan this layout with
-///    full-width vector loads and no tail masking anywhere — the replicated
-///    padding can tie with a real lane in a min reduction but never win it.
-///
-/// The duplication costs one extra copy of the coordinates, and in exchange
-/// every existing span consumer keeps working while the admission hot path
-/// runs at SIMD speed.
+/// A point's coordinates are therefore strided, never a contiguous span:
+/// `CoordAt` reads one of them, `GatherCoords` copies a point into
+/// caller-owned scratch (the contiguous query the kernels and `Metric`
+/// take), `AddFrom` copies a point buffer to buffer, lane to lane, and the
+/// snapshot writer gathers them point-major (`geo/point_buffer_io.h`).
 ///
 /// Growth: the constructor reserves nothing, so a buffer nothing has
-/// entered holds no heap. When a point opens a new block, all five arrays
+/// entered holds no heap. When a point opens a new block, all four arrays
 /// grow together to twice the current block count, but never past the
-/// blocks that hold `capacity`, and the point-major arrays never past
-/// `capacity` rows — a full buffer holds exactly what an up-front
+/// blocks that hold `capacity`, and the id and group arrays never past
+/// `capacity` entries — a full buffer holds exactly what an up-front
 /// reservation would, and a 3-point one a single block. With `capacity`
 /// 0, or once it is exceeded, growth doubles without a cap. `Reserve`
 /// sizes a buffer that is about to be filled to a known size in one go.
-/// Growth moves storage, so the span contract is strict: every span and
-/// `StreamPoint` view into a buffer is invalidated by the next mutation of
-/// that buffer, and a buffer must never `Add` a view of its own points.
 ///
 /// Each stored point's squared L2 norm is cached on insertion (one extra
 /// double per point, padded and replicated like the coordinates), so the
@@ -76,9 +70,8 @@ class PointBuffer {
     FDM_CHECK(dim > 0);
   }
 
-  /// Reserves room for `n` points in all five arrays (never shrinks).
+  /// Reserves room for `n` points in all four arrays (never shrinks).
   void Reserve(size_t n) {
-    coords_.reserve(n * dim_);
     ids_.reserve(n);
     groups_.reserve(n);
     const size_t blocks = simd::PointBlockCount(n);
@@ -86,10 +79,9 @@ class PointBuffer {
     norms_.reserve(blocks * simd::kPointBlockLanes);
   }
 
-  /// Heap bytes held by the five arrays, computed from their capacities.
+  /// Heap bytes held by the four arrays, computed from their capacities.
   size_t MemoryBytes() const {
-    return (coords_.capacity() + blocks_.capacity() + norms_.capacity()) *
-               sizeof(double) +
+    return (blocks_.capacity() + norms_.capacity()) * sizeof(double) +
            ids_.capacity() * sizeof(int64_t) +
            groups_.capacity() * sizeof(int32_t);
   }
@@ -99,6 +91,17 @@ class PointBuffer {
   /// class comment).
   void Add(const StreamPoint& p) {
     AddDeferPadding(p);
+    RepadTail();
+  }
+
+  /// Appends point `i` of `src` (same dimension; may be this buffer) lane
+  /// to lane, with its cached norm copied bit for bit: the point `Add` of
+  /// its gathered coordinates would store.
+  void AddFrom(const PointBuffer& src, size_t i) {
+    FDM_DCHECK(src.dim_ == dim_ && i < src.size());
+    AppendSlot(src.ids_[i], src.groups_[i]);
+    CopyLane(src, i, size() - 1);
+    norms_[size() - 1] = src.norms_[i];
     RepadTail();
   }
 
@@ -112,29 +115,16 @@ class PointBuffer {
   /// `RawDistancesToAll`/`MinRawDistanceToMany` call touches the buffer.
   /// (A freshly resized block row is zero-filled, and a zero padding lane
   /// *can* win a min reduction — unlike the replicated-last-point padding
-  /// the kernels are specified against.) The point-major span API stays
-  /// valid throughout.
+  /// the kernels are specified against.) The per-point accessors
+  /// (`CoordAt`, `GatherCoords`, ids, groups, norms) stay valid throughout.
   void AddDeferPadding(const StreamPoint& p) {
     FDM_DCHECK(p.coords.size() == dim_);
-    const size_t i = size();
-    const size_t lane = i % simd::kPointBlockLanes;
-    const size_t stride = simd::PointBlockStride(dim_);
-    if (i == ids_.capacity() ||
-        (lane == 0 && blocks_.size() + stride > blocks_.capacity())) {
-      Grow(i);
-    }
-    coords_.insert(coords_.end(), p.coords.begin(), p.coords.end());
-    ids_.push_back(p.id);
-    groups_.push_back(p.group);
-    if (lane == 0) {
-      blocks_.resize(blocks_.size() + stride);
-      norms_.resize(norms_.size() + simd::kPointBlockLanes);
-    }
-    double* block = blocks_.data() + (i / simd::kPointBlockLanes) * stride;
+    AppendSlot(p.id, p.group);
+    const size_t lane = Lane(size() - 1);
     for (size_t d = 0; d < dim_; ++d) {
-      block[d * simd::kPointBlockLanes + lane] = p.coords[d];
+      blocks_[lane + d * simd::kPointBlockLanes] = p.coords[d];
     }
-    norms_[i] = internal::SquaredNorm(p.coords.data(), dim_);
+    norms_[size() - 1] = internal::SquaredNorm(p.coords.data(), dim_);
   }
 
   /// Restores the replicate-last-point padding invariant after a run of
@@ -147,21 +137,11 @@ class PointBuffer {
     FDM_DCHECK(index < size());
     const size_t last = size() - 1;
     if (index != last) {
-      for (size_t d = 0; d < dim_; ++d) {
-        coords_[index * dim_ + d] = coords_[last * dim_ + d];
-      }
       ids_[index] = ids_[last];
       groups_[index] = groups_[last];
       norms_[index] = norms_[last];
-      // Mirror the move into the block layout.
-      double* block = blocks_.data() +
-                      (index / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-      const size_t lane = index % simd::kPointBlockLanes;
-      for (size_t d = 0; d < dim_; ++d) {
-        block[d * simd::kPointBlockLanes + lane] = coords_[index * dim_ + d];
-      }
+      CopyLane(*this, last, index);
     }
-    coords_.resize(last * dim_);
     ids_.pop_back();
     groups_.pop_back();
     const size_t blocks = simd::PointBlockCount(last);
@@ -174,10 +154,21 @@ class PointBuffer {
   bool empty() const { return ids_.empty(); }
   size_t dim() const { return dim_; }
 
-  std::span<const double> CoordsAt(size_t i) const {
-    FDM_DCHECK(i < size());
-    return {coords_.data() + i * dim_, dim_};
+  /// Coordinate `d` of the point at `i`, read from its block lane.
+  double CoordAt(size_t i, size_t d) const {
+    FDM_DCHECK(i < size() && d < dim_);
+    return blocks_[Lane(i) + d * simd::kPointBlockLanes];
   }
+
+  /// Copies the point at `i` into the caller's scratch `out` (at least
+  /// `dim()` entries) and returns `out[0, dim())`: the contiguous form a
+  /// query takes.
+  std::span<const double> GatherCoords(size_t i, std::span<double> out) const {
+    FDM_DCHECK(out.size() >= dim_);
+    for (size_t d = 0; d < dim_; ++d) out[d] = CoordAt(i, d);
+    return out.first(dim_);
+  }
+
   int64_t IdAt(size_t i) const { return ids_[i]; }
   int32_t GroupAt(size_t i) const { return groups_[i]; }
   /// Cached squared L2 norm of the point at `i` (bit-identical to
@@ -187,10 +178,9 @@ class PointBuffer {
     return norms_[i];
   }
 
-  /// Whole-buffer views of the SoA arrays (serialization and bulk scans).
+  /// Whole-buffer views of the id and group arrays (serialization).
   std::span<const int64_t> ids() const { return ids_; }
   std::span<const int32_t> groups() const { return groups_; }
-  std::span<const double> coords() const { return coords_; }
 
   /// `d(x, S)` — distance from `x` to its nearest neighbour in the buffer;
   /// +infinity when empty (so "add if `d(x,S) >= µ`" admits the first point).
@@ -298,7 +288,7 @@ class PointBuffer {
   /// point, through the dispatched `*_dists` ops. `out` is resized to the
   /// padded lane count (`PointBlockCount(size()) * 8`); entries `[0,
   /// size())` are the raw distances in storage order — bit-identical to
-  /// `metric.RawDistance(x, CoordsAt(i))` on every target — and the
+  /// `metric.RawDistance` from `x` to point `i` on every target — and the
   /// remaining entries are padding-lane values the caller must ignore.
   /// This is the row primitive of the offline Solve paths (GMM relax
   /// scans, clustering rows, pairwise sums), which need every distance
@@ -332,11 +322,6 @@ class PointBuffer {
     FDM_CHECK_MSG(false, "unreachable metric kind");
   }
 
-  /// The point at `i` as a `StreamPoint` view (valid until mutation).
-  StreamPoint ViewAt(size_t i) const {
-    return StreamPoint{IdAt(i), GroupAt(i), CoordsAt(i)};
-  }
-
   /// True iff the buffer holds an element with this id (O(n) scan; buffers
   /// are k-sized so this is cheap and only used in post-processing).
   bool ContainsId(int64_t id) const {
@@ -347,7 +332,6 @@ class PointBuffer {
   }
 
   void Clear() {
-    coords_.clear();
     ids_.clear();
     groups_.clear();
     blocks_.clear();
@@ -396,10 +380,42 @@ class PointBuffer {
     return 0.0;
   }
 
+  /// Index in `blocks_` of coordinate 0 of the point at `i`; coordinate
+  /// `d` is `d·kPointBlockLanes` further on.
+  size_t Lane(size_t i) const {
+    return (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_) +
+           i % simd::kPointBlockLanes;
+  }
+
+  /// Copies the coordinates of `src`'s point `i` into this buffer's `j`.
+  void CopyLane(const PointBuffer& src, size_t i, size_t j) {
+    for (size_t d = 0; d < dim_; ++d) {
+      blocks_[Lane(j) + d * simd::kPointBlockLanes] = src.CoordAt(i, d);
+    }
+  }
+
+  /// Appends a new last point's id and group, growing the four arrays (and
+  /// opening a block) as the growth schedule says. Its lane and norm are
+  /// the caller's to fill; the padding after it is stale until `RepadTail`.
+  void AppendSlot(int64_t id, int32_t group) {
+    const size_t i = size();
+    if (i == ids_.capacity() ||
+        (i % simd::kPointBlockLanes == 0 &&
+         blocks_.size() + simd::PointBlockStride(dim_) > blocks_.capacity())) {
+      Grow(i);
+    }
+    ids_.push_back(id);
+    groups_.push_back(group);
+    if (i % simd::kPointBlockLanes == 0) {
+      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
+      norms_.resize(norms_.size() + simd::kPointBlockLanes);
+    }
+  }
+
   /// The growth schedule (class comment), for point `i`, the first that
   /// does not fit. A point that opens a block doubles the block count; one
   /// inside the last block (only in a copy, whose capacities equal its
-  /// sizes, or past `capacity`) fills the point-major arrays to that block.
+  /// sizes, or past `capacity`) fills the ids and groups to that block.
   void Grow(size_t i) {
     const size_t used = simd::PointBlockCount(i);
     const size_t blocks = i % simd::kPointBlockLanes == 0
@@ -417,15 +433,13 @@ class PointBuffer {
     if (n == 0) return;
     const size_t last = n - 1;
     const size_t lane = last % simd::kPointBlockLanes;
-    double* block = blocks_.data() +
-                    (last / simd::kPointBlockLanes) * simd::PointBlockStride(dim_);
-    for (size_t d = 0; d < dim_; ++d) {
-      const double v = coords_[last * dim_ + d];
-      double* row = block + d * simd::kPointBlockLanes;
-      for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) row[l] = v;
+    double* row = blocks_.data() + Lane(last) - lane;
+    for (size_t d = 0; d < dim_; ++d, row += simd::kPointBlockLanes) {
+      for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) {
+        row[l] = row[lane];
+      }
     }
-    const size_t norm_base =
-        (last / simd::kPointBlockLanes) * simd::kPointBlockLanes;
+    const size_t norm_base = last - lane;
     for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) {
       norms_[norm_base + l] = norms_[last];
     }
@@ -433,11 +447,10 @@ class PointBuffer {
 
   size_t dim_;
   size_t capacity_;  // growth cap (class comment); 0 = uncapped
-  std::vector<double> coords_;  // point-major, the span/serde layout
   std::vector<int64_t> ids_;
   std::vector<int32_t> groups_;
-  /// Kernel layouts (see class comment): padded AoSoA coordinates and the
-  /// matching per-point squared L2 norms, both 64-byte aligned so the
+  /// The coordinates and the matching per-point squared L2 norms, in the
+  /// kernel layout (see class comment), both 64-byte aligned so the
   /// kernels' full-width aligned loads hold on every row.
   std::vector<double, AlignedAllocator<double>> blocks_;
   std::vector<double, AlignedAllocator<double>> norms_;

@@ -9,7 +9,15 @@ void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer) {
   writer.WriteU64(buffer.dim());
   writer.WriteI64Span(buffer.ids());
   writer.WriteI32Span(buffer.groups());
-  writer.WriteDoubleSpan(buffer.coords());
+  // Gathered point-major out of the blocks into reused scratch
+  // (thread-local: the snapshot sweep serializes sessions on pool threads).
+  thread_local std::vector<double> coords;
+  const size_t dim = buffer.dim();
+  coords.resize(buffer.size() * dim);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer.GatherCoords(i, std::span<double>(coords).subspan(i * dim, dim));
+  }
+  writer.WriteDoubleSpan(coords);
 }
 
 void DeserializePointBuffer(SnapshotReader& reader, PointBuffer& buffer) {

@@ -9,13 +9,15 @@ namespace fdm {
 
 /// Snapshot serialization of a `PointBuffer` — the storage unit behind
 /// every streaming candidate, so this is the byte layout most of a sink
-/// snapshot consists of. Structure-of-arrays, mirroring the in-memory
-/// layout with one length-prefixed bulk array per field:
+/// snapshot consists of. Structure-of-arrays, one length-prefixed bulk
+/// array per field:
 ///
 ///   dim u64 | ids i64-span | groups i32-span | coords double-span
 ///
 /// (span = u64 count + raw little-endian elements; the three counts must
-/// agree — size, size, size·dim). Coordinates round-trip bit-exactly (raw
+/// agree — size, size, size·dim). Coordinates are point-major, in storage
+/// order, whatever the in-memory layout: the writer gathers them out of
+/// the kernel blocks. They round-trip bit-exactly (raw
 /// IEEE-754 doubles), which is what makes a restored sink's `Solve()`
 /// bit-identical to the uninterrupted run.
 void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer);

@@ -1,5 +1,7 @@
 #include "util/argparse.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -36,20 +38,37 @@ std::string ArgParser::GetString(const std::string& name,
   return it == flags_.end() ? def : it->second;
 }
 
-int64_t ArgParser::GetInt(const std::string& name, int64_t def) const {
+int64_t ArgParser::GetInt(const std::string& name, int64_t def, int64_t min,
+                          int64_t max) const {
   auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : def;
+  const char* end = it->second.data() + it->second.size();
+  int64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(it->second.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < min || v > max) {
+    UsageError(name, "an integer in [" + std::to_string(min) + ", " +
+                         std::to_string(max) + "]");
+  }
+  return v;
 }
 
 double ArgParser::GetDouble(const std::string& name, double def) const {
   auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? v : def;
+  const char* end = it->second.data() + it->second.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(it->second.data(), end, v);
+  if (ec != std::errc() || ptr != end) UsageError(name, "a number");
+  return v;
+}
+
+void ArgParser::UsageError(const std::string& name,
+                           const std::string& want) const {
+  std::fprintf(stderr, "%s: --%s=%s is not %s\nusage: --%s=<%s>\n",
+               program_.substr(program_.find_last_of('/') + 1).c_str(),
+               name.c_str(), flags_.at(name).c_str(), want.c_str(),
+               name.c_str(), want.c_str());
+  std::exit(1);
 }
 
 bool ArgParser::GetBool(const std::string& name, bool def) const {

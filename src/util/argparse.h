@@ -13,7 +13,9 @@ namespace fdm {
 ///
 /// Every bench binary must run argument-free (the reproduction driver runs
 /// `for b in build/bench/*; do $b; done`), so all flags have defaults and
-/// unknown flags are reported but non-fatal.
+/// unknown flags are reported but non-fatal. A numeric flag that is given
+/// must parse, though: a malformed or out-of-range value prints a usage
+/// line to stderr and exits 1.
 class ArgParser {
  public:
   /// Parses `argv`. Accepts `--name=value`, `--name value`, and bare
@@ -26,10 +28,13 @@ class ArgParser {
   /// String value of `--name`, or `def` if absent.
   std::string GetString(const std::string& name, const std::string& def) const;
 
-  /// Integer value of `--name`, or `def` if absent/unparsable.
-  int64_t GetInt(const std::string& name, int64_t def) const;
+  /// Integer value of `--name` (base 10, no trailing characters, in
+  /// `[min, max]`; counts pass `min = 0`), or `def` if absent or bare.
+  int64_t GetInt(const std::string& name, int64_t def, int64_t min = INT64_MIN,
+                 int64_t max = INT64_MAX) const;
 
-  /// Double value of `--name`, or `def` if absent/unparsable.
+  /// Double value of `--name` (no trailing characters, in double range),
+  /// or `def` if absent or bare.
   double GetDouble(const std::string& name, double def) const;
 
   /// Boolean value: `--name` alone or `--name=true|1|yes` is true;
@@ -43,6 +48,9 @@ class ArgParser {
   const std::string& program() const { return program_; }
 
  private:
+  [[noreturn]] void UsageError(const std::string& name,
+                               const std::string& want) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

@@ -248,8 +248,8 @@ TEST(DegenerateStreamTest, SingletonGroupQuota) {
   bool has_77 = false;
   for (size_t i = 0; i < solution->points.size(); ++i) {
     if (solution->points.GroupAt(i) == 1) {
-      has_42 |= solution->points.CoordsAt(i)[0] == 42.0;
-      has_77 |= solution->points.CoordsAt(i)[0] == 77.0;
+      has_42 |= solution->points.CoordAt(i, 0) == 42.0;
+      has_77 |= solution->points.CoordAt(i, 0) == 77.0;
     }
   }
   EXPECT_TRUE(has_42);

@@ -1,5 +1,7 @@
 #include "util/argparse.h"
 
+#include <climits>
+
 #include <gtest/gtest.h>
 
 namespace fdm {
@@ -60,10 +62,56 @@ TEST(ArgParserTest, PositionalArguments) {
   EXPECT_EQ(p.program(), "prog");
 }
 
-TEST(ArgParserTest, MalformedNumberFallsBackToDefault) {
-  auto p = Parse({"prog", "--k=abc", "--eps=x.y"});
-  EXPECT_EQ(p.GetInt("k", 7), 7);
-  EXPECT_DOUBLE_EQ(p.GetDouble("eps", 0.25), 0.25);
+// A numeric flag that is given must parse: each malformed shape exits 1
+// with the flag and a usage line on stderr, instead of running with the
+// default (or, cast to a count, a wrapped value).
+TEST(ArgParserDeathTest, NonNumberIsAUsageError) {
+  auto p = Parse({"prog", "--threads=four", "--rate=fast"});
+  EXPECT_EXIT(p.GetInt("threads", 1, 0, INT_MAX), ::testing::ExitedWithCode(1),
+              "prog: --threads=four is not an integer in .0, 2147483647.\n"
+              "usage: --threads=<an integer in .0, 2147483647.>");
+  EXPECT_EXIT(p.GetDouble("rate", 0.0), ::testing::ExitedWithCode(1),
+              "--rate=fast is not a number\nusage: --rate=<a number>");
+}
+
+TEST(ArgParserDeathTest, TrailingCharactersAreAUsageError) {
+  auto p = Parse({"prog", "--max_resident=2x", "--eps=0.1.2", "--k=3 "});
+  EXPECT_EXIT(p.GetInt("max_resident", 0, 0), ::testing::ExitedWithCode(1),
+              "--max_resident=2x is not an integer");
+  EXPECT_EXIT(p.GetDouble("eps", 0.1), ::testing::ExitedWithCode(1),
+              "--eps=0.1.2 is not a number");
+  EXPECT_EXIT(p.GetInt("k", 0), ::testing::ExitedWithCode(1),
+              "--k=3  is not an integer");
+}
+
+TEST(ArgParserDeathTest, OutOfRangeIsAUsageError) {
+  auto p = Parse({"prog", "--n=9223372036854775808", "--scale=1e999",
+                  "--threads=2147483648", "--listen=70000"});
+  EXPECT_EXIT(p.GetInt("n", 0), ::testing::ExitedWithCode(1),
+              "--n=9223372036854775808 is not an integer in "
+              ".-9223372036854775808, 9223372036854775807.");
+  EXPECT_EXIT(p.GetDouble("scale", 1.0), ::testing::ExitedWithCode(1),
+              "--scale=1e999 is not a number");
+  EXPECT_EXIT(p.GetInt("threads", 1, 0, INT_MAX), ::testing::ExitedWithCode(1),
+              "--threads=2147483648 is not an integer in .0, 2147483647.");
+  EXPECT_EXIT(p.GetInt("listen", 0, 0, 65535), ::testing::ExitedWithCode(1),
+              "--listen=70000 is not an integer in .0, 65535.");
+}
+
+TEST(ArgParserDeathTest, NegativeCountIsAUsageError) {
+  auto p = Parse({"prog", "--cold_cap=-1", "--net_threads=-3"});
+  EXPECT_EXIT(p.GetInt("cold_cap", 0, 0), ::testing::ExitedWithCode(1),
+              "--cold_cap=-1 is not an integer in .0, 9223372036854775807.");
+  EXPECT_EXIT(p.GetInt("net_threads", 2, 0, INT_MAX),
+              ::testing::ExitedWithCode(1),
+              "--net_threads=-3 is not an integer in .0, 2147483647.");
+}
+
+TEST(ArgParserTest, BoundsAdmitValuesInRange) {
+  auto p = Parse({"prog", "--cold_cap=0", "--threads=2147483647", "--n"});
+  EXPECT_EQ(p.GetInt("cold_cap", 5, 0), 0);
+  EXPECT_EQ(p.GetInt("threads", 1, 0, INT_MAX), INT_MAX);
+  EXPECT_EQ(p.GetInt("n", 9, 0), 9);  // bare: the default
 }
 
 TEST(ArgParserTest, NegativeNumbers) {

@@ -37,16 +37,18 @@ PointBuffer RandomBuffer(Rng& rng, size_t n, size_t dim) {
 double NaiveMinDistance(const PointBuffer& buf, std::span<const double> x,
                         const Metric& metric) {
   double best = std::numeric_limits<double>::infinity();
+  std::vector<double> row(buf.dim());
   for (size_t i = 0; i < buf.size(); ++i) {
-    best = std::min(best, metric(x, buf.CoordsAt(i)));
+    best = std::min(best, metric(x, buf.GatherCoords(i, row)));
   }
   return best;
 }
 
 bool NaiveAllAtLeast(const PointBuffer& buf, std::span<const double> x,
                      const Metric& metric, double threshold) {
+  std::vector<double> row(buf.dim());
   for (size_t i = 0; i < buf.size(); ++i) {
-    if (metric(x, buf.CoordsAt(i)) < threshold) return false;
+    if (metric(x, buf.GatherCoords(i, row)) < threshold) return false;
   }
   return true;
 }
@@ -133,6 +135,7 @@ TEST(SquaredThresholdTest, TryAddDecisionsMatchSqrtReference) {
   for (const double mu : {0.5, 1.0, 2.5}) {
     StreamingCandidate candidate(mu, /*capacity=*/10, /*dim=*/3);
     PointBuffer reference(3, 10);
+    std::vector<double> row(3);
     for (int i = 0; i < 500; ++i) {
       const std::vector<double> p = RandomPoint(rng, 3, -4.0, 4.0);
       const StreamPoint point{i, 0, std::span<const double>(p)};
@@ -140,7 +143,7 @@ TEST(SquaredThresholdTest, TryAddDecisionsMatchSqrtReference) {
       bool want = reference.size() < 10;
       if (want) {
         for (size_t j = 0; j < reference.size(); ++j) {
-          if (metric(point.coords, reference.CoordsAt(j)) < mu) {
+          if (metric(point.coords, reference.GatherCoords(j, row)) < mu) {
             want = false;
             break;
           }

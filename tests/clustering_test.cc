@@ -63,10 +63,12 @@ TEST(ThresholdClustersTest, InterClusterSeparationGuarantee) {
   const Metric m(MetricKind::kEuclidean);
   const double t = 0.35;
   const auto labels = ThresholdClusters(buf, m, t);
+  std::vector<double> a(buf.dim());
+  std::vector<double> b(buf.dim());
   for (size_t i = 0; i < buf.size(); ++i) {
     for (size_t j = i + 1; j < buf.size(); ++j) {
       if (labels[i] != labels[j]) {
-        EXPECT_GE(m(buf.CoordsAt(i), buf.CoordsAt(j)), t);
+        EXPECT_GE(m(buf.GatherCoords(i, a), buf.GatherCoords(j, b)), t);
       }
     }
   }

@@ -65,8 +65,8 @@ void ExpectSameOutcome(const Result<Solution>& a, const Result<Solution>& b,
   for (size_t i = 0; i < a->points.size(); ++i) {
     EXPECT_EQ(a->points.GroupAt(i), b->points.GroupAt(i));
     for (size_t d = 0; d < a->points.dim(); ++d) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(a->points.CoordsAt(i)[d]),
-                std::bit_cast<uint64_t>(b->points.CoordsAt(i)[d]))
+      EXPECT_EQ(std::bit_cast<uint64_t>(a->points.CoordAt(i, d)),
+                std::bit_cast<uint64_t>(b->points.CoordAt(i, d)))
           << "prefix " << prefix << " point " << i << " dim " << d;
     }
   }

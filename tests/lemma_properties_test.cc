@@ -169,7 +169,7 @@ TEST(LemmaThreeTest, ClusterPropertiesOnRealCandidates) {
   auto add_from = [&](const StreamingCandidate& c) {
     for (size_t i = 0; i < c.points().size(); ++i) {
       if (seen.insert(c.points().IdAt(i)).second) {
-        all.Add(c.points().ViewAt(i));
+        all.AddFrom(c.points(), i);
       }
     }
   };
@@ -178,12 +178,15 @@ TEST(LemmaThreeTest, ClusterPropertiesOnRealCandidates) {
 
   const double threshold = mu / static_cast<double>(m + 1);
   const std::vector<int> labels = ThresholdClusters(all, metric, threshold);
+  std::vector<double> a(all.dim());
+  std::vector<double> b(all.dim());
 
   // Property (i): inter-cluster distance >= µ/(m+1).
   for (size_t i = 0; i < all.size(); ++i) {
     for (size_t j = i + 1; j < all.size(); ++j) {
       if (labels[i] != labels[j]) {
-        EXPECT_GE(metric(all.CoordsAt(i), all.CoordsAt(j)), threshold);
+        EXPECT_GE(metric(all.GatherCoords(i, a), all.GatherCoords(j, b)),
+                  threshold);
       }
     }
   }
@@ -208,7 +211,8 @@ TEST(LemmaThreeTest, ClusterPropertiesOnRealCandidates) {
   for (size_t i = 0; i < all.size(); ++i) {
     for (size_t j = i + 1; j < all.size(); ++j) {
       if (labels[i] == labels[j]) {
-        EXPECT_LT(metric(all.CoordsAt(i), all.CoordsAt(j)), diameter_bound);
+        EXPECT_LT(metric(all.GatherCoords(i, a), all.GatherCoords(j, b)),
+                  diameter_bound);
       }
     }
   }

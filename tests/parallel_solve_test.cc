@@ -99,7 +99,7 @@ void ExpectSameOutcome(const Result<Solution>& a, const Result<Solution>& b,
   for (size_t i = 0; i < a->points.size(); ++i) {
     EXPECT_EQ(a->points.GroupAt(i), b->points.GroupAt(i)) << what;
     for (size_t d = 0; d < a->points.dim(); ++d) {
-      EXPECT_EQ(a->points.CoordsAt(i)[d], b->points.CoordsAt(i)[d])
+      EXPECT_EQ(a->points.CoordAt(i, d), b->points.CoordAt(i, d))
           << what << " point " << i << " dim " << d;
     }
   }

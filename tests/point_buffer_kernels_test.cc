@@ -59,10 +59,11 @@ PointBuffer FillRandom(Rng& rng, size_t n, size_t dim) {
 double ScalarMinRaw(const PointBuffer& buffer, std::span<const double> x,
                     const Metric& metric) {
   double best = std::numeric_limits<double>::infinity();
+  std::vector<double> row(buffer.dim());
   for (size_t i = 0; i < buffer.size(); ++i) {
-    best = std::min(best,
-                    metric.RawDistance(x.data(), buffer.CoordsAt(i).data(),
-                                       buffer.dim()));
+    best = std::min(best, metric.RawDistance(
+                              x.data(), buffer.GatherCoords(i, row).data(),
+                              buffer.dim()));
   }
   return best;
 }
@@ -184,14 +185,20 @@ TEST(PointBufferKernelsTest, MinRawDistanceToManyMatchesSingleQueryScans) {
 }
 
 TEST(PointBufferKernelsTest, FuzzInterleavedMutationsKeepLayoutsConsistent) {
-  // Fuzz-style interleaving of Add / AddDeferPadding runs / RemoveSwap /
-  // Clear / copies with kernel scans: the padded block layout and the
-  // cached squared-norm array must track every mutation exactly
-  // (replicate-last padding included), for all three metrics and every
-  // reachable dispatch target. Clears are rare, so buffers grow across
-  // several 8-point blocks — capped at a capacity of 20 and then past it,
-  // and uncapped — and copies restart growth from arrays exactly their
-  // size, so every growth step moves storage mid-stream.
+  // Fuzz-style interleaving of Add / AddFrom (of the buffer's own points) /
+  // AddDeferPadding runs / RemoveSwap / Clear / copies with kernel scans,
+  // mirrored into an oracle of point-major copies: the gathered ids,
+  // coordinates and cached squared norms, and every scan, must match the
+  // oracle after every mutation (replicate-last padding included), for all
+  // three metrics and every reachable dispatch target. Clears are rare, so
+  // buffers grow across several 8-point blocks — capped at a capacity of
+  // 20 and then past it, and uncapped — and copies restart growth from
+  // arrays exactly their size, so every growth step moves storage
+  // mid-stream (an `AddFrom` of the buffer's own point included).
+  struct OraclePoint {
+    int64_t id;
+    std::vector<double> coords;
+  };
   ForEachKernelTarget([](std::string_view target) {
     for (const MetricKind kind : kAllKinds) {
       const Metric metric(kind);
@@ -199,37 +206,63 @@ TEST(PointBufferKernelsTest, FuzzInterleavedMutationsKeepLayoutsConsistent) {
         for (const size_t capacity : {0u, 20u}) {
           Rng rng(1000 + dim + capacity);
           PointBuffer buffer(dim, capacity);
+          std::vector<OraclePoint> oracle;
+          std::vector<double> row(dim);
           int64_t next_id = 0;
           size_t largest = 0;
           for (int step = 0; step < 600; ++step) {
             const uint64_t op = rng.NextBounded(100);
-            if (op < 50 || buffer.empty()) {
+            if (op < 45 || buffer.empty()) {
               const std::vector<double> coords = RandomPoint(rng, dim);
-              buffer.Add(StreamPoint{next_id++, 0, coords});
+              buffer.Add(StreamPoint{next_id, 0, coords});
+              oracle.push_back({next_id++, coords});
+            } else if (op < 50) {
+              const size_t from = rng.NextBounded(buffer.size());
+              buffer.AddFrom(buffer, from);
+              oracle.push_back(oracle[from]);
             } else if (op < 60) {
               const size_t run = 1 + rng.NextBounded(12);
               for (size_t r = 0; r < run; ++r) {
                 const std::vector<double> coords = RandomPoint(rng, dim);
-                buffer.AddDeferPadding(StreamPoint{next_id++, 0, coords});
+                buffer.AddDeferPadding(StreamPoint{next_id, 0, coords});
+                oracle.push_back({next_id++, coords});
               }
               buffer.SealPadding();
             } else if (op < 93) {
-              buffer.RemoveSwap(rng.NextBounded(buffer.size()));
+              const size_t index = rng.NextBounded(buffer.size());
+              buffer.RemoveSwap(index);
+              oracle[index] = oracle.back();
+              oracle.pop_back();
             } else if (op < 98) {
               buffer = PointBuffer(buffer);
             } else {
               buffer.Clear();
+              oracle.clear();
             }
             largest = std::max(largest, buffer.size());
-            // Norm cache tracks the compaction bit-exactly.
+            ASSERT_EQ(oracle.size(), buffer.size()) << "step=" << step;
             for (size_t i = 0; i < buffer.size(); ++i) {
-              ASSERT_EQ(internal::SquaredNorm(buffer.CoordsAt(i).data(), dim),
+              ASSERT_EQ(oracle[i].id, buffer.IdAt(i)) << "step=" << step;
+              const std::span<const double> gathered =
+                  buffer.GatherCoords(i, row);
+              ASSERT_TRUE(std::equal(gathered.begin(), gathered.end(),
+                                     oracle[i].coords.begin()))
+                  << "step=" << step << " i=" << i;
+              for (size_t d = 0; d < dim; ++d) {
+                ASSERT_EQ(oracle[i].coords[d], buffer.CoordAt(i, d));
+              }
+              // Norm cache tracks the compaction bit-exactly.
+              ASSERT_EQ(internal::SquaredNorm(oracle[i].coords.data(), dim),
                         buffer.SquaredNormAt(i))
                   << target << " " << MetricKindName(kind) << " step=" << step;
             }
             if (step % 7 != 0) continue;  // scan periodically, mutate often
             const std::vector<double> query = RandomPoint(rng, dim);
-            const double want = ScalarMinRaw(buffer, query, metric);
+            double want = std::numeric_limits<double>::infinity();
+            for (const OraclePoint& p : oracle) {
+              want = std::min(
+                  want, metric.RawDistance(query.data(), p.coords.data(), dim));
+            }
             ASSERT_EQ(want, buffer.MinRawDistanceTo(query, metric))
                 << target << " " << MetricKindName(kind) << " dim=" << dim
                 << " step=" << step << " n=" << buffer.size();
@@ -242,7 +275,7 @@ TEST(PointBufferKernelsTest, FuzzInterleavedMutationsKeepLayoutsConsistent) {
             buffer.RawDistancesToAll(query, metric, all);
             for (size_t i = 0; i < buffer.size(); ++i) {
               ASSERT_EQ(metric.RawDistance(query.data(),
-                                           buffer.CoordsAt(i).data(), dim),
+                                           oracle[i].coords.data(), dim),
                         all[i])
                   << target << " step=" << step << " i=" << i;
             }
@@ -313,6 +346,7 @@ TEST(PointBufferKernelsTest, RawDistancesToAllMatchesScalarMetricLoop) {
   ForEachKernelTarget([](std::string_view target) {
     Rng rng(2024);
     std::vector<double> out;
+    std::vector<double> row(17);
     for (const MetricKind kind : kAllKinds) {
       const Metric metric(kind);
       for (const size_t dim : {1u, 3u, 7u, 8u, 17u}) {
@@ -324,7 +358,8 @@ TEST(PointBufferKernelsTest, RawDistancesToAllMatchesScalarMetricLoop) {
             ASSERT_GE(out.size(), n);
             for (size_t i = 0; i < n; ++i) {
               EXPECT_EQ(metric.RawDistance(query.data(),
-                                           buffer.CoordsAt(i).data(), dim),
+                                           buffer.GatherCoords(i, row).data(),
+                                           dim),
                         out[i])
                   << target << " " << MetricKindName(kind) << " dim=" << dim
                   << " n=" << n << " i=" << i;
@@ -426,8 +461,9 @@ TEST(PointBufferKernelsTest, AngularNormCacheSurvivesRemoveSwap) {
   buffer.RemoveSwap(buffer.size() - 1);
   const std::vector<double> extra = RandomPoint(rng, dim);
   buffer.Add(StreamPoint{99, 0, extra});
+  std::vector<double> row(dim);
   for (size_t i = 0; i < buffer.size(); ++i) {
-    EXPECT_EQ(internal::SquaredNorm(buffer.CoordsAt(i).data(), dim),
+    EXPECT_EQ(internal::SquaredNorm(buffer.GatherCoords(i, row).data(), dim),
               buffer.SquaredNormAt(i));
   }
   for (int q = 0; q < 20; ++q) {

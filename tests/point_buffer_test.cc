@@ -1,9 +1,15 @@
 #include "geo/point_buffer.h"
 
+#include <bit>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "geo/point_buffer_io.h"
+#include "util/binary_io.h"
+#include "util/rng.h"
 
 namespace fdm {
 namespace {
@@ -25,8 +31,8 @@ TEST(PointBufferTest, AddCopiesCoordinates) {
   buf.Add(Make(7, 1, c));
   c[0] = 999.0;  // mutate the source; the buffer must hold a copy
   ASSERT_EQ(buf.size(), 1u);
-  EXPECT_DOUBLE_EQ(buf.CoordsAt(0)[0], 1.5);
-  EXPECT_DOUBLE_EQ(buf.CoordsAt(0)[1], -2.5);
+  EXPECT_DOUBLE_EQ(buf.CoordAt(0, 0), 1.5);
+  EXPECT_DOUBLE_EQ(buf.CoordAt(0, 1), -2.5);
   EXPECT_EQ(buf.IdAt(0), 7);
   EXPECT_EQ(buf.GroupAt(0), 1);
 }
@@ -68,7 +74,7 @@ TEST(PointBufferTest, RemoveSwapKeepsOthers) {
   ASSERT_EQ(buf.size(), 2u);
   EXPECT_EQ(buf.IdAt(0), 2);
   EXPECT_EQ(buf.GroupAt(0), 0);
-  EXPECT_DOUBLE_EQ(buf.CoordsAt(0)[0], 2.0);
+  EXPECT_DOUBLE_EQ(buf.CoordAt(0, 0), 2.0);
   EXPECT_EQ(buf.IdAt(1), 1);
 }
 
@@ -88,19 +94,67 @@ TEST(PointBufferTest, ContainsId) {
   EXPECT_FALSE(buf.ContainsId(43));
 }
 
-TEST(PointBufferTest, ViewAtRoundTrips) {
+TEST(PointBufferTest, GatherAndAddFromRoundTrip) {
   PointBuffer buf(2, 2);
   buf.Add(Make(5, 3, {1.0, 2.0}));
-  const StreamPoint view = buf.ViewAt(0);
-  EXPECT_EQ(view.id, 5);
-  EXPECT_EQ(view.group, 3);
-  ASSERT_EQ(view.coords.size(), 2u);
-  EXPECT_DOUBLE_EQ(view.coords[1], 2.0);
+  std::vector<double> scratch(3, -1.0);  // longer than dim: only [0, 2) set
+  const std::span<const double> coords = buf.GatherCoords(0, scratch);
+  ASSERT_EQ(coords.size(), 2u);
+  EXPECT_EQ(coords.data(), scratch.data());
+  EXPECT_DOUBLE_EQ(coords[0], 1.0);
+  EXPECT_DOUBLE_EQ(coords[1], 2.0);
+  EXPECT_DOUBLE_EQ(scratch[2], -1.0);
 
   PointBuffer other(2, 2);
-  other.Add(view);
+  other.AddFrom(buf, 0);
   EXPECT_EQ(other.IdAt(0), 5);
-  EXPECT_DOUBLE_EQ(other.CoordsAt(0)[0], 1.0);
+  EXPECT_EQ(other.GroupAt(0), 3);
+  EXPECT_DOUBLE_EQ(other.CoordAt(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(other.CoordAt(0, 1), 2.0);
+}
+
+// AddFrom copies the cached norm the angular kernel reads, bit for bit,
+// across block boundaries and growth (and from the buffer itself): the
+// copy scans exactly like a buffer built by `Add` from the same points.
+TEST(PointBufferTest, AddFromCopiesAngularNormBitForBit) {
+  Rng rng(7);
+  constexpr size_t kDim = 5;
+  PointBuffer src(kDim, 0);
+  PointBuffer added(kDim, 0);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 19; ++i) {
+    std::vector<double> c(kDim);
+    for (double& x : c) x = i == 4 ? 0.0 : rng.NextDouble(-3.0, 3.0);
+    points.push_back(c);
+    src.Add(Make(i, i % 2, c));
+  }
+  PointBuffer copy(kDim, 4);  // capacity 4: growth past it moves storage
+  for (size_t n = 0; n < points.size(); ++n) {
+    const size_t i = (n * 7) % points.size();  // a permutation of 0..18
+    copy.AddFrom(src, i);
+    added.Add(Make(static_cast<int64_t>(i), static_cast<int32_t>(i % 2),
+                   points[i]));
+  }
+  copy.AddFrom(copy, 3);
+  const size_t third = static_cast<size_t>(added.IdAt(3));
+  added.Add(Make(added.IdAt(3), added.GroupAt(3), points[third]));
+  ASSERT_EQ(copy.size(), added.size());
+  for (size_t j = 0; j < copy.size(); ++j) {
+    const size_t i = static_cast<size_t>(copy.IdAt(j));
+    EXPECT_EQ(std::bit_cast<uint64_t>(src.SquaredNormAt(i)),
+              std::bit_cast<uint64_t>(copy.SquaredNormAt(j)))
+        << "slot " << j;
+    EXPECT_EQ(std::bit_cast<uint64_t>(added.SquaredNormAt(j)),
+              std::bit_cast<uint64_t>(copy.SquaredNormAt(j)))
+        << "slot " << j;
+  }
+  const Metric angular(MetricKind::kAngular);
+  for (int q = 0; q < 20; ++q) {
+    std::vector<double> x(kDim);
+    for (double& v : x) v = rng.NextDouble(-3.0, 3.0);
+    EXPECT_EQ(std::bit_cast<uint64_t>(added.MinRawDistanceTo(x, angular)),
+              std::bit_cast<uint64_t>(copy.MinRawDistanceTo(x, angular)));
+  }
 }
 
 TEST(PointBufferTest, ClearEmptiesBuffer) {
@@ -113,11 +167,11 @@ TEST(PointBufferTest, ClearEmptiesBuffer) {
   EXPECT_EQ(buf.MinDistanceTo(q, m), std::numeric_limits<double>::infinity());
 }
 
-// Heap bytes of a buffer whose arrays hold `rows` point-major rows and
-// `blocks` 8-point kernel blocks, at dim 6.
+// Heap bytes of a buffer whose arrays hold `rows` ids and groups and
+// `blocks` 8-point kernel blocks (coordinates and norms), at dim 6.
 size_t Dim6Bytes(size_t rows, size_t blocks) {
   constexpr size_t kDim = 6;
-  return rows * (kDim * sizeof(double) + sizeof(int64_t) + sizeof(int32_t)) +
+  return rows * (sizeof(int64_t) + sizeof(int32_t)) +
          blocks * 8 * (kDim + 1) * sizeof(double);
 }
 
@@ -136,8 +190,8 @@ TEST(PointBufferTest, GrowthFollowsBlocksUpToCapacity) {
                                   : Dim6Bytes(20, 3);
     EXPECT_EQ(buf.MemoryBytes(), want) << "after add " << i;
   }
-  EXPECT_EQ(Dim6Bytes(8, 1), 928u);    // a 3-point candidate: ~0.9 KB
-  EXPECT_EQ(Dim6Bytes(20, 3), 2544u);  // a full one, as reserved before
+  EXPECT_EQ(Dim6Bytes(8, 1), 544u);    // a 3-point candidate: ~0.5 KB
+  EXPECT_EQ(Dim6Bytes(20, 3), 1584u);  // a full one, as reserved before
   buf.RemoveSwap(3);
   buf.RemoveSwap(0);
   EXPECT_EQ(buf.MemoryBytes(), Dim6Bytes(20, 3));
@@ -163,6 +217,102 @@ TEST(PointBufferTest, GrowsBeyondReservedCapacity) {
   }
   EXPECT_EQ(buf.size(), 10u);
   EXPECT_EQ(buf.IdAt(9), 9);
+}
+
+
+// The snapshot layout of a buffer holding `points` (id, group, coordinates
+// in storage order), built byte by byte: dim u64 | id count u64, ids i64 |
+// group count u64, groups i32 | coordinate count u64, coordinates f64,
+// point-major.
+struct LayoutPoint {
+  int64_t id;
+  int32_t group;
+  std::vector<double> coords;
+};
+
+std::string PointMajorBytes(size_t dim, const std::vector<LayoutPoint>& points) {
+  std::string bytes;
+  auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(static_cast<uint64_t>(dim));
+  put(static_cast<uint64_t>(points.size()));
+  for (const LayoutPoint& p : points) put(p.id);
+  put(static_cast<uint64_t>(points.size()));
+  for (const LayoutPoint& p : points) put(p.group);
+  put(static_cast<uint64_t>(points.size() * dim));
+  for (const LayoutPoint& p : points) {
+    for (const double c : p.coords) put(c);
+  }
+  return bytes;
+}
+
+// `buffer` framed as a snapshot holding only it.
+std::string Framed(const PointBuffer& buffer) {
+  SnapshotWriter writer;
+  SerializePointBuffer(writer, buffer);
+  return writer.Serialize();
+}
+
+// The payload of `Framed(buffer)`: what `SerializePointBuffer` wrote.
+std::string SerializedPayload(const PointBuffer& buffer) {
+  const std::string framed = Framed(buffer);
+  return framed.substr(SnapshotWriter::kHeaderBytes,
+                       framed.size() - SnapshotWriter::kHeaderBytes -
+                           sizeof(uint64_t));
+}
+
+// The writer gathers coordinates out of the kernel blocks; the bytes must
+// stay the point-major layout every older snapshot holds, after each kind
+// of mutation, and read back into the same buffer.
+TEST(PointBufferTest, SnapshotLayoutIsPointMajorInStorageOrder) {
+  for (const size_t dim : {1u, 6u, 9u}) {
+    PointBuffer buf(dim, 12);
+    std::vector<LayoutPoint> want;
+    int64_t next = 0;
+    auto point = [&](int64_t id) {
+      LayoutPoint p{id, static_cast<int32_t>(id % 3), {}};
+      for (size_t d = 0; d < dim; ++d) {
+        p.coords.push_back(static_cast<double>(id) * 100.0 +
+                           static_cast<double>(d) + 0.25);
+      }
+      return p;
+    };
+    auto add = [&](bool defer) {
+      const LayoutPoint p = point(next++);
+      const StreamPoint sp{p.id, p.group, p.coords};
+      defer ? buf.AddDeferPadding(sp) : buf.Add(sp);
+      want.push_back(p);
+    };
+    auto check = [&](const char* after) {
+      const std::string payload = SerializedPayload(buf);
+      EXPECT_EQ(PointMajorBytes(dim, want), payload)
+          << "dim " << dim << " after " << after;
+      auto reader = SnapshotReader::FromBytes(Framed(buf));
+      ASSERT_TRUE(reader.ok());
+      PointBuffer back(dim, 0);
+      DeserializePointBuffer(reader.value(), back);
+      ASSERT_TRUE(reader.value().ok()) << reader.value().status().ToString();
+      EXPECT_EQ(payload, SerializedPayload(back)) << "dim " << dim;
+    };
+
+    for (int i = 0; i < 11; ++i) add(/*defer=*/false);
+    check("Add");
+    for (int i = 0; i < 7; ++i) add(/*defer=*/true);
+    buf.SealPadding();
+    check("a deferred-padding run");
+    for (const size_t index : {2u, 16u, 0u, 9u}) {
+      buf.RemoveSwap(index);
+      want[index] = want.back();
+      want.pop_back();
+    }
+    check("RemoveSwap");
+    buf.Clear();
+    want.clear();
+    check("Clear");
+    for (int i = 0; i < 5; ++i) add(/*defer=*/false);
+    check("a refill");
+  }
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(SlidingWindowTest, AdaptsToDistributionShift) {
   const auto solution = sw->Solve();
   ASSERT_TRUE(solution.ok()) << solution.status().ToString();
   for (size_t i = 0; i < solution->points.size(); ++i) {
-    EXPECT_GE(solution->points.CoordsAt(i)[0], 100.0)
+    EXPECT_GE(solution->points.CoordAt(i, 0), 100.0)
         << "stale pre-shift element survived in the window solution";
   }
 }

@@ -67,7 +67,7 @@ void ExpectIdentical(const Algo& original, const Algo& restored) {
   ASSERT_EQ(a->points.size(), b->points.size());
   for (size_t i = 0; i < a->points.size(); ++i) {
     for (size_t d = 0; d < a->points.dim(); ++d) {
-      EXPECT_EQ(a->points.CoordsAt(i)[d], b->points.CoordsAt(i)[d]);
+      EXPECT_EQ(a->points.CoordAt(i, d), b->points.CoordAt(i, d));
     }
   }
 }

@@ -27,7 +27,7 @@ TEST(SolutionTest, FromIndicesCopiesEverything) {
     EXPECT_EQ(s.points.IdAt(i), static_cast<int64_t>(rows[i]));
     EXPECT_EQ(s.points.GroupAt(i), ds.GroupOf(rows[i]));
     for (size_t d = 0; d < ds.dim(); ++d) {
-      EXPECT_DOUBLE_EQ(s.points.CoordsAt(i)[d], ds.Point(rows[i])[d]);
+      EXPECT_DOUBLE_EQ(s.points.CoordAt(i, d), ds.Point(rows[i])[d]);
     }
   }
 }
@@ -73,7 +73,7 @@ TEST(SolutionTest, SolutionOutlivesDataset) {
     expected0 = ds.Point(1)[0];
   }
   ASSERT_EQ(s.points.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.points.CoordsAt(0)[0], expected0);
+  EXPECT_DOUBLE_EQ(s.points.CoordAt(0, 0), expected0);
 }
 
 }  // namespace

@@ -12,8 +12,13 @@
 // modes (core/parallelism.h): batched ingest over rungs and shards, cold
 // SOLVE post-processing, and the snapshot sweep. 1 = sequential (the
 // default), 0 = all hardware threads, N = at most N threads on the one
-// shared pool. Replies are byte-identical at every width; a negative N is
-// a usage error.
+// shared pool. Replies are byte-identical at every width.
+//
+// Every numeric flag must parse (util/argparse.h): a non-number, trailing
+// characters, a value out of range, or a negative count (`--threads`,
+// `--snapshot_every`, `--max_resident`, `--net_threads`, `--cold_cap`, ...)
+// is a usage error: a usage line on stderr and exit 1, before any session
+// or socket is opened.
 //
 // Reads commands from stdin, one per line; writes one `OK ...` or
 // `ERR <message>` line per command to stdout:
@@ -86,6 +91,7 @@
 //   ...
 //   SOLVE demo
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -98,21 +104,20 @@
 #include "replica/replica_manager.h"
 #include "service/session_manager.h"
 #include "util/argparse.h"
+#include "util/check.h"
 
 namespace fdm {
 namespace {
 
-/// Applies `--threads`, or reports the usage error. Returns false when
-/// the process should exit 1.
-bool SetWidthOrUsageError(const ArgParser& args) {
-  const Status status =
-      Parallelism::SetThreads(static_cast<int>(args.GetInt("threads", 1)));
-  if (!status.ok()) {
-    std::fprintf(stderr, "fdm_serve: %s\nusage: --threads=N (N >= 0)\n",
-                 status.ToString().c_str());
-    return false;
-  }
-  return true;
+/// `--name` as a count held in an `int` (usage error unless in
+/// [0, INT_MAX]).
+int IntCount(const ArgParser& args, const std::string& name, int def) {
+  return static_cast<int>(args.GetInt(name, def, 0, INT_MAX));
+}
+
+/// `--name` as a count held in a `size_t` (usage error if negative).
+size_t SizeCount(const ArgParser& args, const std::string& name) {
+  return static_cast<size_t>(args.GetInt(name, 0, 0));
 }
 
 /// Builds the dumper from `--metrics-dump`, or reports the usage error.
@@ -131,21 +136,27 @@ std::unique_ptr<obs::MetricsDumper> DumperOrUsageError(const ArgParser& args,
   return std::move(dumper.value());
 }
 
+/// The TCP front end's flags, read before anything starts so that a bad
+/// value exits 1 with nothing created.
+net::TcpServerOptions ListenOptions(const ArgParser& args) {
+  net::TcpServerOptions options;
+  options.port = static_cast<int>(args.GetInt("listen", 0, 0, 65535));
+  options.host = args.GetString("listen_host", "127.0.0.1");
+  options.event_threads = IntCount(args, "net_threads", 2);
+  options.solve_workers = IntCount(args, "solve_workers", 2);
+  options.admission.session_rate = args.GetDouble("rate", 0.0);
+  options.admission.session_burst = args.GetDouble("burst", 0.0);
+  options.admission.cold_solve_cap = SizeCount(args, "cold_cap");
+  return options;
+}
+
 /// Starts the TCP front end when `--listen` was passed. `*ok=false` means
 /// startup failed and the process should exit 1.
 std::unique_ptr<net::TcpServer> ListenOrUsageError(
-    const ArgParser& args, net::RequestDispatcher& dispatcher, bool* ok) {
+    const ArgParser& args, net::TcpServerOptions options,
+    net::RequestDispatcher& dispatcher, bool* ok) {
   *ok = true;
   if (!args.Has("listen")) return nullptr;
-  net::TcpServerOptions options;
-  options.port = static_cast<int>(args.GetInt("listen", 0));
-  options.host = args.GetString("listen_host", "127.0.0.1");
-  options.event_threads = static_cast<int>(args.GetInt("net_threads", 2));
-  options.solve_workers = static_cast<int>(args.GetInt("solve_workers", 2));
-  options.admission.session_rate = args.GetDouble("rate", 0.0);
-  options.admission.session_burst = args.GetDouble("burst", 0.0);
-  options.admission.cold_solve_cap =
-      static_cast<size_t>(args.GetInt("cold_cap", 0));
   auto server = net::TcpServer::Start(&dispatcher, std::move(options));
   if (!server.ok()) {
     std::fprintf(stderr, "fdm_serve: %s\n",
@@ -156,10 +167,10 @@ std::unique_ptr<net::TcpServer> ListenOrUsageError(
   return std::move(server.value());
 }
 
-int FollowerMain(const ArgParser& args) {
+int FollowerMain(const ArgParser& args, net::TcpServerOptions listen) {
   ReplicaManagerOptions options;
   options.primary_root = args.GetString("follow", "");
-  options.poll_ms = static_cast<int>(args.GetInt("poll_ms", 200));
+  options.poll_ms = IntCount(args, "poll_ms", 200);
   auto manager = ReplicaManager::Create(options);
   if (!manager.ok()) {
     std::fprintf(stderr, "fdm_serve: %s\n",
@@ -170,7 +181,8 @@ int FollowerMain(const ArgParser& args) {
   const auto dumper = DumperOrUsageError(args, &ok);
   if (!ok) return 1;
   net::RequestDispatcher dispatcher(manager->get(), options.primary_root);
-  const auto server = ListenOrUsageError(args, dispatcher, &ok);
+  const auto server =
+      ListenOrUsageError(args, std::move(listen), dispatcher, &ok);
   if (!ok) return 1;
   std::cout << "READY follow=" << options.primary_root
             << " poll_ms=" << options.poll_ms;
@@ -181,16 +193,15 @@ int FollowerMain(const ArgParser& args) {
 
 int Main(int argc, char** argv) {
   const ArgParser args(argc, argv);
-  if (!SetWidthOrUsageError(args)) return 1;
-  if (args.Has("follow")) return FollowerMain(args);
+  const Status width = Parallelism::SetThreads(IntCount(args, "threads", 1));
+  FDM_CHECK(width.ok());  // every width in [0, INT_MAX] is valid
+  net::TcpServerOptions listen = ListenOptions(args);
+  if (args.Has("follow")) return FollowerMain(args, std::move(listen));
   SessionManagerOptions options;
   options.root_dir = args.GetString("root", "fdm_sessions");
-  options.session.snapshot_every =
-      static_cast<size_t>(args.GetInt("snapshot_every", 0));
-  options.max_resident =
-      static_cast<size_t>(args.GetInt("max_resident", 0));
-  options.background_snapshot_ms =
-      static_cast<int>(args.GetInt("background_ms", 0));
+  options.session.snapshot_every = SizeCount(args, "snapshot_every");
+  options.max_resident = SizeCount(args, "max_resident");
+  options.background_snapshot_ms = IntCount(args, "background_ms", 0);
 
   auto manager = SessionManager::Create(options);
   if (!manager.ok()) {
@@ -202,7 +213,8 @@ int Main(int argc, char** argv) {
   const auto dumper = DumperOrUsageError(args, &ok);
   if (!ok) return 1;
   net::RequestDispatcher dispatcher(manager->get(), options.root_dir);
-  const auto server = ListenOrUsageError(args, dispatcher, &ok);
+  const auto server =
+      ListenOrUsageError(args, std::move(listen), dispatcher, &ok);
   if (!ok) return 1;
   std::cout << "READY root=" << options.root_dir;
   if (server != nullptr) std::cout << " listen=" << server->port();
