@@ -13,8 +13,8 @@
 namespace fdm {
 
 /// The process-wide width of every fan-out: batched ingest
-/// (`ReplayBatchRungMajor`, the sharded driver's `ObserveBatch`), every
-/// sink's cold `Solve()`, and `SessionManager::SnapshotAll`. `1` =
+/// (`CandidateLadder::ObserveBatch`, the sharded driver's `ObserveBatch`),
+/// every sink's cold `Solve()`, and `SessionManager::SnapshotAll`. `1` =
 /// sequential (the default), `0` = all hardware threads, `n > 1` = at most
 /// `n` threads. A deployment setting like the kernel dispatch target — set
 /// once at startup (`fdm_serve --threads`), never part of a sink's

@@ -2,149 +2,63 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <string>
 #include <unordered_set>
 
-#include "core/batch_replay.h"
 #include "core/clustering.h"
 #include "core/diversity.h"
-#include "core/snapshot_util.h"
-#include "core/parallelism.h"
-#include "geo/point_buffer_io.h"
-#include "util/binary_io.h"
 #include "core/matroid.h"
 #include "core/matroid_intersection.h"
+#include "core/parallelism.h"
+#include "core/snapshot_util.h"
 #include "obs/metrics.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace fdm {
 
-namespace {
-
-// Per-rung post-processing latency inside a cold Solve(); shared with the
-// SFDM-1 balancing path under the same metric name. Only dirty rungs are
-// timed — a warm memo hit records nothing.
-obs::Histogram& RungSolveHist() {
-  static obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
-      "fdm_solve_rung_ns", "per-rung post-processing latency in cold Solve()");
-  return hist;
-}
-
-}  // namespace
-
+// Group-specific capacity is k, not k_i (the Algorithm 3 deviation from
+// SFDM1 that Lemma 4's Case 2 relies on).
 Sfdm2::Sfdm2(FairnessConstraint constraint, size_t dim, MetricKind metric,
              GuessLadder ladder)
-    : constraint_(std::move(constraint)),
-      k_(constraint_.TotalK()),
-      m_(constraint_.num_groups()),
-      dim_(dim),
-      metric_(metric),
-      ladder_(std::move(ladder)),
-      rung_version_(ladder_.size(), 0),
-      rung_solve_(ladder_.size()) {
-  blind_.reserve(ladder_.size());
-  specific_.reserve(ladder_.size() * static_cast<size_t>(m_));
-  for (size_t j = 0; j < ladder_.size(); ++j) {
-    blind_.emplace_back(ladder_.At(j), static_cast<size_t>(k_), dim_);
-  }
-  for (int i = 0; i < m_; ++i) {
-    for (size_t j = 0; j < ladder_.size(); ++j) {
-      // Group-specific capacity is k, not k_i (the Algorithm 3 deviation
-      // from SFDM1 that Lemma 4's Case 2 relies on).
-      specific_.emplace_back(ladder_.At(j), static_cast<size_t>(k_), dim_);
-    }
-  }
-}
+    : CandidateLadder(constraint.TotalK(), dim, metric, std::move(ladder),
+                      std::vector<int>(constraint.quotas.size(),
+                                       constraint.TotalK())),
+      constraint_(std::move(constraint)),
+      rung_solve_(rungs()) {}
 
 Result<Sfdm2> Sfdm2::Create(const FairnessConstraint& constraint, size_t dim,
                             MetricKind metric,
                             const StreamingOptions& options) {
   if (Status s = constraint.Validate(); !s.ok()) return s;
-  if (dim == 0) return Status::InvalidArgument("dim must be positive");
-  auto ladder =
-      GuessLadder::Create(options.d_min, options.d_max, options.epsilon);
+  auto ladder = MakeLadder(dim, options);
   if (!ladder.ok()) return ladder.status();
   return Sfdm2(constraint, dim, metric, std::move(ladder.value()));
 }
 
-bool Sfdm2::Observe(const StreamPoint& point) {
-  FDM_DCHECK(point.coords.size() == dim_);
-  FDM_CHECK_MSG(point.group >= 0 && point.group < m_,
-                "stream element group out of range");
-  ++observed_;
-  const size_t rungs = ladder_.size();
-  StreamingCandidate* group_row =
-      specific_.data() + static_cast<size_t>(point.group) * rungs;
-  size_t total_kept = 0;
-  for (size_t j = 0; j < rungs; ++j) {
-    size_t kept = 0;
-    if (blind_[j].TryAdd(point, metric_)) ++kept;
-    if (group_row[j].TryAdd(point, metric_)) ++kept;
-    rung_version_[j] += kept;
-    total_kept += kept;
-  }
-  state_version_ += total_kept;
-  return total_kept > 0;
-}
-
-size_t Sfdm2::ObserveBatch(std::span<const StreamPoint> raw_batch) {
-  if (raw_batch.empty()) return 0;
-  for (const StreamPoint& point : raw_batch) {
-    FDM_DCHECK(point.coords.size() == dim_);
-    FDM_CHECK_MSG(point.group >= 0 && point.group < m_,
-                  "stream element group out of range");
-  }
-  observed_ += static_cast<int64_t>(raw_batch.size());
-  const std::span<const StreamPoint> batch = packed_.Pack(raw_batch, dim_);
-  const size_t rungs = ladder_.size();
-  // Per-group positions, computed once and shared read-only by all rungs
-  // (member scratch, reused across batches like packed_).
-  by_group_.resize(static_cast<size_t>(m_));
-  for (auto& positions : by_group_) positions.clear();
-  for (size_t t = 0; t < batch.size(); ++t) {
-    by_group_[static_cast<size_t>(batch[t].group)].push_back(t);
-  }
-  rung_kept_.assign(rungs, 0);
-  ReplayBatchRungMajor(
-      rungs, m_, batch, by_group_.data(), metric_,
-      [&](size_t j) -> StreamingCandidate& { return blind_[j]; },
-      [&](int g, size_t j) -> StreamingCandidate& {
-        return specific_[static_cast<size_t>(g) * rungs + j];
-      },
-      rung_kept_.data());
-  size_t mutations = 0;
-  for (size_t j = 0; j < rungs; ++j) {
-    rung_version_[j] += rung_kept_[j];
-    mutations += rung_kept_[j];
-  }
-  state_version_ += mutations;
-  return mutations;
-}
-
 void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   memo.picks.clear();
-  const size_t rungs = ladder_.size();
+  const int k = this->k();
+  const int m = num_groups();
   // U' membership for this guess: |S_µ| = k ∧ |S_µ,i| >= k_i ∀i (line 9).
-  if (!blind_[j].Full()) return;
-  for (int i = 0; i < m_; ++i) {
-    const auto& cand = specific_[static_cast<size_t>(i) * rungs + j];
-    if (static_cast<int>(cand.points().size()) <
+  if (!blind(j).Full()) return;
+  for (int i = 0; i < m; ++i) {
+    if (static_cast<int>(specific(i, j).points().size()) <
         constraint_.quotas[static_cast<size_t>(i)]) {
       return;
     }
   }
-  const double mu = ladder_.At(j);
+  const double mu = ladder().At(j);
 
   // S_all = S_µ ∪ (∪_i S_µ,i), deduplicated by element id (line 12): the
   // first copy of an id wins, and `origin` records where it sits. The
   // blind candidate's elements come first so the initial partial solution
   // can be addressed by ground-set position.
-  PointBuffer ground(dim_, static_cast<size_t>(k_ * (m_ + 1)));
+  PointBuffer ground(dim(), static_cast<size_t>(k * (m + 1)));
   std::vector<std::pair<uint32_t, uint32_t>> origin;
   std::unordered_set<int64_t> seen;
   size_t blind_count = 0;
-  for (size_t slot = 0; slot <= static_cast<size_t>(m_); ++slot) {
+  for (size_t slot = 0; slot <= static_cast<size_t>(m); ++slot) {
     const PointBuffer& cand = RungCandidate(j, slot);
     for (size_t i = 0; i < cand.size(); ++i) {
       if (!seen.insert(cand.IdAt(i)).second) continue;
@@ -161,7 +75,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   // ablation replaces it with ∅ (pure Cunningham, FairFlow-style).
   std::vector<int> initial;
   if (warm_start_) {
-    std::vector<int> taken(static_cast<size_t>(m_), 0);
+    std::vector<int> taken(static_cast<size_t>(m), 0);
     for (size_t i = 0; i < blind_count; ++i) {
       const int g = ground.GroupAt(i);
       if (taken[static_cast<size_t>(g)] <
@@ -174,7 +88,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
 
   // Threshold clustering at µ/(m+1) (lines 13–16).
   const std::vector<int> cluster_of =
-      ThresholdClusters(ground, metric_, mu / static_cast<double>(m_ + 1));
+      ThresholdClusters(ground, metric(), mu / static_cast<double>(m + 1));
   int num_clusters = 0;
   for (const int c : cluster_of) {
     if (c + 1 > num_clusters) num_clusters = c + 1;
@@ -200,9 +114,9 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   // minimum of the same per-pair values the scalar loop produced
   // (finishing the raw minimum commutes with the monotone, correctly
   // rounded sqrt), so augmentation decisions are bit-identical.
-  PointBuffer member_mirror(dim_, static_cast<size_t>(k_));
+  PointBuffer member_mirror(dim(), static_cast<size_t>(k));
   std::vector<int> mirrored;
-  std::vector<double> query(dim_);  // ground point `x`, gathered
+  std::vector<double> query(dim());  // ground point `x`, gathered
   auto distance_to_set = [&](int x, std::span<const int> members) {
     const bool mirror_is_prefix =
         mirrored.size() <= members.size() &&
@@ -216,24 +130,24 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
       mirrored.push_back(members[i]);
     }
     return member_mirror.MinDistanceTo(
-        ground.GatherCoords(static_cast<size_t>(x), query), metric_);
+        ground.GatherCoords(static_cast<size_t>(x), query), metric());
   };
   const std::vector<int> result = MaxCardinalityMatroidIntersection(
       m1, m2, initial,
       greedy_augmentation_ ? DistanceToSetFn(distance_to_set) : nullptr);
-  if (static_cast<int>(result.size()) != k_) return;
+  if (static_cast<int>(result.size()) != k) return;
 
-  PointBuffer selected(dim_, result.size());
+  PointBuffer selected(dim(), result.size());
   for (const int e : result) {
     selected.AddFrom(ground, static_cast<size_t>(e));
     memo.picks.push_back(origin[static_cast<size_t>(e)]);
   }
   FDM_DCHECK(SatisfiesQuotas(selected, constraint_.quotas));
-  memo.diversity = MinPairwiseDistance(selected, metric_);
+  memo.diversity = MinPairwiseDistance(selected, metric());
 }
 
 Result<Solution> Sfdm2::Solve() const {
-  const size_t rungs = ladder_.size();
+  const size_t rungs = this->rungs();
 
   // Phase 1 — memo fill, fanned out over the width: re-run the
   // post-processing only for rungs whose candidates changed since the
@@ -245,10 +159,10 @@ Result<Solution> Sfdm2::Solve() const {
   // so concurrent tasks share nothing mutable.
   Parallelism::Run(rungs, [this](size_t j) {
     RungSolve& memo = rung_solve_[j];
-    if (memo.computed && memo.version == rung_version_[j]) return;
+    if (memo.computed && memo.version == rung_inserts(j)) return;
     obs::ScopedTimer timer(RungSolveHist());
     SolveRung(j, memo);
-    memo.version = rung_version_[j];
+    memo.version = rung_inserts(j);
     memo.computed = true;
   });
 
@@ -272,47 +186,24 @@ Result<Solution> Sfdm2::Solve() const {
         "the constraint or d_min overestimated");
   }
   const RungSolve& winner = rung_solve_[best];
-  Solution solution(dim_);
+  Solution solution(dim());
   solution.points.Reserve(winner.picks.size());
   for (const auto& [slot, position] : winner.picks) {
     solution.points.AddFrom(RungCandidate(best, slot), position);
   }
   solution.diversity = winner.diversity;
-  solution.mu = ladder_.At(best);
+  solution.mu = ladder().At(best);
   return solution;
-}
-
-size_t Sfdm2::StoredElements() const {
-  std::set<int64_t> distinct;
-  auto collect = [&distinct](const StreamingCandidate& c) {
-    for (size_t i = 0; i < c.points().size(); ++i) {
-      distinct.insert(c.points().IdAt(i));
-    }
-  };
-  for (const auto& c : blind_) collect(c);
-  for (const auto& c : specific_) collect(c);
-  return distinct.size();
 }
 
 Status Sfdm2::Snapshot(SnapshotWriter& writer) const {
   writer.WriteString(kSnapshotTag);
   writer.WriteU64(constraint_.quotas.size());
   for (const int quota : constraint_.quotas) writer.WriteI32(quota);
-  internal::WriteStreamingHeader(writer, dim_, metric_, ladder_);
+  WriteStreamingHeader(writer);
   writer.WriteBool(warm_start_);
   writer.WriteBool(greedy_augmentation_);
-  writer.WriteI64(observed_);
-  writer.WriteU64(state_version_);
-  writer.WriteU64(ladder_.size());
-  // Rung-major: S_µj, then S_µj,i for every group i (ascending).
-  for (size_t j = 0; j < ladder_.size(); ++j) {
-    SerializePointBuffer(writer, blind_[j].points());
-    for (int i = 0; i < m_; ++i) {
-      SerializePointBuffer(writer,
-                           specific_[static_cast<size_t>(i) * ladder_.size() +
-                                     j].points());
-    }
-  }
+  WriteState(writer);
   return Status::Ok();
 }
 
@@ -328,37 +219,17 @@ Result<Sfdm2> Sfdm2::Restore(SnapshotReader& reader) {
   for (size_t g = 0; g < num_groups; ++g) {
     constraint.quotas.push_back(reader.ReadI32());
   }
-  const internal::StreamingHeader header =
-      internal::ReadStreamingHeader(reader);
+  const StreamingHeader header = ReadStreamingHeader(reader);
   const bool warm_start = reader.ReadBool();
   const bool greedy_augmentation = reader.ReadBool();
-  const int64_t observed = reader.ReadI64();
-  const uint64_t state_version = reader.ReadU64();
-  const size_t rungs = reader.ReadU64();
   if (!reader.ok()) return reader.status();
-  auto created = Create(constraint, header.dim, header.metric, header.options);
-  if (!created.ok()) return created.status();
-  Sfdm2 algo = std::move(created.value());
-  if (rungs != algo.ladder_.size()) {
-    reader.Fail("rung count " + std::to_string(rungs) +
-                " does not match rebuilt ladder of " +
-                std::to_string(algo.ladder_.size()));
-    return reader.status();
-  }
-  for (size_t j = 0; j < rungs; ++j) {
-    internal::RestoreCandidatePoints(reader, algo.blind_[j]);
-    for (int i = 0; i < algo.m_; ++i) {
-      internal::RestoreCandidatePoints(
-          reader, algo.specific_[static_cast<size_t>(i) * rungs + j]);
-    }
-  }
-  if (!reader.ok()) return reader.status();
+  auto algo = Create(constraint, header.dim, header.metric, header.options);
+  if (!algo.ok()) return algo.status();
   // The knobs are assigned directly (not via the setters): the snapshot's
   // state_version already accounts for any flips the original saw.
-  algo.warm_start_ = warm_start;
-  algo.greedy_augmentation_ = greedy_augmentation;
-  algo.observed_ = observed;
-  algo.state_version_ = state_version;
+  algo->warm_start_ = warm_start;
+  algo->greedy_augmentation_ = greedy_augmentation;
+  if (Status s = algo->ReadState(reader); !s.ok()) return s;
   return algo;
 }
 

@@ -4,8 +4,6 @@
 #include <string>
 #include <string_view>
 
-#include "core/guess_ladder.h"
-#include "core/streaming_dm.h"
 #include "geo/metric.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
@@ -43,39 +41,6 @@ inline MetricKind ReadMetricKind(SnapshotReader& reader) {
 /// API default wrote 0 into the batch slot) still restore.
 inline void WriteReservedSlot(SnapshotWriter& writer) { writer.WriteI32(1); }
 inline void SkipReservedSlot(SnapshotReader& reader) { (void)reader.ReadI32(); }
-
-/// The `(dim, metric, d_min, d_max, ε, reserved, reserved)` block shared
-/// by the fixed-ladder algorithms' snapshots — one writer/reader pair so
-/// the field order can never drift between StreamingDm, Sfdm1, and Sfdm2.
-inline void WriteStreamingHeader(SnapshotWriter& writer, size_t dim,
-                                 const Metric& metric,
-                                 const GuessLadder& ladder) {
-  writer.WriteU64(dim);
-  writer.WriteU8(static_cast<uint8_t>(metric.kind()));
-  writer.WriteDouble(ladder.d_min());
-  writer.WriteDouble(ladder.d_max());
-  writer.WriteDouble(ladder.epsilon());
-  WriteReservedSlot(writer);
-  WriteReservedSlot(writer);
-}
-
-struct StreamingHeader {
-  size_t dim = 0;
-  MetricKind metric = MetricKind::kEuclidean;
-  StreamingOptions options;  // d_min, d_max, ε
-};
-
-inline StreamingHeader ReadStreamingHeader(SnapshotReader& reader) {
-  StreamingHeader header;
-  header.dim = reader.ReadU64();
-  header.metric = ReadMetricKind(reader);
-  header.options.d_min = reader.ReadDouble();
-  header.options.d_max = reader.ReadDouble();
-  header.options.epsilon = reader.ReadDouble();
-  SkipReservedSlot(reader);
-  SkipReservedSlot(reader);
-  return header;
-}
 
 /// Restores one candidate's points, enforcing its capacity bound.
 template <typename Candidate>

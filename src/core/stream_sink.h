@@ -4,11 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/solution.h"
 #include "geo/point_buffer.h"
-#include "util/check.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -110,37 +108,6 @@ class StreamSink {
 /// loop shared by the harness, the benches, and applications.
 void IngestStream(StreamSink& sink, const Dataset& dataset,
                   std::span<const size_t> order, size_t batch_size);
-
-/// Reusable scratch that repacks a batch's (possibly scattered) coordinate
-/// spans into one contiguous block. A batched sink replays the batch once
-/// per rung; packing first means every replay streams the coordinates
-/// linearly instead of chasing the caller's memory layout (e.g. a permuted
-/// view of a dataset) once per rung. The returned views stay valid until
-/// the next `Pack` call.
-class PackedBatch {
- public:
-  std::span<const StreamPoint> Pack(std::span<const StreamPoint> batch,
-                                    size_t dim) {
-    coords_.clear();
-    points_.clear();
-    coords_.reserve(batch.size() * dim);
-    points_.reserve(batch.size());
-    for (const StreamPoint& point : batch) {
-      FDM_DCHECK(point.coords.size() == dim);
-      coords_.insert(coords_.end(), point.coords.begin(), point.coords.end());
-    }
-    for (size_t t = 0; t < batch.size(); ++t) {
-      points_.push_back(StreamPoint{
-          batch[t].id, batch[t].group,
-          std::span<const double>(coords_.data() + t * dim, dim)});
-    }
-    return points_;
-  }
-
- private:
-  std::vector<double> coords_;
-  std::vector<StreamPoint> points_;
-};
 
 }  // namespace fdm
 

@@ -32,23 +32,6 @@ double AngularBlockMinFromDots(const double* dots, const double* norms8,
 void AngularBlockDistsFromDots(const double* dots, const double* norms8,
                                double q_norm, double* out8);
 
-/// Opt-in approximate-acos epilogue for the angular kernels (default off).
-///
-/// When enabled — `FDM_APPROX_ACOS=1` at process start, or the test hook
-/// below — both angular epilogues replace `std::acos` with the 7-term
-/// Hastings polynomial (Abramowitz & Stegun 4.4.46 reflected onto [-1, 1]).
-/// Error policy: |acos_poly(x) − acos(x)| ≤ 2e-8 rad, i.e. up to ~1e8 ULP
-/// of a double near π — far below the inter-point angle gaps diversity
-/// maximization discriminates, but NOT bit-exact, which is why it is off by
-/// default. Because the epilogue is shared baseline code, results remain
-/// bit-identical *across dispatch targets* even when the flag is on; they
-/// differ from the scalar `Metric` reference. The flag is read once.
-bool ApproxAcosEnabled();
-
-/// Test hook: overrides the approximate-acos flag (not thread-safe; tests
-/// toggle it only between scans).
-void SetApproxAcosForTest(bool enabled);
-
 }  // namespace fdm::simd::internal
 
 #endif  // FDM_GEO_SIMD_KERNEL_TARGETS_H_

@@ -16,7 +16,6 @@
 // angular epilogue through `AngularBlockMinFromDots` below instead.
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "geo/metric.h"
@@ -104,65 +103,17 @@ struct ScalarTarget {
   }
 };
 
-/// The opt-in approximate-acos flag. Read once from FDM_APPROX_ACOS (any
-/// non-empty value other than "0" enables), overridable by the test hook.
-bool g_approx_acos = [] {
-  const char* env = std::getenv("FDM_APPROX_ACOS");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}();
-
-/// Hastings' 7-term arccos polynomial (Abramowitz & Stegun 4.4.46),
-/// reflected onto [-1, 1]: |result − acos(x)| ≤ 2e-8 rad over the whole
-/// domain. Used only when `ApproxAcosEnabled()` — it trades the libm acos
-/// (the dominant cost of angular epilogues) for a sqrt plus 7 mul-adds.
-double HastingsAcos(double x) {
-  const bool negative = x < 0.0;
-  const double t = negative ? -x : x;
-  const double p =
-      ((((((-0.0012624911 * t + 0.0066700901) * t - 0.0170881256) * t +
-              0.0308918810) *
-                 t -
-             0.0501743046) *
-                t +
-            0.0889789874) *
-               t -
-           0.2145988016) *
-          t +
-      1.5707963050;
-  const double r = p * std::sqrt(1.0 - t);
-  return negative ? 3.14159265358979323846 - r : r;
-}
-
-/// One angular lane: `AngularFromDotAndNorms` with the acos swapped for
-/// the polynomial when the opt-in flag is set. The zero-norm and clamping
-/// guard rails are identical either way.
-double AngularLane(double dot, double q_norm, double p_norm) {
-  if (!g_approx_acos) {
-    return fdm::internal::AngularFromDotAndNorms(dot, q_norm, p_norm);
-  }
-  if (q_norm == 0.0 || p_norm == 0.0) return HastingsAcos(0.0);
-  double cosine = dot / (std::sqrt(q_norm) * std::sqrt(p_norm));
-  if (cosine > 1.0) cosine = 1.0;
-  if (cosine < -1.0) cosine = -1.0;
-  return HastingsAcos(cosine);
-}
-
 }  // namespace
-
-bool ApproxAcosEnabled() { return g_approx_acos; }
-
-void SetApproxAcosForTest(bool enabled) { g_approx_acos = enabled; }
 
 double AngularBlockMinFromDots(const double* dots, const double* norms8,
                                double q_norm) {
   // The epilogue (sqrt/acos) is scalar on every target — per lane it is
-  // the shared `AngularFromDotAndNorms` (or its approximate-acos variant),
-  // so cached-norm results match the scalar Metric bit for bit whenever
-  // the approximation flag is off.
+  // the shared `AngularFromDotAndNorms`, so cached-norm results match the
+  // scalar Metric bit for bit.
   double m = std::numeric_limits<double>::infinity();
   for (size_t l = 0; l < kLanes; ++l) {
-    const double ang = AngularLane(dots[l], q_norm, norms8[l]);
+    const double ang =
+        fdm::internal::AngularFromDotAndNorms(dots[l], q_norm, norms8[l]);
     if (ang < m) m = ang;
   }
   return m;
@@ -171,7 +122,8 @@ double AngularBlockMinFromDots(const double* dots, const double* norms8,
 void AngularBlockDistsFromDots(const double* dots, const double* norms8,
                                double q_norm, double* out8) {
   for (size_t l = 0; l < kLanes; ++l) {
-    out8[l] = AngularLane(dots[l], q_norm, norms8[l]);
+    out8[l] =
+        fdm::internal::AngularFromDotAndNorms(dots[l], q_norm, norms8[l]);
   }
 }
 

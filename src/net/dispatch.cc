@@ -11,6 +11,7 @@
 #include "replica/replica_manager.h"
 #include "replica/replication_source.h"
 #include "service/durable_session.h"
+#include "service/session_layout.h"
 #include "service/session_manager.h"
 #include "util/stringutil.h"
 
@@ -30,20 +31,6 @@ obs::Counter& RequestsCounter() {
 bool AtLineEnd(std::istringstream& in) {
   std::string extra;
   return !(in >> extra);
-}
-
-/// Session names are path components, mirroring `SessionManager`'s rule —
-/// the replication verbs resolve names under root_dir and must never walk
-/// out of it.
-bool ValidSessionName(const std::string& name) {
-  if (name.empty() || name.size() > 128) return false;
-  if (name[0] == '.') return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
 }
 
 void ReplyStatus(const Status& status, std::string* out) {
@@ -188,7 +175,7 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
                                               const std::string& name,
                                               std::istringstream& in,
                                               std::string* out) {
-  if (!ValidSessionName(name)) {
+  if (!IsValidSessionName(name)) {
     out->append("ERR invalid session name\n");
     return;
   }

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/binary_io.h"
-
 namespace fdm::obs {
 
 uint64_t HistogramSnapshot::BucketLowerBound(size_t index) {
@@ -48,45 +46,6 @@ uint64_t HistogramSnapshot::Max() const {
     if (counts[i] != 0) return BucketUpperBound(i);
   }
   return 0;
-}
-
-void HistogramSnapshot::WriteTo(SnapshotWriter& writer) const {
-  writer.WriteU64(count);
-  writer.WriteU64(sum);
-  uint32_t nonzero = 0;
-  for (uint64_t c : counts) nonzero += (c != 0);
-  writer.WriteU32(nonzero);
-  for (size_t i = 0; i < kBucketCount; ++i) {
-    if (counts[i] == 0) continue;
-    writer.WriteU32(static_cast<uint32_t>(i));
-    writer.WriteU64(counts[i]);
-  }
-}
-
-bool HistogramSnapshot::ReadFrom(SnapshotReader& reader) {
-  *this = HistogramSnapshot{};
-  const uint64_t count_in = reader.ReadU64();
-  const uint64_t sum_in = reader.ReadU64();
-  const uint32_t nonzero = reader.ReadU32();
-  if (!reader.ok() || nonzero > kBucketCount) return false;
-  uint64_t bucket_total = 0;
-  for (uint32_t i = 0; i < nonzero; ++i) {
-    const uint32_t index = reader.ReadU32();
-    const uint64_t c = reader.ReadU64();
-    if (!reader.ok() || index >= kBucketCount) {
-      *this = HistogramSnapshot{};
-      return false;
-    }
-    counts[index] = c;
-    bucket_total += c;
-  }
-  if (bucket_total != count_in) {
-    *this = HistogramSnapshot{};
-    return false;
-  }
-  count = count_in;
-  sum = sum_in;
-  return true;
 }
 
 }  // namespace fdm::obs

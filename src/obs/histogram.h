@@ -6,11 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 
-namespace fdm {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace fdm
-
 namespace fdm::obs {
 
 /// Plain (non-atomic) log-bucketed histogram with a fixed, deterministic
@@ -84,14 +79,6 @@ struct HistogramSnapshot {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
-
-  /// Sparse serialization (count, sum, non-zero buckets) into the
-  /// snapshot framing — the session-snapshot stats footer and the
-  /// round-trip tests use this.
-  void WriteTo(SnapshotWriter& writer) const;
-  /// Restores from `reader`; false (and `*this` zeroed) on malformed
-  /// payload. Leaves the reader's sticky status to the caller.
-  bool ReadFrom(SnapshotReader& reader);
 };
 
 }  // namespace fdm::obs

@@ -8,24 +8,9 @@
 #include "net/net_client.h"
 #include "replica/socket_source.h"
 #include "service/durable_session.h"
+#include "service/session_layout.h"
 
 namespace fdm {
-
-namespace {
-
-/// Session names are path components, mirroring `SessionManager`'s rule.
-bool ValidSessionName(const std::string& name) {
-  if (name.empty() || name.size() > 128) return false;
-  if (name[0] == '.') return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 ReplicaManager::ReplicaManager(ReplicaManagerOptions options)
     : options_(std::move(options)) {}
@@ -83,7 +68,7 @@ void ReplicaManager::DiscoverSessions() {
     std::string token;
     if (!(in >> token) || token != "OK") return;
     while (in >> token) {
-      if (!ValidSessionName(token)) continue;
+      if (!IsValidSessionName(token)) continue;
       std::lock_guard<std::mutex> lock(mu_);
       entries_.emplace(token, std::make_shared<Entry>());  // no-op if known
     }
@@ -94,7 +79,7 @@ void ReplicaManager::DiscoverSessions() {
        std::filesystem::directory_iterator(options_.primary_root, ec)) {
     if (!entry.is_directory()) continue;
     const std::string name = entry.path().filename().string();
-    if (!ValidSessionName(name)) continue;
+    if (!IsValidSessionName(name)) continue;
     if (!DurableSession::Exists(entry.path().string())) continue;
     std::lock_guard<std::mutex> lock(mu_);
     entries_.emplace(name, std::make_shared<Entry>());  // no-op if known

@@ -8,6 +8,17 @@
 
 namespace fdm {
 
+bool IsValidSessionName(std::string_view name) {
+  if (name.empty() || name.size() > 128) return false;
+  if (name[0] == '.') return false;
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
+
 std::string SessionSpecPath(const std::string& dir) { return dir + "/SPEC"; }
 std::string SessionWalDir(const std::string& dir) { return dir + "/wal"; }
 std::string SessionSnapDir(const std::string& dir) { return dir + "/snap"; }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,13 @@ namespace fdm {
 ///                            sink state version at the last durability
 ///                            point; written atomically, absent until the
 ///                            first Sync/TakeSnapshot)
+
+/// Whether `name` may name a session: 1–128 characters from
+/// `[A-Za-z0-9._-]`, the first not `.` (no hidden directories, `.` or
+/// `..`). A session name is a path component under the root directory, so
+/// this one rule keeps the session verbs, the replication verbs and
+/// follower discovery from walking out of it.
+bool IsValidSessionName(std::string_view name);
 
 std::string SessionSpecPath(const std::string& dir);
 std::string SessionWalDir(const std::string& dir);

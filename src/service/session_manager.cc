@@ -7,6 +7,7 @@
 #include "core/parallelism.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/metrics.h"
+#include "service/session_layout.h"
 #include "service/sink_spec.h"
 
 namespace fdm {
@@ -17,17 +18,6 @@ obs::Gauge& ResidentGauge() {
   static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
       "fdm_sessions_resident", "sessions currently live in memory");
   return g;
-}
-
-bool ValidSessionName(const std::string& name) {
-  if (name.empty() || name.size() > 128) return false;
-  if (name[0] == '.') return false;  // no hidden dirs / "." / ".."
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -55,7 +45,7 @@ Result<std::unique_ptr<SessionManager>> SessionManager::Create(
            manager->options_.root_dir, ec)) {
     if (!entry.is_directory()) continue;
     const std::string name = entry.path().filename().string();
-    if (!ValidSessionName(name)) continue;
+    if (!IsValidSessionName(name)) continue;
     if (!DurableSession::Exists(entry.path().string())) continue;
     manager->entries_.emplace(name, std::make_shared<Entry>());
   }
@@ -83,7 +73,7 @@ SessionManager::~SessionManager() {
 
 Status SessionManager::CreateSession(const std::string& name,
                                      const std::string& spec) {
-  if (!ValidSessionName(name)) {
+  if (!IsValidSessionName(name)) {
     return Status::InvalidArgument("invalid session name '" + name + "'");
   }
   {

@@ -1,7 +1,6 @@
 // Core correctness of the shared log-bucketed histogram: exact bucket
 // boundaries, the ≤ 1/8 relative bucket width the percentile error bound
-// rests on, quantile semantics, deterministic merges, and the sparse
-// snapshot round-trip (including rejection of malformed payloads).
+// rests on, quantile semantics and deterministic merges.
 
 #include "obs/histogram.h"
 
@@ -10,8 +9,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "util/binary_io.h"
 
 namespace fdm::obs {
 namespace {
@@ -135,68 +132,6 @@ TEST(ObsHistogramTest, MergeIsDeterministicAndOrderFree) {
   EXPECT_EQ(single.count, forward.count);
   EXPECT_EQ(single.sum, forward.sum);
   EXPECT_EQ(forward.Percentile(0.99), backward.Percentile(0.99));
-}
-
-TEST(ObsHistogramTest, SnapshotRoundTrip) {
-  std::mt19937_64 rng(13);
-  H original;
-  for (int i = 0; i < 2000; ++i) original.Record(rng() >> (rng() % 40));
-
-  SnapshotWriter writer;
-  original.WriteTo(writer);
-  auto reader = SnapshotReader::FromBytes(writer.Serialize());
-  ASSERT_TRUE(reader.ok());
-  H restored;
-  ASSERT_TRUE(restored.ReadFrom(*reader));
-  EXPECT_TRUE(reader->ok());
-  EXPECT_EQ(0u, reader->Remaining());
-  EXPECT_EQ(original.counts, restored.counts);
-  EXPECT_EQ(original.count, restored.count);
-  EXPECT_EQ(original.sum, restored.sum);
-  EXPECT_EQ(original.Percentile(0.5), restored.Percentile(0.5));
-}
-
-TEST(ObsHistogramTest, ReadFromRejectsMalformedPayloads) {
-  // Bucket index out of range.
-  {
-    SnapshotWriter writer;
-    writer.WriteU64(1);  // count
-    writer.WriteU64(5);  // sum
-    writer.WriteU32(1);  // nonzero buckets
-    writer.WriteU32(static_cast<uint32_t>(H::kBucketCount));  // bad index
-    writer.WriteU64(1);
-    auto reader = SnapshotReader::FromBytes(writer.Serialize());
-    ASSERT_TRUE(reader.ok());
-    H h;
-    h.Record(42);  // must be zeroed on failure
-    EXPECT_FALSE(h.ReadFrom(*reader));
-    EXPECT_EQ(0u, h.count);
-    EXPECT_EQ(0u, h.Max());
-  }
-  // Bucket total disagreeing with the recorded count.
-  {
-    SnapshotWriter writer;
-    writer.WriteU64(3);  // claims 3 samples
-    writer.WriteU64(5);
-    writer.WriteU32(1);
-    writer.WriteU32(5);
-    writer.WriteU64(1);  // but buckets only hold 1
-    auto reader = SnapshotReader::FromBytes(writer.Serialize());
-    ASSERT_TRUE(reader.ok());
-    H h;
-    EXPECT_FALSE(h.ReadFrom(*reader));
-    EXPECT_EQ(0u, h.count);
-  }
-  // Truncated payload.
-  {
-    SnapshotWriter writer;
-    writer.WriteU64(1);
-    auto reader = SnapshotReader::FromBytes(writer.Serialize());
-    ASSERT_TRUE(reader.ok());
-    H h;
-    EXPECT_FALSE(h.ReadFrom(*reader));
-    EXPECT_FALSE(reader->ok());  // sticky error left for the caller
-  }
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "geo/metric.h"
 #include "geo/point_buffer.h"
 #include "geo/simd/kernel_dispatch.h"
-#include "geo/simd/kernel_targets.h"
 #include "util/rng.h"
 
 namespace fdm {
@@ -413,40 +412,6 @@ TEST(PointBufferKernelsTest, DeferredPaddingEquivalentToPlainAddAfterSeal) {
       }
     }
   });
-}
-
-TEST(PointBufferKernelsTest, ApproxAcosWithinDocumentedBoundAndCrossTarget) {
-  // The opt-in polynomial acos epilogue: |approx - std::acos| <= 2e-8 rad
-  // over the full cosine range (the documented ULP-policy bound), and —
-  // because the polynomial runs in the shared baseline epilogue — the
-  // approximation is itself bit-identical across every dispatch target.
-  ASSERT_FALSE(simd::internal::ApproxAcosEnabled());  // default off
-  simd::internal::SetApproxAcosForTest(true);
-  Rng rng(31415);
-  const Metric metric(MetricKind::kAngular);
-  const size_t dim = 6;
-  const PointBuffer buffer = FillRandom(rng, 25, dim);
-  for (int q = 0; q < 40; ++q) {
-    const std::vector<double> query = RandomPoint(rng, dim);
-    const double exact = ScalarMinRaw(buffer, query, metric);
-    double first = 0.0;
-    size_t t = 0;
-    ForEachKernelTarget([&](std::string_view target) {
-      const double approx = buffer.MinRawDistanceTo(query, metric);
-      EXPECT_LE(std::abs(approx - exact), 2e-8)
-          << target << " q=" << q;
-      if (t++ == 0) {
-        first = approx;
-      } else {
-        EXPECT_EQ(first, approx) << target << " q=" << q;
-      }
-    });
-  }
-  simd::internal::SetApproxAcosForTest(false);
-  // Back off: the exact std::acos epilogue again.
-  const std::vector<double> query = RandomPoint(rng, dim);
-  EXPECT_EQ(ScalarMinRaw(buffer, query, metric),
-            buffer.MinRawDistanceTo(query, metric));
 }
 
 TEST(PointBufferKernelsTest, AngularNormCacheSurvivesRemoveSwap) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "service/session_layout.h"
 #include "service/sink_spec.h"
 
 namespace fdm {
@@ -45,6 +46,39 @@ std::string SpecFor(const Dataset& ds) {
   const DistanceBounds b = ComputeDistanceBoundsExact(ds);
   return "algo=sfdm2 dim=2 quotas=2,2 dmin=" + std::to_string(b.min) +
          " dmax=" + std::to_string(b.max);
+}
+
+// The one session-name rule behind CreateSession, the replication verbs
+// and follower discovery: a name is a path component under the root
+// directory, so anything that could leave it or hide in it is refused.
+TEST(SessionNameTest, EdgesOfTheRule) {
+  const std::string allowed =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-";
+  EXPECT_TRUE(IsValidSessionName(allowed));
+  for (const char c : allowed) {
+    if (c == '.') continue;  // allowed inside a name, not first
+    EXPECT_TRUE(IsValidSessionName(std::string(1, c))) << c;
+  }
+  EXPECT_TRUE(IsValidSessionName("a.b"));
+  EXPECT_TRUE(IsValidSessionName("a.."));
+  EXPECT_TRUE(IsValidSessionName(std::string(128, 'x')));
+  EXPECT_FALSE(IsValidSessionName(std::string(129, 'x')));
+  EXPECT_FALSE(IsValidSessionName(""));
+  EXPECT_FALSE(IsValidSessionName("."));
+  EXPECT_FALSE(IsValidSessionName(".."));
+  EXPECT_FALSE(IsValidSessionName(".hidden"));
+  EXPECT_FALSE(IsValidSessionName("../evil"));
+  EXPECT_FALSE(IsValidSessionName("a/b"));
+  EXPECT_FALSE(IsValidSessionName("/"));
+  EXPECT_FALSE(IsValidSessionName("a b"));
+  EXPECT_FALSE(IsValidSessionName(std::string("a\0b", 3)));
+  EXPECT_FALSE(IsValidSessionName(std::string(1, '\0')));
+  EXPECT_FALSE(IsValidSessionName("a\\b"));
+  EXPECT_FALSE(IsValidSessionName("caf\xc3\xa9"));
+  // The neighbours of each allowed range.
+  for (const char c : std::string("/:@[`{,+*~")) {
+    EXPECT_FALSE(IsValidSessionName(std::string("a") + c)) << c;
+  }
 }
 
 TEST_F(SessionManagerTest, CreateObserveSolve) {
