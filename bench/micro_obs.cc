@@ -16,7 +16,7 @@
 //   ingest_batched  SFDM-2 ObserveBatch(256) points/sec — THE gated
 //                   number; median of --reps fresh-sink passes
 //   ingest_element  SFDM-2 per-element Observe() points/sec
-//   ingest_durable  DurableSession::ObserveBatch(256) points/sec with the
+//   ingest_durable  DurableSession::Ingest(256) points/sec with the
 //                   WAL on (fsync-free batches)
 //   scrape          RenderPrometheus cost with the registry populated
 //
@@ -32,6 +32,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,17 +65,17 @@ double BaselineBatchedPps(const std::string& path) {
   return std::strtod(text.c_str() + field + key.size(), nullptr);
 }
 
-/// Feeds the dataset through 256-point ObserveBatch calls; returns
+/// Feeds the dataset to `apply` in 256-point batches; returns
 /// points/sec.
-template <typename SinkLike>
-double FeedBatched(SinkLike& sink, const Dataset& ds) {
+template <typename Apply>
+double FeedBatched(const Dataset& ds, Apply&& apply) {
   std::vector<StreamPoint> batch;
   batch.reserve(256);
   Timer timer;
   for (size_t i = 0; i < ds.size(); ++i) {
     batch.push_back(ds.At(i));
     if (batch.size() == 256 || i + 1 == ds.size()) {
-      sink.ObserveBatch(batch);
+      apply(std::span<const StreamPoint>(batch));
       batch.clear();
     }
   }
@@ -156,7 +157,8 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "create: %s\n", sink.status().ToString().c_str());
       return 1;
     }
-    batched_runs.push_back(FeedBatched(*sink, ds));
+    batched_runs.push_back(FeedBatched(
+        ds, [&](std::span<const StreamPoint> b) { sink->ObserveBatch(b); }));
   }
   std::sort(batched_runs.begin(), batched_runs.end());
   const double batched_pps = batched_runs[batched_runs.size() / 2];
@@ -195,7 +197,10 @@ int Main(int argc, char** argv) {
                      session.status().ToString().c_str());
         return 1;
       }
-      durable_pps = std::max(durable_pps, FeedBatched(*session, ds));
+      durable_pps = std::max(
+          durable_pps, FeedBatched(ds, [&](std::span<const StreamPoint> b) {
+            (void)session->Ingest(b, /*as_batch=*/true);
+          }));
     }
     std::filesystem::remove_all(scratch);
     std::printf("ingest durable:  %10.0f points/sec (DurableSession + WAL, "

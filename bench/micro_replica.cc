@@ -67,7 +67,10 @@ Status FeedBatched(DurableSession& session, const Dataset& ds, size_t begin,
   for (size_t i = begin; i < end; ++i) {
     batch.push_back(ds.At(i));
     if (batch.size() == 256 || i + 1 == end) {
-      if (Status s = session.ObserveBatch(batch); !s.ok()) return s;
+      if (Status s = session.Ingest(batch, /*as_batch=*/true).status();
+          !s.ok()) {
+        return s;
+      }
       batch.clear();
     }
   }

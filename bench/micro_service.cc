@@ -123,7 +123,8 @@ int Main(int argc, char** argv) {
       return 1;
     }
     for (size_t i = 0; i < ds.size(); ++i) {
-      if (!session->Observe(ds.At(i)).ok()) return 1;
+      const StreamPoint point = ds.At(i);
+      if (!session->Ingest({&point, 1}, /*as_batch=*/false).ok()) return 1;
     }
     // One warm-up (includes the WAL truncation), then measure.
     if (!session->TakeSnapshot().ok()) return 1;
@@ -131,7 +132,8 @@ int Main(int argc, char** argv) {
     Timer timer;
     for (int r = 0; r < kReps; ++r) {
       // Dirty the state so each snapshot actually rewrites.
-      if (!session->Observe(ds.At(r)).ok()) return 1;
+      const StreamPoint point = ds.At(static_cast<size_t>(r));
+      if (!session->Ingest({&point, 1}, /*as_batch=*/false).ok()) return 1;
       if (!session->TakeSnapshot().ok()) return 1;
     }
     result.snapshot_latency_ms = timer.ElapsedSeconds() * 1000.0 / kReps;
@@ -153,11 +155,13 @@ int Main(int argc, char** argv) {
       for (size_t i = 0; i < ds.size(); ++i) {
         batch.push_back(ds.At(i));
         if (batch.size() == 256) {
-          if (!session->ObserveBatch(batch).ok()) return 1;
+          if (!session->Ingest(batch, /*as_batch=*/true).ok()) return 1;
           batch.clear();
         }
       }
-      if (!batch.empty() && !session->ObserveBatch(batch).ok()) return 1;
+      if (!batch.empty() && !session->Ingest(batch, /*as_batch=*/true).ok()) {
+        return 1;
+      }
     }  // dropped without a snapshot: recovery must replay the whole WAL
     Timer timer;
     auto recovered = DurableSession::Open(scratch + "/replay_bench", options);
@@ -193,7 +197,8 @@ int Main(int argc, char** argv) {
       workers.emplace_back([&, s] {
         const std::string name = "s" + std::to_string(s);
         for (size_t i = 0; i < per_session; ++i) {
-          (void)(*manager)->Observe(name, ds.At(i));
+          const StreamPoint point = ds.At(i);
+          (void)(*manager)->Ingest(name, {&point, 1}, /*as_batch=*/false);
         }
       });
     }

@@ -339,7 +339,10 @@ int Main(int argc, char** argv) {
     if (!(*manager)->CreateSession("hot", spec).ok()) return 1;
     if (!(*manager)->CreateSession("ingest", spec).ok()) return 1;
     for (size_t i = 0; i < ds.size() / 2; ++i) {
-      if (!(*manager)->Observe("hot", ds.At(i)).ok()) return 1;
+      const StreamPoint point = ds.At(i);
+      if (!(*manager)->Ingest("hot", {&point, 1}, /*as_batch=*/false).ok()) {
+        return 1;
+      }
     }
     (void)(*manager)->Solve("hot");  // warm the cache
 
@@ -350,7 +353,9 @@ int Main(int argc, char** argv) {
       // against the hot session's shared-lock query path.
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        if ((*manager)->Observe("ingest", ds.At(i % ds.size())).ok()) {
+        const StreamPoint point = ds.At(i % ds.size());
+        if ((*manager)->Ingest("ingest", {&point, 1}, /*as_batch=*/false)
+                .ok()) {
           ingested.fetch_add(1, std::memory_order_relaxed);
         }
         ++i;

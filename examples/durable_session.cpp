@@ -1,13 +1,14 @@
-// Walkthrough of the durable serving layer (ISSUE 2 / README "Durable
-// serving" section): a recommendation session that survives a process
-// crash.
+// Walkthrough of the durable serving layer (README "Durable serving"
+// section): a recommendation session that survives a process crash.
 //
 //  1. create a durable session from a sink spec (no dataset object — the
 //     spec carries dim/metric/constraint/bounds);
-//  2. stream live events into it (each is WAL-appended before it reaches
-//     the sink);
+//  2. stream live events into it one at a time through `Ingest` (each is
+//     WAL-appended before it reaches the sink); an event the spec cannot
+//     hold, here one outside the two groups, is rejected before the WAL;
 //  3. snapshot mid-stream (tiny: the sink state is O(k·log∆/ε) points);
-//  4. keep streaming — the tail after the snapshot lives only in the WAL;
+//  4. keep streaming, now in batches of 100 — the tail after the snapshot
+//     lives only in the WAL;
 //  5. "crash" (drop the object without snapshotting);
 //  6. recover: newest snapshot + WAL tail replay, then verify the
 //     recovered solution matches the uninterrupted run bit-for-bit.
@@ -59,15 +60,29 @@ int main() {
       std::printf("create: %s\n", session.status().ToString().c_str());
       return 1;
     }
-    for (size_t i = 0; i < events.size() / 2; ++i) {
-      if (!session->Observe(events.At(i)).ok()) return 1;
+    const size_t half = events.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+      const StreamPoint event = events.At(i);
+      if (!session->Ingest({&event, 1}, /*as_batch=*/false).ok()) return 1;
     }
+    const std::vector<double> coords = {0.0, 0.0};
+    const StreamPoint foreign{-1, /*group=*/2, coords};
+    std::printf("event in group 2: %s\n",
+                session->Ingest({&foreign, 1}, /*as_batch=*/false)
+                    .status()
+                    .ToString()
+                    .c_str());
     if (!session->TakeSnapshot().ok()) return 1;
     std::printf("snapshot at %lld events (%zu stored points)\n",
                 static_cast<long long>(session->SnapshotSeq()),
                 session->StoredElements());
-    for (size_t i = events.size() / 2; i < events.size(); ++i) {
-      if (!session->Observe(events.At(i)).ok()) return 1;
+    std::vector<StreamPoint> batch;
+    for (size_t i = half; i < events.size(); ++i) {
+      batch.push_back(events.At(i));
+      if (batch.size() == 100 || i + 1 == events.size()) {
+        if (!session->Ingest(batch, /*as_batch=*/true).ok()) return 1;
+        batch.clear();
+      }
     }
     std::printf("streamed %lld events; %lld newest live only in the WAL\n",
                 static_cast<long long>(session->ObservedElements()),

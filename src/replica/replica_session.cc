@@ -15,6 +15,10 @@ namespace fdm {
 
 namespace {
 
+// Manifest refreshes one `Bootstrap`/`Poll` tolerates while the primary
+// prunes/rotates underneath it before reporting an error.
+constexpr int kMaxSyncAttempts = 5;
+
 // Replication-plane metrics, mirrored from the per-session counters at
 // their increment sites so one METRICS scrape covers every follower in
 // the process.
@@ -96,8 +100,6 @@ void ReplicaSession::NoteFetched(size_t bytes) {
 
 Result<ReplicaSession> ReplicaSession::Bootstrap(
     std::shared_ptr<ReplicationSource> source, ReplicaOptions options) {
-  if (options.apply_batch == 0) options.apply_batch = 1;
-  if (options.max_sync_attempts < 1) options.max_sync_attempts = 1;
   ReplicaSession session(std::move(source), options);
   BootstrapCounter().Inc();
 
@@ -157,7 +159,7 @@ Status ReplicaSession::RefreshLag() {
 
 Result<int64_t> ReplicaSession::SyncOnce() {
   int64_t total = 0;
-  for (int attempt = 0; attempt < options_.max_sync_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxSyncAttempts; ++attempt) {
     auto manifest = source_->GetManifest();
     if (!manifest.ok()) return manifest.status();
     if (manifest->spec != spec_) {
@@ -234,7 +236,7 @@ Result<int64_t> ReplicaSession::SyncOnce() {
   }
   return Status::IoError(
       "replica did not converge after " +
-      std::to_string(options_.max_sync_attempts) +
+      std::to_string(kMaxSyncAttempts) +
       " manifest refreshes (primary pruning faster than the follower "
       "can sync)");
 }
@@ -292,7 +294,7 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
   // crash-recovery replay takes), so a follower's apply is bit-identical
   // to recovery by construction. `applied_seq_` advances only when a
   // batch has actually reached the sink.
-  WalBatchApplier applier(*sink_, options_.apply_batch, dedup_.get());
+  WalBatchApplier applier(*sink_, dedup_.get());
   bool budget_hit = false;
 
   auto flush = [&]() {

@@ -14,20 +14,17 @@
 
 namespace fdm {
 
-/// Catch-up knobs of one follower.
+/// Catch-up knobs of one follower. A WAL tail is applied in
+/// `WalBatchApplier::kBatchRecords` chunks, as crash recovery applies it,
+/// and one `Bootstrap`/`Poll` tolerates a fixed number of manifest
+/// refreshes (`kMaxSyncAttempts` in replica_session.cc) while the primary
+/// prunes/rotates underneath it.
 struct ReplicaOptions {
-  /// Records per `ObserveBatch` call while applying a WAL tail (the same
-  /// batched replay path crash recovery uses, so rung-parallel sinks catch
-  /// up in parallel).
-  size_t apply_batch = 512;
   /// Records one `Poll` applies at most before returning (0 = unlimited).
   /// A bounded poll keeps the exclusive-lock hold time of a serving
   /// follower short: queries interleave with catch-up instead of stalling
   /// behind one giant apply.
   size_t max_records_per_poll = 0;
-  /// Manifest refreshes one `Bootstrap`/`Poll` tolerates while the primary
-  /// prunes/rotates underneath it before reporting an error.
-  int max_sync_attempts = 5;
 };
 
 /// A read-only follower of one durable session: bootstraps from the
@@ -57,8 +54,8 @@ struct ReplicaOptions {
 /// Pruning races are ordinary control flow: when the tail below the
 /// follower's position disappears (the primary snapshotted and truncated),
 /// `Poll` re-syncs from a newer snapshot; when a listed file is gone by
-/// fetch time, the manifest is refreshed and the attempt repeated (bounded
-/// by `max_sync_attempts`).
+/// fetch time, the manifest is refreshed and the attempt repeated (a
+/// bounded number of times).
 ///
 /// Not thread-safe; `ReplicaManager` wraps each follower in a
 /// reader–writer lock (queries shared, catch-up exclusive).

@@ -204,10 +204,22 @@ bool DurableSession::Exists(const std::string& dir) {
   return std::filesystem::exists(SessionSpecPath(dir), ec);
 }
 
+DurableSession::DurableSession(std::string dir, std::string spec,
+                               const SinkSpec& parsed,
+                               DurableSessionOptions options)
+    : dir_(std::move(dir)),
+      spec_(std::move(spec)),
+      options_(options),
+      solve_cache_(std::make_shared<SolveCache>()),
+      dim_(parsed.dim),
+      groups_(parsed.GroupCount()) {
+  if (options_.keep_snapshots == 0) options_.keep_snapshots = 1;
+  if (parsed.dedup) dedup_ = std::make_unique<DedupFilter>();
+}
+
 Result<DurableSession> DurableSession::Create(std::string dir,
                                               std::string spec,
                                               DurableSessionOptions options) {
-  if (options.keep_snapshots == 0) options.keep_snapshots = 1;
   if (Exists(dir)) {
     return Status::InvalidArgument("session dir already holds a session: " +
                                    dir + " (use Open)");
@@ -233,18 +245,14 @@ Result<DurableSession> DurableSession::Create(std::string dir,
     if (!out) return Status::IoError("cannot write " + SessionSpecPath(dir));
   }
 
-  DurableSession session(std::move(dir), std::move(spec), options);
+  DurableSession session(std::move(dir), std::move(spec), *parsed, options);
   session.sink_ = std::move(sink.value());
-  session.wal_ =
-      std::make_unique<WriteAheadLog>(std::move(wal.value()));
-  session.dim_ = parsed->dim;
-  if (parsed->dedup) session.dedup_ = std::make_unique<DedupFilter>();
+  session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
   return session;
 }
 
 Result<DurableSession> DurableSession::Open(std::string dir,
                                             DurableSessionOptions options) {
-  if (options.keep_snapshots == 0) options.keep_snapshots = 1;
   std::string spec;
   {
     std::ifstream in(SessionSpecPath(dir));
@@ -254,98 +262,83 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   }
   auto parsed = SinkSpec::Parse(spec);
   if (!parsed.ok()) return parsed.status();
+  DurableSession session(std::move(dir), std::move(spec), *parsed, options);
 
   // Newest loadable snapshot wins; a corrupt snapshot (torn write, bit
   // rot — checksums catch both) falls back to the previous one, and
   // ultimately to a fresh sink replaying the whole WAL.
   Timer restore_timer;
-  std::unique_ptr<StreamSink> sink;
-  std::unique_ptr<DedupFilter> dedup;
-  int64_t snapshot_seq = 0;
-  int64_t duplicates_rejected = 0;
-  SessionIngestCounters counters;
-  auto snapshots = ListSessionSnapshots(SessionSnapDir(dir));
+  auto snapshots = ListSessionSnapshots(SessionSnapDir(session.dir_));
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     auto reader = SnapshotReader::FromFile(it->second);
     if (!reader.ok()) continue;
-    auto restored = RestoreSessionSnapshot(*reader, spec, it->first);
+    auto restored = RestoreSessionSnapshot(*reader, session.spec_, it->first);
     if (!restored.ok()) continue;
-    sink = std::move(restored.value());
-    snapshot_seq = it->first;
-    dedup = ReadSessionFooters(*reader, &counters, &duplicates_rejected);
+    session.sink_ = std::move(restored.value());
+    session.snapshot_seq_ = it->first;
+    int64_t duplicates_rejected = 0;
+    auto dedup = ReadSessionFooters(*reader, &session.counters_,
+                                    &duplicates_rejected);
+    // The spec is the authority on whether the guard exists: a snapshot
+    // written before dedup (or with a lost footer) keeps the empty filter
+    // that the WAL-tail replay below re-teaches; a stray footer on a
+    // dedup=off session is ignored.
+    if (session.dedup_ != nullptr && dedup != nullptr) {
+      session.dedup_ = std::move(dedup);
+      session.duplicates_rejected_ = duplicates_rejected;
+    }
     break;
   }
-  if (sink == nullptr) {
+  if (session.sink_ == nullptr) {
     auto fresh = parsed->MakeSink();
     if (!fresh.ok()) return fresh.status();
-    sink = std::move(fresh.value());
-    snapshot_seq = 0;
-  }
-  // The spec is the authority on whether the guard exists: a snapshot
-  // written before dedup (or with a lost footer) restores an empty filter
-  // that the WAL-tail replay below re-teaches; a stray footer on a
-  // dedup=off session is ignored.
-  if (!parsed->dedup) {
-    dedup = nullptr;
-    duplicates_rejected = 0;
-  } else if (dedup == nullptr) {
-    dedup = std::make_unique<DedupFilter>();
+    session.sink_ = std::move(fresh.value());
   }
 
-  auto wal = WriteAheadLog::Open(SessionWalDir(dir), options.wal);
+  auto wal = WriteAheadLog::Open(SessionWalDir(session.dir_), options.wal);
   if (!wal.ok()) return wal.status();
   // The WAL tail past the snapshot was counted into kept_total before the
   // crash/spill but is not in the footer; replaying reports its mutations
   // so the cumulative count comes back exact. The same pass rebuilds the
   // dedup filter's tail membership.
   int64_t replay_mutations = 0;
-  auto replayed =
-      wal->Replay(snapshot_seq, *sink, &replay_mutations, dedup.get());
+  auto replayed = wal->Replay(session.snapshot_seq_, *session.sink_,
+                              &replay_mutations, session.dedup_.get());
   if (!replayed.ok()) return replayed.status();
-  counters.restores += 1;
-  counters.replayed_records += *replayed;
-  counters.kept_total += replay_mutations;
+  session.counters_.restores += 1;
+  session.counters_.replayed_records += *replayed;
+  session.counters_.kept_total += replay_mutations;
   RestoresCounter().Inc();
   RestoreHist().RecordWithContext(
-      static_cast<uint64_t>(restore_timer.ElapsedNanos()), dir,
-      sink->StateVersion());
-
-  DurableSession session(std::move(dir), std::move(spec), options);
-  session.sink_ = std::move(sink);
+      static_cast<uint64_t>(restore_timer.ElapsedNanos()), session.dir_,
+      session.sink_->StateVersion());
   session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
-  session.dim_ = parsed->dim;
-  session.snapshot_seq_ = snapshot_seq;
-  session.counters_ = counters;
-  session.dedup_ = std::move(dedup);
-  session.duplicates_rejected_ = duplicates_rejected;
   return session;
 }
 
-Status DurableSession::CheckDim(std::span<const StreamPoint> batch) const {
+Status DurableSession::CheckAdmissible(
+    std::span<const StreamPoint> batch) const {
   for (const StreamPoint& point : batch) {
     if (point.coords.size() != dim_) {
       return Status::InvalidArgument(
           "point dimension " + std::to_string(point.coords.size()) +
           " does not match session dim " + std::to_string(dim_));
     }
+    if (groups_ != 0 &&
+        (point.group < 0 || static_cast<size_t>(point.group) >= groups_)) {
+      return Status::InvalidArgument(
+          "point group " + std::to_string(point.group) +
+          " is outside the session's groups 0.." +
+          std::to_string(groups_ - 1));
+    }
   }
   return Status::Ok();
-}
-
-Status DurableSession::Observe(const StreamPoint& point) {
-  auto outcome = Ingest({&point, 1}, /*as_batch=*/false);
-  return outcome.ok() ? Status::Ok() : outcome.status();
-}
-
-Status DurableSession::ObserveBatch(std::span<const StreamPoint> batch) {
-  auto outcome = Ingest(batch, /*as_batch=*/true);
-  return outcome.ok() ? Status::Ok() : outcome.status();
 }
 
 Result<IngestOutcome> DurableSession::Ingest(
     std::span<const StreamPoint> batch, bool as_batch) {
   if (!broken_.ok()) return broken_;
-  if (Status s = CheckDim(batch); !s.ok()) return s;
+  if (Status s = CheckAdmissible(batch); !s.ok()) return s;
 
   IngestOutcome outcome;
   // Probe the duplicate guard BEFORE the WAL append: an already-seen id is
@@ -381,35 +374,29 @@ Result<IngestOutcome> DurableSession::Ingest(
     DedupCheckedCounter().Add(batch.size());
     DedupRejectedCounter().Add(static_cast<uint64_t>(outcome.duplicates));
     DedupFilterGrowsCounter().Add(dedup_->Grows() - grows_before);
-    // An all-duplicate call is a complete no-op: not even the batch
-    // counters move, because no batch was applied.
-    if (fresh.empty()) return outcome;
   }
+  // Nothing left to apply (an empty call, or all duplicates) is a complete
+  // no-op: no WAL call, and not even the batch counters move, because no
+  // batch was applied.
+  if (fresh.empty()) return outcome;
   outcome.accepted = static_cast<int64_t>(fresh.size());
 
   // WAL first: a record applied to the sink but absent from the log could
   // never be recovered; the converse (logged, crash before apply) replays.
+  if (Status s = wal_->AppendBatch(fresh); !s.ok()) {
+    // The log may now be ahead of the sink; latch the failure so no later
+    // ingest or snapshot can act on the diverged pair (see header).
+    broken_ = Status(s.code(),
+                     "session poisoned by WAL failure, reopen to recover: " +
+                         s.message());
+    return broken_;
+  }
   if (!as_batch && fresh.size() == 1) {
-    if (Status s = wal_->Append(fresh[0]); !s.ok()) {
-      // The log may now be ahead of the sink; latch the failure so no
-      // later ingest or snapshot can act on the diverged pair (see
-      // header).
-      broken_ = Status(s.code(),
-                       "session poisoned by WAL failure, reopen to recover: " +
-                           s.message());
-      return broken_;
-    }
     const bool mutated = sink_->Observe(fresh[0]);
     counters_.kept_total += mutated ? 1 : 0;
     ObservedCounter().Inc();
     if (mutated) KeptCounter().Inc();
   } else {
-    if (Status s = wal_->AppendBatch(fresh); !s.ok()) {
-      broken_ = Status(s.code(),
-                       "session poisoned by WAL failure, reopen to recover: " +
-                           s.message());
-      return broken_;
-    }
     const size_t mutations = sink_->ObserveBatch(fresh);
     counters_.kept_total += static_cast<int64_t>(mutations);
     counters_.ingest_batches += 1;

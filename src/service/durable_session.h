@@ -17,6 +17,7 @@
 namespace fdm {
 
 class SnapshotReader;
+struct SinkSpec;
 
 /// Restores the sink embedded in one session snapshot (the payload
 /// `DurableSession::TakeSnapshot` writes: tag, spec, stream position, sink
@@ -73,7 +74,8 @@ struct SessionIngestCounters {
   /// Sink mutations total (summed `Observe`/`ObserveBatch` returns; an
   /// element admitted by several candidate rungs may count more than once).
   int64_t kept_total = 0;
-  /// `ObserveBatch` calls (not elements).
+  /// `Ingest` calls applied through the sink's `ObserveBatch` (not
+  /// elements).
   int64_t ingest_batches = 0;
   int64_t snapshots_taken = 0;
   /// Wall time spent writing snapshots, milliseconds. The persisted value
@@ -125,8 +127,8 @@ struct DurableSessionOptions {
 /// segments the snapshot made redundant and snapshots beyond
 /// `keep_snapshots`.
 ///
-/// Thread-safety: mutating operations (`Observe`, `ObserveBatch`,
-/// `TakeSnapshot`, `Sync`) require exclusive access; the const query
+/// Thread-safety: mutating operations (`Ingest`, `TakeSnapshot`, `Sync`)
+/// require exclusive access; the const query
 /// surface (`Solve`, the counters, `SolveCacheStats`) may run concurrently
 /// with itself. `SessionManager` enforces exactly this with a per-session
 /// reader–writer lock, so queries never block each other and cached SOLVEs
@@ -147,11 +149,21 @@ class DurableSession {
   /// True iff `dir` holds a session (its SPEC file exists).
   static bool Exists(const std::string& dir);
 
-  /// WAL-append then apply. May trigger an automatic snapshot
-  /// (`snapshot_every`). Rejects points whose dimension does not match the
-  /// spec *before* they reach the WAL — a malformed point must never be
-  /// persisted, or every future recovery would replay it (the sinks
-  /// themselves only DCHECK the dimension).
+  /// The one way points enter the session, in this order:
+  ///  1. Admission: a point whose dimension differs from the spec's, or
+  ///     whose group lies outside `SinkSpec::GroupCount()`, fails the whole
+  ///     call with InvalidArgument. A malformed point must never be
+  ///     persisted, or every recovery would replay it into a sink that
+  ///     aborts on it.
+  ///  2. Dedup (`dedup=on`): a point whose id the session already accepted
+  ///     is an idempotent no-op (no WAL record, no state-version bump, no
+  ///     admission scan), counted in `IngestOutcome::duplicates`. The check
+  ///     is exact; negative ids carry no identity and always pass.
+  ///  3. A call left with no point to apply returns here; nothing moves.
+  ///  4. One WAL append of the remaining points.
+  ///  5. Apply: a one-point `as_batch=false` call (OBSERVE) through the
+  ///     sink's per-element `Observe`, any other through one `ObserveBatch`
+  ///     (counted in `ingest_batches`); then a due auto-snapshot.
   ///
   /// A failed WAL append POISONS the session (every later call returns
   /// the latched error): the log may then hold a record the sink never
@@ -159,20 +171,6 @@ class DurableSession {
   /// `snapshot seq + WAL tail == stream` invariant recovery relies on.
   /// The cure is to drop the object and `Open` again: the WAL is the
   /// source of truth, and replay reconciles the sink to it.
-  Status Observe(const StreamPoint& point);
-  Status ObserveBatch(std::span<const StreamPoint> batch);
-
-  /// The duplicate-aware ingest path: with `dedup=on` in the spec, points
-  /// whose id the session has already accepted are rejected *before* the
-  /// WAL append — an exact duplicate is an idempotent no-op (no WAL
-  /// record, no state-version bump, no admission scan) and is reported in
-  /// `IngestOutcome::duplicates` instead. Rejection is exact, not
-  /// probabilistic: a filter hit falls back to an exact id check, so a
-  /// genuinely new point is never dropped. Points with negative ids carry
-  /// no identity and always pass through. `as_batch` selects the same
-  /// element/batch machinery `Observe`/`ObserveBatch` use (WAL framing,
-  /// `ingest_batches` accounting) — those two methods are thin wrappers
-  /// over this one.
   Result<IngestOutcome> Ingest(std::span<const StreamPoint> batch,
                                bool as_batch);
 
@@ -244,19 +242,21 @@ class DurableSession {
   const StreamSink& sink() const { return *sink_; }
 
  private:
-  DurableSession(std::string dir, std::string spec,
-                 DurableSessionOptions options)
-      : dir_(std::move(dir)),
-        spec_(std::move(spec)),
-        options_(options),
-        solve_cache_(std::make_shared<SolveCache>()) {}
+  /// The one place `Create` and `Open` derive what the session admits
+  /// from its parsed spec: the point dimension, the group count, an empty
+  /// duplicate guard when `dedup=on`, and `keep_snapshots` clamped to at
+  /// least 1. The caller supplies the sink and the WAL.
+  DurableSession(std::string dir, std::string spec, const SinkSpec& parsed,
+                 DurableSessionOptions options);
 
   Status MaybeAutoSnapshot();
   /// Deletes snapshots beyond `keep_snapshots`; returns the seq of the
   /// oldest snapshot still on disk (`snapshot_seq_` if none).
   Result<int64_t> PruneSnapshots();
   std::string SnapshotPath(int64_t seq) const;
-  Status CheckDim(std::span<const StreamPoint> batch) const;
+  /// Step 1 of `Ingest`: InvalidArgument unless every point has the
+  /// spec's dimension and a group the spec holds.
+  Status CheckAdmissible(std::span<const StreamPoint> batch) const;
 
   std::string dir_;
   std::string spec_;
@@ -267,7 +267,8 @@ class DurableSession {
   int64_t duplicates_rejected_ = 0;
   uint64_t probe_sample_ = 0;  // 1-in-64 sampling of the probe histogram
   std::shared_ptr<SolveCache> solve_cache_;  // never null
-  size_t dim_ = 0;  // from the spec; every ingested point must match
+  size_t dim_ = 0;     // from the spec; every ingested point must match
+  size_t groups_ = 0;  // from the spec; 0 = groups are not checked
   int64_t snapshot_seq_ = 0;
   SessionIngestCounters counters_;
   Status broken_;  // latched WAL-append failure; session needs a reopen

@@ -150,7 +150,7 @@ Result<std::shared_ptr<SessionManager::Entry>> SessionManager::Resident(
 void SessionManager::EnforceResidencyLimit() {
   if (options_.max_resident == 0) return;
   // O(1) fast path: the common case (under the cap) must not pay an
-  // O(sessions) scan under the global mutex on every Observe/Solve.
+  // O(sessions) scan under the global mutex on every Ingest/Solve.
   if (resident_count_.load(std::memory_order_relaxed) <=
       options_.max_resident) {
     return;
@@ -221,19 +221,6 @@ auto SessionManager::WithSessionShared(const std::string& name, Fn&& fn)
     if ((*entry)->session == nullptr) continue;
     return fn(static_cast<const DurableSession&>(*(*entry)->session));
   }
-}
-
-Status SessionManager::Observe(const std::string& name,
-                               const StreamPoint& point) {
-  return WithSession(
-      name, [&](DurableSession& session) { return session.Observe(point); });
-}
-
-Status SessionManager::ObserveBatch(const std::string& name,
-                                    std::span<const StreamPoint> batch) {
-  return WithSession(name, [&](DurableSession& session) {
-    return session.ObserveBatch(batch);
-  });
 }
 
 Result<IngestOutcome> SessionManager::Ingest(

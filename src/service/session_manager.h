@@ -82,15 +82,13 @@ class SessionManager {
   /// `service/sink_spec.h`). Names are path components: `[A-Za-z0-9._-]+`.
   Status CreateSession(const std::string& name, const std::string& spec);
 
-  /// Ingest. The point's coordinate span only needs to live for the call.
-  Status Observe(const std::string& name, const StreamPoint& point);
-  Status ObserveBatch(const std::string& name,
-                      std::span<const StreamPoint> batch);
-
-  /// Duplicate-aware ingest (see `DurableSession::Ingest`): reports how
-  /// many points were applied vs rejected as exact duplicates by a
-  /// `dedup=on` session. `as_batch` picks the element or batch machinery,
-  /// matching `Observe`/`ObserveBatch` accounting.
+  /// The one ingest call (see `DurableSession::Ingest`), under the
+  /// session's exclusive lock: rejects the whole call when a point's
+  /// dimension or group does not fit the spec, and reports how many points
+  /// were applied vs rejected as exact duplicates by a `dedup=on` session.
+  /// `as_batch=false` with one point takes the sink's per-element path
+  /// (OBSERVE); anything else is one batch (OBSERVEB). The points'
+  /// coordinate spans only need to live for the call.
   Result<IngestOutcome> Ingest(const std::string& name,
                                std::span<const StreamPoint> batch,
                                bool as_batch);

@@ -161,6 +161,10 @@ std::string SinkSpec::ToString() const {
   return out.str();
 }
 
+size_t SinkSpec::GroupCount() const {
+  return algo == "sfdm1" || algo == "sfdm2" ? quotas.size() : 0;
+}
+
 Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
   StreamingOptions streaming;
   streaming.epsilon = epsilon;

@@ -72,6 +72,12 @@ struct SinkSpec {
   /// Canonical round-trippable text form.
   std::string ToString() const;
 
+  /// The group labels a point may carry: the fair kinds (sfdm1, sfdm2)
+  /// hold a point only when `0 <= group < GroupCount()`, one group per
+  /// quota; the unconstrained kinds ignore groups, even when `quotas` is
+  /// set, and report 0.
+  size_t GroupCount() const;
+
   /// Builds a fresh sink. Fails if required keys for the chosen algorithm
   /// are missing or inconsistent.
   Result<std::unique_ptr<StreamSink>> MakeSink() const;

@@ -25,9 +25,7 @@ namespace {
 
 // Durability-plane metrics. Cached references: the registry getters take a
 // lock, so resolve each metric once and reuse the (never-dangling)
-// reference. Single-record `Append` gets counters only — a clock read per
-// record would be measurable on the per-element ingest path; the batched
-// paths carry the latency histograms.
+// reference.
 obs::Counter& WalRecordsCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "fdm_wal_append_records_total", "records appended to the WAL");
@@ -280,7 +278,6 @@ Result<WriteAheadLog> WriteAheadLog::Open(std::string dir,
                                           WalOptions options) {
   if (options.segment_bytes < 1u << 10) options.segment_bytes = 1u << 10;
   if (options.sync_every == 0) options.sync_every = 1;
-  if (options.replay_batch == 0) options.replay_batch = 1;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -427,12 +424,6 @@ Status WriteAheadLog::AppendLocked(const StreamPoint& point) {
   return Status::Ok();
 }
 
-Status WriteAheadLog::Append(const StreamPoint& point) {
-  if (Status s = AppendLocked(point); !s.ok()) return s;
-  if (unsynced_records_ >= options_.sync_every) return Sync();
-  return Status::Ok();
-}
-
 Status WriteAheadLog::AppendBatch(std::span<const StreamPoint> batch) {
   obs::ScopedTimer timer(WalAppendBatchHist(), dir_,
                          static_cast<uint64_t>(last_seq_));
@@ -481,7 +472,7 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
   // Batched apply through the shared applier, so rung-parallel sinks
   // replay at batched-ingestion speed — and so recovery and follower
   // tail application share one code path.
-  WalBatchApplier applier(sink, options_.replay_batch, filter);
+  WalBatchApplier applier(sink, filter);
 
   for (size_t s = 0; s < segment_first_seqs_.size(); ++s) {
     // A whole segment is skippable when the next segment starts at or

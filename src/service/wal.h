@@ -79,20 +79,22 @@ std::string WalSegmentFileName(int64_t first_seq);
 /// replay (`WriteAheadLog::Replay`) and follower tail application
 /// (`ReplicaSession`), so both apply streams bit-identically and a fix to
 /// either reaches the other. Callers decide when to flush (`ShouldFlush`
-/// signals the configured batch size); sequence bookkeeping stays with the
-/// caller, whose gap-handling policies differ.
+/// signals `kBatchRecords`); sequence bookkeeping stays with the caller,
+/// whose gap-handling policies differ.
 class WalBatchApplier {
  public:
+  /// Records per `ObserveBatch` call. One constant for both callers, so
+  /// recovery and follower catch-up chunk identically, and rung-parallel
+  /// sinks apply through the batched ingestion engine.
+  static constexpr size_t kBatchRecords = 512;
+
   /// When `filter` is non-null, every applied record's id is fed through
   /// `DedupFilter::InsertIfAbsent` — this is how crash recovery and
   /// follower tails reconstruct the duplicate guard exactly: the WAL is
   /// authoritative (records are applied regardless), the filter just
   /// relearns membership alongside.
-  WalBatchApplier(StreamSink& sink, size_t batch_records,
-                  DedupFilter* filter = nullptr)
-      : sink_(sink),
-        batch_records_(batch_records == 0 ? 1 : batch_records),
-        filter_(filter) {}
+  explicit WalBatchApplier(StreamSink& sink, DedupFilter* filter = nullptr)
+      : sink_(sink), filter_(filter) {}
 
   /// Buffers one record (coordinates copied). Returns false when the
   /// record's dimension disagrees with the buffered batch's.
@@ -100,7 +102,7 @@ class WalBatchApplier {
     if (filter_ != nullptr) filter_->InsertIfAbsent(record.id);
     if (dim_ == 0) {
       dim_ = record.coords.size();
-      coords_.reserve(batch_records_ * dim_);
+      coords_.reserve(kBatchRecords * dim_);
     } else if (record.coords.size() != dim_) {
       return false;
     }
@@ -111,7 +113,7 @@ class WalBatchApplier {
     return true;
   }
 
-  bool ShouldFlush() const { return ids_.size() >= batch_records_; }
+  bool ShouldFlush() const { return ids_.size() >= kBatchRecords; }
   size_t pending() const { return ids_.size(); }
 
   /// Applies the buffered records through one `ObserveBatch` call; returns
@@ -141,7 +143,6 @@ class WalBatchApplier {
 
  private:
   StreamSink& sink_;
-  size_t batch_records_;
   DedupFilter* filter_;
   size_t mutations_ = 0;
   size_t dim_ = 0;
@@ -170,9 +171,6 @@ struct WalOptions {
   /// possibly lost on power failure — records for throughput). `Sync()`
   /// forces one regardless.
   size_t sync_every = 256;
-  /// Points per `ObserveBatch` call during replay (replay reuses the
-  /// batched ingestion engine, so rung-parallel sinks recover in parallel).
-  size_t replay_batch = 512;
 };
 
 /// Append-only, segmented, checksummed log of observed `StreamPoint`s — the
@@ -208,12 +206,12 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
   ~WriteAheadLog();
 
-  /// Appends one observation; assigns it `last_seq() + 1`. The record is
-  /// durable once the next fsync (batched per `sync_every`, or explicit
-  /// `Sync`) completes.
-  Status Append(const StreamPoint& point);
-
-  /// Appends a batch (one buffered write, one fsync-policy check).
+  /// Appends a batch of observations (one buffered write, one
+  /// fsync-policy check), assigning them `last_seq() + 1` onward. The
+  /// records are durable once the next fsync (batched per `sync_every`,
+  /// or explicit `Sync`) completes. A one-point batch frames exactly the
+  /// bytes of that point inside a larger batch, so per-element and batched
+  /// ingest write the same log.
   Status AppendBatch(std::span<const StreamPoint> batch);
 
   /// Flushes buffered records and fsyncs the active segment.

@@ -136,7 +136,8 @@ TEST_F(DedupSessionTest, FullStreamReplayIsNoOpForEveryKind) {
     auto session = DurableSession::Create(dir, cases[c].spec, options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(session->Sync().ok());
     ExpectFullReplayIsNoOp(*session, ds);
@@ -153,7 +154,8 @@ TEST_F(DedupSessionTest, DedupOffAdmitsReObservedIds) {
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_FALSE(session->DedupEnabled());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(session->Sync().ok());
   const uint64_t wal_before = WalBytes(dir_);
@@ -183,20 +185,24 @@ TEST_F(DedupSessionTest, FilterSurvivesCrashRecovery) {
     auto session = DurableSession::Create(dir_, spec, options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < mid; ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     // Pre-snapshot rejections: these ride the footer.
     for (size_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_EQ(session->DuplicatesRejected(), 10);
     ASSERT_TRUE(session->TakeSnapshot().ok());
     // Tail records + post-snapshot rejections (the forgettable delta).
     for (size_t i = mid; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     for (size_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_EQ(session->DuplicatesRejected(), 15);
     // No Sync, no snapshot: the session dies here ("crash").
@@ -237,14 +243,17 @@ TEST_F(DedupSessionTest, CrashRecoveryRebuildsTheFilterStructure) {
     auto session = DurableSession::Create(dir_, spec, options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < 60; ++i) {
-      ASSERT_TRUE(session->Observe(point(i)).ok());
+      const StreamPoint pt = point(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(session->TakeSnapshot().ok());
     for (size_t i = 60; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(point(i)).ok());
+      const StreamPoint pt = point(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     for (size_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(session->Observe(point(i)).ok());
+      const StreamPoint pt = point(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_EQ(session->DuplicatesRejected(), 10);
     crashed_bytes = session->dedup_filter()->MemoryBytes();
@@ -275,7 +284,9 @@ TEST_F(DedupSessionTest, FilterSurvivesLruSpill) {
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   ASSERT_TRUE((*manager)->CreateSession("victim", spec).ok());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("victim", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(
+        (*manager)->Ingest("victim", {&pt, 1}, /*as_batch=*/false).ok());
   }
   const StreamPoint dup = ds.At(3);
   auto before = (*manager)->Ingest("victim", {&dup, 1}, /*as_batch=*/false);
@@ -284,7 +295,8 @@ TEST_F(DedupSessionTest, FilterSurvivesLruSpill) {
 
   // Force the spill, then touch the victim again (transparent reload).
   ASSERT_TRUE((*manager)->CreateSession("usurper", spec).ok());
-  ASSERT_TRUE((*manager)->Observe("usurper", ds.At(0)).ok());
+  const StreamPoint pt = ds.At(0);
+  ASSERT_TRUE((*manager)->Ingest("usurper", {&pt, 1}, /*as_batch=*/false).ok());
   auto stats = (*manager)->Stats("victim");
   ASSERT_TRUE(stats.ok());
   EXPECT_FALSE(stats->resident);
@@ -380,11 +392,13 @@ TEST_F(DedupSessionTest, SpecMigrationRelearnsMembershipFromWalReplay) {
     auto session = DurableSession::Create(dir_, off_spec);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < mid; ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(session->TakeSnapshot().ok());  // no dedup footer
     for (size_t i = mid; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(session->Sync().ok());
   }

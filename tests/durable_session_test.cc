@@ -5,8 +5,10 @@
 
 #include "service/durable_session.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 
 #include "data/synthetic.h"
 #include "service/sink_spec.h"
+#include "util/binary_io.h"
 
 namespace fdm {
 namespace {
@@ -42,6 +45,26 @@ std::string BoundsSuffix(const Dataset& ds) {
   return " dmin=" + std::to_string(b.min) + " dmax=" + std::to_string(b.max);
 }
 
+// The session's WAL segments as "name:bytes", in sequence order.
+std::vector<std::string> WalSegments(const std::string& dir) {
+  std::vector<std::string> segments;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir + "/wal")) {
+    auto bytes = ReadFileToString(entry.path().string());
+    EXPECT_TRUE(bytes.ok());
+    segments.push_back(entry.path().filename().string() + ":" +
+                       (bytes.ok() ? *bytes : ""));
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+std::string SinkBytes(const StreamSink& sink) {
+  SnapshotWriter writer;
+  EXPECT_TRUE(sink.Snapshot(writer).ok());
+  return writer.Serialize();
+}
+
 void ExpectSameSolution(const StreamSink& a, const StreamSink& b) {
   ASSERT_EQ(a.ObservedElements(), b.ObservedElements());
   ASSERT_EQ(a.StoredElements(), b.StoredElements());
@@ -60,7 +83,8 @@ TEST_F(DurableSessionTest, BasicLifecycle) {
   auto session = DurableSession::Create(dir_, spec);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   EXPECT_EQ(session->ObservedElements(), static_cast<int64_t>(ds.size()));
   const auto solution = session->Solve();
@@ -120,11 +144,13 @@ TEST_F(DurableSessionTest, CrashRecoveryBitIdenticalForEveryKind) {
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       const size_t mid = ds.size() / 2;
       for (size_t i = 0; i < mid; ++i) {
-        ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+        const StreamPoint pt = ds.At(i);
+        ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
       }
       ASSERT_TRUE(session->TakeSnapshot().ok());
       for (size_t i = mid; i < ds.size(); ++i) {
-        ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+        const StreamPoint pt = ds.At(i);
+        ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
       }
       EXPECT_LT(session->SnapshotSeq(),
                 static_cast<int64_t>(ds.size()));  // the tail is WAL-only
@@ -147,7 +173,8 @@ TEST_F(DurableSessionTest, PowerLossTornTailRecoversToLastIntactRecord) {
     auto session = DurableSession::Create(dir_, spec);
     ASSERT_TRUE(session.ok());
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
   }
   // Tear the newest segment's tail by a few bytes.
@@ -173,20 +200,166 @@ TEST_F(DurableSessionTest, PowerLossTornTailRecoversToLastIntactRecord) {
   ExpectSameSolution(**reference, recovered->sink());
 }
 
-TEST_F(DurableSessionTest, RejectsWrongDimensionBeforeTheWal) {
-  const Dataset ds = TestData(2, 60, 40);
-  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
-  auto session = DurableSession::Create(dir_, spec);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->Observe(ds.At(0)).ok());
+// The admission rule: a session holds a point only when it has the
+// spec's dimension and, for sfdm1/sfdm2, a group in 0..quotas.size()-1.
+// Any other point fails its whole call with InvalidArgument before the
+// dedup probe and the WAL, per element and batched alike: the sink does
+// not move, the duplicate guard never learns the rejected ids (a corrected
+// re-send is accepted), and a reopen recovers only the good records.
+TEST_F(DurableSessionTest, RejectsWhatTheSpecCannotHoldBeforeTheWal) {
+  const Dataset ds = TestData(2, 80, 41);
+  std::vector<StreamPoint> points;
+  for (size_t i = 0; i < ds.size(); ++i) points.push_back(ds.At(i));
   const std::vector<double> short_coords = {1.0};
-  const Status rejected =
-      session->Observe(StreamPoint{99, 0, short_coords});
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
-  // The malformed point must not have reached the WAL: recovery sees only
-  // the good record.
-  EXPECT_EQ(session->ObservedElements(), 1);
+  for (const std::string algo : {"sfdm1", "sfdm2"}) {
+    SCOPED_TRACE(algo);
+    const std::string dir = dir_ + "/" + algo;
+    const std::string spec =
+        "algo=" + algo + " dim=2 quotas=2,2 dedup=on" + BoundsSuffix(ds);
+    {
+      auto session = DurableSession::Create(dir, spec);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      const std::span<const StreamPoint> all(points);
+      ASSERT_TRUE(session->Ingest(all.first(40), /*as_batch=*/true).ok());
+      const uint64_t version = session->StateVersion();
+
+      std::vector<StreamPoint> bad(4, points[40]);
+      bad[0].coords = short_coords;
+      bad[1].group = 2;
+      bad[2].group = 7;
+      bad[3].group = -1;
+      for (const StreamPoint& point : bad) {
+        auto one = session->Ingest({&point, 1}, /*as_batch=*/false);
+        ASSERT_FALSE(one.ok());
+        EXPECT_EQ(one.status().code(), StatusCode::kInvalidArgument);
+      }
+      std::vector<StreamPoint> batch(points.begin() + 40, points.end());
+      for (const StreamPoint& point : {bad[0], bad[2]}) {
+        batch[17] = point;
+        auto batched = session->Ingest(batch, /*as_batch=*/true);
+        ASSERT_FALSE(batched.ok());
+        EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument);
+      }
+      EXPECT_EQ(session->ObservedElements(), 40);
+      EXPECT_EQ(session->StateVersion(), version);
+
+      batch[17] = points[57];
+      auto resent = session->Ingest(batch, /*as_batch=*/true);
+      ASSERT_TRUE(resent.ok()) << resent.status().ToString();
+      EXPECT_EQ(resent->accepted, 40);
+      EXPECT_EQ(resent->duplicates, 0);
+    }  // dropped without a snapshot: the reopen replays the whole WAL
+    auto recovered = DurableSession::Open(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    auto reference = MakeSinkFromSpec(spec);
+    ASSERT_TRUE(reference.ok());
+    for (const StreamPoint& point : points) (*reference)->Observe(point);
+    ExpectSameSolution(**reference, recovered->sink());
+    EXPECT_EQ(recovered->StateVersion(), (*reference)->StateVersion());
+  }
+}
+
+// The unconstrained kinds ignore groups, even when the spec carries quotas.
+TEST_F(DurableSessionTest, UnconstrainedKindsAcceptAnyGroup) {
+  const Dataset ds = TestData(1, 20, 42);
+  const std::vector<std::string> specs = {
+      "algo=streaming_dm dim=2 k=3 quotas=2,2" + BoundsSuffix(ds),
+      "algo=adaptive dim=2 k=3",
+      "algo=sliding_window dim=2 k=3 window=10" + BoundsSuffix(ds),
+  };
+  for (size_t c = 0; c < specs.size(); ++c) {
+    SCOPED_TRACE(specs[c]);
+    auto session = DurableSession::Create(dir_ + "/" + std::to_string(c),
+                                          specs[c]);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    std::vector<StreamPoint> batch = {ds.At(0), ds.At(1)};
+    batch[0].group = 7;
+    batch[1].group = -1;
+    ASSERT_TRUE(session->Ingest({&batch[0], 1}, /*as_batch=*/false).ok());
+    ASSERT_TRUE(session->Ingest(batch, /*as_batch=*/true).ok());
+    EXPECT_EQ(session->ObservedElements(), 3);
+  }
+}
+
+// OBSERVE and OBSERVEB differ only in how the sink applies points: one
+// stream fed per element and in 32-point batches leaves byte-identical WAL
+// segments, sink snapshot bytes and state versions. Each path's kept_total
+// is the sum of the sink's own returns (`Observe`'s bool, `ObserveBatch`'s
+// mutation count), and ingest_batches counts batch calls only.
+TEST_F(DurableSessionTest, PerElementAndBatchedIngestWriteTheSameLog) {
+  const Dataset ds = TestData(2, 150, 43);
+  const std::vector<std::string> specs = {
+      "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds),
+      "algo=sfdm1 dim=2 quotas=2,2" + BoundsSuffix(ds),
+      "algo=streaming_dm dim=2 k=4" + BoundsSuffix(ds),
+      "algo=sharded dim=2 k=4 shards=3" + BoundsSuffix(ds),
+      "algo=adaptive dim=2 k=4",
+      "algo=sliding_window dim=2 k=4 window=60" + BoundsSuffix(ds),
+  };
+  std::vector<StreamPoint> points;
+  for (size_t i = 0; i < ds.size(); ++i) points.push_back(ds.At(i));
+  const std::span<const StreamPoint> all(points);
+  for (size_t c = 0; c < specs.size(); ++c) {
+    SCOPED_TRACE(specs[c]);
+    const std::string element_dir = dir_ + "/element" + std::to_string(c);
+    const std::string batched_dir = dir_ + "/batched" + std::to_string(c);
+    auto element = DurableSession::Create(element_dir, specs[c]);
+    auto batched = DurableSession::Create(batched_dir, specs[c]);
+    auto element_ref = MakeSinkFromSpec(specs[c]);
+    auto batched_ref = MakeSinkFromSpec(specs[c]);
+    ASSERT_TRUE(element.ok() && batched.ok());
+    ASSERT_TRUE(element_ref.ok() && batched_ref.ok());
+    int64_t element_kept = 0;
+    for (const StreamPoint& point : points) {
+      ASSERT_TRUE(element->Ingest({&point, 1}, /*as_batch=*/false).ok());
+      element_kept += (*element_ref)->Observe(point) ? 1 : 0;
+    }
+    int64_t batched_kept = 0;
+    int64_t batch_calls = 0;
+    for (size_t at = 0; at < points.size(); at += 32) {
+      const auto chunk = all.subspan(at, std::min<size_t>(32, all.size() - at));
+      ASSERT_TRUE(batched->Ingest(chunk, /*as_batch=*/true).ok());
+      batched_kept += static_cast<int64_t>((*batched_ref)->ObserveBatch(chunk));
+      ++batch_calls;
+    }
+    ASSERT_TRUE(element->Sync().ok());
+    ASSERT_TRUE(batched->Sync().ok());
+    EXPECT_EQ(WalSegments(element_dir), WalSegments(batched_dir));
+    EXPECT_EQ(SinkBytes(element->sink()), SinkBytes(batched->sink()));
+    EXPECT_EQ(element->StateVersion(), batched->StateVersion());
+    EXPECT_EQ(element->IngestCounters().kept_total, element_kept);
+    EXPECT_EQ(batched->IngestCounters().kept_total, batched_kept);
+    EXPECT_EQ(element->IngestCounters().ingest_batches, 0);
+    EXPECT_EQ(batched->IngestCounters().ingest_batches, batch_calls);
+  }
+}
+
+// A call with no point to apply is a complete no-op on a dedup=off
+// session too: no WAL call, no batch counted, no version bump.
+TEST_F(DurableSessionTest, EmptyIngestIsANoOp) {
+  const Dataset ds = TestData(2, 40, 44);
+  auto session = DurableSession::Create(
+      dir_, "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds));
+  ASSERT_TRUE(session.ok());
+  for (size_t i = 0; i < ds.size(); ++i) {
+    const StreamPoint point = ds.At(i);
+    ASSERT_TRUE(session->Ingest({&point, 1}, /*as_batch=*/false).ok());
+  }
+  ASSERT_TRUE(session->Sync().ok());
+  const std::vector<std::string> wal = WalSegments(dir_);
+  const uint64_t version = session->StateVersion();
+  const SessionIngestCounters before = session->IngestCounters();
+  for (const bool as_batch : {true, false}) {
+    auto outcome = session->Ingest({}, as_batch);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->accepted, 0);
+    EXPECT_EQ(outcome->duplicates, 0);
+  }
+  ASSERT_TRUE(session->Sync().ok());
+  EXPECT_EQ(WalSegments(dir_), wal);
+  EXPECT_EQ(session->StateVersion(), version);
+  EXPECT_EQ(session->IngestCounters().ingest_batches, before.ingest_batches);
+  EXPECT_EQ(session->IngestCounters().kept_total, before.kept_total);
 }
 
 TEST_F(DurableSessionTest, RecoveryFallsBackWhenNewestSnapshotIsCorrupt) {
@@ -196,7 +369,8 @@ TEST_F(DurableSessionTest, RecoveryFallsBackWhenNewestSnapshotIsCorrupt) {
     auto session = DurableSession::Create(dir_, spec);
     ASSERT_TRUE(session.ok());
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(session->TakeSnapshot().ok());
   }
@@ -232,7 +406,8 @@ TEST_F(DurableSessionTest, FallbackToOlderSnapshotAfterNewestCorrupts) {
     ASSERT_TRUE(session.ok());
     for (size_t i = 0; i < ds.size(); ++i) {
       (*reference)->Observe(ds.At(i));
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
       if (i + 1 == 100 || i + 1 == 200) {
         ASSERT_TRUE(session->TakeSnapshot().ok());
       }
@@ -263,7 +438,8 @@ TEST_F(DurableSessionTest, AutoSnapshotHonorsCadence) {
   auto session = DurableSession::Create(dir_, spec, options);
   ASSERT_TRUE(session.ok());
   for (size_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   // 100 observations at cadence 40 → snapshots at 40 and 80.
   EXPECT_EQ(session->SnapshotSeq(), 80);
@@ -278,7 +454,8 @@ TEST_F(DurableSessionTest, SnapshotPrunesWalSegments) {
   auto session = DurableSession::Create(dir_, spec, options);
   ASSERT_TRUE(session.ok());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   size_t segments_before = 0;
   for ([[maybe_unused]] const auto& entry :

@@ -63,7 +63,10 @@ Status FeedBatched(DurableSession& session, const Dataset& ds, size_t begin,
   for (size_t i = begin; i < end; ++i) {
     batch.push_back(ds.At(i));
     if (batch.size() == 64 || i + 1 == end) {
-      if (Status s = session.ObserveBatch(batch); !s.ok()) return s;
+      if (Status s = session.Ingest(batch, /*as_batch=*/true).status();
+          !s.ok()) {
+        return s;
+      }
       batch.clear();
     }
   }
@@ -194,10 +197,8 @@ TEST_F(MetricsIntegrationTest, DivergenceRebuildSeriesMoves) {
   ASSERT_TRUE(rewritten.ok());
   const std::vector<double> constant = {1.0, 1.0};
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(
-        rewritten
-            ->Observe(StreamPoint{static_cast<int64_t>(i), 0, constant})
-            .ok());
+    const StreamPoint pt{static_cast<int64_t>(i), 0, constant};
+    ASSERT_TRUE(rewritten->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(rewritten->Sync().ok());
 

@@ -455,7 +455,8 @@ TEST_F(SessionWidthTest, ReopenedSessionSolvesOnThePool) {
     auto session = DurableSession::Create(dir, spec);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(session->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&pt, 1}, /*as_batch=*/false).ok());
       if (i + 1 == ds.size() / 2) {
         ASSERT_TRUE(session->TakeSnapshot().ok());
       }
@@ -549,7 +550,8 @@ TEST_F(SessionWidthTest, SnapshotSweepIngestAndSolveShareThePool) {
     threads.emplace_back([&, s] {
       for (size_t b = 0; !stop.load(); ++b) {
         const DrillBatch batch(s, b);
-        if (!(*manager)->ObserveBatch(name(s), batch.points()).ok()) {
+        if (!(*manager)->Ingest(name(s), batch.points(), /*as_batch=*/true)
+                 .ok()) {
           errors.fetch_add(1);
         }
         batches[static_cast<size_t>(s)] = b + 1;
@@ -599,7 +601,8 @@ TEST_F(SessionWidthTest, SnapshotSweepIngestAndSolveShareThePool) {
     ASSERT_TRUE((*replay)->CreateSession(name(s), kDrillSpec).ok());
     for (size_t b = 0; b < batches[static_cast<size_t>(s)]; ++b) {
       const DrillBatch batch(s, b);
-      ASSERT_TRUE((*replay)->ObserveBatch(name(s), batch.points()).ok());
+      ASSERT_TRUE(
+          (*replay)->Ingest(name(s), batch.points(), /*as_batch=*/true).ok());
     }
     width.Set(4);
     const std::string drilled = SolveReply(dispatcher, name(s));
@@ -635,7 +638,8 @@ TEST_F(SessionWidthTest, SessionsAddNoThreadsBeyondTheSharedPool) {
             .ok());
     for (size_t b = 0; b < 4; ++b) {
       const DrillBatch batch(s, b);
-      ASSERT_TRUE((*manager)->ObserveBatch(name, batch.points()).ok());
+      ASSERT_TRUE(
+          (*manager)->Ingest(name, batch.points(), /*as_batch=*/true).ok());
     }
   }
   EXPECT_LE(live_threads() - before,

@@ -78,7 +78,11 @@ Result<DurableSession> MakePrimary(const std::string& dir,
   if (!primary.ok()) return primary.status();
   const size_t mid = ds.size() / 2;
   for (size_t i = 0; i < ds.size(); ++i) {
-    if (Status s = primary->Observe(ds.At(i)); !s.ok()) return s;
+    const StreamPoint pt = ds.At(i);
+    if (Status s = primary->Ingest({&pt, 1}, /*as_batch=*/false).status();
+        !s.ok()) {
+      return s;
+    }
     if (i + 1 == mid) {
       if (Status s = primary->TakeSnapshot(); !s.ok()) return s;
     }
@@ -223,7 +227,8 @@ TEST_F(ReplicaTest, StalenessFlaggedAndLagMonotoneDuringCatchUp) {
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   const size_t head = 150;
   for (size_t i = 0; i < head; ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
 
@@ -242,7 +247,8 @@ TEST_F(ReplicaTest, StalenessFlaggedAndLagMonotoneDuringCatchUp) {
 
   // Primary moves on; the follower only refreshes its manifest view.
   for (size_t i = head; i < ds.size(); ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     if ((i + 1) % 150 == 0) {
       ASSERT_TRUE(primary->Sync().ok());
       ASSERT_TRUE(follower->RefreshLag().ok());
@@ -293,11 +299,13 @@ TEST_F(ReplicaTest, SnapshotPrunedMidBootstrapFallsBackToNextManifest) {
   auto primary = DurableSession::Create(dir_, spec, options);
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   for (size_t i = 0; i < 120; ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->TakeSnapshot().ok());
   for (size_t i = 120; i < 260; ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
 
@@ -312,7 +320,8 @@ TEST_F(ReplicaTest, SnapshotPrunedMidBootstrapFallsBackToNextManifest) {
   // the new snapshot at 400 supersedes the one at 120 (keep_snapshots=1)
   // and truncates the WAL segments below it.
   for (size_t i = 260; i < ds.size(); ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->TakeSnapshot().ok());
   ASSERT_FALSE(std::filesystem::exists(
@@ -339,7 +348,8 @@ TEST_F(ReplicaTest, PrunedTailForcesResyncOnPoll) {
   auto primary = DurableSession::Create(dir_, spec, options);
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   for (size_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
 
@@ -351,7 +361,8 @@ TEST_F(ReplicaTest, PrunedTailForcesResyncOnPoll) {
   // Primary advances far enough that rotation + snapshot pruning delete
   // the segments holding records 201..; the follower's position is gone.
   for (size_t i = 200; i < ds.size(); ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->TakeSnapshot().ok());
 
@@ -375,7 +386,8 @@ TEST_F(ReplicaTest, RewrittenLogForcesDivergenceRebuild) {
     auto primary = DurableSession::Create(dir_, spec);
     ASSERT_TRUE(primary.ok());
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(primary->Sync().ok());
   }
@@ -393,10 +405,8 @@ TEST_F(ReplicaTest, RewrittenLogForcesDivergenceRebuild) {
   ASSERT_TRUE(rewritten.ok());
   const std::vector<double> constant = {1.0, 1.0};
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(rewritten
-                    ->Observe(StreamPoint{static_cast<int64_t>(i), 0,
-                                          constant})
-                    .ok());
+    const StreamPoint pt{static_cast<int64_t>(i), 0, constant};
+    ASSERT_TRUE(rewritten->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(rewritten->Sync().ok());
   ASSERT_NE(rewritten->StateVersion(), old_version);
@@ -435,7 +445,8 @@ TEST_F(ReplicaTest, FetchedBytesGrowInProportionToNewRecords) {
   ASSERT_TRUE(follower.ok()) << follower.status().ToString();
   constexpr size_t kPerPoll = 4;
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     if ((i + 1) % kPerPoll == 0) {
       ASSERT_TRUE(primary->Sync().ok());
       auto applied = follower->Poll();
@@ -466,7 +477,8 @@ TEST_F(ReplicaTest, BadRangedFetchRefetchesFromZero) {
   auto primary = DurableSession::Create(dir_, spec);  // one segment
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   for (size_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
   auto fault = std::make_shared<FaultInjectingSource>(
@@ -488,7 +500,8 @@ TEST_F(ReplicaTest, BadRangedFetchRefetchesFromZero) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.what);
     for (const size_t end = fed + 50; fed < end; ++fed) {
-      ASSERT_TRUE(primary->Observe(ds.At(fed)).ok());
+      const StreamPoint pt = ds.At(fed);
+      ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE(primary->Sync().ok());
     const int64_t ranged_before = fault->ranged_fetches();
@@ -503,7 +516,8 @@ TEST_F(ReplicaTest, BadRangedFetchRefetchesFromZero) {
   }
   // With the fault gone, the next poll is ranged again and needs no retry.
   for (; fed < ds.size(); ++fed) {
-    ASSERT_TRUE(primary->Observe(ds.At(fed)).ok());
+    const StreamPoint pt = ds.At(fed);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
   auto applied = follower->Poll();
@@ -526,7 +540,8 @@ TEST_F(ReplicaTest, ShortRangedShipOfSealedSegmentRefetches) {
   auto primary = DurableSession::Create(dir_, spec, options);
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   for (size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
   auto fault = std::make_shared<FaultInjectingSource>(
@@ -537,7 +552,8 @@ TEST_F(ReplicaTest, ShortRangedShipOfSealedSegmentRefetches) {
 
   // Fill and seal the follower's segment, with records in the next one.
   for (size_t i = 10; i < ds.size(); ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(primary->Sync().ok());
   auto manifest = DirReplicationSource(dir_).GetManifest();
@@ -573,13 +589,15 @@ TEST_F(ReplicaTest, DuplicateReplayStormStaysBitIdentical) {
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
   const int64_t mid = static_cast<int64_t>(ds.size()) / 2;
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(primary->Observe(ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
     if (i + 1 == 40) {
       // Re-observe a prefix: with dedup=on these are idempotent no-ops
       // (no WAL records), but the rejection count must ride the snapshot
       // footer to the follower.
       for (size_t d = 0; d < 20; ++d) {
-        ASSERT_TRUE(primary->Observe(ds.At(d)).ok());
+        const StreamPoint pt = ds.At(d);
+        ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
       }
     }
     if (i + 1 == static_cast<size_t>(mid)) {
@@ -652,7 +670,9 @@ TEST_F(ReplicaTest, ReplicaManagerMirrorsAPrimaryRoot) {
   for (const std::string name : {"alpha", "beta"}) {
     ASSERT_TRUE((*primaries)->CreateSession(name, spec).ok());
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE((*primaries)->Observe(name, ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(
+          (*primaries)->Ingest(name, {&pt, 1}, /*as_batch=*/false).ok());
     }
     ASSERT_TRUE((*primaries)->Snapshot(name).ok());  // durable + advertised
   }
@@ -678,7 +698,8 @@ TEST_F(ReplicaTest, ReplicaManagerMirrorsAPrimaryRoot) {
 
   // A session created after the follower started appears on rescan.
   ASSERT_TRUE((*primaries)->CreateSession("gamma", spec).ok());
-  ASSERT_TRUE((*primaries)->Observe("gamma", ds.At(0)).ok());
+  const StreamPoint pt = ds.At(0);
+  ASSERT_TRUE((*primaries)->Ingest("gamma", {&pt, 1}, /*as_batch=*/false).ok());
   ASSERT_TRUE((*primaries)->Snapshot("gamma").ok());
   EXPECT_EQ((*followers)->SessionNames().size(), 3u);
   auto gamma = (*followers)->Stats("gamma");

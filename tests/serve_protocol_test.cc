@@ -116,7 +116,8 @@ void RunTcp(net::RequestDispatcher& dispatcher, const std::string& script,
 
 class ByteIdentityTest : public ServeProtocolTest {
  protected:
-  void Check(const std::string& script) {
+  /// Returns the stdin transport's replies.
+  std::string Check(const std::string& script) {
     auto stdin_manager = NewManager("stdin");
     auto tcp_manager = NewManager("tcp");
     net::RequestDispatcher stdin_dispatcher(stdin_manager.get(),
@@ -126,6 +127,7 @@ class ByteIdentityTest : public ServeProtocolTest {
     std::string actual;
     RunTcp(tcp_dispatcher, script, &actual);
     EXPECT_EQ(actual, expected);
+    return expected;
   }
 };
 
@@ -177,6 +179,36 @@ TEST_F(ByteIdentityTest, TruncatedBatchEndsLikeEof) {
   const std::string script =
       "CREATE s " + SpecFor(ds) + "\nOBSERVEB s 3\n10 0 1 2\n";
   Check(script);
+}
+
+TEST_F(ByteIdentityTest, OutOfRangeGroupIsRejectedBeforeTheWal) {
+  // An SFDM-2 session holds groups 0..quotas.size()-1 only. A point of
+  // group 7 is answered ERR before the WAL; a 256-line batch holding one
+  // is rejected whole; the corrected batch and the SOLVE after it are
+  // served as if the bad requests never came.
+  const Dataset ds = TestData(256, 73);
+  auto batch = [&ds](int bad_line) {
+    std::string lines = "OBSERVEB s 256\n";
+    for (size_t i = 0; i < ds.size(); ++i) {
+      const StreamPoint p = ds.At(i);
+      const int32_t group = static_cast<int>(i) == bad_line ? 7 : p.group;
+      lines += std::to_string(p.id) + " " + std::to_string(group);
+      for (const double c : p.coords) lines += " " + std::to_string(c);
+      lines += "\n";
+    }
+    return lines;
+  };
+  const std::string replies =
+      Check("CREATE s " + SpecFor(ds) + "\nOBSERVE s 2 7 0.5 0.25\n" +
+            batch(/*bad_line=*/131) + batch(/*bad_line=*/-1) +
+            "SOLVE s\nQUIT\n");
+  const std::string rejected =
+      "ERR InvalidArgument: point group 7 is outside the session's groups "
+      "0..1\n";
+  EXPECT_EQ(replies.substr(0, 3 + 2 * rejected.size()),
+            "OK\n" + rejected + rejected);
+  EXPECT_NE(replies.find("\nOK kept=256 dup=0\nOK "), std::string::npos)
+      << replies;
 }
 
 TEST_F(ByteIdentityTest, ReplicationVerbs) {
@@ -266,7 +298,8 @@ TEST_F(ServeProtocolTest, RangedWalFetchIsTheSegmentSuffix) {
   net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
   ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
   for (size_t i = 0; i < 30; ++i) {
-    ASSERT_TRUE(manager->Observe("s", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(manager->Ingest("s", {&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(manager->Snapshot("s").ok());  // flushes the WAL
 
@@ -309,7 +342,8 @@ TEST_F(ServeProtocolTest, ReadOnlyReplicationVerbsMatchOverTcp) {
   net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
   ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
   for (size_t i = 0; i < 30; ++i) {
-    ASSERT_TRUE(manager->Observe("s", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(manager->Ingest("s", {&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE(manager->Snapshot("s").ok());
   const std::string script =
@@ -433,7 +467,8 @@ TEST_F(ServeProtocolTest, TrailingGarbageRejectedOnFollower) {
   const Dataset ds = TestData();
   auto manager = NewManager("p");
   ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
-  ASSERT_TRUE(manager->Observe("s", ds.At(0)).ok());
+  const StreamPoint pt = ds.At(0);
+  ASSERT_TRUE(manager->Ingest("s", {&pt, 1}, /*as_batch=*/false).ok());
   ASSERT_TRUE(manager->Snapshot("s").ok());
 
   ReplicaManagerOptions options;

@@ -54,7 +54,10 @@ Status FeedBatched(DurableSession& session, const Dataset& ds, size_t begin,
   for (size_t i = begin; i < end; ++i) {
     batch.push_back(ds.At(i));
     if (batch.size() == batch_size || i + 1 == end) {
-      if (Status s = session.ObserveBatch(batch); !s.ok()) return s;
+      if (Status s = session.Ingest(batch, /*as_batch=*/true).status();
+          !s.ok()) {
+        return s;
+      }
       batch.clear();
     }
   }
@@ -218,7 +221,7 @@ TEST_F(SessionCountersTest, StatsSurviveLruSpill) {
   ASSERT_TRUE((*manager)->CreateSession("a", spec).ok());
   std::vector<StreamPoint> batch;
   for (size_t i = 0; i < ds.size(); ++i) batch.push_back(ds.At(i));
-  ASSERT_TRUE((*manager)->ObserveBatch("a", batch).ok());
+  ASSERT_TRUE((*manager)->Ingest("a", batch, /*as_batch=*/true).ok());
   auto before = (*manager)->Stats("a");
   ASSERT_TRUE(before.ok());
   EXPECT_GT(before->kept, 0);
@@ -227,7 +230,8 @@ TEST_F(SessionCountersTest, StatsSurviveLruSpill) {
   // Touch a second session: "a" is spilled (snapshot + eviction), then
   // recovered on the next Stats touch. The counters must come back.
   ASSERT_TRUE((*manager)->CreateSession("b", spec).ok());
-  ASSERT_TRUE((*manager)->Observe("b", ds.At(0)).ok());
+  const StreamPoint pt = ds.At(0);
+  ASSERT_TRUE((*manager)->Ingest("b", {&pt, 1}, /*as_batch=*/false).ok());
   auto after = (*manager)->Stats("a");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(before->kept, after->kept);

@@ -88,10 +88,13 @@ TEST_F(SessionManagerTest, CreateObserveSolve) {
   ASSERT_TRUE((*manager)->CreateSession("alpha", SpecFor(ds)).ok());
   EXPECT_FALSE((*manager)->CreateSession("alpha", SpecFor(ds)).ok());
   EXPECT_FALSE((*manager)->CreateSession("../evil", SpecFor(ds)).ok());
-  EXPECT_FALSE((*manager)->Observe("ghost", ds.At(0)).ok());
+  const StreamPoint first = ds.At(0);
+  EXPECT_FALSE(
+      (*manager)->Ingest("ghost", {&first, 1}, /*as_batch=*/false).ok());
 
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("alpha", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE((*manager)->Ingest("alpha", {&pt, 1}, /*as_batch=*/false).ok());
   }
   auto solution = (*manager)->Solve("alpha");
   ASSERT_TRUE(solution.ok()) << solution.status().ToString();
@@ -120,11 +123,15 @@ TEST_F(SessionManagerTest, KillPointRecoveryMatchesUninterrupted) {
   ASSERT_TRUE((*manager)->CreateSession("durable", spec).ok());
   const size_t mid = ds.size() / 2;
   for (size_t i = 0; i < mid; ++i) {
-    ASSERT_TRUE((*manager)->Observe("durable", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(
+        (*manager)->Ingest("durable", {&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE((*manager)->Snapshot("durable").ok());
   for (size_t i = mid; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("durable", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(
+        (*manager)->Ingest("durable", {&pt, 1}, /*as_batch=*/false).ok());
   }
   ASSERT_TRUE((*manager)->DropResident("durable").ok());
 
@@ -145,7 +152,9 @@ TEST_F(SessionManagerTest, SessionsSurviveManagerRestart) {
     ASSERT_TRUE(manager.ok());
     ASSERT_TRUE((*manager)->CreateSession("persisted", spec).ok());
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE((*manager)->Observe("persisted", ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE(
+          (*manager)->Ingest("persisted", {&pt, 1}, /*as_batch=*/false).ok());
     }
   }  // clean shutdown snapshots everything
 
@@ -172,7 +181,8 @@ TEST_F(SessionManagerTest, LruSpillKeepsResidencyBounded) {
   for (const std::string& name : names) {
     ASSERT_TRUE((*manager)->CreateSession(name, SpecFor(ds)).ok());
     for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE((*manager)->Observe(name, ds.At(i)).ok());
+      const StreamPoint pt = ds.At(i);
+      ASSERT_TRUE((*manager)->Ingest(name, {&pt, 1}, /*as_batch=*/false).ok());
     }
     EXPECT_LE((*manager)->ResidentCount(), 2u);
   }
@@ -210,7 +220,8 @@ TEST_F(SessionManagerTest, ConcurrentIngestAcrossSessions) {
     workers.emplace_back([&, s] {
       const std::string name = "t" + std::to_string(s);
       for (size_t i = 0; i < ds.size(); ++i) {
-        if (!(*manager)->Observe(name, ds.At(i)).ok()) {
+        const StreamPoint pt = ds.At(i);
+        if (!(*manager)->Ingest(name, {&pt, 1}, /*as_batch=*/false).ok()) {
           failures.fetch_add(1);
           return;
         }
@@ -234,7 +245,8 @@ TEST_F(SessionManagerTest, BackgroundThreadSnapshotsIdleSessions) {
   ASSERT_TRUE(manager.ok());
   ASSERT_TRUE((*manager)->CreateSession("bg", SpecFor(ds)).ok());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("bg", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE((*manager)->Ingest("bg", {&pt, 1}, /*as_batch=*/false).ok());
   }
   // The background sweep must persist the session without any explicit
   // Snapshot call.
@@ -258,16 +270,18 @@ TEST_F(SessionManagerTest, BatchIngestMatchesPerElement) {
   std::vector<StreamPoint> points;
   points.reserve(ds.size());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("one", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE((*manager)->Ingest("one", {&pt, 1}, /*as_batch=*/false).ok());
     points.push_back(ds.At(i));
   }
   for (size_t at = 0; at < points.size(); at += 64) {
     const size_t len = std::min<size_t>(64, points.size() - at);
-    ASSERT_TRUE(
-        (*manager)
-            ->ObserveBatch("batch", std::span<const StreamPoint>(
-                                        points.data() + at, len))
-            .ok());
+    ASSERT_TRUE((*manager)
+                    ->Ingest("batch",
+                             std::span<const StreamPoint>(points).subspan(
+                                 at, len),
+                             /*as_batch=*/true)
+                    .ok());
   }
   auto a = (*manager)->Solve("one");
   auto b = (*manager)->Solve("batch");

@@ -92,7 +92,8 @@ TEST(SolveCacheTest, ManagerServesCachedSolvesAndReportsStats) {
   ASSERT_TRUE(manager.ok());
   ASSERT_TRUE((*manager)->CreateSession("s", SpecFor(ds)).ok());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("s", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE((*manager)->Ingest("s", {&pt, 1}, /*as_batch=*/false).ok());
   }
   auto first = (*manager)->Solve("s");
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -116,7 +117,8 @@ TEST(SolveCacheTest, ManagerServesCachedSolvesAndReportsStats) {
 
   // Ingesting a point that mutates state invalidates; one that does not
   // keeps serving cache hits. Re-observing a seen point never mutates.
-  ASSERT_TRUE((*manager)->Observe("s", ds.At(0)).ok());
+  const StreamPoint seen = ds.At(0);
+  ASSERT_TRUE((*manager)->Ingest("s", {&seen, 1}, /*as_batch=*/false).ok());
   auto third = (*manager)->Solve("s");
   ASSERT_TRUE(third.ok());
   stats = (*manager)->Stats("s");
@@ -136,7 +138,8 @@ TEST(SolveCacheTest, WarmCacheSurvivesCrashRecoveryDrill) {
   ASSERT_TRUE(manager.ok());
   ASSERT_TRUE((*manager)->CreateSession("s", SpecFor(ds)).ok());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE((*manager)->Observe("s", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE((*manager)->Ingest("s", {&pt, 1}, /*as_batch=*/false).ok());
   }
   auto before = (*manager)->Solve("s");
   ASSERT_TRUE(before.ok());
@@ -169,7 +172,8 @@ TEST(SolveCacheTest, ConcurrentQueriesAndIngestStayConsistent) {
   ASSERT_TRUE((*manager)->CreateSession("b", SpecFor(ds)).ok());
   // Prime session "a" so queries have something to answer.
   for (size_t i = 0; i < 40; ++i) {
-    ASSERT_TRUE((*manager)->Observe("a", ds.At(i)).ok());
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE((*manager)->Ingest("a", {&pt, 1}, /*as_batch=*/false).ok());
   }
 
   // Ingest into "b" while hammering "a" with SOLVE + STATS from several
@@ -192,7 +196,7 @@ TEST(SolveCacheTest, ConcurrentQueriesAndIngestStayConsistent) {
   }
   for (size_t i = 0; i < ds.size(); ++i) {
     const StreamPoint point = ds.At(i);
-    ASSERT_TRUE((*manager)->ObserveBatch("b", {&point, 1}).ok());
+    ASSERT_TRUE((*manager)->Ingest("b", {&point, 1}, /*as_batch=*/true).ok());
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& r : readers) r.join();

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 
 #include "core/streaming_dm.h"
 #include "data/synthetic.h"
+#include "util/binary_io.h"
 
 namespace fdm {
 namespace {
@@ -41,13 +43,22 @@ StreamingOptions OptionsFor(const Dataset& ds) {
   return o;
 }
 
+// Appends rows [begin, end) of `ds` one record per `AppendBatch` call, as
+// the per-element OBSERVE path writes the log.
+Status AppendEach(WriteAheadLog& wal, const Dataset& ds, size_t begin,
+                  size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    const StreamPoint point = ds.At(i);
+    if (Status s = wal.AppendBatch({&point, 1}); !s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
 TEST_F(WalTest, AppendReplayMatchesDirectIngest) {
   const Dataset ds = TestData();
   auto wal = WriteAheadLog::Open(dir_);
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-  for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-  }
+  ASSERT_TRUE(AppendEach(*wal, ds, 0, ds.size()).ok());
   EXPECT_EQ(wal->last_seq(), static_cast<int64_t>(ds.size()));
   ASSERT_TRUE(wal->Sync().ok());
 
@@ -75,9 +86,7 @@ TEST_F(WalTest, ReplayAfterSeqSkipsPrefix) {
   const Dataset ds = TestData(40);
   auto wal = WriteAheadLog::Open(dir_);
   ASSERT_TRUE(wal.ok());
-  for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-  }
+  ASSERT_TRUE(AppendEach(*wal, ds, 0, ds.size()).ok());
   ASSERT_TRUE(wal->Sync().ok());
   auto sink = StreamingDm::Create(3, ds.dim(), ds.metric_kind(),
                                   OptionsFor(ds));
@@ -96,10 +105,8 @@ TEST_F(WalTest, RotatesSegmentsAndSurvivesReopen) {
   {
     auto wal = WriteAheadLog::Open(dir_, options);
     ASSERT_TRUE(wal.ok());
-    for (size_t i = 0; i < 200; ++i) {
-      ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-      ++appended;
-    }
+    ASSERT_TRUE(AppendEach(*wal, ds, 0, 200).ok());
+    appended = 200;
     EXPECT_GT(wal->SegmentPaths().size(), 2u);
   }  // destructor syncs
 
@@ -107,9 +114,7 @@ TEST_F(WalTest, RotatesSegmentsAndSurvivesReopen) {
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   EXPECT_EQ(wal->last_seq(), appended);
   // Appends continue the sequence.
-  for (size_t i = 200; i < 220; ++i) {
-    ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-  }
+  ASSERT_TRUE(AppendEach(*wal, ds, 200, 220).ok());
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(wal->last_seq(), appended + 20);
 
@@ -126,9 +131,7 @@ TEST_F(WalTest, TornTailIsToleratedAndTruncatedOnReopen) {
   {
     auto wal = WriteAheadLog::Open(dir_);
     ASSERT_TRUE(wal.ok());
-    for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-    }
+    ASSERT_TRUE(AppendEach(*wal, ds, 0, ds.size()).ok());
     ASSERT_TRUE(wal->Sync().ok());
   }
   // Tear the tail: chop a few bytes off the newest segment, as a crash
@@ -153,7 +156,7 @@ TEST_F(WalTest, TornTailIsToleratedAndTruncatedOnReopen) {
   EXPECT_EQ(*count, static_cast<int64_t>(ds.size()) - 1);
 
   // And appends after recovery land on a clean boundary.
-  ASSERT_TRUE(wal->Append(ds.At(0)).ok());
+  ASSERT_TRUE(AppendEach(*wal, ds, 0, 1).ok());
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(wal->last_seq(), static_cast<int64_t>(ds.size()));
 }
@@ -167,9 +170,7 @@ TEST_F(WalTest, EmptyActiveSegmentIsRecoverableAndReplayable) {
   {
     auto wal = WriteAheadLog::Open(dir_);
     ASSERT_TRUE(wal.ok());
-    for (size_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-    }
+    ASSERT_TRUE(AppendEach(*wal, ds, 0, 10).ok());
     ASSERT_TRUE(wal->Sync().ok());
   }
   {  // simulate the crash artifact: an empty next segment
@@ -186,7 +187,7 @@ TEST_F(WalTest, EmptyActiveSegmentIsRecoverableAndReplayable) {
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, 10);
   // And the re-initialized segment accepts appends at the right seq.
-  ASSERT_TRUE(wal->Append(ds.At(10)).ok());
+  ASSERT_TRUE(AppendEach(*wal, ds, 10, 11).ok());
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(wal->last_seq(), 11);
 }
@@ -204,9 +205,7 @@ TEST_F(WalTest, ZeroLengthSegmentMidLogIsSkippedNotCorruption) {
   {
     auto wal = WriteAheadLog::Open(dir_, options);
     ASSERT_TRUE(wal.ok());
-    for (size_t i = 0; i < 60; ++i) {
-      ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-    }
+    ASSERT_TRUE(AppendEach(*wal, ds, 0, 60).ok());
     ASSERT_TRUE(wal->Sync().ok());
     ASSERT_GT(wal->SegmentPaths().size(), 2u);
   }
@@ -240,7 +239,7 @@ TEST_F(WalTest, ZeroLengthSegmentMidLogIsSkippedNotCorruption) {
   auto count = wal->Replay(0, *sink);
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(*count, 60);
-  ASSERT_TRUE(wal->Append(ds.At(60)).ok());
+  ASSERT_TRUE(AppendEach(*wal, ds, 60, 61).ok());
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(wal->last_seq(), 61);
 }
@@ -250,9 +249,7 @@ TEST_F(WalTest, CorruptedRecordIsDetected) {
   {
     auto wal = WriteAheadLog::Open(dir_);
     ASSERT_TRUE(wal.ok());
-    for (size_t i = 0; i < ds.size(); ++i) {
-      ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-    }
+    ASSERT_TRUE(AppendEach(*wal, ds, 0, ds.size()).ok());
     ASSERT_TRUE(wal->Sync().ok());
   }
   std::vector<std::string> segments;
@@ -281,9 +278,7 @@ TEST_F(WalTest, TruncateBeforeDropsWholeObsoleteSegments) {
   options.segment_bytes = 2048;
   auto wal = WriteAheadLog::Open(dir_, options);
   ASSERT_TRUE(wal.ok());
-  for (size_t i = 0; i < 250; ++i) {
-    ASSERT_TRUE(wal->Append(ds.At(i)).ok());
-  }
+  ASSERT_TRUE(AppendEach(*wal, ds, 0, 250).ok());
   ASSERT_TRUE(wal->Sync().ok());
   const size_t before = wal->SegmentPaths().size();
   ASSERT_GT(before, 2u);
@@ -300,22 +295,55 @@ TEST_F(WalTest, TruncateBeforeDropsWholeObsoleteSegments) {
   EXPECT_EQ(*count, 250 - 199);
 }
 
+// A one-point `AppendBatch` (what OBSERVE writes) frames exactly the bytes
+// that point gets inside a larger batch: the same 64 points appended as
+// one batch, as 64 one-point calls, and split 1/7/56 leave byte-identical
+// segment files (rotations included) and replay to the same sink.
 TEST_F(WalTest, BatchAppendMatchesSingleAppends) {
   const Dataset ds = TestData(64, 17);
-  auto wal = WriteAheadLog::Open(dir_);
-  ASSERT_TRUE(wal.ok());
-  std::vector<StreamPoint> batch;
-  for (size_t i = 0; i < ds.size(); ++i) batch.push_back(ds.At(i));
-  ASSERT_TRUE(wal->AppendBatch(batch).ok());
-  ASSERT_TRUE(wal->Sync().ok());
-  EXPECT_EQ(wal->last_seq(), static_cast<int64_t>(ds.size()));
+  std::vector<StreamPoint> points;
+  for (size_t i = 0; i < ds.size(); ++i) points.push_back(ds.At(i));
+  const std::span<const StreamPoint> all(points);
+  const std::vector<std::vector<size_t>> splits = {
+      {64}, std::vector<size_t>(64, 1), {1, 7, 56}};
+  WalOptions options;
+  options.segment_bytes = 1024;  // the 64 records span several segments
+  std::vector<std::vector<std::string>> segments(splits.size());
+  std::vector<std::string> replayed(splits.size());
+  for (size_t c = 0; c < splits.size(); ++c) {
+    SCOPED_TRACE(c);
+    auto wal = WriteAheadLog::Open(dir_ + "/split" + std::to_string(c),
+                                   options);
+    ASSERT_TRUE(wal.ok());
+    size_t at = 0;
+    for (const size_t len : splits[c]) {
+      ASSERT_TRUE(wal->AppendBatch(all.subspan(at, len)).ok());
+      at += len;
+    }
+    ASSERT_TRUE(wal->Sync().ok());
+    EXPECT_EQ(wal->last_seq(), static_cast<int64_t>(ds.size()));
+    ASSERT_GT(wal->SegmentPaths().size(), 1u);
+    for (const std::string& path : wal->SegmentPaths()) {
+      auto bytes = ReadFileToString(path);
+      ASSERT_TRUE(bytes.ok());
+      segments[c].push_back(
+          std::filesystem::path(path).filename().string() + ":" + *bytes);
+    }
 
-  auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
-                                  OptionsFor(ds));
-  ASSERT_TRUE(sink.ok());
-  auto count = wal->Replay(0, *sink);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, static_cast<int64_t>(ds.size()));
+    auto sink = StreamingDm::Create(4, ds.dim(), ds.metric_kind(),
+                                    OptionsFor(ds));
+    ASSERT_TRUE(sink.ok());
+    auto count = wal->Replay(0, *sink);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, static_cast<int64_t>(ds.size()));
+    SnapshotWriter writer;
+    ASSERT_TRUE(sink->Snapshot(writer).ok());
+    replayed[c] = writer.Serialize();
+  }
+  for (size_t c = 1; c < splits.size(); ++c) {
+    EXPECT_EQ(segments[c], segments[0]) << "split " << c;
+    EXPECT_EQ(replayed[c], replayed[0]) << "split " << c;
+  }
 }
 
 }  // namespace

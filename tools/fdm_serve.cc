@@ -31,7 +31,8 @@
 //                                   are points (`<id> <group> <c0> ...`),
 //                                   applied through one ObserveBatch call
 //                                   (the dedup fast path and the batch
-//                                   kernels); replies `OK kept=K dup=D`
+//                                   kernels), or rejected whole when one
+//                                   line fails; replies `OK kept=K dup=D`
 //   SOLVE <name>                    current solution (div + ids); answered
 //                                   from the per-session solve cache under
 //                                   a shared lock when state is unchanged
@@ -51,8 +52,9 @@
 //
 // The protocol core lives in src/net/dispatch.h; this file only wires
 // transports around it. Every no-payload verb rejects trailing garbage,
-// and OBSERVE/OBSERVEB reject non-finite (inf/nan) coordinates before
-// anything reaches the WAL.
+// and OBSERVE/OBSERVEB reject, before anything reaches the WAL, a point
+// with non-finite (inf/nan) coordinates, a dimension other than the
+// spec's `dim`, or (algo=sfdm1|sfdm2) a group outside 0..quotas-1.
 //
 // `--listen=PORT` additionally serves the same protocol over TCP
 // (length-delimited frames whose payload is the line-protocol text; see
