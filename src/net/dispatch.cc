@@ -213,7 +213,7 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
     entry = it->second;
   }
   std::lock_guard<std::mutex> lock(entry->mu);
-  ReplicationSource& source = entry->source;
+  DirReplicationSource& source = entry->source;
   if (command == "RMANIFEST") {
     auto manifest = source.GetManifest();
     if (!manifest.ok()) {
@@ -250,21 +250,26 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
     out->append(" spec=").append(manifest->spec).append("\n");
     return;
   }
-  auto bytes = command == "RFETCHSNAP" ? source.FetchSnapshot(seq)
-                                       : source.FetchWalSegment(seq, offset);
-  if (!bytes.ok()) {
-    out->append("ERR ").append(bytes.status().ToString()).append("\n");
-    return;
-  }
   // Binary reply: a one-line header announcing the byte count, the raw
   // bytes, then a newline to restore line discipline. Over TCP the whole
   // reply is one length-delimited frame; over stdin the client reads
-  // exactly `bytes=` bytes after the header line. Sized up front: growing
-  // by the trailing newline would double a multi-MiB buffer.
-  const std::string header =
-      "OK bytes=" + std::to_string(bytes->size()) + "\n";
-  out->reserve(out->size() + header.size() + bytes->size() + 1);
-  out->append(header).append(*bytes).push_back('\n');
+  // exactly `bytes=` bytes after the header line. The source reads the
+  // range straight into `out` once the header is in, sized up front:
+  // growing by the trailing newline would double a multi-MiB buffer.
+  const auto header = [out](uint64_t bytes) {
+    const std::string line = "OK bytes=" + std::to_string(bytes) + "\n";
+    out->reserve(out->size() + line.size() + bytes + 1);
+    out->append(line);
+  };
+  const Status fetched =
+      command == "RFETCHSNAP" ? source.AppendSnapshot(seq, out, header)
+                              : source.AppendWalSegment(seq, offset, out,
+                                                        header);
+  if (!fetched.ok()) {
+    out->append("ERR ").append(fetched.ToString()).append("\n");
+    return;
+  }
+  out->push_back('\n');
 }
 
 RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,

@@ -100,9 +100,10 @@ struct RequestInfo {
 ///
 /// They read the session's on-disk state through a per-session
 /// `DirReplicationSource`, whose sealed-segment checksums and
-/// active-segment scan position persist across polls; fetched bytes are
-/// read for the reply and not kept. A follower sees exactly what a
-/// shared-filesystem follower would: the durable prefix.
+/// active-segment scan position persist across polls; a fetched range is
+/// read straight into `*out` after its header line and not kept. A
+/// follower sees exactly what a shared-filesystem follower would: the
+/// durable prefix.
 class RequestDispatcher {
  public:
   /// Primary serving mode. `root_dir` is the session-manager root (the

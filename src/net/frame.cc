@@ -3,12 +3,25 @@
 namespace fdm::net {
 
 void AppendFrame(std::string_view payload, std::string* out) {
-  const uint32_t n = static_cast<uint32_t>(payload.size());
-  out->push_back(static_cast<char>((n >> 24) & 0xff));
-  out->push_back(static_cast<char>((n >> 16) & 0xff));
-  out->push_back(static_cast<char>((n >> 8) & 0xff));
-  out->push_back(static_cast<char>(n & 0xff));
+  const size_t at = BeginFrame(out);
   out->append(payload);
+  EndFrame(at, out);
+}
+
+size_t BeginFrame(std::string* out) {
+  const size_t at = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  return at;
+}
+
+void EndFrame(size_t at, std::string* out) {
+  const uint32_t n =
+      static_cast<uint32_t>(out->size() - at - kFrameHeaderBytes);
+  char* header = out->data() + at;
+  header[0] = static_cast<char>((n >> 24) & 0xff);
+  header[1] = static_cast<char>((n >> 16) & 0xff);
+  header[2] = static_cast<char>((n >> 8) & 0xff);
+  header[3] = static_cast<char>(n & 0xff);
 }
 
 size_t ReleaseIfDrained(std::string& buf) {

@@ -50,6 +50,16 @@ size_t ReleaseIfDrained(std::string& buf);
 /// Appends the 4-byte header + payload to `*out`.
 void AppendFrame(std::string_view payload, std::string* out);
 
+/// Starts a frame in place at the end of `*out` (a header placeholder) and
+/// returns its offset. The caller appends the payload straight to `*out`
+/// and `EndFrame` writes its length, so a reply is built in the connection
+/// buffer instead of being copied into it.
+size_t BeginFrame(std::string* out);
+
+/// Writes the header of the frame `BeginFrame` started at `at`: the
+/// length of everything appended since.
+void EndFrame(size_t at, std::string* out);
+
 enum class FrameParse {
   kNeedMore,  // fewer bytes than one header + payload; read more
   kFrame,     // *payload and *consumed are set

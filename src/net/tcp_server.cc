@@ -287,10 +287,16 @@ void TcpServer::Impl::Drive(EventLoop& loop,
       solve_cv.notify_one();
       break;
     }
-    std::string reply;
+    // The reply is framed in place in `conn->out`: a fetched range is
+    // read into the connection buffer once and never copied.
+    const size_t frame_at = BeginFrame(&conn->out);
     const RequestOutcome outcome =
-        dispatcher->HandleRequest(line, payload_lines, &reply);
-    if (!reply.empty()) AppendFrame(reply, &conn->out);
+        dispatcher->HandleRequest(line, payload_lines, &conn->out);
+    if (conn->out.size() == frame_at + kFrameHeaderBytes) {
+      conn->out.resize(frame_at);  // no reply, no frame
+    } else {
+      EndFrame(frame_at, &conn->out);
+    }
     resume();
     if (outcome == RequestOutcome::kQuit) {
       conn->closing = true;  // flush the reply, then close

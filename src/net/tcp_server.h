@@ -36,9 +36,10 @@ struct TcpServerOptions {
 /// announced payload lines — may NOT span frames (the dispatcher answers
 /// exactly as if stdin ended mid-request). Each request produces exactly
 /// one response frame carrying the dispatcher's reply bytes, identical to
-/// what the stdin transport would have written; blank lines produce no
-/// response frame. A malformed frame header (oversized length) is a
-/// protocol error: the connection is closed.
+/// what the stdin transport would have written, built in place in the
+/// connection's output buffer; blank lines produce no response frame. A
+/// malformed frame header (oversized length) is a protocol error: the
+/// connection is closed.
 ///
 /// Overload behavior (see net/admission.h): a request naming a session
 /// over its token-bucket rate, or a cache-missing SOLVE beyond the global

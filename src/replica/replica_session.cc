@@ -108,10 +108,12 @@ Result<ReplicaSession> ReplicaSession::Bootstrap(
   session.spec_ = manifest->spec;
   session.NoteManifest(*manifest);
   // The spec decides whether the follower mirrors the duplicate guard —
-  // same authority rule as the primary's Open.
-  if (auto parsed = SinkSpec::Parse(session.spec_); parsed.ok()) {
-    session.dedup_enabled_ = parsed->dedup;
-  }
+  // same authority rule as the primary's Open — and which records a tail
+  // may apply.
+  auto parsed = SinkSpec::Parse(session.spec_);
+  if (!parsed.ok()) return parsed.status();
+  session.dedup_enabled_ = parsed->dedup;
+  session.rule_ = parsed->Rule();
 
   auto restored = session.BootstrapFromSnapshot(*manifest, /*min_seq=*/0);
   if (!restored.ok()) return restored.status();
@@ -294,7 +296,7 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
   // crash-recovery replay takes), so a follower's apply is bit-identical
   // to recovery by construction. `applied_seq_` advances only when a
   // batch has actually reached the sink.
-  WalBatchApplier applier(*sink_, dedup_.get());
+  WalBatchApplier applier(*sink_, rule_, dedup_.get());
   bool budget_hit = false;
 
   auto flush = [&]() {
@@ -359,9 +361,7 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
       }
       last_read = record.seq;
       if (record.seq < expected) continue;  // below the snapshot: skip
-      if (!applier.Add(record)) {
-        return Status::IoError("WAL record dimension changed mid-stream");
-      }
+      if (Status added = applier.Add(record); !added.ok()) return added;
       if (static_cast<size_t>(*applied) + applier.pending() >= budget) {
         budget_hit = true;
         break;

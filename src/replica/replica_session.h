@@ -10,6 +10,7 @@
 #include "core/stream_sink.h"
 #include "replica/replication_source.h"
 #include "service/dedup_filter.h"
+#include "service/sink_spec.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -218,6 +219,7 @@ class ReplicaSession {
   /// applied tail record — so it tracks the sink's position exactly.
   std::unique_ptr<DedupFilter> dedup_;
   bool dedup_enabled_ = false;  // from the primary's spec
+  PointRule rule_;              // from the primary's spec
   int64_t duplicates_rejected_ = 0;  // primary's count, footer-mirrored
   std::shared_ptr<SolveCache> solve_cache_;  // never null
   int64_t applied_seq_ = 0;

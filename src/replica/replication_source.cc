@@ -99,12 +99,13 @@ Result<ReplicaManifest> DirReplicationSource::GetManifest() {
       scanned_last_seq_ = newest.first_seq - 1;
     }
     if (newest.bytes != scanned_bytes_) {
-      auto tail = ReadFileToString(newest.path, scanned_valid_bytes_);
-      if (tail.ok()) {
-        WalSegmentCursor cursor(*tail, scanned_valid_bytes_);
+      auto file = ReadOnlyFile::Open(newest.path);
+      if (file.ok() && scanned_valid_bytes_ <= file->size()) {
+        const uint64_t size = file->size();
+        WalSegmentCursor cursor(std::move(file.value()), scanned_valid_bytes_);
         WalRecordView record;
         while (cursor.Next(record)) scanned_last_seq_ = record.seq;
-        scanned_bytes_ = scanned_valid_bytes_ + tail->size();
+        scanned_bytes_ = size;
         scanned_valid_bytes_ = cursor.valid_bytes();
       }
     }
@@ -123,14 +124,34 @@ void DirReplicationSource::InvalidateCaches() {
 }
 
 Result<std::string> DirReplicationSource::FetchSnapshot(int64_t seq) {
-  return ReadFileToString(SessionSnapDir(dir_) + "/" +
-                          SessionSnapshotFileName(seq));
+  std::string bytes;
+  if (Status s = AppendSnapshot(seq, &bytes); !s.ok()) return s;
+  return bytes;
 }
 
 Result<std::string> DirReplicationSource::FetchWalSegment(int64_t first_seq,
                                                           uint64_t offset) {
-  return ReadFileToString(
-      SessionWalDir(dir_) + "/" + WalSegmentFileName(first_seq), offset);
+  std::string bytes;
+  if (Status s = AppendWalSegment(first_seq, offset, &bytes); !s.ok()) {
+    return s;
+  }
+  return bytes;
+}
+
+Status DirReplicationSource::AppendSnapshot(
+    int64_t seq, std::string* out,
+    const std::function<void(uint64_t)>& header) const {
+  return AppendFileRange(
+      SessionSnapDir(dir_) + "/" + SessionSnapshotFileName(seq), 0, out,
+      header);
+}
+
+Status DirReplicationSource::AppendWalSegment(
+    int64_t first_seq, uint64_t offset, std::string* out,
+    const std::function<void(uint64_t)>& header) const {
+  return AppendFileRange(
+      SessionWalDir(dir_) + "/" + WalSegmentFileName(first_seq), offset, out,
+      header);
 }
 
 }  // namespace fdm

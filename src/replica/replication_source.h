@@ -2,6 +2,7 @@
 #define FDM_REPLICA_REPLICATION_SOURCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -82,8 +83,9 @@ class ReplicationSource {
 /// WAL segments are immutable, so their whole-file checksums are cached by
 /// (first_seq, size) and computed once; the snapshots are re-examined per
 /// manifest, and the active segment is scanned only past the point the
-/// previous manifest reached. Fetches are positioned reads of exactly the
-/// requested range; nothing fetched is kept.
+/// previous manifest reached, one `kIoWindowBytes` window at a time.
+/// Fetches are positioned reads of exactly the requested range, straight
+/// into the caller's buffer; nothing fetched is kept.
 class DirReplicationSource final : public ReplicationSource {
  public:
   /// `session_dir` is the primary session directory (the one holding
@@ -95,6 +97,17 @@ class DirReplicationSource final : public ReplicationSource {
   Result<std::string> FetchSnapshot(int64_t seq) override;
   Result<std::string> FetchWalSegment(int64_t first_seq,
                                       uint64_t offset) override;
+
+  /// The one fetch path, behind `FetchSnapshot` and the primary's
+  /// RFETCHSNAP reply: appends the snapshot at `seq` to `*out`, after
+  /// `header(n)`, read straight into `out` (see `AppendFileRange`), so a
+  /// fetched byte is held once.
+  Status AppendSnapshot(int64_t seq, std::string* out,
+                        const std::function<void(uint64_t)>& header = {}) const;
+  /// The same for `FetchWalSegment` and RFETCHWAL.
+  Status AppendWalSegment(
+      int64_t first_seq, uint64_t offset, std::string* out,
+      const std::function<void(uint64_t)>& header = {}) const;
 
   const std::string& dir() const { return dir_; }
 

@@ -33,7 +33,7 @@ obs::Counter& ObservedCounter() {
 obs::Counter& KeptCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "fdm_ingest_points_kept_total",
-      "sink mutations (points admitted by at least one rung)");
+      "sink mutations (a point kept by several rungs counts per rung)");
   return c;
 }
 obs::Histogram& BatchSizeHist() {
@@ -211,8 +211,7 @@ DurableSession::DurableSession(std::string dir, std::string spec,
       spec_(std::move(spec)),
       options_(options),
       solve_cache_(std::make_shared<SolveCache>()),
-      dim_(parsed.dim),
-      groups_(parsed.GroupCount()) {
+      rule_(parsed.Rule()) {
   if (options_.keep_snapshots == 0) options_.keep_snapshots = 1;
   if (parsed.dedup) dedup_ = std::make_unique<DedupFilter>();
 }
@@ -301,13 +300,13 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   // crash/spill but is not in the footer; replaying reports its mutations
   // so the cumulative count comes back exact. The same pass rebuilds the
   // dedup filter's tail membership.
-  int64_t replay_mutations = 0;
-  auto replayed = wal->Replay(session.snapshot_seq_, *session.sink_,
-                              &replay_mutations, session.dedup_.get());
+  WalBatchApplier applier(*session.sink_, session.rule_,
+                          session.dedup_.get());
+  auto replayed = wal->Replay(session.snapshot_seq_, applier);
   if (!replayed.ok()) return replayed.status();
   session.counters_.restores += 1;
   session.counters_.replayed_records += *replayed;
-  session.counters_.kept_total += replay_mutations;
+  session.counters_.kept_total += static_cast<int64_t>(applier.mutations());
   RestoresCounter().Inc();
   RestoreHist().RecordWithContext(
       static_cast<uint64_t>(restore_timer.ElapsedNanos()), session.dir_,
@@ -316,29 +315,14 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   return session;
 }
 
-Status DurableSession::CheckAdmissible(
-    std::span<const StreamPoint> batch) const {
-  for (const StreamPoint& point : batch) {
-    if (point.coords.size() != dim_) {
-      return Status::InvalidArgument(
-          "point dimension " + std::to_string(point.coords.size()) +
-          " does not match session dim " + std::to_string(dim_));
-    }
-    if (groups_ != 0 &&
-        (point.group < 0 || static_cast<size_t>(point.group) >= groups_)) {
-      return Status::InvalidArgument(
-          "point group " + std::to_string(point.group) +
-          " is outside the session's groups 0.." +
-          std::to_string(groups_ - 1));
-    }
-  }
-  return Status::Ok();
-}
-
 Result<IngestOutcome> DurableSession::Ingest(
     std::span<const StreamPoint> batch, bool as_batch) {
   if (!broken_.ok()) return broken_;
-  if (Status s = CheckAdmissible(batch); !s.ok()) return s;
+  for (const StreamPoint& point : batch) {
+    if (Status s = rule_.Check(point.coords.size(), point.group); !s.ok()) {
+      return s;
+    }
+  }
 
   IngestOutcome outcome;
   // Probe the duplicate guard BEFORE the WAL append: an already-seen id is
@@ -391,17 +375,15 @@ Result<IngestOutcome> DurableSession::Ingest(
                          s.message());
     return broken_;
   }
-  if (!as_batch && fresh.size() == 1) {
-    const bool mutated = sink_->Observe(fresh[0]);
-    counters_.kept_total += mutated ? 1 : 0;
-    ObservedCounter().Inc();
-    if (mutated) KeptCounter().Inc();
-  } else {
-    const size_t mutations = sink_->ObserveBatch(fresh);
-    counters_.kept_total += static_cast<int64_t>(mutations);
+  // One apply call on every path, so `kept_total` counts rung inserts
+  // whether the client sent OBSERVE or OBSERVEB, exactly as WAL replay
+  // recounts them (a one-point batch is bit-identical to `Observe`).
+  const size_t mutations = sink_->ObserveBatch(fresh);
+  counters_.kept_total += static_cast<int64_t>(mutations);
+  ObservedCounter().Add(fresh.size());
+  KeptCounter().Add(mutations);
+  if (as_batch || fresh.size() != 1) {
     counters_.ingest_batches += 1;
-    ObservedCounter().Add(fresh.size());
-    KeptCounter().Add(mutations);
     BatchSizeHist().Record(fresh.size());
   }
   if (Status s = MaybeAutoSnapshot(); !s.ok()) return s;
@@ -418,11 +400,11 @@ Status DurableSession::MaybeAutoSnapshot() {
 }
 
 Status DurableSession::PublishReplicationState() {
-  SnapshotWriter writer;
+  SnapshotWriter writer(SessionReplAdvertPath(dir_));
   writer.WriteString(kReplAdvertTag);
   writer.WriteI64(sink_->ObservedElements());
   writer.WriteU64(sink_->StateVersion());
-  return writer.WriteFile(SessionReplAdvertPath(dir_));
+  return writer.Commit();
 }
 
 Status DurableSession::Sync() {
@@ -442,7 +424,9 @@ Status DurableSession::TakeSnapshot() {
   if (seq == snapshot_seq_) return Status::Ok();  // up to date (or empty)
 
   Timer snap_timer;
-  SnapshotWriter writer;
+  // Streamed to the file as it is written: the snapshot is never held
+  // whole in memory (the dedup footer alone can run to megabytes).
+  SnapshotWriter writer(SnapshotPath(seq));
   writer.WriteString(kSessionTag);
   writer.WriteString(spec_);
   writer.WriteI64(seq);
@@ -459,7 +443,7 @@ Status DurableSession::TakeSnapshot() {
     WriteDedupFooter(writer, duplicates_rejected_, *dedup_);
   }
   const size_t payload_bytes = writer.PayloadBytes();
-  if (Status s = writer.WriteFile(SnapshotPath(seq)); !s.ok()) return s;
+  if (Status s = writer.Commit(); !s.ok()) return s;
   snapshot_seq_ = seq;
   counters_.snapshots_taken += 1;
   counters_.snapshot_write_ms_total += snap_timer.ElapsedSeconds() * 1000.0;

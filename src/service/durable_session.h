@@ -71,16 +71,18 @@ Result<ReplicationAdvert> ReadReplicationAdvert(const std::string& dir);
 /// The result: counts survive LRU spill and crash recovery exactly.
 /// Snapshots that predate the footer load as zeros.
 struct SessionIngestCounters {
-  /// Sink mutations total (summed `Observe`/`ObserveBatch` returns; an
-  /// element admitted by several candidate rungs may count more than once).
+  /// Sink mutations total (summed `ObserveBatch` returns on every ingest
+  /// path and in replay; an element admitted by several candidate rungs
+  /// counts once per rung).
   int64_t kept_total = 0;
   /// `Ingest` calls applied through the sink's `ObserveBatch` (not
   /// elements).
   int64_t ingest_batches = 0;
   int64_t snapshots_taken = 0;
   /// Wall time spent writing snapshots, milliseconds. The persisted value
-  /// excludes the final file write of the snapshot carrying it (the footer
-  /// is serialized before the write); the in-memory value includes it.
+  /// excludes the end of the write of the snapshot carrying it (the footer
+  /// is written before the file is finished); the in-memory value
+  /// includes it.
   double snapshot_write_ms_total = 0.0;
   /// Times this session was restored by `Open`.
   int64_t restores = 0;
@@ -161,9 +163,9 @@ class DurableSession {
   ///     is exact; negative ids carry no identity and always pass.
   ///  3. A call left with no point to apply returns here; nothing moves.
   ///  4. One WAL append of the remaining points.
-  ///  5. Apply: a one-point `as_batch=false` call (OBSERVE) through the
-  ///     sink's per-element `Observe`, any other through one `ObserveBatch`
-  ///     (counted in `ingest_batches`); then a due auto-snapshot.
+  ///  5. Apply through one `ObserveBatch` (a one-point `as_batch=false`
+  ///     call, OBSERVE, is not counted in `ingest_batches`); then a due
+  ///     auto-snapshot.
   ///
   /// A failed WAL append POISONS the session (every later call returns
   /// the latched error): the log may then hold a record the sink never
@@ -254,10 +256,6 @@ class DurableSession {
   /// oldest snapshot still on disk (`snapshot_seq_` if none).
   Result<int64_t> PruneSnapshots();
   std::string SnapshotPath(int64_t seq) const;
-  /// Step 1 of `Ingest`: InvalidArgument unless every point has the
-  /// spec's dimension and a group the spec holds.
-  Status CheckAdmissible(std::span<const StreamPoint> batch) const;
-
   std::string dir_;
   std::string spec_;
   DurableSessionOptions options_;
@@ -267,8 +265,7 @@ class DurableSession {
   int64_t duplicates_rejected_ = 0;
   uint64_t probe_sample_ = 0;  // 1-in-64 sampling of the probe histogram
   std::shared_ptr<SolveCache> solve_cache_;  // never null
-  size_t dim_ = 0;     // from the spec; every ingested point must match
-  size_t groups_ = 0;  // from the spec; 0 = groups are not checked
+  PointRule rule_;  // from the spec; every ingested point must fit it
   int64_t snapshot_seq_ = 0;
   SessionIngestCounters counters_;
   Status broken_;  // latched WAL-append failure; session needs a reopen

@@ -161,6 +161,21 @@ std::string SinkSpec::ToString() const {
   return out.str();
 }
 
+Status PointRule::Check(size_t point_dim, int32_t group) const {
+  if (point_dim != dim) {
+    return Status::InvalidArgument("point dimension " +
+                                   std::to_string(point_dim) +
+                                   " does not match session dim " +
+                                   std::to_string(dim));
+  }
+  if (groups != 0 && (group < 0 || static_cast<size_t>(group) >= groups)) {
+    return Status::InvalidArgument(
+        "point group " + std::to_string(group) +
+        " is outside the session's groups 0.." + std::to_string(groups - 1));
+  }
+  return Status::Ok();
+}
+
 size_t SinkSpec::GroupCount() const {
   return algo == "sfdm1" || algo == "sfdm2" ? quotas.size() : 0;
 }

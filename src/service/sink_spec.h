@@ -13,6 +13,20 @@
 
 namespace fdm {
 
+/// The points a sink built from a spec can hold: `dim` coordinates and,
+/// for the fair kinds (`groups` > 0), a group in [0, groups). The one
+/// admission rule of the service layer: a session checks every client
+/// point against it before the WAL, and crash-recovery replay and follower
+/// tails check every record they read back, so a point the sink cannot
+/// hold never reaches it.
+struct PointRule {
+  size_t dim = 0;
+  size_t groups = 0;  // 0: any group (the unconstrained kinds)
+
+  /// OK, or InvalidArgument saying which part of the point does not fit.
+  Status Check(size_t point_dim, int32_t group) const;
+};
+
 /// A textual, dataset-free description of a streaming sink — the unit of
 /// configuration the service layer stores per session. Unlike the harness
 /// registry (which reads k/dim/metric off a `Dataset`), a serving session
@@ -77,6 +91,9 @@ struct SinkSpec {
   /// quota; the unconstrained kinds ignore groups, even when `quotas` is
   /// set, and report 0.
   size_t GroupCount() const;
+
+  /// `dim` and `GroupCount()` as the session's admission rule.
+  PointRule Rule() const { return PointRule{dim, GroupCount()}; }
 
   /// Builds a fresh sink. Fails if required keys for the chosen algorithm
   /// are missing or inconsistent.

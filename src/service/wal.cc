@@ -73,6 +73,18 @@ constexpr size_t kRecordChecksumBytes = sizeof(uint64_t);
 constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 /// Flush the append buffer to the fd once it grows past this.
 constexpr size_t kFlushThresholdBytes = 256u << 10;
+/// Capacity the append buffer keeps across a `Sync`; a larger one (a big
+/// batch framed it) is released once its bytes are in the file, so a
+/// session does not pin the capacity of the largest batch it ever took.
+constexpr size_t kRetainedBufferBytes = 4u << 10;
+
+/// Bytes one record of `dim` coordinates takes framed: length, payload
+/// (seq, id, group, dim, coords), checksum.
+size_t FramedRecordBytes(size_t dim) {
+  return kRecordHeaderBytes + sizeof(uint64_t) + sizeof(int64_t) +
+         sizeof(int32_t) + sizeof(uint32_t) + dim * sizeof(double) +
+         kRecordChecksumBytes;
+}
 
 std::string SegmentName(int64_t first_seq) {
   return WalSegmentFileName(first_seq);
@@ -119,6 +131,12 @@ T ReadScalarAt(std::string_view bytes, size_t offset) {
   return v;
 }
 
+/// A segment file's window from `start_offset` to its size at open.
+FileWindow SegmentWindow(ReadOnlyFile file, uint64_t start_offset) {
+  const uint64_t size = file.size();
+  return FileWindow(std::move(file), std::min(start_offset, size), size);
+}
+
 }  // namespace
 
 std::string WalSegmentFileName(int64_t first_seq) {
@@ -129,38 +147,55 @@ std::string WalSegmentFileName(int64_t first_seq) {
 }
 
 WalSegmentCursor::WalSegmentCursor(std::string_view bytes, size_t start_offset)
-    : bytes_(bytes), start_offset_(start_offset) {
-  if (start_offset_ != 0) {
+    : window_(bytes, start_offset) {
+  Start(start_offset);
+}
+
+WalSegmentCursor::WalSegmentCursor(ReadOnlyFile file, uint64_t start_offset)
+    : window_(SegmentWindow(std::move(file), start_offset)) {
+  Start(start_offset);
+}
+
+void WalSegmentCursor::Start(uint64_t start_offset) {
+  valid_bytes_ = start_offset;
+  if (start_offset != 0) {
     // A ranged read starts on a record boundary, never inside the magic.
-    if (start_offset_ < sizeof(kSegmentMagic)) {
+    if (start_offset < sizeof(kSegmentMagic)) {
       status_ = Status::IoError("WAL range starts inside the segment magic");
-      offset_ = bytes_.size();
     }
     return;
   }
-  if (bytes_.size() < sizeof(kSegmentMagic) ||
-      std::memcmp(bytes_.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
-    status_ = Status::IoError("not a WAL segment (bad magic)");
-    offset_ = bytes_.size();  // nothing is decodable
-    valid_bytes_ = 0;
+  if (!Fill(sizeof(kSegmentMagic)) ||
+      std::memcmp(window_.view().data(), kSegmentMagic,
+                  sizeof(kSegmentMagic)) != 0) {
+    // A short segment is a bad magic too, unless the read itself failed.
+    if (status_.ok()) {
+      status_ = Status::IoError("not a WAL segment (bad magic)");
+    }
     return;
   }
-  offset_ = sizeof(kSegmentMagic);
-  valid_bytes_ = offset_;
+  window_.Consume(sizeof(kSegmentMagic));
+  valid_bytes_ = window_.position();
+}
+
+bool WalSegmentCursor::Fill(size_t n) {
+  if (window_.Fill(n)) return true;
+  if (!window_.status().ok()) status_ = window_.status();
+  return false;
 }
 
 bool WalSegmentCursor::Next(WalRecordView& record) {
   if (!status_.ok()) return false;
-  if (offset_ + kRecordHeaderBytes > bytes_.size()) return false;
-  const uint32_t len = ReadScalarAt<uint32_t>(bytes_, offset_);
+  if (!Fill(kRecordHeaderBytes)) return false;
+  const uint32_t len = ReadScalarAt<uint32_t>(window_.view(), 0);
   if (len > kMaxPayloadBytes ||
-      offset_ + kRecordHeaderBytes + len + kRecordChecksumBytes >
-          bytes_.size()) {
+      !Fill(kRecordHeaderBytes + len + kRecordChecksumBytes)) {
     return false;  // torn or corrupt tail
   }
-  const char* payload = bytes_.data() + offset_ + kRecordHeaderBytes;
+  const std::string_view bytes = window_.view();
+  const char* payload = bytes.data() + kRecordHeaderBytes;
   const uint64_t stored =
-      ReadScalarAt<uint64_t>(bytes_, offset_ + kRecordHeaderBytes + len);
+      ReadScalarAt<uint64_t>(bytes, kRecordHeaderBytes + len);
   if (stored != Fnv1a64(payload, len)) return false;  // torn mid-payload
 
   // The checksum held, so a malformed payload is corruption, not a crash.
@@ -190,8 +225,8 @@ bool WalSegmentCursor::Next(WalRecordView& record) {
   std::memcpy(coords_.data(), payload + at, dim * sizeof(double));
   record.coords = coords_;
 
-  offset_ += kRecordHeaderBytes + len + kRecordChecksumBytes;
-  valid_bytes_ = offset_;
+  window_.Consume(kRecordHeaderBytes + len + kRecordChecksumBytes);
+  valid_bytes_ = window_.position();
   return true;
 }
 
@@ -309,10 +344,9 @@ Result<WriteAheadLog> WriteAheadLog::Open(std::string dir,
   const int64_t newest_first = wal.segment_first_seqs_.back();
   const std::string newest_path =
       wal.dir_ + "/" + SegmentName(newest_first);
-  auto loaded = ReadFileToString(newest_path);
-  if (!loaded.ok()) return loaded.status();
-  const std::string& bytes = loaded.value();
-  if (bytes.size() < sizeof(kSegmentMagic)) {
+  auto newest = ReadOnlyFile::Open(newest_path);
+  if (!newest.ok()) return newest.status();
+  if (newest->size() < sizeof(kSegmentMagic)) {
     // A crash can leave a freshly rotated segment empty (its magic was
     // buffered but never flushed). Re-initialize it in place.
     const int fd = ::open(newest_path.c_str(), O_WRONLY | O_TRUNC);
@@ -326,7 +360,7 @@ Result<WriteAheadLog> WriteAheadLog::Open(std::string dir,
     wal.last_seq_ = newest_first - 1;
     return wal;
   }
-  WalSegmentCursor cursor(bytes);
+  WalSegmentCursor cursor(std::move(newest.value()));
   WalRecordView record;
   int64_t newest_last_seq = 0;
   while (cursor.Next(record)) newest_last_seq = record.seq;
@@ -391,9 +425,8 @@ Status WriteAheadLog::FlushBuffer() {
 Status WriteAheadLog::AppendLocked(const StreamPoint& point) {
   const int64_t seq = last_seq_ + 1;
   const uint32_t dim = static_cast<uint32_t>(point.coords.size());
-  const uint32_t payload_len =
-      sizeof(uint64_t) + sizeof(int64_t) + sizeof(int32_t) + sizeof(uint32_t) +
-      dim * sizeof(double);
+  const uint32_t payload_len = static_cast<uint32_t>(
+      FramedRecordBytes(dim) - kRecordHeaderBytes - kRecordChecksumBytes);
 
   const size_t payload_begin = buffer_.size() + kRecordHeaderBytes;
   AppendScalar<uint32_t>(buffer_, payload_len);
@@ -409,8 +442,7 @@ Status WriteAheadLog::AppendLocked(const StreamPoint& point) {
   last_seq_ = seq;
   ++unsynced_records_;
   WalRecordsCounter().Inc();
-  WalBytesCounter().Add(kRecordHeaderBytes + payload_len +
-                        kRecordChecksumBytes);
+  WalBytesCounter().Add(FramedRecordBytes(dim));
 
   if (buffer_.size() >= kFlushThresholdBytes) {
     if (Status s = FlushBuffer(); !s.ok()) return s;
@@ -427,6 +459,13 @@ Status WriteAheadLog::AppendLocked(const StreamPoint& point) {
 Status WriteAheadLog::AppendBatch(std::span<const StreamPoint> batch) {
   obs::ScopedTimer timer(WalAppendBatchHist(), dir_,
                          static_cast<uint64_t>(last_seq_));
+  // Size the buffer for the batch (up to one flush) in one step instead of
+  // regrowing it by doubling while framing.
+  size_t framed = 0;
+  for (const StreamPoint& point : batch) {
+    framed += FramedRecordBytes(point.coords.size());
+  }
+  buffer_.reserve(buffer_.size() + std::min(framed, kFlushThresholdBytes));
   for (const StreamPoint& point : batch) {
     if (Status s = AppendLocked(point); !s.ok()) return s;
   }
@@ -437,6 +476,7 @@ Status WriteAheadLog::AppendBatch(std::span<const StreamPoint> batch) {
 Status WriteAheadLog::Sync() {
   Timer timer;
   if (Status s = FlushBuffer(); !s.ok()) return s;
+  if (buffer_.capacity() > kRetainedBufferBytes) std::string().swap(buffer_);
   if (unsynced_records_ == 0) return Status::Ok();
   FDM_CHECK(fd_ >= 0);
   if (::fsync(fd_) != 0) {
@@ -459,20 +499,14 @@ std::vector<std::string> WriteAheadLog::SegmentPaths() const {
   return paths;
 }
 
-Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
-                                      int64_t* mutations,
-                                      DedupFilter* filter) const {
+Result<int64_t> WriteAheadLog::Replay(int64_t after_seq,
+                                      WalBatchApplier& applier) const {
   FDM_CHECK_MSG(buffer_.empty() || buffer_.size() == sizeof(kSegmentMagic),
                 "Sync() the WAL before Replay()");
   obs::ScopedTimer replay_timer(WalReplayHist(), dir_,
                                 static_cast<uint64_t>(after_seq));
   int64_t replayed = 0;
   int64_t prev_seq = after_seq;
-
-  // Batched apply through the shared applier, so rung-parallel sinks
-  // replay at batched-ingestion speed — and so recovery and follower
-  // tail application share one code path.
-  WalBatchApplier applier(sink, filter);
 
   for (size_t s = 0; s < segment_first_seqs_.size(); ++s) {
     // A whole segment is skippable when the next segment starts at or
@@ -482,10 +516,9 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
       continue;
     }
     const std::string path = dir_ + "/" + SegmentName(segment_first_seqs_[s]);
-    auto loaded = ReadFileToString(path);
-    if (!loaded.ok()) return loaded.status();
-    const std::string& bytes = loaded.value();
-    if (bytes.empty()) {
+    auto file = ReadOnlyFile::Open(path);
+    if (!file.ok()) return file.status();
+    if (file->size() == 0) {
       // A crash between segment creation and the first flush leaves a
       // zero-length file (the magic was still buffered). It holds no
       // records, so skip it wherever it sits — warning only mid-log (the
@@ -493,14 +526,14 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
       if (s + 1 != segment_first_seqs_.size()) WarnZeroLengthSegmentOnce(path);
       continue;
     }
-    if (bytes.size() < sizeof(kSegmentMagic)) {
+    if (file->size() < sizeof(kSegmentMagic)) {
       // A partially flushed magic; only the newest segment can legally be
       // in this state (the crash tail of the active segment).
       if (s + 1 == segment_first_seqs_.size()) continue;
       return Status::IoError("truncated WAL segment mid-log: " + path);
     }
 
-    WalSegmentCursor cursor(bytes);
+    WalSegmentCursor cursor(std::move(file.value()));
     WalRecordView record;
     while (cursor.Next(record)) {
       if (record.seq <= after_seq) continue;  // before the snapshot: skip
@@ -509,9 +542,8 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
             "WAL sequence gap: expected " + std::to_string(prev_seq + 1) +
             ", found " + std::to_string(record.seq) + " in " + path);
       }
-      if (!applier.Add(record)) {
-        return Status::IoError("WAL record dimension changed mid-log in " +
-                               path);
+      if (Status added = applier.Add(record); !added.ok()) {
+        return Status::IoError(added.message() + " in " + path);
       }
       prev_seq = record.seq;
       ++replayed;
@@ -526,9 +558,6 @@ Result<int64_t> WriteAheadLog::Replay(int64_t after_seq, StreamSink& sink,
     }
   }
   applier.Flush();
-  if (mutations != nullptr) {
-    *mutations = static_cast<int64_t>(applier.mutations());
-  }
   WalReplayRecordsCounter().Add(static_cast<uint64_t>(replayed));
   return replayed;
 }

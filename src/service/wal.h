@@ -10,6 +10,8 @@
 #include "core/stream_sink.h"
 #include "geo/point_buffer.h"
 #include "service/dedup_filter.h"
+#include "service/sink_spec.h"
+#include "util/binary_io.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -23,48 +25,61 @@ struct WalRecordView {
   std::span<const double> coords;
 };
 
-/// Forward reader over the intact records of one WAL segment's raw bytes.
-/// This is the one record parser in the system: `WriteAheadLog::Open` uses
-/// it to recover the last sequence number, `Replay` to feed a sink, and the
-/// replication layer (`src/replica/`) to apply shipped segment bytes on a
-/// follower without owning a `WriteAheadLog`.
+/// Forward reader over the intact records of one WAL segment. This is the
+/// one record parser in the system: `WriteAheadLog::Open` uses it to
+/// recover the last sequence number, `Replay` to feed a sink, and the
+/// replication layer (`src/replica/`) to find the primary's durable
+/// position and to apply shipped segment bytes on a follower without
+/// owning a `WriteAheadLog`.
+///
+/// It reads through a `FileWindow`: a segment file one `kIoWindowBytes`
+/// window at a time (a record larger than the window grows it to fit that
+/// record), or in-memory bytes as one window that never refills. Both run
+/// the same parse.
 ///
 /// `Next` stops at the first torn record (length/checksum framing does not
 /// hold — `torn_tail()` reports whether undecodable bytes remain) and
 /// latches a non-OK `status()` on real corruption: a bad segment magic, or
 /// a record whose checksum verifies but whose payload is malformed (that is
-/// never a crash artifact).
+/// never a crash artifact). A failed file read latches too.
 ///
 /// The same parser reads a ranged fetch: `start_offset` is the segment
-/// offset `bytes` begin at. 0 means the whole segment (which must open with
-/// the segment magic); a non-zero offset must sit on a record boundary past
-/// the magic, and the bytes start with a record. `valid_bytes()` is a
+/// offset the bytes begin at. 0 means the whole segment (which must open
+/// with the segment magic); a non-zero offset must sit on a record boundary
+/// past the magic, and the bytes start with a record. `valid_bytes()` is a
 /// segment offset either way, so it can be handed back as the next fetch's
 /// start.
 class WalSegmentCursor {
  public:
+  /// In-memory segment bytes (borrowed; they must outlive the cursor).
   explicit WalSegmentCursor(std::string_view bytes, size_t start_offset = 0);
+  /// The segment file from `start_offset` to its size at open.
+  explicit WalSegmentCursor(ReadOnlyFile file, uint64_t start_offset = 0);
 
   /// Advances to the next intact record. Returns false at the end of the
   /// intact prefix (check `status()` to distinguish "clean end / torn
   /// tail" from corruption).
   bool Next(WalRecordView& record);
 
-  /// Non-OK after a bad magic or a checksum-valid but malformed payload.
+  /// Non-OK after a bad magic, a checksum-valid but malformed payload, or
+  /// a failed read.
   const Status& status() const { return status_; }
 
   /// True iff bytes remain past the last intact record (a crash tail).
-  bool torn_tail() const { return valid_bytes_ < bytes_.size(); }
+  bool torn_tail() const { return valid_bytes_ < window_.end(); }
 
   /// Segment offset just past the last intact record (segment magic
   /// included), i.e. the truncation point that removes a torn tail.
-  size_t valid_bytes() const { return start_offset_ + valid_bytes_; }
+  uint64_t valid_bytes() const { return valid_bytes_; }
 
  private:
-  std::string_view bytes_;
-  size_t start_offset_ = 0;
-  size_t offset_ = 0;       // into bytes_
-  size_t valid_bytes_ = 0;  // into bytes_
+  /// Checks the segment magic (offset 0) or the range start.
+  void Start(uint64_t start_offset);
+  /// `window_.Fill`, latching a failed read into `status_`.
+  bool Fill(size_t n);
+
+  FileWindow window_;
+  uint64_t valid_bytes_ = 0;  // segment offset
   Status status_;
   std::vector<double> coords_;  // per-record scratch behind `record.coords`
 };
@@ -88,29 +103,31 @@ class WalBatchApplier {
   /// sinks apply through the batched ingestion engine.
   static constexpr size_t kBatchRecords = 512;
 
-  /// When `filter` is non-null, every applied record's id is fed through
+  /// `rule` is the session's admission rule (`SinkSpec::Rule()`). When
+  /// `filter` is non-null, every applied record's id is fed through
   /// `DedupFilter::InsertIfAbsent` — this is how crash recovery and
   /// follower tails reconstruct the duplicate guard exactly: the WAL is
   /// authoritative (records are applied regardless), the filter just
   /// relearns membership alongside.
-  explicit WalBatchApplier(StreamSink& sink, DedupFilter* filter = nullptr)
-      : sink_(sink), filter_(filter) {}
+  WalBatchApplier(StreamSink& sink, PointRule rule,
+                  DedupFilter* filter = nullptr)
+      : sink_(sink), rule_(rule), filter_(filter) {}
 
-  /// Buffers one record (coordinates copied). Returns false when the
-  /// record's dimension disagrees with the buffered batch's.
-  bool Add(const WalRecordView& record) {
-    if (filter_ != nullptr) filter_->InsertIfAbsent(record.id);
-    if (dim_ == 0) {
-      dim_ = record.coords.size();
-      coords_.reserve(kBatchRecords * dim_);
-    } else if (record.coords.size() != dim_) {
-      return false;
+  /// Buffers one record (coordinates copied). A record the session could
+  /// not have admitted — a dimension or group outside `rule` — is
+  /// corruption: it is not buffered, and the IoError names its seq.
+  Status Add(const WalRecordView& record) {
+    if (Status s = rule_.Check(record.coords.size(), record.group); !s.ok()) {
+      return Status::IoError("WAL record seq " + std::to_string(record.seq) +
+                             " does not fit the session: " + s.message());
     }
+    if (filter_ != nullptr) filter_->InsertIfAbsent(record.id);
+    if (coords_.capacity() == 0) coords_.reserve(kBatchRecords * rule_.dim);
     coords_.insert(coords_.end(), record.coords.begin(),
                    record.coords.end());
     ids_.push_back(record.id);
     groups_.push_back(record.group);
-    return true;
+    return Status::Ok();
   }
 
   bool ShouldFlush() const { return ids_.size() >= kBatchRecords; }
@@ -125,7 +142,8 @@ class WalBatchApplier {
     for (size_t i = 0; i < ids_.size(); ++i) {
       points.push_back(StreamPoint{
           ids_[i], groups_[i],
-          std::span<const double>(coords_.data() + i * dim_, dim_)});
+          std::span<const double>(coords_.data() + i * rule_.dim,
+                                  rule_.dim)});
     }
     mutations_ += sink_.ObserveBatch(points);
     const size_t applied = ids_.size();
@@ -143,9 +161,9 @@ class WalBatchApplier {
 
  private:
   StreamSink& sink_;
+  PointRule rule_;
   DedupFilter* filter_;
   size_t mutations_ = 0;
-  size_t dim_ = 0;
   std::vector<double> coords_;
   std::vector<int64_t> ids_;
   std::vector<int32_t> groups_;
@@ -214,19 +232,19 @@ class WriteAheadLog {
   /// ingest write the same log.
   Status AppendBatch(std::span<const StreamPoint> batch);
 
-  /// Flushes buffered records and fsyncs the active segment.
+  /// Flushes buffered records and fsyncs the active segment. A staging
+  /// buffer a large batch grew past 4 KiB is released here, once its bytes
+  /// are in the file.
   Status Sync();
 
-  /// Replays every record with `seq > after_seq` into `sink` through
-  /// `ObserveBatch`, in sequence order. Returns the number of records
-  /// replayed; when `mutations` is non-null it receives how many of them
-  /// changed sink state (summed `ObserveBatch` returns). When `filter` is
-  /// non-null, replayed ids rebuild the duplicate guard (see
-  /// `WalBatchApplier`). The newest segment may end in a torn record
-  /// (crash tail) — replay stops cleanly there.
-  Result<int64_t> Replay(int64_t after_seq, StreamSink& sink,
-                         int64_t* mutations = nullptr,
-                         DedupFilter* filter = nullptr) const;
+  /// Replays every record with `seq > after_seq`, in sequence order,
+  /// through `applier` (which holds the sink, the admission rule and the
+  /// duplicate guard to rebuild; its `mutations()` afterwards counts the
+  /// sink state changes). Returns the number of records replayed. The
+  /// newest segment may end in a torn record (crash tail) — replay stops
+  /// cleanly there. A record outside the applier's rule fails the replay
+  /// with the applier's IoError.
+  Result<int64_t> Replay(int64_t after_seq, WalBatchApplier& applier) const;
 
   /// Deletes whole segments whose records all have `seq < before_seq`
   /// (call after a snapshot at `before_seq - 1` has been written). The

@@ -4,8 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+
+#include "util/check.h"
 
 namespace fdm {
 
@@ -20,6 +23,15 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
 }
 
 namespace {
+
+/// Offset of the payload-size field in a snapshot frame.
+constexpr size_t kSizeFieldAt =
+    sizeof(SnapshotWriter::kMagic) + sizeof(uint32_t);
+constexpr size_t kChecksumBytes = sizeof(uint64_t);
+
+Status ErrnoError(const std::string& what, const std::string& path) {
+  return Status::IoError(what + ": " + path + ": " + std::strerror(errno));
+}
 
 /// Writes all of `data` to `fd`, resuming short writes and EINTR.
 bool WriteAll(int fd, const void* data, size_t len) {
@@ -36,129 +48,45 @@ bool WriteAll(int fd, const void* data, size_t len) {
   return true;
 }
 
-}  // namespace
-
-Result<FileChecksum> ChecksumFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open for read: " + path + ": " +
-                           std::strerror(errno));
+/// `Fnv1a64` of bytes [begin, end) of `file`, one `kIoWindowBytes` read at
+/// a time.
+Result<uint64_t> HashRange(const ReadOnlyFile& file, uint64_t begin,
+                           uint64_t end) {
+  uint64_t hash = Fnv1a64(nullptr, 0);
+  char buf[kIoWindowBytes];
+  while (begin < end) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(buf), end - begin));
+    if (Status s = file.ReadAt(begin, buf, n); !s.ok()) return s;
+    hash = Fnv1a64(buf, n, hash);
+    begin += n;
   }
-  FileChecksum sum;
-  sum.checksum = Fnv1a64(nullptr, 0);  // the unseeded start value
-  char buf[64 << 10];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const Status error =
-          Status::IoError("read failed: " + path + ": " + std::strerror(errno));
-      ::close(fd);
-      return error;
-    }
-    if (n == 0) break;
-    sum.checksum = Fnv1a64(buf, static_cast<size_t>(n), sum.checksum);
-    sum.bytes += static_cast<uint64_t>(n);
-  }
-  ::close(fd);
-  return sum;
+  return hash;
 }
 
-std::array<char, SnapshotWriter::kHeaderBytes> SnapshotWriter::FrameHeader()
-    const {
-  std::array<char, kHeaderBytes> header{};
-  const uint32_t version = kFormatVersion;
-  const uint64_t size = payload_.size();
-  std::memcpy(header.data(), kMagic, sizeof(kMagic));
-  std::memcpy(header.data() + sizeof(kMagic), &version, sizeof(version));
-  std::memcpy(header.data() + sizeof(kMagic) + sizeof(version), &size,
-              sizeof(size));
-  return header;
+void AppendFrameHeader(uint64_t payload_bytes, std::string* out) {
+  const uint32_t version = SnapshotWriter::kFormatVersion;
+  out->append(SnapshotWriter::kMagic, sizeof(SnapshotWriter::kMagic));
+  out->append(reinterpret_cast<const char*>(&version), sizeof(version));
+  out->append(reinterpret_cast<const char*>(&payload_bytes),
+              sizeof(payload_bytes));
 }
 
-std::string SnapshotWriter::Serialize() const {
-  std::string framed;
-  framed.reserve(kHeaderBytes + payload_.size() + sizeof(uint64_t));
-  const auto header = FrameHeader();
-  framed.append(header.data(), header.size());
-  framed.append(payload_);
-  const uint64_t checksum = Fnv1a64(payload_.data(), payload_.size());
-  framed.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  return framed;
-}
-
-Status SnapshotWriter::WriteFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open for write: " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  // The frame goes out in its three parts straight from the payload
-  // buffer: no framed copy of the snapshot is ever built.
-  const auto header = FrameHeader();
-  const uint64_t checksum = Fnv1a64(payload_.data(), payload_.size());
-  if (!WriteAll(fd, header.data(), header.size()) ||
-      !WriteAll(fd, payload_.data(), payload_.size()) ||
-      !WriteAll(fd, &checksum, sizeof(checksum))) {
-    const Status error =
-        Status::IoError("write failed: " + tmp + ": " + std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return error;
-  }
-  if (::fsync(fd) != 0) {
-    const Status error =
-        Status::IoError("fsync failed: " + tmp + ": " + std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return error;
-  }
-  if (::close(fd) != 0) {
-    return Status::IoError("close failed: " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status error = Status::IoError("rename failed: " + tmp + " -> " +
-                                         path + ": " + std::strerror(errno));
-    ::unlink(tmp.c_str());  // don't let retries accumulate stale temps
-    return error;
-  }
-  // fsync the parent directory so the rename itself is durable — callers
-  // (e.g. snapshot-then-prune-WAL) order destructive steps after this
-  // return, which is only sound if the new directory entry survives a
-  // power failure.
-  const size_t slash = path.find_last_of('/');
-  const std::string parent = slash == std::string::npos
-                                 ? std::string(".")
-                                 : path.substr(0, slash);
-  const int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd < 0) {
-    return Status::IoError("cannot open dir for fsync: " + parent + ": " +
-                           std::strerror(errno));
-  }
-  if (::fsync(dir_fd) != 0) {
-    const Status error = Status::IoError("dir fsync failed: " + parent +
-                                         ": " + std::strerror(errno));
-    ::close(dir_fd);
-    return error;
-  }
-  ::close(dir_fd);
-  return Status::Ok();
-}
-
-Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
+/// Checks a frame's leading `kHeaderBytes` (`header`, read only when the
+/// frame can hold them) against the frame's total size; returns the
+/// payload size.
+Result<uint64_t> CheckFrameHeader(const char* header, uint64_t total) {
   constexpr size_t kHeader = SnapshotWriter::kHeaderBytes;
-  if (framed.size() < kHeader + sizeof(uint64_t)) {
-    return Status::IoError("snapshot truncated: " +
-                           std::to_string(framed.size()) + " bytes");
+  if (total < kHeader + kChecksumBytes) {
+    return Status::IoError("snapshot truncated: " + std::to_string(total) +
+                           " bytes");
   }
-  if (std::memcmp(framed.data(), SnapshotWriter::kMagic,
+  if (std::memcmp(header, SnapshotWriter::kMagic,
                   sizeof(SnapshotWriter::kMagic)) != 0) {
     return Status::IoError("snapshot magic mismatch (not a snapshot file)");
   }
   uint32_t version = 0;
-  std::memcpy(&version, framed.data() + sizeof(SnapshotWriter::kMagic),
+  std::memcpy(&version, header + sizeof(SnapshotWriter::kMagic),
               sizeof(version));
   if (version != SnapshotWriter::kFormatVersion) {
     return Status::Unsupported("snapshot format version " +
@@ -167,116 +95,342 @@ Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
                                ")");
   }
   uint64_t size = 0;
-  std::memcpy(&size, framed.data() + sizeof(SnapshotWriter::kMagic) +
-                         sizeof(version),
-              sizeof(size));
-  // Compare against the actual payload room (already known >= 0 from the
-  // length check above) — `kHeader + size` could wrap for a corrupt size.
-  if (size != framed.size() - kHeader - sizeof(uint64_t)) {
+  std::memcpy(&size, header + kSizeFieldAt, sizeof(size));
+  // Compare against the actual payload room (known >= 0 from the length
+  // check above) — `kHeader + size` could wrap for a corrupt size.
+  const uint64_t room = total - kHeader - kChecksumBytes;
+  if (size != room) {
     return Status::IoError("snapshot payload size mismatch: header says " +
                            std::to_string(size) + ", file has " +
-                           std::to_string(framed.size() - kHeader -
-                                          sizeof(uint64_t)));
+                           std::to_string(room));
   }
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, framed.data() + kHeader + size,
-              sizeof(stored_checksum));
-  const uint64_t computed = Fnv1a64(framed.data() + kHeader, size);
-  if (stored_checksum != computed) {
-    return Status::IoError("snapshot checksum mismatch");
-  }
-  // Strip the framing in place: a substr would copy the whole payload.
-  framed.resize(kHeader + size);
-  framed.erase(0, kHeader);
-  return SnapshotReader(std::move(framed));
+  return size;
 }
 
-Result<std::string> ReadFileToString(const std::string& path,
-                                     uint64_t offset) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open for read: " + path + ": " +
-                           std::strerror(errno));
+/// fsyncs the directory holding `path`, so a rename into it is durable.
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string parent =
+      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
+  const int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return ErrnoError("cannot open dir for fsync", parent);
+  if (::fsync(dir_fd) != 0) {
+    const Status error = ErrnoError("dir fsync failed", parent);
+    ::close(dir_fd);
+    return error;
   }
+  ::close(dir_fd);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoError("cannot open for read", path);
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
-    const Status error =
-        Status::IoError("cannot stat: " + path + ": " + std::strerror(errno));
+    const Status error = ErrnoError("cannot stat", path);
     ::close(fd);
     return error;
   }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (offset > size) {
-    ::close(fd);
-    return Status::IoError("read offset " + std::to_string(offset) +
-                           " past end of " + path + " (" +
-                           std::to_string(size) + " bytes)");
-  }
-  std::string bytes(size - offset, '\0');
+  return ReadOnlyFile(path, fd, static_cast<uint64_t>(st.st_size));
+}
+
+ReadOnlyFile::ReadOnlyFile(ReadOnlyFile&& other) noexcept
+    : path_(std::move(other.path_)),
+      fd_(std::exchange(other.fd_, -1)),
+      size_(other.size_) {}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status ReadOnlyFile::ReadAt(uint64_t offset, char* dst, size_t len) const {
   size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::pread(fd, bytes.data() + done, bytes.size() - done,
+  while (done < len) {
+    const ssize_t n = ::pread(fd_, dst + done, len - done,
                               static_cast<off_t>(offset + done));
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const Status error =
-          Status::IoError("read failed: " + path + ": " + std::strerror(errno));
-      ::close(fd);
-      return error;
-    }
-    if (n == 0) break;  // shrank since fstat: return what is there
+    if (n < 0) return ErrnoError("read failed", path_);
+    if (n == 0) return Status::IoError("file shrank while read: " + path_);
     done += static_cast<size_t>(n);
   }
-  ::close(fd);
-  bytes.resize(done);
-  return bytes;
+  return Status::Ok();
+}
+
+Result<FileChecksum> ChecksumFile(const std::string& path) {
+  auto file = ReadOnlyFile::Open(path);
+  if (!file.ok()) return file.status();
+  auto hash = HashRange(*file, 0, file->size());
+  if (!hash.ok()) return hash.status();
+  return FileChecksum{file->size(), *hash};
+}
+
+Status AppendFileRange(const std::string& path, uint64_t offset,
+                       std::string* out,
+                       const std::function<void(uint64_t)>& header) {
+  auto file = ReadOnlyFile::Open(path);
+  if (!file.ok()) return file.status();
+  if (offset > file->size()) {
+    return Status::IoError("read offset " + std::to_string(offset) +
+                           " past end of " + path + " (" +
+                           std::to_string(file->size()) + " bytes)");
+  }
+  const uint64_t bytes = file->size() - offset;
+  const size_t start = out->size();
+  if (header) header(bytes);
+  const size_t at = out->size();
+  out->resize(at + bytes);
+  if (Status s = file->ReadAt(offset, out->data() + at, bytes); !s.ok()) {
+    out->resize(start);
+    return s;
+  }
+  return Status::Ok();
+}
+
+FileWindow::FileWindow(std::string_view bytes, uint64_t position)
+    : borrowed_(true),
+      bytes_(bytes),
+      start_(position),
+      len_(bytes.size()),
+      end_(position + bytes.size()) {}
+
+FileWindow::FileWindow(std::string bytes, size_t begin, size_t end)
+    : buf_(std::move(bytes)), pos_(begin), len_(end), end_(end) {
+  FDM_CHECK(begin <= end && end <= buf_.size());
+}
+
+FileWindow::FileWindow(ReadOnlyFile file, uint64_t begin, uint64_t end)
+    : file_(std::move(file)), start_(begin), end_(end) {
+  FDM_CHECK(begin <= end && end <= file_->size());
+}
+
+bool FileWindow::Refill(size_t n) {
+  if (!file_.has_value() || !status_.ok() || remaining() < n) return false;
+  // Keep the unconsumed bytes, moved to the front. The window is
+  // `kIoWindowBytes` (less for a shorter source) and grows only to hold
+  // one item larger than that.
+  const size_t held = len_ - pos_;
+  const size_t want = static_cast<size_t>(std::max<uint64_t>(
+      n, std::min<uint64_t>(kIoWindowBytes, remaining())));
+  if (buf_.size() < want) {
+    std::string grown(want, '\0');
+    if (held != 0) std::memcpy(grown.data(), buf_.data() + pos_, held);
+    buf_.swap(grown);
+  } else if (held != 0) {
+    std::memmove(buf_.data(), buf_.data() + pos_, held);
+  }
+  start_ += pos_;
+  pos_ = 0;
+  len_ = held;
+  const size_t more = static_cast<size_t>(
+      std::min<uint64_t>(buf_.size() - len_, end_ - (start_ + len_)));
+  if (Status s = file_->ReadAt(start_ + len_, buf_.data() + len_, more);
+      !s.ok()) {
+    status_ = std::move(s);
+    return false;
+  }
+  len_ += more;
+  return true;
+}
+
+bool FileWindow::ReadSlow(char* dst, size_t n) {
+  if (remaining() < n) return false;
+  while (n > 0) {
+    if (len_ == pos_ && !Refill(1)) return false;
+    const size_t take = std::min(n, len_ - pos_);
+    std::memcpy(dst, base() + pos_, take);
+    pos_ += take;
+    dst += take;
+    n -= take;
+  }
+  return true;
+}
+
+SnapshotWriter::SnapshotWriter(std::string path) : path_(std::move(path)) {
+  const std::string tmp = path_ + ".tmp";
+  fd_ = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd_ < 0) {
+    status_ = ErrnoError("cannot open for write", tmp);
+    return;
+  }
+  // The payload size is unknown yet: `Commit` writes it over this zero.
+  AppendFrameHeader(0, &buffer_);
+}
+
+SnapshotWriter::~SnapshotWriter() { Abandon(); }
+
+void SnapshotWriter::Abandon() {
+  if (fd_ < 0) return;
+  ::close(fd_);
+  fd_ = -1;
+  ::unlink((path_ + ".tmp").c_str());
+}
+
+void SnapshotWriter::Stream(const char* data, size_t len) {
+  checksum_ = Fnv1a64(data, len, checksum_);
+  if (buffer_.size() + len > kIoWindowBytes) Flush();
+  if (len < kIoWindowBytes) {
+    buffer_.append(data, len);
+    return;
+  }
+  // A span the buffer cannot hold goes straight to the file.
+  if (status_.ok() && !WriteAll(fd_, data, len)) {
+    status_ = ErrnoError("write failed", path_ + ".tmp");
+  }
+  flushed_ = true;
+}
+
+void SnapshotWriter::Flush() {
+  if (status_.ok() && !WriteAll(fd_, buffer_.data(), buffer_.size())) {
+    status_ = ErrnoError("write failed", path_ + ".tmp");
+  }
+  flushed_ = true;
+  buffer_.clear();
+}
+
+Status SnapshotWriter::Commit() {
+  FDM_CHECK_MSG(!path_.empty(), "Commit() needs a writer bound to a path");
+  const std::string tmp = path_ + ".tmp";
+  const uint64_t size = payload_bytes_;
+  // A snapshot that fit the buffer still has its header there; a larger
+  // one gets the size written into the file in place.
+  const bool header_flushed = flushed_;
+  if (status_.ok() && !header_flushed) {
+    std::memcpy(buffer_.data() + kSizeFieldAt, &size, sizeof(size));
+  }
+  buffer_.append(reinterpret_cast<const char*>(&checksum_), kChecksumBytes);
+  Flush();
+  if (status_.ok() && header_flushed &&
+      ::pwrite(fd_, &size, sizeof(size), kSizeFieldAt) !=
+          static_cast<ssize_t>(sizeof(size))) {
+    status_ = ErrnoError("write failed", tmp);
+  }
+  if (status_.ok() && ::fsync(fd_) != 0) {
+    status_ = ErrnoError("fsync failed", tmp);
+  }
+  if (!status_.ok()) {
+    Abandon();
+    return status_;
+  }
+  const int fd = std::exchange(fd_, -1);
+  if (::close(fd) != 0) {
+    status_ = ErrnoError("close failed", tmp);
+    ::unlink(tmp.c_str());
+    return status_;
+  }
+  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+    status_ = Status::IoError("rename failed: " + tmp + " -> " + path_ +
+                              ": " + std::strerror(errno));
+    ::unlink(tmp.c_str());  // don't let retries accumulate stale temps
+    return status_;
+  }
+  // fsync the parent directory so the rename itself is durable — callers
+  // (e.g. snapshot-then-prune-WAL) order destructive steps after this
+  // return, which is only sound if the new directory entry survives a
+  // power failure.
+  return SyncParentDir(path_);
+}
+
+std::string SnapshotWriter::Serialize() const {
+  FDM_CHECK_MSG(path_.empty(), "Serialize() is for an in-memory writer");
+  std::string framed;
+  framed.reserve(kHeaderBytes + buffer_.size() + kChecksumBytes);
+  AppendFrameHeader(buffer_.size(), &framed);
+  framed.append(buffer_);
+  const uint64_t checksum = Fnv1a64(buffer_.data(), buffer_.size());
+  framed.append(reinterpret_cast<const char*>(&checksum), kChecksumBytes);
+  return framed;
+}
+
+Result<SnapshotReader> SnapshotReader::FromBytes(std::string framed) {
+  constexpr size_t kHeader = SnapshotWriter::kHeaderBytes;
+  auto size = CheckFrameHeader(framed.data(), framed.size());
+  if (!size.ok()) return size.status();
+  uint64_t stored = 0;
+  std::memcpy(&stored, framed.data() + kHeader + *size, sizeof(stored));
+  if (stored != Fnv1a64(framed.data() + kHeader, *size)) {
+    return Status::IoError("snapshot checksum mismatch");
+  }
+  const size_t end = kHeader + *size;
+  return SnapshotReader(FileWindow(std::move(framed), kHeader, end));
 }
 
 Result<SnapshotReader> SnapshotReader::FromFile(const std::string& path) {
-  auto bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  auto reader = FromBytes(std::move(bytes.value()));
-  if (!reader.ok()) {
-    return Status(reader.status().code(),
-                  reader.status().message() + " (" + path + ")");
+  constexpr size_t kHeader = SnapshotWriter::kHeaderBytes;
+  auto file = ReadOnlyFile::Open(path);
+  if (!file.ok()) return file.status();
+  const auto framing_error = [&path](const Status& s) {
+    return Status(s.code(), s.message() + " (" + path + ")");
+  };
+  char header[kHeader] = {};
+  if (file->size() >= kHeader + kChecksumBytes) {
+    if (Status s = file->ReadAt(0, header, kHeader); !s.ok()) return s;
   }
-  return reader;
+  auto size = CheckFrameHeader(header, file->size());
+  if (!size.ok()) return framing_error(size.status());
+  // Pass 1: the checksum, streamed; pass 2 (the reader) parses.
+  uint64_t stored = 0;
+  if (Status s = file->ReadAt(kHeader + *size,
+                              reinterpret_cast<char*>(&stored),
+                              sizeof(stored));
+      !s.ok()) {
+    return s;
+  }
+  auto computed = HashRange(*file, kHeader, kHeader + *size);
+  if (!computed.ok()) return computed.status();
+  if (stored != *computed) {
+    return framing_error(Status::IoError("snapshot checksum mismatch"));
+  }
+  const uint64_t end = kHeader + *size;
+  return SnapshotReader(FileWindow(std::move(file.value()), kHeader, end));
+}
+
+bool SnapshotReader::Take(void* dst, size_t n) {
+  if (window_.Read(dst, n)) return true;
+  if (!window_.status().ok()) {
+    status_ = window_.status();
+  } else {
+    Fail("read past end of payload");
+  }
+  return false;
 }
 
 std::string SnapshotReader::ReadString() {
   const uint64_t len = ReadU64();
   if (!status_.ok()) return {};
-  if (len > payload_.size() - offset_) {
+  if (len > Remaining()) {
     Fail("string length " + std::to_string(len) + " past end of payload");
     return {};
   }
-  std::string s(payload_.data() + offset_, len);
-  offset_ += len;
+  std::string s(len, '\0');
+  if (!Take(s.data(), len)) return {};
   return s;
 }
 
 std::string SnapshotReader::PeekString() {
-  const size_t saved_offset = offset_;
-  const Status saved_status = status_;
-  std::string s = ReadString();
-  offset_ = saved_offset;
-  status_ = saved_status;
-  return s;
+  // Never consumes and never latches: the read that follows reports.
+  uint64_t len = 0;
+  if (!status_.ok() || !window_.Fill(sizeof(len))) return {};
+  std::memcpy(&len, window_.view().data(), sizeof(len));
+  if (len > Remaining() - sizeof(len) ||
+      !window_.Fill(sizeof(len) + len)) {
+    return {};
+  }
+  return std::string(window_.view().substr(sizeof(len), len));
 }
 
 template <typename T>
 std::vector<T> SnapshotReader::ReadVec() {
   const uint64_t count = ReadU64();
   if (!status_.ok()) return {};
-  if (count > (payload_.size() - offset_) / sizeof(T)) {
+  if (count > Remaining() / sizeof(T)) {
     Fail("vector of " + std::to_string(count) + " elements past end");
     return {};
   }
   std::vector<T> v(count);
-  if (count != 0) {  // v.data() may be null for an empty vector
-    std::memcpy(v.data(), payload_.data() + offset_, count * sizeof(T));
-    offset_ += count * sizeof(T);
-  }
+  if (count != 0 && !Take(v.data(), count * sizeof(T))) return {};
   return v;
 }
 

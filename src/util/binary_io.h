@@ -1,12 +1,14 @@
 #ifndef FDM_UTIL_BINARY_IO_H_
 #define FDM_UTIL_BINARY_IO_H_
 
-#include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -20,38 +22,146 @@ namespace fdm {
 uint64_t Fnv1a64(const void* data, size_t len,
                  uint64_t seed = 0xcbf29ce484222325ull);
 
+/// The one buffer size of durable file I/O: the file window behind WAL
+/// scans and snapshot reads, the snapshot writer's staging buffer and the
+/// checksum pass each hold this much of a file at a time, so no read or
+/// write path holds a whole segment or snapshot.
+inline constexpr size_t kIoWindowBytes = 64u << 10;
+
 /// A whole file's size and `Fnv1a64`.
 struct FileChecksum {
   uint64_t bytes = 0;
   uint64_t checksum = 0;
 };
 
-/// Hashes a file through a fixed 64 KiB buffer, so checksumming a large
-/// file never holds it in memory. The checksum equals `Fnv1a64` of
-/// `ReadFileToString(path)`.
+/// Hashes a file through one `kIoWindowBytes` buffer, so checksumming a
+/// large file never holds it in memory.
 Result<FileChecksum> ChecksumFile(const std::string& path);
 
-/// Reads a file from byte `offset` to its end (binary) with one positioned
-/// read into a string sized by `fstat` — no growth, no second copy. Offset
-/// 0 is the whole file; an offset past the end is an error. Shared by the
-/// snapshot reader, WAL replay and the replication source.
-Result<std::string> ReadFileToString(const std::string& path,
-                                     uint64_t offset = 0);
+/// A file opened read-only for positioned reads, closed on destruction.
+/// `size()` is what `fstat` reported at `Open`: readers stop there, so a
+/// file that keeps growing (the active WAL segment) reads as the prefix it
+/// had when it was opened.
+class ReadOnlyFile {
+ public:
+  static Result<ReadOnlyFile> Open(const std::string& path);
 
-/// Buffered writer for the versioned, checksummed snapshot format.
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile& operator=(ReadOnlyFile&&) = delete;
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ~ReadOnlyFile();
+
+  uint64_t size() const { return size_; }
+
+  /// Reads exactly `len` bytes at `offset` into `dst`, resuming short
+  /// reads and EINTR; a file that ends first (it shrank) is an error.
+  Status ReadAt(uint64_t offset, char* dst, size_t len) const;
+
+ private:
+  ReadOnlyFile(std::string path, int fd, uint64_t size)
+      : path_(std::move(path)), fd_(fd), size_(size) {}
+
+  std::string path_;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+};
+
+/// Appends the bytes of `path` from `offset` to its end to `*out`, read
+/// straight into the tail of `out`, so the bytes are held once, in the
+/// caller's buffer. `header`, when set, runs first with the byte count and
+/// appends what must precede the bytes (a fetch reply's length line).
+/// Offset 0 is the whole file; an offset past the end is an error. On any
+/// error `*out` is left as it was.
+Status AppendFileRange(const std::string& path, uint64_t offset,
+                       std::string* out,
+                       const std::function<void(uint64_t)>& header = {});
+
+/// The one bounded reader of the durable layer: a window over a byte
+/// source that a parser consumes from the front.
+///
+/// Over a file it preads `kIoWindowBytes` at a time. When a parse needs
+/// more bytes than the window holds, the unconsumed bytes move to the
+/// front and the rest refills; the buffer grows only to fit one item
+/// larger than the window. Over in-memory bytes the window is those bytes
+/// and never refills, so file and memory sources run the same parse code.
+///
+/// Positions are source offsets: `position()` is the offset of the next
+/// unconsumed byte, and the window ends at `end()`.
+class FileWindow {
+ public:
+  /// In-memory bytes, borrowed: they must outlive the window. `position`
+  /// is the source offset of their first byte.
+  explicit FileWindow(std::string_view bytes, uint64_t position = 0);
+  /// In-memory bytes, owned: the window is bytes [begin, end) of `bytes`.
+  FileWindow(std::string bytes, size_t begin, size_t end);
+  /// Bytes [begin, end) of `file`; `end` must not pass `file.size()`.
+  FileWindow(ReadOnlyFile file, uint64_t begin, uint64_t end);
+
+  /// Makes at least `n` unconsumed bytes available in `view()`. False when
+  /// the source ends first, or when a read fails (`status()` is then
+  /// non-OK); either way nothing is consumed.
+  bool Fill(size_t n) { return len_ - pos_ >= n || Refill(n); }
+
+  /// The unconsumed bytes held; valid until the next `Fill` or `Read`.
+  std::string_view view() const {
+    return std::string_view(base() + pos_, len_ - pos_);
+  }
+  /// Consumes `n` bytes of `view()`.
+  void Consume(size_t n) { pos_ += n; }
+
+  /// Copies the next `n` bytes into `dst` and consumes them, refilling as
+  /// often as it takes (`n` may exceed the window). False as for `Fill`.
+  bool Read(void* dst, size_t n) {
+    if (len_ - pos_ >= n) {
+      if (n != 0) std::memcpy(dst, base() + pos_, n);
+      pos_ += n;
+      return true;
+    }
+    return ReadSlow(static_cast<char*>(dst), n);
+  }
+
+  uint64_t position() const { return start_ + pos_; }
+  uint64_t end() const { return end_; }
+  uint64_t remaining() const { return end_ - position(); }
+
+  /// Non-OK after a failed file read.
+  const Status& status() const { return status_; }
+
+ private:
+  const char* base() const {
+    return borrowed_ ? bytes_.data() : buf_.data();
+  }
+  bool Refill(size_t n);
+  bool ReadSlow(char* dst, size_t n);
+
+  bool borrowed_ = false;
+  std::string_view bytes_;           // borrowed source bytes
+  std::string buf_;                  // owned bytes, or the file window
+  std::optional<ReadOnlyFile> file_;
+  uint64_t start_ = 0;  // source offset of base()[0]
+  size_t pos_ = 0;      // bytes of base() consumed
+  size_t len_ = 0;      // bytes of base() held
+  uint64_t end_ = 0;    // source offset the window stops at
+  Status status_;
+};
+
+/// Writer for the versioned, checksummed snapshot format.
 ///
 /// A snapshot is framed as
 ///
 ///   magic "FDMSNAP1" (8 bytes) | format version u32 | payload size u64 |
 ///   payload | FNV-1a 64 of payload
 ///
-/// with every scalar little-endian. The writer accumulates the payload in
-/// memory (sink state is tiny — coresets of O(k·log∆/ε) points — which is
-/// what makes checkpointing essentially free) and frames it on
-/// `WriteFile`/`Serialize`. `WriteFile` is atomic: it writes the frame
-/// straight from the payload buffer to a temp file in the target directory,
-/// fsyncs, and renames over the destination, so a crash mid-snapshot never
-/// clobbers the previous good snapshot.
+/// with every scalar little-endian. A default-constructed writer keeps the
+/// payload in memory and frames it on `Serialize` (tests, shipped bytes).
+/// A writer bound to a path streams instead: the frame goes to
+/// `<path>.tmp` through one `kIoWindowBytes` buffer while a running FNV-1a
+/// follows the payload, and `Commit` appends the checksum, patches the
+/// size field, fsyncs and renames over `path` — so the file is never held
+/// whole, and a crash mid-snapshot never clobbers the previous good one.
+/// A bound writer destroyed without `Commit` removes its temp file. The
+/// first failed write latches; `Commit` reports it.
 class SnapshotWriter {
  public:
   static constexpr char kMagic[8] = {'F', 'D', 'M', 'S', 'N', 'A', 'P', '1'};
@@ -63,6 +173,15 @@ class SnapshotWriter {
   /// magic | version | payload size.
   static constexpr size_t kHeaderBytes =
       sizeof(kMagic) + sizeof(uint32_t) + sizeof(uint64_t);
+
+  /// Keeps the payload in memory, for `Serialize`.
+  SnapshotWriter() = default;
+  /// Streams the framed snapshot towards `path`; see `Commit`.
+  explicit SnapshotWriter(std::string path);
+
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+  ~SnapshotWriter();
 
   void WriteU8(uint8_t v) { Raw(&v, sizeof(v)); }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
@@ -93,37 +212,56 @@ class SnapshotWriter {
   }
 
   /// Unframed payload size so far.
-  size_t PayloadBytes() const { return payload_.size(); }
+  size_t PayloadBytes() const { return payload_bytes_; }
 
-  /// The complete framed snapshot (header + payload + checksum).
+  /// The complete framed snapshot (header + payload + checksum) of an
+  /// in-memory writer.
   std::string Serialize() const;
 
-  /// Atomically writes the framed snapshot to `path` (temp file + fsync +
-  /// rename + directory fsync); the file equals `Serialize()` byte for
-  /// byte, without building that copy.
-  Status WriteFile(const std::string& path) const;
+  /// Finishes a writer bound to a path: flushes the payload, appends its
+  /// checksum, writes the payload size into the header, fsyncs, renames
+  /// the temp file over the path and fsyncs the directory. The file equals
+  /// `Serialize()` of an in-memory writer given the same writes.
+  Status Commit();
 
  private:
-  /// The frame's leading `kHeaderBytes` for the current payload.
-  std::array<char, kHeaderBytes> FrameHeader() const;
-
   void Raw(const void* data, size_t len) {
     if (len == 0) return;  // empty spans legitimately pass data() == null
-    const char* bytes = static_cast<const char*>(data);
-    payload_.insert(payload_.end(), bytes, bytes + len);
+    payload_bytes_ += len;
+    if (path_.empty()) {
+      buffer_.append(static_cast<const char*>(data), len);
+    } else {
+      Stream(static_cast<const char*>(data), len);
+    }
   }
+  /// The bound writer's side of `Raw`.
+  void Stream(const char* data, size_t len);
+  /// Writes the staged bytes to the temp file.
+  void Flush();
+  /// Closes and removes the temp file of an uncommitted bound writer.
+  void Abandon();
 
-  std::string payload_;
+  std::string path_;  // empty: in memory
+  int fd_ = -1;
+  /// In memory: the payload. Bound: frame bytes not yet written.
+  std::string buffer_;
+  size_t payload_bytes_ = 0;
+  bool flushed_ = false;  // bound: frame bytes written to the file yet
+  uint64_t checksum_ = Fnv1a64(nullptr, 0);  // bound: running payload hash
+  Status status_;
 };
 
 /// Bounds-checked reader over a framed snapshot with a sticky error: the
 /// first malformed read latches a non-OK `status()` and every later read
 /// returns a zero value, so deserialization code reads linearly and checks
-/// once (plus wherever a value gates a loop or allocation).
+/// once (plus wherever a value gates a loop or allocation). It reads
+/// through a `FileWindow`, so a file is never held whole.
 class SnapshotReader {
  public:
-  /// Verifies magic, version, payload size, and checksum.
+  /// Verifies magic, version, payload size, and checksum of `framed`.
   static Result<SnapshotReader> FromBytes(std::string framed);
+  /// The same checks over a file: the checksum in one streaming pass, then
+  /// a second pass parses, so no field is read before the checksum holds.
   static Result<SnapshotReader> FromFile(const std::string& path);
 
   uint8_t ReadU8() { return ReadScalar<uint8_t>(); }
@@ -157,30 +295,26 @@ class SnapshotReader {
   }
 
   /// Bytes of payload not yet consumed.
-  size_t Remaining() const { return payload_.size() - offset_; }
+  size_t Remaining() const { return window_.remaining(); }
 
  private:
-  explicit SnapshotReader(std::string payload)
-      : payload_(std::move(payload)) {}
+  explicit SnapshotReader(FileWindow window) : window_(std::move(window)) {}
+
+  /// Copies the next `n` payload bytes into `dst`; on a short payload or a
+  /// failed read, latches the error and returns false.
+  bool Take(void* dst, size_t n);
 
   template <typename T>
   T ReadScalar() {
     T v{};
-    if (!status_.ok()) return v;
-    if (offset_ + sizeof(T) > payload_.size()) {
-      Fail("read past end of payload");
-      return v;
-    }
-    std::memcpy(&v, payload_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
+    if (status_.ok() && !Take(&v, sizeof(T))) v = T{};
     return v;
   }
 
   template <typename T>
   std::vector<T> ReadVec();
 
-  std::string payload_;
-  size_t offset_ = 0;
+  FileWindow window_;
   Status status_;
 };
 

@@ -1,11 +1,14 @@
 #include "util/binary_io.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "file_bytes.h"
 
 namespace fdm {
 namespace {
@@ -84,7 +87,7 @@ TEST(BinaryIoTest, Fnv1a64MatchesKnownVector) {
   EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ull);
 }
 
-TEST(BinaryIoTest, ReadFileToStringReadsFromAnOffsetToTheEnd) {
+TEST(BinaryIoTest, AppendFileRangeReadsFromAnOffsetToTheEnd) {
   const std::string path = ::testing::TempDir() + "/binary_io_read_test.bin";
   std::string contents(100000, '\0');
   for (size_t i = 0; i < contents.size(); ++i) {
@@ -95,21 +98,66 @@ TEST(BinaryIoTest, ReadFileToStringReadsFromAnOffsetToTheEnd) {
     out << contents;
   }
 
-  auto whole = ReadFileToString(path);
-  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
-  EXPECT_EQ(*whole, contents);
-  auto tail = ReadFileToString(path, 99000);
-  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-  EXPECT_EQ(*tail, contents.substr(99000));
-  auto at_end = ReadFileToString(path, contents.size());
-  ASSERT_TRUE(at_end.ok()) << at_end.status().ToString();
-  EXPECT_TRUE(at_end->empty());
+  std::string whole = "prefix:";
+  ASSERT_TRUE(AppendFileRange(path, 0, &whole).ok());
+  EXPECT_EQ(whole, "prefix:" + contents);
+  // The header callback sees the byte count and lands before the bytes.
+  std::string tail;
+  ASSERT_TRUE(AppendFileRange(path, 99000, &tail, [&tail](uint64_t n) {
+                tail += "n=" + std::to_string(n) + ";";
+              }).ok());
+  EXPECT_EQ(tail, "n=1000;" + contents.substr(99000));
+  std::string at_end;
+  ASSERT_TRUE(AppendFileRange(path, contents.size(), &at_end).ok());
+  EXPECT_TRUE(at_end.empty());
 
-  EXPECT_FALSE(ReadFileToString(path, contents.size() + 1).ok());
-  EXPECT_FALSE(ReadFileToString(path + ".missing").ok());
+  // Errors leave the buffer as it was.
+  std::string kept = "kept";
+  EXPECT_FALSE(AppendFileRange(path, contents.size() + 1, &kept).ok());
+  EXPECT_FALSE(AppendFileRange(path + ".missing", 0, &kept).ok());
+  EXPECT_EQ(kept, "kept");
   std::remove(path.c_str());
 }
 
+// The window refills across its edges: items that straddle a refill, an
+// item larger than the window, and bulk reads of many windows all see the
+// source's bytes, and an item past the end fails without consuming.
+TEST(BinaryIoTest, FileWindowReadsAcrossWindowEdges) {
+  const std::string path = ::testing::TempDir() + "/binary_io_window.bin";
+  std::string contents(3 * kIoWindowBytes + 123, '\0');
+  for (size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<char>(i * 131 + (i >> 9));
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << contents;
+  }
+  auto file = ReadOnlyFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  FileWindow window(std::move(file.value()), 5, contents.size());
+  std::string got(kIoWindowBytes - 8, '\0');
+  ASSERT_TRUE(window.Read(got.data(), got.size()));
+  EXPECT_EQ(got, contents.substr(5, got.size()));
+  // 16 bytes straddling the first window's end.
+  ASSERT_TRUE(window.Fill(16));
+  EXPECT_EQ(window.view().substr(0, 16),
+            std::string_view(contents).substr(window.position(), 16));
+  window.Consume(16);
+  // One item larger than the window grows it to fit.
+  const size_t big = kIoWindowBytes + 1000;
+  const uint64_t at = window.position();
+  ASSERT_TRUE(window.Fill(big));
+  EXPECT_EQ(window.view().substr(0, big),
+            std::string_view(contents).substr(at, big));
+  window.Consume(big);
+  std::string rest(window.remaining(), '\0');
+  EXPECT_FALSE(window.Fill(rest.size() + 1));
+  ASSERT_TRUE(window.Read(rest.data(), rest.size()));
+  EXPECT_EQ(rest, contents.substr(contents.size() - rest.size()));
+  EXPECT_EQ(window.position(), contents.size());
+  EXPECT_TRUE(window.status().ok());
+  std::remove(path.c_str());
+}
 
 TEST(BinaryIoTest, ChecksumFileEqualsWholeFileHash) {
   const std::string path = ::testing::TempDir() + "/binary_io_checksum.bin";
@@ -134,24 +182,109 @@ TEST(BinaryIoTest, ChecksumFileEqualsWholeFileHash) {
   EXPECT_FALSE(ChecksumFile(path + ".missing").ok());
 }
 
-TEST(BinaryIoTest, WriteFileEqualsSerialize) {
+// A writer bound to a path streams its frame through one window and
+// patches the size field at the end; the file must equal an in-memory
+// writer's `Serialize()` byte for byte for payloads below, at and above the
+// window (one span larger than the window goes straight to the file).
+TEST(BinaryIoTest, StreamedWriteFileEqualsSerialize) {
   const std::string path = ::testing::TempDir() + "/binary_io_write.snap";
-  for (const size_t doubles : {size_t{0}, size_t{3}, size_t{100000}}) {
-    SnapshotWriter writer;
-    if (doubles > 0) {
-      writer.WriteString("payload");
-      std::vector<double> values(doubles);
-      for (size_t i = 0; i < doubles; ++i) values[i] = 0.5 * i - 7.0;
-      writer.WriteDoubleSpan(values);
+  const size_t header = SnapshotWriter::kHeaderBytes;
+  for (const size_t payload :
+       {size_t{0}, size_t{3}, kIoWindowBytes - header - 8,
+        kIoWindowBytes - header, kIoWindowBytes, kIoWindowBytes + 1,
+        size_t{800000}}) {
+    const auto write = [payload](SnapshotWriter& writer) {
+      size_t left = payload;
+      if (left >= 16) {
+        writer.WriteString("payload");  // 15 bytes
+        writer.WriteU8(1);
+        left -= 16;
+      }
+      // A run of scalars, then one span with the rest of the payload.
+      for (size_t i = 0; left >= 8 + 8 && i < 5000; ++i, left -= 8) {
+        writer.WriteDouble(0.5 * static_cast<double>(i) - 7.0);
+      }
+      if (left >= 8) {
+        std::vector<double> values((left - 8) / 8);
+        for (size_t i = 0; i < values.size(); ++i) values[i] = 1.0 / (i + 1);
+        writer.WriteDoubleSpan(values);
+        left -= 8 + values.size() * 8;
+      }
+      for (; left > 0; --left) writer.WriteU8(static_cast<uint8_t>(left));
+    };
+    SnapshotWriter memory;
+    write(memory);
+    ASSERT_EQ(memory.PayloadBytes(), payload);
+    {
+      SnapshotWriter streamed(path);
+      write(streamed);
+      EXPECT_EQ(streamed.PayloadBytes(), payload);
+      ASSERT_TRUE(streamed.Commit().ok());
     }
-    ASSERT_TRUE(writer.WriteFile(path).ok());
-    auto written = ReadFileToString(path);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    auto written = FileBytes(path);
     ASSERT_TRUE(written.ok()) << written.status().ToString();
-    EXPECT_EQ(*written, writer.Serialize()) << doubles << " doubles";
+    EXPECT_EQ(*written, memory.Serialize()) << payload << " payload bytes";
     auto reader = SnapshotReader::FromFile(path);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader->Remaining(), writer.PayloadBytes());
+    EXPECT_EQ(reader->Remaining(), payload);
   }
+  std::remove(path.c_str());
+}
+
+// A bound writer dropped without `Commit` (a sink failed mid-snapshot)
+// leaves neither a snapshot nor its temp file behind.
+TEST(BinaryIoTest, UncommittedWriterRemovesItsTempFile) {
+  const std::string path = ::testing::TempDir() + "/binary_io_abandon.snap";
+  std::remove(path.c_str());
+  {
+    SnapshotWriter writer(path);
+    std::vector<double> values(3 * kIoWindowBytes / 8, 1.5);
+    writer.WriteDoubleSpan(values);
+    EXPECT_TRUE(std::filesystem::exists(path + ".tmp"));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
+  // An unopenable path fails at Commit.
+  SnapshotWriter bad(::testing::TempDir() + "/no/such/dir/x.snap");
+  bad.WriteU64(1);
+  EXPECT_FALSE(bad.Commit().ok());
+}
+
+// The file reader checks the whole payload's checksum in its first pass:
+// a byte flipped far past the first window fails `FromFile` with the
+// checksum error, so no field is ever parsed from a corrupt file.
+TEST(BinaryIoTest, FromFileVerifiesTheChecksumBeforeAnyRead) {
+  const std::string path = ::testing::TempDir() + "/binary_io_flip.snap";
+  SnapshotWriter memory;
+  memory.WriteString("fields");
+  std::vector<int64_t> ids(3 * kIoWindowBytes / 8);
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
+  memory.WriteI64Span(ids);
+  std::string framed = memory.Serialize();
+  framed[SnapshotWriter::kHeaderBytes + 2 * kIoWindowBytes + 77] ^= 0x10;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << framed;
+  }
+  auto reader = SnapshotReader::FromFile(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("snapshot checksum mismatch"),
+            std::string::npos)
+      << reader.status().ToString();
+  // Intact, the same file parses field by field across many windows.
+  framed[SnapshotWriter::kHeaderBytes + 2 * kIoWindowBytes + 77] ^= 0x10;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << framed;
+  }
+  auto intact = SnapshotReader::FromFile(path);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(intact->PeekString(), "fields");
+  EXPECT_EQ(intact->ReadString(), "fields");
+  EXPECT_EQ(intact->ReadI64Vec(), ids);
+  EXPECT_TRUE(intact->ok());
+  EXPECT_EQ(intact->Remaining(), 0u);
   std::remove(path.c_str());
 }
 

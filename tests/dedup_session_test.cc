@@ -328,14 +328,17 @@ TEST_F(DedupSessionTest, SessionFooterReaderIsLenient) {
   }
   // Stats footer only (a pre-dedup snapshot): counters restored, no
   // filter, no error.
+  const auto write_stats = [](SnapshotWriter& writer) {
+    writer.WriteString("fdm.session.stats");
+    writer.WriteI64(7);    // kept_total
+    writer.WriteI64(3);    // ingest_batches
+    writer.WriteI64(1);    // snapshots_taken
+    writer.WriteDouble(0.5);
+    writer.WriteI64(0);    // restores
+    writer.WriteI64(0);    // replayed_records
+  };
   SnapshotWriter stats_only;
-  stats_only.WriteString("fdm.session.stats");
-  stats_only.WriteI64(7);    // kept_total
-  stats_only.WriteI64(3);    // ingest_batches
-  stats_only.WriteI64(1);    // snapshots_taken
-  stats_only.WriteDouble(0.5);
-  stats_only.WriteI64(0);    // restores
-  stats_only.WriteI64(0);    // replayed_records
+  write_stats(stats_only);
   {
     auto reader = SnapshotReader::FromBytes(stats_only.Serialize());
     ASSERT_TRUE(reader.ok());
@@ -347,7 +350,8 @@ TEST_F(DedupSessionTest, SessionFooterReaderIsLenient) {
   }
   // Stats + dedup footer: the filter comes back with its membership and
   // the rejection count.
-  SnapshotWriter full = stats_only;
+  SnapshotWriter full;
+  write_stats(full);
   full.WriteString("fdm.session.dedup");
   full.WriteI64(4);  // duplicates_rejected
   DedupFilter filter;
@@ -367,7 +371,8 @@ TEST_F(DedupSessionTest, SessionFooterReaderIsLenient) {
   }
   // A truncated dedup footer (tag but nothing after) degrades to "no
   // filter persisted", not an error.
-  SnapshotWriter truncated = stats_only;
+  SnapshotWriter truncated;
+  write_stats(truncated);
   truncated.WriteString("fdm.session.dedup");
   {
     auto reader = SnapshotReader::FromBytes(truncated.Serialize());

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "file_bytes.h"
+#include "service/session_manager.h"
 #include "service/sink_spec.h"
 #include "util/binary_io.h"
 
@@ -50,7 +52,7 @@ std::vector<std::string> WalSegments(const std::string& dir) {
   std::vector<std::string> segments;
   for (const auto& entry :
        std::filesystem::directory_iterator(dir + "/wal")) {
-    auto bytes = ReadFileToString(entry.path().string());
+    auto bytes = FileBytes(entry.path().string());
     EXPECT_TRUE(bytes.ok());
     segments.push_back(entry.path().filename().string() + ":" +
                        (bytes.ok() ? *bytes : ""));
@@ -283,9 +285,10 @@ TEST_F(DurableSessionTest, UnconstrainedKindsAcceptAnyGroup) {
 
 // OBSERVE and OBSERVEB differ only in how the sink applies points: one
 // stream fed per element and in 32-point batches leaves byte-identical WAL
-// segments, sink snapshot bytes and state versions. Each path's kept_total
-// is the sum of the sink's own returns (`Observe`'s bool, `ObserveBatch`'s
-// mutation count), and ingest_batches counts batch calls only.
+// segments, sink snapshot bytes and state versions. Both paths count
+// kept_total in one unit, the sink's `ObserveBatch` mutation count (a
+// one-point batch per OBSERVE), so the two totals agree; ingest_batches
+// counts batch calls only.
 TEST_F(DurableSessionTest, PerElementAndBatchedIngestWriteTheSameLog) {
   const Dataset ds = TestData(2, 150, 43);
   const std::vector<std::string> specs = {
@@ -312,7 +315,8 @@ TEST_F(DurableSessionTest, PerElementAndBatchedIngestWriteTheSameLog) {
     int64_t element_kept = 0;
     for (const StreamPoint& point : points) {
       ASSERT_TRUE(element->Ingest({&point, 1}, /*as_batch=*/false).ok());
-      element_kept += (*element_ref)->Observe(point) ? 1 : 0;
+      element_kept +=
+          static_cast<int64_t>((*element_ref)->ObserveBatch({&point, 1}));
     }
     int64_t batched_kept = 0;
     int64_t batch_calls = 0;
@@ -329,9 +333,51 @@ TEST_F(DurableSessionTest, PerElementAndBatchedIngestWriteTheSameLog) {
     EXPECT_EQ(element->StateVersion(), batched->StateVersion());
     EXPECT_EQ(element->IngestCounters().kept_total, element_kept);
     EXPECT_EQ(batched->IngestCounters().kept_total, batched_kept);
+    EXPECT_EQ(element_kept, batched_kept);
     EXPECT_EQ(element->IngestCounters().ingest_batches, 0);
     EXPECT_EQ(batched->IngestCounters().ingest_batches, batch_calls);
   }
+}
+
+// The admission rule holds on the way back out of the log too: a WAL
+// record whose group lies outside the spec's quotas (written by a build
+// that did not check, here straight through `AppendBatch`) fails recovery
+// with an error naming its seq, and a manager touching the session answers
+// an error, instead of the sink aborting the process.
+TEST_F(DurableSessionTest, ReplayRejectsARecordTheSpecCannotHold) {
+  const Dataset ds = TestData(2, 20, 45);
+  const std::string dir = dir_ + "/s";
+  {
+    auto session = DurableSession::Create(
+        dir, "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds));
+    ASSERT_TRUE(session.ok());
+    std::vector<StreamPoint> points;
+    for (size_t i = 0; i < 10; ++i) points.push_back(ds.At(i));
+    ASSERT_TRUE(session->Ingest(points, /*as_batch=*/true).ok());
+    ASSERT_TRUE(session->Sync().ok());
+  }
+  {
+    auto wal = WriteAheadLog::Open(dir + "/wal");
+    ASSERT_TRUE(wal.ok());
+    ASSERT_EQ(wal->last_seq(), 10);
+    const std::vector<double> coords = {0.5, 0.25};
+    const StreamPoint bad{99, 7, coords};
+    ASSERT_TRUE(wal->AppendBatch({&bad, 1}).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  auto reopened = DurableSession::Open(dir);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kIoError);
+  EXPECT_NE(reopened.status().message().find("seq 11"), std::string::npos)
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find("group 7"), std::string::npos)
+      << reopened.status().ToString();
+
+  SessionManagerOptions options;
+  options.root_dir = dir_;
+  auto manager = SessionManager::Create(options);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  EXPECT_FALSE((*manager)->Solve("s").ok());
 }
 
 // A call with no point to apply is a complete no-op on a dedup=off

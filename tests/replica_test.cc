@@ -21,6 +21,7 @@
 #include "replica/replica_manager.h"
 #include "replica/replication_source.h"
 #include "service/durable_session.h"
+#include "service/session_layout.h"
 #include "service/session_manager.h"
 #include "service/sink_spec.h"
 
@@ -465,6 +466,44 @@ TEST_F(ReplicaTest, FetchedBytesGrowInProportionToNewRecords) {
       << stats.fetched_bytes << " bytes fetched for " << ds.size()
       << " records of " << record_bytes << " bytes";
   ExpectSameSolution(primary->sink(), follower->sink());
+}
+
+// A follower checks shipped records against the spec as recovery does: a
+// record outside the quotas fails the poll (and a fresh bootstrap) with an
+// error instead of aborting in the sink.
+TEST_F(ReplicaTest, FollowerRejectsARecordTheSpecCannotHold) {
+  const Dataset ds = TestData(2, 30, 67);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  {
+    auto primary = DurableSession::Create(dir_, spec);
+    ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+    std::vector<StreamPoint> points;
+    for (size_t i = 0; i < ds.size(); ++i) points.push_back(ds.At(i));
+    ASSERT_TRUE(primary->Ingest(points, /*as_batch=*/true).ok());
+    ASSERT_TRUE(primary->Sync().ok());
+  }
+  auto follower = ReplicaSession::Bootstrap(
+      std::make_shared<DirReplicationSource>(dir_));
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  EXPECT_EQ(follower->Stats().applied_seq,
+            static_cast<int64_t>(ds.size()));
+  {
+    auto wal = WriteAheadLog::Open(SessionWalDir(dir_));
+    ASSERT_TRUE(wal.ok());
+    const std::vector<double> coords = {0.5, 0.25};
+    const StreamPoint bad{999, 7, coords};
+    ASSERT_TRUE(wal->AppendBatch({&bad, 1}).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  auto polled = follower->Poll();
+  ASSERT_FALSE(polled.ok());
+  EXPECT_NE(polled.status().message().find("group 7"), std::string::npos)
+      << polled.status().ToString();
+  EXPECT_EQ(follower->Stats().applied_seq,
+            static_cast<int64_t>(ds.size()));
+  EXPECT_FALSE(ReplicaSession::Bootstrap(
+                   std::make_shared<DirReplicationSource>(dir_))
+                   .ok());
 }
 
 // A ranged fetch that does not resume at the follower's next record —

@@ -15,11 +15,15 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "file_bytes.h"
 #include "net/net_client.h"
 #include "net/tcp_server.h"
 #include "obs/metrics_dump.h"
 #include "replica/replica_manager.h"
+#include "service/session_layout.h"
 #include "service/session_manager.h"
+#include "service/wal.h"
+#include "util/binary_io.h"
 
 namespace fdm {
 namespace {
@@ -355,6 +359,52 @@ TEST_F(ServeProtocolTest, ReadOnlyReplicationVerbsMatchOverTcp) {
   std::string actual;
   RunTcp(dispatcher, script, &actual);
   EXPECT_EQ(actual, expected);
+}
+
+// Fetch replies larger than the 64 KiB read window — a whole and a ranged
+// RFETCHWAL and an RFETCHSNAP, pipelined in one frame — are read straight
+// into the reply (framed in place over TCP) and must carry the file's
+// bytes exactly, over both transports.
+TEST_F(ServeProtocolTest, FetchRepliesLargerThanTheWindowAreTheFileBytes) {
+  const Dataset ds = TestData(12000, 73);
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_TRUE(manager->CreateSession(
+                          "s", "algo=sfdm2 dim=2 quotas=2,2 dmin=0.001 "
+                               "dmax=1000 dedup=on")
+                  .ok());
+  std::vector<StreamPoint> batch;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    batch.push_back(ds.At(i));
+    if (batch.size() == 1000) {
+      ASSERT_TRUE(manager->Ingest("s", batch, /*as_batch=*/true).ok());
+      batch.clear();
+    }
+  }
+  ASSERT_TRUE(manager->Snapshot("s").ok());  // flushes the WAL
+
+  const std::string dir = root_ + "/p/s";
+  auto segment = FileBytes(dir + "/wal/" + WalSegmentFileName(1));
+  auto snapshot = FileBytes(dir + "/snap/" + SessionSnapshotFileName(12000));
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_GT(segment->size(), 4 * kIoWindowBytes);
+  ASSERT_GT(snapshot->size(), kIoWindowBytes);
+  const size_t offset = 1000;
+  const auto reply = [](std::string_view bytes) {
+    return "OK bytes=" + std::to_string(bytes.size()) + "\n" +
+           std::string(bytes) + "\n";
+  };
+  const std::string expected = reply(*segment) +
+                               reply(segment->substr(offset)) +
+                               reply(*snapshot) + "OK s\n";
+  const std::string script = "RFETCHWAL s 1\nRFETCHWAL s 1 " +
+                             std::to_string(offset) +
+                             "\nRFETCHSNAP s 12000\nLIST\n";
+  EXPECT_EQ(RunStdin(dispatcher, script), expected);
+  std::string tcp;
+  RunTcp(dispatcher, script, &tcp);
+  EXPECT_EQ(tcp, expected);
 }
 
 // ---------------------------------------------------------------------------

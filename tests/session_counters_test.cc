@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "file_bytes.h"
 #include "service/durable_session.h"
 #include "service/session_manager.h"
 #include "util/binary_io.h"
@@ -126,6 +127,33 @@ TEST_F(SessionCountersTest, CrashRecoveryWithWalTailKeepsKeptExact) {
   EXPECT_LE(after.ingest_batches, before.ingest_batches);
 }
 
+// A session fed by OBSERVE (one point per call) counts kept in the same
+// unit as WAL replay, the sink's rung inserts: 200 per-element points, a
+// snapshot after the fifth, and a crash recover the live kept_total
+// exactly.
+TEST_F(SessionCountersTest, PerElementIngestKeptSurvivesRecoveryExactly) {
+  const Dataset ds = TestData(200);
+  SessionIngestCounters before;
+  {
+    auto session = DurableSession::Create(dir_, SpecFor(ds));
+    ASSERT_TRUE(session.ok());
+    for (size_t i = 0; i < ds.size(); ++i) {
+      const StreamPoint point = ds.At(i);
+      ASSERT_TRUE(session->Ingest({&point, 1}, /*as_batch=*/false).ok());
+      if (i == 4) {
+        ASSERT_TRUE(session->TakeSnapshot().ok());
+      }
+    }
+    ASSERT_TRUE(session->Sync().ok());
+    before = session->IngestCounters();
+    EXPECT_EQ(before.ingest_batches, 0);
+  }
+  auto recovered = DurableSession::Open(dir_);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->IngestCounters().kept_total, before.kept_total);
+  EXPECT_EQ(recovered->IngestCounters().replayed_records, 195);
+}
+
 TEST_F(SessionCountersTest, DoubleCrashStaysExact) {
   const Dataset ds = TestData();
   const size_t mid = ds.size() / 2;
@@ -174,7 +202,7 @@ TEST_F(SessionCountersTest, PreFooterSnapshotsLoadAsZeros) {
     snap_path = entry.path().string();
   }
   ASSERT_FALSE(snap_path.empty());
-  auto framed = ReadFileToString(snap_path);
+  auto framed = FileBytes(snap_path);
   ASSERT_TRUE(framed.ok());
   // Frame layout: magic(8) + version u32 + payload-size u64 + payload +
   // FNV-1a u64. Cut the payload just before the footer tag's u64 length

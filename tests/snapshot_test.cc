@@ -230,9 +230,11 @@ TEST(SnapshotTest, FileRoundTrip) {
   for (size_t i = 0; i < ds.size(); ++i) algo->Observe(ds.At(i));
 
   const std::string path = ::testing::TempDir() + "/fdm_snapshot_test.snap";
-  SnapshotWriter writer;
-  ASSERT_TRUE(algo->Snapshot(writer).ok());
-  ASSERT_TRUE(writer.WriteFile(path).ok());
+  {
+    SnapshotWriter writer(path);
+    ASSERT_TRUE(algo->Snapshot(writer).ok());
+    ASSERT_TRUE(writer.Commit().ok());
+  }
   auto reader = SnapshotReader::FromFile(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   auto restored = StreamingDm::Restore(*reader);
