@@ -40,7 +40,7 @@ obs::Gauge& ColdInFlightGauge() {
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(options) {}
 
-bool AdmissionController::AdmitSessionRequest(const std::string& session) {
+bool AdmissionController::AdmitSessionRequest(std::string_view session) {
   if (options_.session_rate <= 0.0) return true;
   std::lock_guard<std::mutex> lock(mu_);
   // Read under the lock, so buckets see time in admission order and a

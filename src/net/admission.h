@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace fdm::net {
 
@@ -80,7 +82,7 @@ class AdmissionController {
 
   /// Spends one token from `session`'s bucket; false = shed (rate).
   /// Always true when rate limiting is off.
-  bool AdmitSessionRequest(const std::string& session);
+  bool AdmitSessionRequest(std::string_view session);
 
   /// Claims a cold-SOLVE slot; false = shed (capacity). A successful
   /// claim must be paired with `LeaveColdSolve` when the solve finishes.
@@ -100,7 +102,7 @@ class AdmissionController {
 
   const AdmissionOptions options_;
   mutable std::mutex mu_;  // buckets_ + counters below
-  std::map<std::string, TokenBucket> buckets_;
+  std::map<std::string, TokenBucket, std::less<>> buckets_;
   size_t sweep_mark_ = kMinSweepMark;  // buckets_ size that triggers a sweep
   size_t cold_in_flight_ = 0;
   uint64_t rate_shed_total_ = 0;

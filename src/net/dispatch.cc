@@ -1,10 +1,14 @@
 #include "net/dispatch.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <concepts>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -24,68 +28,207 @@ obs::Counter& RequestsCounter() {
   return c;
 }
 
-/// True iff nothing but whitespace remains on the command line. Every
-/// no-payload verb checks this: `METRICS json garbage` or `SOLVE s extra`
-/// is a framing bug on the client side, and silently accepting it on some
-/// verbs while OBSERVEB strictly rejects it taught clients nothing.
-bool AtLineEnd(std::istringstream& in) {
-  std::string extra;
-  return !(in >> extra);
+/// The characters `operator>>` skips: space, '\t', '\n', '\v', '\f', '\r'.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Pops the next whitespace-delimited token off the front of `*text`; ""
+/// once only whitespace is left. Every request is read through this one
+/// tokenizer.
+std::string_view NextToken(std::string_view* text) {
+  size_t begin = 0;
+  while (begin < text->size() && IsSpace((*text)[begin])) ++begin;
+  size_t end = begin;
+  while (end < text->size() && !IsSpace((*text)[end])) ++end;
+  const std::string_view token = text->substr(begin, end - begin);
+  text->remove_prefix(end);
+  return token;
+}
+
+/// True iff nothing but whitespace is left. Every no-payload verb checks
+/// this: `METRICS json garbage` or `SOLVE s extra` is a client framing
+/// bug, and accepting it on some verbs taught clients nothing.
+bool AtLineEnd(std::string_view text) { return NextToken(&text).empty(); }
+
+/// Drops a leading '+', which `from_chars` does not read; false for "+-".
+bool StripPlus(std::string_view* token) {
+  if (token->empty() || token->front() != '+') return true;
+  token->remove_prefix(1);
+  return token->empty() || token->front() != '-';
+}
+
+/// Whole-token integer: an optional sign, then decimal digits, in range.
+bool ParseInteger(std::string_view token, int64_t* value) {
+  return StripPlus(&token) && ParseInt64(token, value);
+}
+
+/// Whole-token coordinate: an optional '+', then a `from_chars` double.
+/// `from_chars` reports underflow like overflow; strtod (what `operator>>`
+/// used) reads one as 0 and the other as inf, so it decides that rare
+/// case. Non-finite values never reach the WAL: a persisted inf or nan
+/// would poison every distance comparison and every recovery replay.
+bool ParseCoordinate(std::string_view token, double* value) {
+  if (!StripPlus(&token)) return false;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  if (ptr != end || ec == std::errc::invalid_argument) return false;
+  if (ec == std::errc::result_out_of_range) {
+    *value = std::strtod(std::string(token).c_str(), nullptr);
+  }
+  return std::isfinite(*value);
+}
+
+void AppendPart(std::string* out, std::string_view text) { out->append(text); }
+void AppendPart(std::string* out, double value) { AppendGeneral(value, out); }
+template <std::integral T>
+void AppendPart(std::string* out, T value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/// Appends each part: text as is, integers in decimal, doubles as `<<`
+/// prints them.
+template <typename... Parts>
+void Append(std::string* out, const Parts&... parts) {
+  (AppendPart(out, parts), ...);
+}
+
+/// Appends the ERR reply for a failed `status`; true when it failed.
+bool Failed(const Status& status, std::string* out) {
+  if (status.ok()) return false;
+  Append(out, "ERR ", status.ToString(), "\n");
+  return true;
 }
 
 void ReplyStatus(const Status& status, std::string* out) {
-  if (status.ok()) {
-    out->append("OK\n");
-  } else {
-    out->append("ERR ").append(status.ToString()).append("\n");
+  if (!Failed(status, out)) out->append("OK\n");
+}
+
+/// `OK div=<diversity> ids=<id>,...`: the head of both roles' SOLVE reply.
+void AppendSolution(const Solution& solution, std::string* out) {
+  Append(out, "OK div=", solution.diversity, " ids=");
+  for (size_t i = 0; i < solution.points.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendPart(out, solution.points.IdAt(i));
   }
 }
 
-void AppendIds(const Solution& solution, std::string* out) {
-  // `<<` formatting, not std::to_string: the latter pads doubles to six
-  // decimals and would silently change every SOLVE reply byte.
-  std::ostringstream text;
-  text << "div=" << solution.diversity << " ids=";
-  const auto ids = solution.Ids();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) text << ',';
-    text << ids[i];
-  }
-  out->append(text.str());
+/// The arity check of every verb that takes only a session name: true
+/// when the line ends there, else the ERR is appended.
+bool SessionOnly(const RequestInfo& request, std::string* out) {
+  if (AtLineEnd(request.args)) return true;
+  Append(out, "ERR ", request.verb, " takes only a session name\n");
+  return false;
 }
 
-/// Parses `<id> <group> <c0> <c1> ...` from `in` into the output params.
-/// Returns "" on success, else the reason ("requires <id> <group>
-/// <coords...>", "requires numeric coordinates", "requires finite
-/// coordinates"). Non-finite coordinates are rejected here — before
-/// anything reaches the WAL — because `operator>>` happily parses `inf`
-/// and `nan`, and a persisted non-finite point would poison every future
-/// distance comparison AND come back at every recovery replay
-/// (`ReadDatasetCsv` was hardened against exactly this class of input).
-std::string ParsePointFields(std::istringstream& in, int64_t* id,
-                             int32_t* group, std::vector<double>* coords) {
-  if (!(in >> *id >> *group)) {
+/// Parses `<id> <group> <c0> <c1> ...` (the rest of an OBSERVE line, or an
+/// OBSERVEB point line), appending the coordinates to `coords`. Returns ""
+/// on success, else the reason: a malformed point fails its request whole
+/// (the session re-validates the dimension and group before the WAL).
+std::string_view ParsePointFields(std::string_view text, int64_t* id,
+                                  int32_t* group,
+                                  std::vector<double>* coords) {
+  int64_t wide_group = 0;
+  if (!ParseInteger(NextToken(&text), id) ||
+      !ParseInteger(NextToken(&text), &wide_group) ||
+      !std::in_range<int32_t>(wide_group)) {
     return "requires <id> <group> <coords...>";
   }
+  *group = static_cast<int32_t>(wide_group);
   const size_t start = coords->size();
-  double c = 0.0;
-  while (in >> c) coords->push_back(c);
-  // `>>` stops silently at a non-numeric token; distinguish "end of line"
-  // from "garbage mid-line" — a malformed point must be rejected, never
-  // half-parsed (the session also re-validates the dimension before
-  // anything reaches the WAL).
-  if (coords->size() == start || !in.eof()) {
-    coords->resize(start);
-    return "requires numeric coordinates";
-  }
-  for (size_t i = start; i < coords->size(); ++i) {
-    if (!std::isfinite((*coords)[i])) {
-      coords->resize(start);
-      return "requires finite coordinates";
+  for (std::string_view token = NextToken(&text); !token.empty();
+       token = NextToken(&text)) {
+    if (!ParseCoordinate(token, &coords->emplace_back())) {
+      return "requires numeric coordinates";
     }
   }
-  return "";
+  return coords->size() == start ? "requires numeric coordinates" : "";
 }
+
+/// Tokenizes what admission control needs, the verb, the session and
+/// OBSERVEB's count, and leaves the rest in `args`.
+RequestInfo ParseRequest(std::string_view line) {
+  RequestInfo request;
+  request.verb = NextToken(&line);
+  if (request.verb != "LIST" && request.verb != "METRICS" &&
+      request.verb != "QUIT") {
+    request.session = NextToken(&line);
+  }
+  if (request.verb == "OBSERVEB" && !request.session.empty()) {
+    // The count is the token's leading [+-]digits, as `operator>>` read
+    // it, so the announced line count (the framing) never changes. What
+    // follows the digits is left in `args`: `2junk` drains 2 lines, ERR.
+    const std::string_view token = NextToken(&line);
+    const size_t sign = token.starts_with('+') || token.starts_with('-');
+    const size_t end =
+        std::min(token.find_first_not_of("0123456789", sign), token.size());
+    int64_t n = -1;
+    request.has_count =
+        end > sign && ParseInteger(token.substr(0, end), &n) && n >= 0;
+    if (request.has_count) request.payload_lines = n;
+    // `line` resumes right after the token.
+    line = std::string_view(token.data() + end,
+                            token.size() - end + line.size());
+  }
+  request.args = line;
+  return request;
+}
+
+/// OBSERVEB's body: parses the n announced point lines and ingests them as
+/// one batch. A malformed line fails the whole batch (nothing is applied —
+/// a batch is one request), but the remaining lines are still consumed so
+/// the stream stays in command framing.
+void ObserveBatch(SessionManager& sessions, const std::string& name,
+                  int64_t n, LineSource& payload, std::string* out) {
+  std::vector<StreamPoint> points;
+  std::vector<size_t> starts;  // per-point start into `coords`
+  std::vector<double> coords;
+  std::string error;
+  std::string_view point_line;
+  for (int64_t i = 0; i < n; ++i) {
+    if (!payload.NextLine(&point_line)) {
+      error = "stream ended mid-batch";
+      break;
+    }
+    if (!error.empty()) continue;  // draining after a bad line
+    StreamPoint& point = points.emplace_back();
+    starts.push_back(coords.size());
+    const std::string_view reason =
+        ParsePointFields(point_line, &point.id, &point.group, &coords);
+    if (!reason.empty()) {
+      error = "batch line " + std::to_string(i) + " " + std::string(reason);
+    }
+  }
+  if (!error.empty()) {
+    Append(out, "ERR OBSERVEB ", error, "\n");
+    return;
+  }
+  // Spans are set only now: `coords` no longer reallocates.
+  starts.push_back(coords.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i].coords = {coords.data() + starts[i], starts[i + 1] - starts[i]};
+  }
+  auto outcome = sessions.Ingest(name, points, /*as_batch=*/true);
+  if (!Failed(outcome.status(), out)) {
+    Append(out, "OK kept=", outcome->accepted, " dup=", outcome->duplicates,
+           "\n");
+  }
+}
+
+/// LineSource over a std::istream (the stdin transport), read into one
+/// reused buffer.
+class StreamLineSource final : public LineSource {
+ public:
+  explicit StreamLineSource(std::istream& in) : in_(in) {}
+  bool NextLine(std::string_view* line) override {
+    if (!std::getline(in_, line_)) return false;
+    *line = line_;
+    return true;
+  }
+
+ private:
+  std::istream& in_;
+  std::string line_;
+};
 
 }  // namespace
 
@@ -95,21 +238,18 @@ struct RequestDispatcher::ReplSource {
   DirReplicationSource source;
 };
 
-bool StringLineSource::NextLine(std::string* line) {
-  if (rest_.empty()) return false;
-  const size_t nl = rest_.find('\n');
-  if (nl == std::string_view::npos) {
-    line->assign(rest_);
-    rest_ = {};
-  } else {
-    line->assign(rest_.substr(0, nl));
-    rest_.remove_prefix(nl + 1);
+void LineSource::Skip(int64_t lines) {
+  std::string_view discard;
+  for (int64_t i = 0; i < lines && NextLine(&discard); ++i) {
   }
-  return true;
 }
 
-bool StreamLineSource::NextLine(std::string* line) {
-  return static_cast<bool>(std::getline(in_, *line));
+bool StringLineSource::NextLine(std::string_view* line) {
+  if (rest_.empty()) return false;
+  const size_t nl = rest_.find('\n');
+  *line = rest_.substr(0, nl);
+  rest_.remove_prefix(nl == std::string_view::npos ? rest_.size() : nl + 1);
+  return true;
 }
 
 RequestDispatcher::RequestDispatcher(SessionManager* sessions,
@@ -122,58 +262,218 @@ RequestDispatcher::RequestDispatcher(ReplicaManager* replicas,
 
 RequestDispatcher::~RequestDispatcher() = default;
 
-RequestInfo RequestDispatcher::Classify(const std::string& line) const {
-  RequestInfo info;
-  std::istringstream in(line);
-  if (!(in >> info.verb)) return info;  // blank line
-  if (info.verb == "LIST" || info.verb == "METRICS" || info.verb == "QUIT") {
-    return info;
+RequestInfo RequestDispatcher::Classify(std::string_view line) const {
+  RequestInfo request = ParseRequest(line);
+  // Only a well-formed SOLVE is probed: a malformed one is answered with
+  // its arity error on the caller's thread, never shed or offloaded.
+  if (request.verb == "SOLVE" && !request.session.empty() &&
+      AtLineEnd(request.args)) {
+    const std::string name(request.session);
+    request.cold_solve = sessions_ != nullptr
+                             ? !sessions_->SolveLikelyCached(name)
+                             : !replicas_->SolveLikelyCached(name);
   }
-  if (!(in >> info.session)) return info;
-  if (info.verb == "OBSERVEB") {
-    int64_t n = 0;
-    if (in >> n && n > 0) info.payload_lines = n;
-  } else if (info.verb == "SOLVE") {
-    info.cold_solve = sessions_ != nullptr
-                          ? !sessions_->SolveLikelyCached(info.session)
-                          : !replicas_->SolveLikelyCached(info.session);
-  }
-  return info;
+  return request;
 }
 
-RequestOutcome RequestDispatcher::HandleRequest(const std::string& line,
+RequestOutcome RequestDispatcher::HandleRequest(std::string_view line,
                                                 LineSource& payload,
                                                 std::string* out) {
-  std::istringstream in(line);
-  std::string command;
-  if (!(in >> command)) return RequestOutcome::kReply;  // blank line
-  RequestsCounter().Inc();
-  return sessions_ != nullptr ? HandlePrimary(command, in, payload, out)
-                              : HandleFollower(command, in, payload, out);
+  return Execute(ParseRequest(line), payload, out);
 }
 
-bool RequestDispatcher::HandleMetricsVerb(const std::string& command,
-                                          std::istringstream& in,
+RequestOutcome RequestDispatcher::Execute(const RequestInfo& request,
+                                          LineSource& payload,
                                           std::string* out) {
-  if (command != "METRICS") return false;
-  std::string mode;
-  in >> mode;
-  if (mode == "json" && AtLineEnd(in)) {
-    out->append("OK ")
-        .append(obs::MetricsRegistry::Global().RenderJson())
-        .append("\n");
-  } else if (mode.empty()) {
-    out->append(obs::MetricsRegistry::Global().RenderPrometheus());
-    out->append("OK\n");
+  const std::string_view verb = request.verb;
+  if (verb.empty()) return RequestOutcome::kReply;  // blank line
+  RequestsCounter().Inc();
+  if (verb == "QUIT") {
+    if (!AtLineEnd(request.args)) {
+      out->append("ERR QUIT takes no arguments\n");
+      return RequestOutcome::kReply;
+    }
+    // A follower holds nothing of its own to snapshot.
+    ReplyStatus(sessions_ != nullptr ? sessions_->SnapshotAll() : Status::Ok(),
+                out);
+    return RequestOutcome::kQuit;
+  }
+  if (verb == "METRICS") {
+    std::string_view args = request.args;
+    const std::string_view mode = NextToken(&args);
+    if (mode == "json" && AtLineEnd(args)) {
+      Append(out, "OK ", obs::MetricsRegistry::Global().RenderJson(), "\n");
+    } else if (mode.empty()) {
+      Append(out, obs::MetricsRegistry::Global().RenderPrometheus(), "OK\n");
+    } else {
+      out->append("ERR METRICS takes no argument or 'json'\n");
+    }
+    return RequestOutcome::kReply;
+  }
+  if (verb == "LIST") {
+    if (!AtLineEnd(request.args)) {
+      out->append("ERR LIST takes no arguments\n");
+      return RequestOutcome::kReply;
+    }
+    out->append("OK");
+    for (const std::string& name : sessions_ != nullptr
+                                       ? sessions_->SessionNames()
+                                       : replicas_->SessionNames()) {
+      Append(out, " ", name);
+    }
+    out->push_back('\n');
+    return RequestOutcome::kReply;
+  }
+  if (follower() && (verb == "CREATE" || verb == "OBSERVE" ||
+                     verb == "OBSERVEB" || verb == "SNAPSHOT" ||
+                     verb == "RESTORE")) {
+    // Keep the framing invariant even when rejecting: the client announced
+    // its point lines and will send them — swallow them so they are not
+    // misread as commands.
+    payload.Skip(request.payload_lines);
+    Append(out, "ERR read-only follower (this process serves --follow=",
+           root_dir_, ")\n");
+    return RequestOutcome::kReply;
+  }
+  if (request.session.empty()) {
+    Append(out, "ERR ", verb, " requires a session name\n");
+    return RequestOutcome::kReply;
+  }
+  const std::string name(request.session);
+  if (verb == "SOLVE") {
+    Solve(request, name, out);
+  } else if (!(follower() ? ExecuteFollower(request, name, out)
+                          : ExecutePrimary(request, name, payload, out))) {
+    Append(out, "ERR unknown command '", verb, "'\n");
+  }
+  return RequestOutcome::kReply;
+}
+
+void RequestDispatcher::Solve(const RequestInfo& request,
+                              const std::string& name, std::string* out) {
+  if (!SessionOnly(request, out)) return;
+  if (sessions_ != nullptr) {
+    auto solution = sessions_->Solve(name);
+    if (Failed(solution.status(), out)) return;
+    AppendSolution(*solution, out);
+    out->push_back('\n');
+    return;
+  }
+  auto solve = replicas_->Solve(name);
+  if (Failed(solve.status(), out)) return;
+  AppendSolution(solve->solution, out);
+  Append(out, " version=", solve->state_version,
+         " applied=", solve->applied_seq, " lag=", solve->lag,
+         " stale=", solve->stale ? 1 : 0, "\n");
+}
+
+bool RequestDispatcher::ExecutePrimary(const RequestInfo& request,
+                                       const std::string& name,
+                                       LineSource& payload, std::string* out) {
+  SessionManager& sessions = *sessions_;
+  const std::string_view verb = request.verb;
+  if (verb == "CREATE") {
+    ReplyStatus(sessions.CreateSession(name, std::string(Trim(request.args))),
+                out);
+  } else if (verb == "OBSERVE") {
+    int64_t id = -1;
+    int32_t group = 0;
+    std::vector<double> coords;
+    const std::string_view error =
+        ParsePointFields(request.args, &id, &group, &coords);
+    if (!error.empty()) {
+      Append(out, "ERR OBSERVE ", error, "\n");
+      return true;
+    }
+    const StreamPoint point{id, group, coords};
+    auto outcome = sessions.Ingest(name, {&point, 1}, /*as_batch=*/false);
+    if (!Failed(outcome.status(), out)) {
+      out->append(outcome->duplicates > 0 ? "OK dup=1\n" : "OK\n");
+    }
+  } else if (verb == "OBSERVEB") {
+    if (!request.has_count) {
+      out->append("ERR OBSERVEB requires <name> <n>\n");
+    } else if (!AtLineEnd(request.args)) {
+      // The count DID parse, so the client sent n point lines — drain
+      // them before ERRing or they'd be misread as commands.
+      payload.Skip(request.payload_lines);
+      out->append("ERR OBSERVEB takes nothing after <n>\n");
+    } else {
+      ObserveBatch(sessions, name, request.payload_lines, payload, out);
+    }
+  } else if (verb == "RMANIFEST" || verb == "RFETCHSNAP" ||
+             verb == "RFETCHWAL") {
+    HandleReplicationVerb(verb, name, request.args, out);
+  } else if (verb == "REPLICA" || verb == "LAG") {
+    Append(out, "ERR ", verb,
+           " is a follower verb (start with --follow=DIR)\n");
+  } else if (verb == "SNAPSHOT") {
+    if (SessionOnly(request, out)) ReplyStatus(sessions.Snapshot(name), out);
+  } else if (verb == "RESTORE") {
+    // Crash drill: forget the in-memory sink, then recover it from the
+    // newest snapshot + WAL tail (the next touch triggers the reload).
+    if (!SessionOnly(request, out) ||
+        Failed(sessions.DropResident(name), out)) {
+      return true;
+    }
+    auto stats = sessions.Stats(name);
+    if (!Failed(stats.status(), out)) {
+      Append(out, "OK observed=", stats->observed, "\n");
+    }
+  } else if (verb == "STATS") {
+    if (!SessionOnly(request, out)) return true;
+    auto stats = sessions.Stats(name);
+    if (Failed(stats.status(), out)) return true;
+    const SessionManager::SessionStats& s = *stats;
+    Append(out, "OK observed=", s.observed, " kept=", s.kept, " stored=",
+           s.stored, " snapshot_seq=", s.snapshot_seq, " version=",
+           s.state_version, " solve_hits=", s.solve_hits, " solve_misses=",
+           s.solve_misses, " solve_p50_cached_ms=", s.solve_p50_cached_ms,
+           " solve_p99_cached_ms=", s.solve_p99_cached_ms,
+           " solve_p50_cold_ms=", s.solve_p50_cold_ms, " solve_p99_cold_ms=",
+           s.solve_p99_cold_ms, " snapshots=", s.snapshots_taken,
+           " restores=", s.restores, " replayed=", s.replayed_records,
+           " dedup=", s.dedup ? "on" : "off", " duplicates_rejected=",
+           s.duplicates_rejected, " filter_bytes=", s.filter_bytes,
+           " filter_grows=", s.filter_grows, " kernel=", s.kernel,
+           " spec=\"", s.spec, "\"\n");
   } else {
-    out->append("ERR METRICS takes no argument or 'json'\n");
+    return false;
   }
   return true;
 }
 
-void RequestDispatcher::HandleReplicationVerb(const std::string& command,
+bool RequestDispatcher::ExecuteFollower(const RequestInfo& request,
+                                        const std::string& name,
+                                        std::string* out) {
+  const std::string_view verb = request.verb;
+  if (verb != "STATS" && verb != "LAG" && verb != "REPLICA") return false;
+  if (!SessionOnly(request, out)) return true;
+  int64_t just_applied = -1;
+  if (verb == "REPLICA") {
+    auto applied = replicas_->Poll(name);
+    if (Failed(applied.status(), out)) return true;
+    just_applied = *applied;
+  }
+  auto stats = verb == "LAG" ? replicas_->Lag(name) : replicas_->Stats(name);
+  if (Failed(stats.status(), out)) return true;
+  const ReplicaSession::ReplicaStats& s = *stats;
+  out->append("OK");
+  if (just_applied >= 0) Append(out, " applied_records=", just_applied);
+  Append(out, " applied=", s.applied_seq, " primary=", s.primary_seq,
+         " lag=", s.lag, " stale=", s.stale ? 1 : 0, " version=",
+         s.state_version, " resyncs=", s.resyncs, " segments_fetched=",
+         s.segments_fetched, " snapshots_loaded=", s.snapshots_loaded,
+         " dedup=", s.dedup ? "on" : "off", " duplicates_rejected=",
+         s.duplicates_rejected, " filter_bytes=", s.filter_bytes,
+         " solve_hits=", s.solve.hits, " solve_misses=", s.solve.misses,
+         "\n");
+  return true;
+}
+
+void RequestDispatcher::HandleReplicationVerb(std::string_view verb,
                                               const std::string& name,
-                                              std::istringstream& in,
+                                              std::string_view args,
                                               std::string* out) {
   if (!IsValidSessionName(name)) {
     out->append("ERR invalid session name\n");
@@ -181,19 +481,20 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
   }
   int64_t seq = 0;
   uint64_t offset = 0;
-  if (command == "RFETCHSNAP") {
-    if (!(in >> seq) || !AtLineEnd(in)) {
+  if (verb == "RFETCHSNAP") {
+    if (!ParseInteger(NextToken(&args), &seq) || !AtLineEnd(args)) {
       out->append("ERR RFETCHSNAP requires <name> <seq>\n");
       return;
     }
-  } else if (command == "RFETCHWAL") {
-    std::string offset_text;
-    if (!(in >> seq) || ((in >> offset_text) && !AtLineEnd(in)) ||
+  } else if (verb == "RFETCHWAL") {
+    const bool has_seq = ParseInteger(NextToken(&args), &seq);
+    const std::string_view offset_text = NextToken(&args);
+    if (!has_seq || !AtLineEnd(args) ||
         (!offset_text.empty() && !ParseUint64(offset_text, &offset))) {
       out->append("ERR RFETCHWAL requires <name> <first_seq> [<offset>]\n");
       return;
     }
-  } else if (!AtLineEnd(in)) {
+  } else if (!AtLineEnd(args)) {
     out->append("ERR RMANIFEST takes only a session name\n");
     return;
   }
@@ -204,7 +505,7 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
     if (it == repl_sources_.end()) {
       const std::string dir = root_dir_ + "/" + name;
       if (!DurableSession::Exists(dir)) {
-        out->append("ERR no session named '").append(name).append("'\n");
+        Append(out, "ERR no session named '", name, "'\n");
         return;
       }
       it = repl_sources_.emplace(name, std::make_shared<ReplSource>(dir))
@@ -214,380 +515,44 @@ void RequestDispatcher::HandleReplicationVerb(const std::string& command,
   }
   std::lock_guard<std::mutex> lock(entry->mu);
   DirReplicationSource& source = entry->source;
-  if (command == "RMANIFEST") {
+  if (verb == "RMANIFEST") {
     auto manifest = source.GetManifest();
-    if (!manifest.ok()) {
-      out->append("ERR ").append(manifest.status().ToString()).append("\n");
-      return;
-    }
-    out->append("OK primary_seq=")
-        .append(std::to_string(manifest->primary_seq));
-    out->append(" version=").append(std::to_string(manifest->primary_version));
-    out->append(" advert_seq=").append(std::to_string(manifest->advert_seq));
-    out->append(" snapshots=");
+    if (Failed(manifest.status(), out)) return;
+    Append(out, "OK primary_seq=", manifest->primary_seq,
+           " version=", manifest->primary_version,
+           " advert_seq=", manifest->advert_seq, " snapshots=");
     if (manifest->snapshots.empty()) out->push_back('-');
     for (size_t i = 0; i < manifest->snapshots.size(); ++i) {
       const ReplicaSnapshotInfo& s = manifest->snapshots[i];
       if (i > 0) out->push_back(',');
-      out->append(std::to_string(s.seq))
-          .append(":")
-          .append(std::to_string(s.bytes))
-          .append(":")
-          .append(std::to_string(s.checksum));
+      Append(out, s.seq, ":", s.bytes, ":", s.checksum);
     }
     out->append(" segments=");
     if (manifest->segments.empty()) out->push_back('-');
     for (size_t i = 0; i < manifest->segments.size(); ++i) {
       const WalSegmentInfo& s = manifest->segments[i];
       if (i > 0) out->push_back(',');
-      out->append(std::to_string(s.first_seq))
-          .append(":")
-          .append(std::to_string(s.bytes))
-          .append(":")
-          .append(std::to_string(s.checksum));
+      Append(out, s.first_seq, ":", s.bytes, ":", s.checksum);
     }
     // The spec goes last and runs to end of line: it contains spaces.
-    out->append(" spec=").append(manifest->spec).append("\n");
+    Append(out, " spec=", manifest->spec, "\n");
     return;
   }
   // Binary reply: a one-line header announcing the byte count, the raw
   // bytes, then a newline to restore line discipline. Over TCP the whole
   // reply is one length-delimited frame; over stdin the client reads
   // exactly `bytes=` bytes after the header line. The source reads the
-  // range straight into `out` once the header is in, sized up front:
-  // growing by the trailing newline would double a multi-MiB buffer.
+  // range straight into `out`, sized up front for it, the header and the
+  // newlines: growing by the last newline would double a multi-MiB buffer.
   const auto header = [out](uint64_t bytes) {
-    const std::string line = "OK bytes=" + std::to_string(bytes) + "\n";
-    out->reserve(out->size() + line.size() + bytes + 1);
-    out->append(line);
+    out->reserve(out->size() + 32 + bytes);
+    Append(out, "OK bytes=", bytes, "\n");
   };
   const Status fetched =
-      command == "RFETCHSNAP" ? source.AppendSnapshot(seq, out, header)
-                              : source.AppendWalSegment(seq, offset, out,
-                                                        header);
-  if (!fetched.ok()) {
-    out->append("ERR ").append(fetched.ToString()).append("\n");
-    return;
-  }
-  out->push_back('\n');
-}
-
-RequestOutcome RequestDispatcher::HandlePrimary(const std::string& command,
-                                                std::istringstream& in,
-                                                LineSource& payload,
-                                                std::string* out) {
-  SessionManager& sessions = *sessions_;
-  if (command == "QUIT") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR QUIT takes no arguments\n");
-      return RequestOutcome::kReply;
-    }
-    ReplyStatus(sessions.SnapshotAll(), out);
-    return RequestOutcome::kQuit;
-  }
-  if (HandleMetricsVerb(command, in, out)) return RequestOutcome::kReply;
-  if (command == "LIST") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR LIST takes no arguments\n");
-      return RequestOutcome::kReply;
-    }
-    out->append("OK");
-    for (const std::string& name : sessions.SessionNames()) {
-      out->push_back(' ');
-      out->append(name);
-    }
-    out->push_back('\n');
-    return RequestOutcome::kReply;
-  }
-
-  std::string name;
-  if (!(in >> name)) {
-    out->append("ERR ").append(command).append(" requires a session name\n");
-    return RequestOutcome::kReply;
-  }
-  if (command == "CREATE") {
-    std::string spec;
-    std::getline(in, spec);
-    ReplyStatus(sessions.CreateSession(name, std::string(Trim(spec))), out);
-  } else if (command == "OBSERVE") {
-    int64_t id = -1;
-    int32_t group = 0;
-    std::vector<double> coords;
-    const std::string error = ParsePointFields(in, &id, &group, &coords);
-    if (!error.empty()) {
-      out->append("ERR OBSERVE ").append(error).append("\n");
-      return RequestOutcome::kReply;
-    }
-    const StreamPoint point{id, group, coords};
-    auto outcome = sessions.Ingest(name, {&point, 1}, /*as_batch=*/false);
-    if (!outcome.ok()) {
-      out->append("ERR ").append(outcome.status().ToString()).append("\n");
-    } else if (outcome->duplicates > 0) {
-      out->append("OK dup=1\n");
-    } else {
-      out->append("OK\n");
-    }
-  } else if (command == "OBSERVEB") {
-    int64_t n = -1;
-    if (!(in >> n) || n < 0) {
-      out->append("ERR OBSERVEB requires <name> <n>\n");
-      return RequestOutcome::kReply;
-    }
-    in.clear();  // the int read may have latched eofbit; that's fine
-    if (!AtLineEnd(in)) {
-      // The count DID parse, so the client sent n point lines — drain
-      // them before ERRing or they'd be misread as commands.
-      std::string drained;
-      for (int64_t i = 0; i < n && payload.NextLine(&drained); ++i) {
-      }
-      out->append("ERR OBSERVEB takes nothing after <n>\n");
-      return RequestOutcome::kReply;
-    }
-    // Parse the n announced point lines. A malformed line fails the
-    // whole batch (nothing is applied — a batch is one request), but
-    // the remaining lines are still consumed so the stream stays in
-    // command framing.
-    std::vector<int64_t> ids;
-    std::vector<int32_t> groups;
-    std::vector<size_t> offsets;  // per-point start into `coords`
-    std::vector<double> coords;
-    std::string error;
-    std::string point_line;
-    for (int64_t i = 0; i < n; ++i) {
-      if (!payload.NextLine(&point_line)) {
-        error = "stream ended mid-batch";
-        break;
-      }
-      if (!error.empty()) continue;  // draining after a bad line
-      std::istringstream pin(point_line);
-      int64_t id = -1;
-      int32_t group = 0;
-      const size_t start = coords.size();
-      const std::string reason = ParsePointFields(pin, &id, &group, &coords);
-      if (!reason.empty()) {
-        error = "batch line " + std::to_string(i) + " " + reason;
-        continue;
-      }
-      ids.push_back(id);
-      groups.push_back(group);
-      offsets.push_back(start);
-    }
-    if (!error.empty()) {
-      out->append("ERR OBSERVEB ").append(error).append("\n");
-      return RequestOutcome::kReply;
-    }
-    // Spans are built only now: `coords` no longer reallocates.
-    offsets.push_back(coords.size());
-    std::vector<StreamPoint> points;
-    points.reserve(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      points.push_back(StreamPoint{
-          ids[i], groups[i],
-          std::span<const double>(coords.data() + offsets[i],
-                                  offsets[i + 1] - offsets[i])});
-    }
-    auto outcome = sessions.Ingest(name, points, /*as_batch=*/true);
-    if (!outcome.ok()) {
-      out->append("ERR ").append(outcome.status().ToString()).append("\n");
-    } else {
-      out->append("OK kept=")
-          .append(std::to_string(outcome->accepted))
-          .append(" dup=")
-          .append(std::to_string(outcome->duplicates))
-          .append("\n");
-    }
-  } else if (command == "SOLVE") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR SOLVE takes only a session name\n");
-      return RequestOutcome::kReply;
-    }
-    auto solution = sessions.Solve(name);
-    if (!solution.ok()) {
-      out->append("ERR ").append(solution.status().ToString()).append("\n");
-      return RequestOutcome::kReply;
-    }
-    out->append("OK ");
-    AppendIds(*solution, out);
-    out->push_back('\n');
-  } else if (command == "RMANIFEST" || command == "RFETCHSNAP" ||
-             command == "RFETCHWAL") {
-    HandleReplicationVerb(command, name, in, out);
-  } else if (command == "REPLICA" || command == "LAG") {
-    out->append("ERR ").append(command).append(
-        " is a follower verb (start with --follow=DIR)\n");
-  } else if (command == "SNAPSHOT") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR SNAPSHOT takes only a session name\n");
-      return RequestOutcome::kReply;
-    }
-    ReplyStatus(sessions.Snapshot(name), out);
-  } else if (command == "RESTORE") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR RESTORE takes only a session name\n");
-      return RequestOutcome::kReply;
-    }
-    // Crash drill: forget the in-memory sink, then recover it from the
-    // newest snapshot + WAL tail (the next touch triggers the reload).
-    Status dropped = sessions.DropResident(name);
-    if (!dropped.ok()) {
-      ReplyStatus(dropped, out);
-      return RequestOutcome::kReply;
-    }
-    auto stats = sessions.Stats(name);
-    if (!stats.ok()) {
-      out->append("ERR ").append(stats.status().ToString()).append("\n");
-    } else {
-      out->append("OK observed=")
-          .append(std::to_string(stats->observed))
-          .append("\n");
-    }
-  } else if (command == "STATS") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR STATS takes only a session name\n");
-      return RequestOutcome::kReply;
-    }
-    auto stats = sessions.Stats(name);
-    if (!stats.ok()) {
-      out->append("ERR ").append(stats.status().ToString()).append("\n");
-      return RequestOutcome::kReply;
-    }
-    std::ostringstream line;
-    line << "OK observed=" << stats->observed << " kept=" << stats->kept
-         << " stored=" << stats->stored
-         << " snapshot_seq=" << stats->snapshot_seq
-         << " version=" << stats->state_version
-         << " solve_hits=" << stats->solve_hits
-         << " solve_misses=" << stats->solve_misses
-         << " solve_p50_cached_ms=" << stats->solve_p50_cached_ms
-         << " solve_p99_cached_ms=" << stats->solve_p99_cached_ms
-         << " solve_p50_cold_ms=" << stats->solve_p50_cold_ms
-         << " solve_p99_cold_ms=" << stats->solve_p99_cold_ms
-         << " snapshots=" << stats->snapshots_taken
-         << " restores=" << stats->restores
-         << " replayed=" << stats->replayed_records
-         << " dedup=" << (stats->dedup ? "on" : "off")
-         << " duplicates_rejected=" << stats->duplicates_rejected
-         << " filter_bytes=" << stats->filter_bytes
-         << " filter_grows=" << stats->filter_grows
-         << " kernel=" << stats->kernel << " spec=\"" << stats->spec
-         << "\"\n";
-    out->append(line.str());
-  } else {
-    out->append("ERR unknown command '").append(command).append("'\n");
-  }
-  return RequestOutcome::kReply;
-}
-
-RequestOutcome RequestDispatcher::HandleFollower(const std::string& command,
-                                                 std::istringstream& in,
-                                                 LineSource& payload,
-                                                 std::string* out) {
-  ReplicaManager& replicas = *replicas_;
-  if (command == "QUIT") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR QUIT takes no arguments\n");
-      return RequestOutcome::kReply;
-    }
-    out->append("OK\n");
-    return RequestOutcome::kQuit;
-  }
-  if (HandleMetricsVerb(command, in, out)) return RequestOutcome::kReply;
-  if (command == "LIST") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR LIST takes no arguments\n");
-      return RequestOutcome::kReply;
-    }
-    out->append("OK");
-    for (const std::string& name : replicas.SessionNames()) {
-      out->push_back(' ');
-      out->append(name);
-    }
-    out->push_back('\n');
-    return RequestOutcome::kReply;
-  }
-  if (command == "CREATE" || command == "OBSERVE" || command == "OBSERVEB" ||
-      command == "SNAPSHOT" || command == "RESTORE") {
-    if (command == "OBSERVEB") {
-      // Keep the framing invariant even when rejecting: the client
-      // announced n point lines and will send them — swallow them so
-      // they are not misread as commands.
-      std::string name;
-      int64_t n = 0;
-      if ((in >> name >> n) && n > 0) {
-        std::string discard;
-        for (int64_t i = 0; i < n && payload.NextLine(&discard); ++i) {
-        }
-      }
-    }
-    out->append("ERR read-only follower (this process serves --follow=")
-        .append(root_dir_)
-        .append(")\n");
-    return RequestOutcome::kReply;
-  }
-
-  std::string name;
-  if (!(in >> name)) {
-    out->append("ERR ").append(command).append(" requires a session name\n");
-    return RequestOutcome::kReply;
-  }
-  if (command == "SOLVE") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR SOLVE takes only a session name\n");
-      return RequestOutcome::kReply;
-    }
-    auto solve = replicas.Solve(name);
-    if (!solve.ok()) {
-      out->append("ERR ").append(solve.status().ToString()).append("\n");
-      return RequestOutcome::kReply;
-    }
-    out->append("OK ");
-    AppendIds(solve->solution, out);
-    std::ostringstream tail;
-    tail << " version=" << solve->state_version
-         << " applied=" << solve->applied_seq << " lag=" << solve->lag
-         << " stale=" << (solve->stale ? 1 : 0) << "\n";
-    out->append(tail.str());
-  } else if (command == "STATS" || command == "LAG" || command == "REPLICA") {
-    if (!AtLineEnd(in)) {
-      out->append("ERR ").append(command).append(
-          " takes only a session name\n");
-      return RequestOutcome::kReply;
-    }
-    int64_t just_applied = -1;
-    if (command == "REPLICA") {
-      auto applied = replicas.Poll(name);
-      if (!applied.ok()) {
-        out->append("ERR ").append(applied.status().ToString()).append("\n");
-        return RequestOutcome::kReply;
-      }
-      just_applied = *applied;
-    }
-    auto stats =
-        command == "LAG" ? replicas.Lag(name) : replicas.Stats(name);
-    if (!stats.ok()) {
-      out->append("ERR ").append(stats.status().ToString()).append("\n");
-      return RequestOutcome::kReply;
-    }
-    std::ostringstream line;
-    line << "OK";
-    if (just_applied >= 0) line << " applied_records=" << just_applied;
-    line << " applied=" << stats->applied_seq
-         << " primary=" << stats->primary_seq << " lag=" << stats->lag
-         << " stale=" << (stats->stale ? 1 : 0)
-         << " version=" << stats->state_version
-         << " resyncs=" << stats->resyncs
-         << " segments_fetched=" << stats->segments_fetched
-         << " snapshots_loaded=" << stats->snapshots_loaded
-         << " dedup=" << (stats->dedup ? "on" : "off")
-         << " duplicates_rejected=" << stats->duplicates_rejected
-         << " filter_bytes=" << stats->filter_bytes
-         << " solve_hits=" << stats->solve.hits
-         << " solve_misses=" << stats->solve.misses << "\n";
-    out->append(line.str());
-  } else {
-    out->append("ERR unknown command '").append(command).append("'\n");
-  }
-  return RequestOutcome::kReply;
+      verb == "RFETCHSNAP"
+          ? source.AppendSnapshot(seq, out, header)
+          : source.AppendWalSegment(seq, offset, out, header);
+  if (!Failed(fetched, out)) out->push_back('\n');
 }
 
 int ServeLines(RequestDispatcher& dispatcher, std::istream& in,

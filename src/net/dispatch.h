@@ -17,24 +17,27 @@ class ReplicaManager;
 namespace fdm::net {
 
 /// Where a request's announced payload lines come from (OBSERVEB's n
-/// point lines). The stdin transport pulls further lines from the input
-/// stream; the TCP transport pulls the remaining lines of the request
+/// point lines): further stdin lines, or the rest of the TCP request
 /// frame. Running dry mid-batch is the transport-independent "stream
 /// ended mid-batch" error.
 class LineSource {
  public:
   virtual ~LineSource() = default;
-  /// Next payload line without its '\n'; false at end of input.
-  virtual bool NextLine(std::string* line) = 0;
+  /// Next payload line without its '\n', as a view valid until the next
+  /// call; false at end of input.
+  virtual bool NextLine(std::string_view* line) = 0;
+  /// Consumes up to `lines` lines: a rejected or shed batch still drains
+  /// its announced lines, so they are not misread as commands.
+  void Skip(int64_t lines);
 };
 
 /// LineSource over an in-memory '\n'-separated text block (TCP frame
-/// remainders, tests). A trailing '\n' is optional; an empty block has no
-/// lines.
+/// remainders, tests): hands out views into the block, copying nothing. A
+/// trailing '\n' is optional; an empty block has no lines.
 class StringLineSource final : public LineSource {
  public:
   explicit StringLineSource(std::string_view text) : rest_(text) {}
-  bool NextLine(std::string* line) override;
+  bool NextLine(std::string_view* line) override;
 
   /// Unconsumed text (the transport resumes parsing requests here).
   std::string_view rest() const { return rest_; }
@@ -43,49 +46,57 @@ class StringLineSource final : public LineSource {
   std::string_view rest_;
 };
 
-/// LineSource over a std::istream (the stdin transport).
-class StreamLineSource final : public LineSource {
- public:
-  explicit StreamLineSource(std::istream& in) : in_(in) {}
-  bool NextLine(std::string* line) override;
-
- private:
-  std::istream& in_;
-};
-
 /// What the transport should do after writing the reply.
 enum class RequestOutcome {
   kReply,  // keep the conversation going
   kQuit,   // client said QUIT: stdin loop exits, TCP closes the connection
 };
 
-/// Transport-independent classification of one request, produced without
-/// executing it — the TCP front end's admission control runs on this.
+/// One request line, read once: `Classify` reads it for the TCP front
+/// end's admission control and `Execute` runs what it read. The views
+/// point into the line, which must outlive them.
+///
+/// Tokens are split on the characters `operator>>` skips: space, '\t',
+/// '\n', '\v', '\f' and '\r' (so CRLF clients work). A number is a token
+/// that parses whole: an integer is an optional sign then decimal digits,
+/// in range; a coordinate is an optional '+' then a finite `from_chars`
+/// double, an underflow reading as 0 or the denormal and an overflow,
+/// `inf` or `nan` being no number. `1.2.3`, `5-3`, `1.5` as a group or a
+/// trailing `1e` fail the request with ERR.
 struct RequestInfo {
-  std::string verb;
+  std::string_view verb;  // "" for a blank line
   /// Session the request names ("" for LIST/METRICS/QUIT/blank/garbage).
-  std::string session;
-  /// True for a SOLVE that would miss the solve cache (or touch a
-  /// spilled/unbootstrapped session): the ~750x-slower path admission may
-  /// have to shed. Advisory — state can move before execution.
+  std::string_view session;
+  /// True for a well-formed SOLVE (nothing after the name) that would
+  /// miss the solve cache (or touch a spilled/unbootstrapped session): the
+  /// ~750x-slower path admission may have to shed. Advisory — state can
+  /// move before execution.
   bool cold_solve = false;
-  /// Payload lines the request announces (OBSERVEB's n): a transport that
-  /// sheds the request must still drain them to stay in framing.
+  /// Payload lines the request announces (OBSERVEB's n, the count token's
+  /// leading `[+-]digits`): a transport that sheds the request must still
+  /// drain them to stay in framing. `OBSERVEB s 2junk` drains 2, then ERRs.
   int64_t payload_lines = 0;
+  /// OBSERVEB: false when the count is missing, negative or has no digits.
+  bool has_count = false;
+  /// The rest of the line after the tokens above, not yet read.
+  std::string_view args;
 };
 
 /// The request-dispatch core shared by the stdin and TCP transports, for
 /// both serving roles (primary over a `SessionManager`, read-only
 /// follower over a `ReplicaManager`). One instance is shared by every
-/// transport thread; all methods are thread-safe.
+/// transport thread; all methods are thread-safe. The verbs both roles
+/// serve (QUIT, METRICS, LIST, SOLVE) and the session-name and
+/// unknown-verb replies have one handler each.
 ///
-/// `HandleRequest` consumes exactly one request — the command line plus
-/// any payload lines it announces, pulled from `payload` — and appends
-/// the full reply text to `*out`. Every reply path consumes precisely the
-/// request's own input (malformed batches drain their announced lines),
-/// so pipelined clients stay in sync across any ERR; and the reply bytes
-/// are transport-independent, which is what the conformance suite pins
-/// down as "stdin and TCP replies are byte-identical".
+/// `HandleRequest` (and `Execute`, for a request `Classify` already read)
+/// consumes exactly one request — the command line plus any payload lines
+/// it announces, pulled from `payload` — and appends the full reply text
+/// to `*out`. Every reply path consumes precisely the request's own input
+/// (malformed batches drain their announced lines), so pipelined clients
+/// stay in sync across any ERR; and the reply bytes are
+/// transport-independent, which is what the conformance suite pins down
+/// as "stdin and TCP replies are byte-identical".
 ///
 /// Primary mode additionally serves the replication transport verbs that
 /// back `SocketReplicationSource` (each maps to one request/response
@@ -117,26 +128,29 @@ class RequestDispatcher {
   RequestDispatcher& operator=(const RequestDispatcher&) = delete;
   ~RequestDispatcher();
 
-  RequestOutcome HandleRequest(const std::string& line, LineSource& payload,
+  /// `Execute(Classify(line))`, without the solve-cache probe.
+  RequestOutcome HandleRequest(std::string_view line, LineSource& payload,
                                std::string* out);
-
-  RequestInfo Classify(const std::string& line) const;
+  /// Reads `line` without executing it; probes the solve cache for a
+  /// well-formed SOLVE only.
+  RequestInfo Classify(std::string_view line) const;
+  /// Runs a request `Classify` read (counted in `fdm_net_requests_total`
+  /// unless the line was blank).
+  RequestOutcome Execute(const RequestInfo& request, LineSource& payload,
+                         std::string* out);
 
   bool follower() const { return replicas_ != nullptr; }
 
  private:
-  RequestOutcome HandlePrimary(const std::string& command,
-                               std::istringstream& in, LineSource& payload,
-                               std::string* out);
-  RequestOutcome HandleFollower(const std::string& command,
-                                std::istringstream& in, LineSource& payload,
-                                std::string* out);
-  /// METRICS handling shared by both roles; false when `command` differs.
-  bool HandleMetricsVerb(const std::string& command, std::istringstream& in,
-                         std::string* out);
-  void HandleReplicationVerb(const std::string& command,
-                             const std::string& name, std::istringstream& in,
-                             std::string* out);
+  void Solve(const RequestInfo& request, const std::string& name,
+             std::string* out);
+  /// The verbs only one role serves; false when `request.verb` is none.
+  bool ExecutePrimary(const RequestInfo& request, const std::string& name,
+                      LineSource& payload, std::string* out);
+  bool ExecuteFollower(const RequestInfo& request, const std::string& name,
+                       std::string* out);
+  void HandleReplicationVerb(std::string_view verb, const std::string& name,
+                             std::string_view args, std::string* out);
 
   SessionManager* const sessions_ = nullptr;   // primary mode
   ReplicaManager* const replicas_ = nullptr;   // follower mode

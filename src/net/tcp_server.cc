@@ -102,9 +102,11 @@ void SettleBuffers(Conn& conn) {
   conn.buffered = held;
 }
 
+/// An offloaded cold SOLVE. `Classify` probes only a well-formed SOLVE (a
+/// session name, nothing after it), so the name is all the worker needs.
 struct SolveTask {
   std::shared_ptr<Conn> conn;
-  std::string line;
+  std::string session;
 };
 
 struct EventLoop {
@@ -219,7 +221,6 @@ void TcpServer::Impl::ReadConn(EventLoop& loop,
 
 void TcpServer::Impl::Drive(EventLoop& loop,
                             const std::shared_ptr<Conn>& conn) {
-  std::string line;
   while (!conn->busy && !conn->closing && !conn->closed) {
     if (conn->pos == conn->frame_end) {
       std::string_view payload;
@@ -236,13 +237,13 @@ void TcpServer::Impl::Drive(EventLoop& loop,
       conn->pos += kFrameHeaderBytes;
       continue;  // empty frame: loop back and parse the next one
     }
-    // Pop the request's command line off the frame. `payload_lines` views
-    // the rest of the frame in `conn->in`, which nothing appends to until
-    // this pass ends; the request resumes parsing where it stops.
+    // Pop the request's command line off the frame. The line and
+    // `payload_lines` view the frame in `conn->in`, which nothing appends
+    // to until this pass ends; the request resumes parsing where it stops.
     const std::string_view frame = std::string_view(conn->in).substr(
         conn->pos, conn->frame_end - conn->pos);
     const size_t nl = frame.find('\n');
-    line.assign(frame.substr(0, nl));
+    const std::string_view line = frame.substr(0, nl);
     StringLineSource payload_lines(nl == std::string_view::npos
                                        ? std::string_view()
                                        : frame.substr(nl + 1));
@@ -250,39 +251,37 @@ void TcpServer::Impl::Drive(EventLoop& loop,
       conn->pos = conn->frame_end - payload_lines.rest().size();
     };
 
-    const RequestInfo info = dispatcher->Classify(line);
-    if (info.verb.empty()) {  // blank line: no response frame
+    const RequestInfo request = dispatcher->Classify(line);
+    if (request.verb.empty()) {  // blank line: no response frame
       resume();
       continue;
     }
-    if (!info.session.empty() &&
-        !admission.AdmitSessionRequest(info.session)) {
+    if (!request.session.empty() &&
+        !admission.AdmitSessionRequest(request.session)) {
       // Shed, but stay in framing: the request's announced payload lines
       // are part of this frame and must be consumed with it.
-      std::string discard;
-      for (int64_t i = 0;
-           i < info.payload_lines && payload_lines.NextLine(&discard); ++i) {
-      }
-      AppendFrame("ERR shed session '" + info.session +
+      payload_lines.Skip(request.payload_lines);
+      AppendFrame("ERR shed session '" + std::string(request.session) +
                       "' over rate limit\n",
                   &conn->out);
       resume();
       continue;
     }
-    if (info.cold_solve) {
+    if (request.cold_solve) {
       if (!admission.TryEnterColdSolve()) {
         AppendFrame("ERR shed cold solve capacity\n", &conn->out);
         resume();
         continue;
       }
-      // Admitted: run it on the solve pool. SOLVE announces no payload
-      // lines, so the whole remainder of the frame is later requests —
-      // they wait until the completion lands (FIFO per connection).
+      // Admitted: run it on the solve pool, the one request whose text is
+      // copied. SOLVE announces no payload lines, so the whole remainder of
+      // the frame is later requests — they wait until the completion lands
+      // (FIFO per connection).
       conn->busy = true;
       resume();
       {
         std::lock_guard<std::mutex> lock(solve_mu);
-        solve_queue.push_back(SolveTask{conn, std::move(line)});
+        solve_queue.push_back(SolveTask{conn, std::string(request.session)});
       }
       solve_cv.notify_one();
       break;
@@ -291,7 +290,7 @@ void TcpServer::Impl::Drive(EventLoop& loop,
     // read into the connection buffer once and never copied.
     const size_t frame_at = BeginFrame(&conn->out);
     const RequestOutcome outcome =
-        dispatcher->HandleRequest(line, payload_lines, &conn->out);
+        dispatcher->Execute(request, payload_lines, &conn->out);
     if (conn->out.size() == frame_at + kFrameHeaderBytes) {
       conn->out.resize(frame_at);  // no reply, no frame
     } else {
@@ -447,9 +446,12 @@ void TcpServer::Impl::SolveWorker() {
       task = std::move(solve_queue.front());
       solve_queue.pop_front();
     }
+    RequestInfo solve;
+    solve.verb = "SOLVE";
+    solve.session = task.session;
     std::string reply;
     StringLineSource no_payload{std::string_view()};
-    dispatcher->HandleRequest(task.line, no_payload, &reply);
+    dispatcher->Execute(solve, no_payload, &reply);
     admission.LeaveColdSolve();
     PostCompletion(task.conn, std::move(reply));
   }

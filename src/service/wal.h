@@ -183,7 +183,9 @@ struct WalSegmentInfo {
 /// Durability/performance knobs of the write-ahead log.
 struct WalOptions {
   /// Rotate to a fresh segment file once the active one exceeds this size.
-  size_t segment_bytes = 4u << 20;
+  /// A WAL fetch replies with at most one segment, held whole in the
+  /// primary's connection buffer: this bounds what a lagging follower pins.
+  size_t segment_bytes = 1u << 20;
   /// fsync after this many appended records (1 = fsync every record; large
   /// values batch the fsyncs, trading a bounded tail of re-playable — but
   /// possibly lost on power failure — records for throughput). `Sync()`

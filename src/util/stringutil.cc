@@ -64,6 +64,13 @@ std::string FormatDouble(double value, int precision) {
   return buf;
 }
 
+void AppendGeneral(double value, std::string* out) {
+  char buf[32];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 6)
+                       .ptr);
+}
+
 std::string FormatCount(double value) {
   const char* suffix = "";
   double v = value;

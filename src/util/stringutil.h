@@ -21,6 +21,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// `"3.142"`). Unlike `std::to_string`, precision is caller-controlled.
 std::string FormatDouble(double value, int precision);
 
+/// Appends `value` as a default `std::ostream` prints it (`%g`, six
+/// significant digits; `inf`, `-nan`, ...), without a stream.
+void AppendGeneral(double value, std::string* out);
+
 /// Human-friendly engineering formatting for counts: `1234567` -> `"1.23M"`.
 std::string FormatCount(double value);
 

@@ -200,6 +200,39 @@ TEST_F(NetServerTest, ColdSolveFloodShedsWhileCachedTrafficFlows) {
   (*server)->admission().LeaveColdSolve();
 }
 
+TEST_F(NetServerTest, MalformedSolveIsAnsweredNotShed) {
+  // Only a well-formed SOLVE is probed against the solve cache. With the
+  // one cold slot held, `SOLVE big garbage` is answered with its arity
+  // error, as over stdin, instead of being shed (or, without a cap,
+  // offloaded to a solve worker just to fail there).
+  const Dataset big = TestData(400);
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(big)).ok());
+  IngestAll(*manager, "big", big);
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  net::TcpServerOptions options;
+  options.admission.cold_solve_cap = 1;
+  auto server = net::TcpServer::Start(&dispatcher, std::move(options));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->admission().TryEnterColdSolve());  // hold the slot
+
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  for (const std::string request : {"SOLVE big garbage", "SOLVE big 1"}) {
+    auto reply = client->Call(request);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(*reply, "ERR SOLVE takes only a session name\n") << request;
+  }
+  EXPECT_EQ((*server)->admission().cold_shed_total(), 0u);
+  // A well-formed SOLVE from a CRLF client is still probed, and shed.
+  auto crlf = client->Call("SOLVE big\r");
+  ASSERT_TRUE(crlf.ok());
+  EXPECT_EQ(*crlf, "ERR shed cold solve capacity\n");
+  EXPECT_EQ((*server)->admission().cold_shed_total(), 1u);
+  (*server)->admission().LeaveColdSolve();
+}
+
 TEST_F(NetServerTest, SessionRateLimitShedsAndPreservesFraming) {
   const Dataset ds = TestData(60, 29);
   auto manager = NewManager();

@@ -1,9 +1,9 @@
 // Conformance suite for the serving protocol's request-dispatch core
 // (src/net/dispatch.h): framing invariants under malformed, truncated,
 // and pipelined input; byte-identical replies between the stdin and TCP
-// transports; and regression tests for three protocol-hardening fixes
+// transports; and regression tests for four protocol-hardening fixes
 // (checked --metrics-dump parse, non-finite coordinate rejection,
-// trailing-garbage rejection on no-payload verbs).
+// trailing-garbage rejection on no-payload verbs, whole-token numbers).
 
 #include "net/dispatch.h"
 
@@ -183,6 +183,52 @@ TEST_F(ByteIdentityTest, TruncatedBatchEndsLikeEof) {
   const std::string script =
       "CREATE s " + SpecFor(ds) + "\nOBSERVEB s 3\n10 0 1 2\n";
   Check(script);
+}
+
+TEST_F(ByteIdentityTest, PartlyReadNumbersAreRejectedWhole) {
+  // A number is a token that parses whole. `operator>>` read a token's
+  // leading part and left the rest to the next field: `1.5` as a group
+  // was stored as group 1 and coordinate 0.5, `5-3` as id 5 and group -3,
+  // `1.2.3` as 1.2 and 0.3, and a trailing `1e999`, `-`, `1e`, `.`, `+` or
+  // `1e+` ended the line unread, so the point was stored without it. Each
+  // line is sent as an OBSERVE and as an OBSERVEB point line; every
+  // request is answered ERR and no session changes.
+  const struct {
+    std::string session;
+    std::string fields;
+  } lines[] = {
+      {"f", "12 1.5 3 4"},    {"g", "5-3 1 2 3"},     {"f", "1 0 1.2.3 4"},
+      {"f", "1 0 1e5-3 4"},   {"t", "1 0 1 2 1e999"}, {"t", "1 0 1 2 -"},
+      {"t", "1 0 1 2 1e"},    {"t", "1 0 1 2 ."},     {"t", "1 0 1 2 +"},
+      {"t", "1 0 1 2 1e+"},
+  };
+  std::string script =
+      "CREATE f algo=sfdm2 dim=3 quotas=2,2 dmin=0.01 dmax=100\n"
+      "CREATE g algo=streaming_dm dim=3 k=2 dmin=0.01 dmax=100\n"
+      "CREATE t algo=sfdm2 dim=2 quotas=1,1 dmin=0.01 dmax=100\n";
+  for (const auto& l : lines) {
+    script += "OBSERVE " + l.session + " " + l.fields + "\n";
+    script += "OBSERVEB " + l.session + " 1\n" + l.fields + "\n";
+  }
+  script += "STATS f\nSTATS g\nSTATS t\n";
+  std::istringstream replies(Check(script));
+  std::string reply;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(std::getline(replies, reply));
+    EXPECT_EQ(reply, "OK");
+  }
+  for (const auto& l : lines) {
+    for (const char* verb : {"OBSERVE", "OBSERVEB"}) {
+      ASSERT_TRUE(std::getline(replies, reply));
+      EXPECT_EQ(reply.rfind("ERR " + std::string(verb) + " ", 0), 0u)
+          << verb << " " << l.session << " " << l.fields << ": " << reply;
+    }
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(std::getline(replies, reply));
+    EXPECT_EQ(reply.rfind("OK observed=0 ", 0), 0u) << reply;
+    EXPECT_NE(reply.find(" version=0 "), std::string::npos) << reply;
+  }
 }
 
 TEST_F(ByteIdentityTest, OutOfRangeGroupIsRejectedBeforeTheWal) {
@@ -459,6 +505,14 @@ TEST_F(ServeProtocolTest, NonFiniteObserveIsRejected) {
     const std::string out =
         RunStdin(dispatcher, "OBSERVE s 1 0 " + bad + " 2.0\n");
     EXPECT_EQ(out.rfind("ERR OBSERVE requires", 0), 0u) << bad << ": " << out;
+    // At the end of the line too, where `>>` hitting the end once passed
+    // for a clean read (and, with a CRLF client, before the '\r').
+    for (const std::string end : {"\n", "\r\n"}) {
+      const std::string trailing =
+          RunStdin(dispatcher, "OBSERVE s 1 0 2.0 3.0 " + bad + end);
+      EXPECT_EQ(trailing.rfind("ERR OBSERVE requires", 0), 0u)
+          << bad << ": " << trailing;
+    }
   }
   auto stats = manager->Stats("s");
   ASSERT_TRUE(stats.ok());

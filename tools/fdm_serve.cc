@@ -51,10 +51,17 @@
 //   QUIT                            snapshot everything and exit
 //
 // The protocol core lives in src/net/dispatch.h; this file only wires
-// transports around it. Every no-payload verb rejects trailing garbage,
-// and OBSERVE/OBSERVEB reject, before anything reaches the WAL, a point
-// with non-finite (inf/nan) coordinates, a dimension other than the
-// spec's `dim`, or (algo=sfdm1|sfdm2) a group outside 0..quotas-1.
+// transports around it. Grammar: tokens are separated by space, '\t',
+// '\v', '\f' or '\r' (CRLF clients work), and a number is a token that
+// parses whole. Ids, groups and counts are an optional sign then decimal
+// digits, in range; a coordinate is an optional '+' then a decimal double
+// (`.5`, `5.`, `1E5`; an underflow reads as 0 or the denormal). A token
+// like `1.2.3`, `5-3`, `2junk`, `1.5` as a group, `1e`, `-`, `.`, `+`, an
+// overflow, `inf` or `nan` fails its request with ERR. Every no-payload
+// verb rejects trailing tokens, and OBSERVE/OBSERVEB reject, before
+// anything reaches the WAL, a malformed point, a dimension other than the
+// spec's `dim`, or (algo=sfdm1|sfdm2) a group outside 0..quotas-1; a
+// rejected OBSERVEB still consumes its n announced lines.
 //
 // `--listen=PORT` additionally serves the same protocol over TCP
 // (length-delimited frames whose payload is the line-protocol text; see
