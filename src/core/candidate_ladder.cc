@@ -1,6 +1,7 @@
 #include "core/candidate_ladder.h"
 
-#include <set>
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,35 @@ namespace {
 // (no rows) ignores groups.
 bool AcceptsGroup(int group, size_t groups) {
   return groups == 0 || (group >= 0 && static_cast<size_t>(group) < groups);
+}
+
+// Whether each point's coordinates start where the previous point's end:
+// the batch is one run in stream order (an OBSERVEB without the
+// exactly-once guard, a WAL replay) and needs no repack.
+bool Contiguous(std::span<const StreamPoint> batch) {
+  for (size_t t = 1; t < batch.size(); ++t) {
+    const std::span<const double> prev = batch[t - 1].coords;
+    if (batch[t].coords.data() != prev.data() + prev.size()) return false;
+  }
+  return true;
+}
+
+// Whether two buffers of one sink hold bitwise-equal points: ids, groups,
+// coordinate bits and norm bits. Equal ids are not enough, since a session
+// without the exactly-once guard may re-send an id with other coordinates.
+bool SameBits(const PointBuffer& a, const PointBuffer& b) {
+  if (a.size() != b.size() || !std::ranges::equal(a.ids(), b.ids()) ||
+      !std::ranges::equal(a.groups(), b.groups())) {
+    return false;
+  }
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (bits(a.SquaredNormAt(i)) != bits(b.SquaredNormAt(i))) return false;
+    for (size_t d = 0; d < a.dim(); ++d) {
+      if (bits(a.CoordAt(i, d)) != bits(b.CoordAt(i, d))) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -68,8 +98,15 @@ bool CandidateLadder::Observe(const StreamPoint& point) {
   ++observed_;
   size_t total_kept = 0;
   for (size_t j = 0; j < rungs; ++j) {
-    size_t kept = blind_[j].TryAdd(point, metric_) ? 1 : 0;
-    if (group_row != nullptr && group_row[j].TryAdd(point, metric_)) ++kept;
+    size_t kept = 0;
+    if (blind_[j].TryAdd(point, metric_)) {
+      ++kept;
+      FreezeIfFull(blind_[j]);
+    }
+    if (group_row != nullptr && group_row[j].TryAdd(point, metric_)) {
+      ++kept;
+      FreezeIfFull(group_row[j]);
+    }
     rung_inserts_[j] += kept;
     total_kept += kept;
   }
@@ -85,7 +122,8 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
                   "stream element group out of range");
   }
   observed_ += static_cast<int64_t>(raw_batch.size());
-  const std::span<const StreamPoint> batch = packed_.Pack(raw_batch, dim_);
+  const std::span<const StreamPoint> batch =
+      Contiguous(raw_batch) ? raw_batch : packed_.Pack(raw_batch, dim_);
   const size_t rungs = blind_.size();
   // Per-group positions, computed once and shared read-only by all rungs
   // (member scratch, reused across batches like packed_).
@@ -142,25 +180,61 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   });
   size_t mutations = 0;
   for (size_t j = 0; j < rungs; ++j) {
+    if (rung_kept_[j] == 0) continue;
     rung_inserts_[j] += rung_kept_[j];
     mutations += rung_kept_[j];
+    // Only a rung that kept a point can have filled a candidate.
+    FreezeIfFull(blind_[j]);
+    for (size_t g = 0; g < groups_; ++g) {
+      FreezeIfFull(specific_[g * rungs + j]);
+    }
   }
   state_version_ += mutations;
   return mutations;
 }
 
-size_t CandidateLadder::StoredElements() const {
-  std::set<int64_t> distinct;
-  auto collect = [&distinct](const std::vector<StreamingCandidate>& cands) {
-    for (const StreamingCandidate& c : cands) {
-      for (size_t i = 0; i < c.points().size(); ++i) {
-        distinct.insert(c.points().IdAt(i));
-      }
+void CandidateLadder::FreezeIfFull(StreamingCandidate& candidate) {
+  if (!candidate.Full() || candidate.frozen()) return;
+  const PointBuffer& points = candidate.points();
+  if (points.empty()) return;  // capacity 0: holds no heap to share
+  const int64_t first = points.IdAt(0);
+  auto it = std::ranges::lower_bound(
+      frozen_, first, {},
+      [](const std::shared_ptr<const PointBuffer>& b) { return b->IdAt(0); });
+  for (auto same = it; same != frozen_.end() && (*same)->IdAt(0) == first;
+       ++same) {
+    if (SameBits(**same, points)) {
+      candidate.Freeze(*same);
+      return;
     }
-  };
-  collect(blind_);
-  collect(specific_);
-  return distinct.size();
+  }
+  frozen_.insert(it, candidate.Freeze(nullptr));
+}
+
+template <typename Fn>
+void CandidateLadder::ForEachDistinctBuffer(Fn&& fn) const {
+  for (const auto& buffer : frozen_) fn(*buffer);
+  for (const auto* row : {&blind_, &specific_}) {
+    for (const StreamingCandidate& c : *row) {
+      if (!c.frozen()) fn(c.points());
+    }
+  }
+}
+
+size_t CandidateLadder::StoredElements() const {
+  std::vector<int64_t> ids;
+  ForEachDistinctBuffer([&ids](const PointBuffer& buffer) {
+    ids.insert(ids.end(), buffer.ids().begin(), buffer.ids().end());
+  });
+  std::ranges::sort(ids);
+  return static_cast<size_t>(std::ranges::unique(ids).begin() - ids.begin());
+}
+
+size_t CandidateLadder::CandidateBytes() const {
+  size_t bytes = 0;
+  ForEachDistinctBuffer(
+      [&bytes](const PointBuffer& buffer) { bytes += buffer.MemoryBytes(); });
+  return bytes;
 }
 
 obs::Histogram& CandidateLadder::RungSolveHist() {
@@ -225,6 +299,8 @@ Status CandidateLadder::ReadState(SnapshotReader& reader) {
     }
   }
   if (!reader.ok()) return reader.status();
+  for (StreamingCandidate& candidate : blind_) FreezeIfFull(candidate);
+  for (StreamingCandidate& candidate : specific_) FreezeIfFull(candidate);
   observed_ = observed;
   state_version_ = state_version;
   return Status::Ok();

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,12 +31,13 @@ struct StreamingOptions {
   double d_max = 0.0;
 };
 
-/// Reusable scratch that repacks a batch's (possibly scattered) coordinate
-/// spans into one contiguous block. A batched sink replays the batch once
-/// per rung; packing first means every replay streams the coordinates
-/// linearly instead of chasing the caller's memory layout (e.g. a permuted
-/// view of a dataset) once per rung. The returned views stay valid until
-/// the next `Pack` call.
+/// Reusable scratch that repacks a batch's scattered coordinate spans into
+/// one contiguous block. A batched sink replays the batch once per rung;
+/// packing first means every replay streams the coordinates linearly
+/// instead of chasing the caller's memory layout (e.g. a permuted view of a
+/// dataset) once per rung. A batch whose coordinates already sit in one
+/// run, in stream order, is replayed in place (`ObserveBatch`). The
+/// returned views stay valid until the next `Pack` call.
 class PackedBatch {
  public:
   std::span<const StreamPoint> Pack(std::span<const StreamPoint> batch,
@@ -90,6 +92,15 @@ class PackedBatch {
 /// inputs and writing only slot `j` of its result array, while the final
 /// best-rung selection stays a sequential ascending-index scan with
 /// strict `>`.
+///
+/// Full candidates are frozen and shared (`StreamingCandidate::Freeze`):
+/// when a candidate fills — in `Observe` right after the insert, in
+/// `ObserveBatch` after the rung fan-out joins, and at the end of
+/// `ReadState` — it takes the sink's frozen buffer with bitwise-equal
+/// contents (ids, groups, coordinate and norm bits) if there is one, and
+/// becomes a new one otherwise. The same elements often fill a candidate at
+/// many neighbouring guesses, so one buffer serves them all. Every reader
+/// goes through `points()`, so outputs and snapshot bytes do not change.
 class CandidateLadder : public StreamSink {
  public:
   /// Processes one stream element (Algorithm 1, lines 3–6; Algorithms 2
@@ -113,6 +124,11 @@ class CandidateLadder : public StreamSink {
 
   /// Total elements seen so far.
   int64_t ObservedElements() const override { return observed_; }
+
+  /// Heap bytes of candidate storage: `PointBuffer::MemoryBytes` of every
+  /// distinct buffer, a frozen buffer shared by several candidates counted
+  /// once.
+  size_t CandidateBytes() const;
 
   const GuessLadder& ladder() const { return ladder_; }
   /// The solution size: the capacity of every group-blind candidate.
@@ -171,6 +187,15 @@ class CandidateLadder : public StreamSink {
   Status ReadState(SnapshotReader& reader);
 
  private:
+  /// Freezes `candidate` if it is full and not frozen yet, sharing an equal
+  /// frozen buffer of this sink when there is one (see the class comment).
+  void FreezeIfFull(StreamingCandidate& candidate);
+
+  /// Calls `fn` once per distinct buffer the candidates read: each frozen
+  /// buffer, then each unfrozen candidate's own.
+  template <typename Fn>
+  void ForEachDistinctBuffer(Fn&& fn) const;
+
   int k_;
   size_t dim_;
   Metric metric_;
@@ -180,6 +205,8 @@ class CandidateLadder : public StreamSink {
   // specific_[g * rungs() + j] = S_µj,g.
   std::vector<StreamingCandidate> specific_;
   std::vector<uint64_t> rung_inserts_;  // per rung, see `rung_inserts`
+  // The distinct frozen buffers the candidates share, sorted by first id.
+  std::vector<std::shared_ptr<const PointBuffer>> frozen_;
   int64_t observed_ = 0;
   uint64_t state_version_ = 0;
   PackedBatch packed_;  // batch repack scratch, reused across batches

@@ -2,10 +2,13 @@
 #define FDM_CORE_STREAMING_CANDIDATE_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geo/point_buffer.h"
+#include "util/check.h"
 
 namespace fdm {
 
@@ -15,6 +18,16 @@ namespace fdm {
 ///
 /// Invariant maintained at all times: the stored points are pairwise at
 /// distance `≥ µ`, hence `div(S_µ) ≥ µ` whenever the candidate is full.
+///
+/// Frozen state: a full candidate never changes again (it only ever
+/// appended, and full is permanent), so its owner may `Freeze` it. The
+/// points then move into an immutable `std::shared_ptr<const PointBuffer>`,
+/// or are dropped for an equal one the owner already holds, so candidates
+/// with equal contents (the same elements filling several guess rungs)
+/// store them once. A frozen candidate reads exactly as before: `Full()`
+/// holds, `points()` returns the shared buffer, and admission rejects
+/// every point. Copies share the frozen buffer, which is safe because
+/// nothing writes it.
 class StreamingCandidate {
  public:
   StreamingCandidate(double mu, size_t capacity, size_t dim)
@@ -23,7 +36,7 @@ class StreamingCandidate {
   /// Algorithm 1, lines 5–6: add `p` iff `|S_µ| < capacity` and
   /// `d(p, S_µ) ≥ µ`. Returns true iff the point was kept.
   bool TryAdd(const StreamPoint& p, const Metric& metric) {
-    if (points_.size() >= capacity_) return false;
+    if (Full()) return false;
     if (!points_.AllAtLeast(p.coords, metric, mu_)) return false;
     points_.Add(p);
     return true;
@@ -62,12 +75,31 @@ class StreamingCandidate {
   /// `Restore` hooks use this — the snapshot was written from a state
   /// where the pairwise-`≥ µ` invariant held, and the file is checksummed,
   /// so re-verifying every insertion would only redo the stream's work.
-  PointBuffer& MutablePointsForRestore() { return points_; }
+  PointBuffer& MutablePointsForRestore() {
+    FDM_DCHECK(!frozen());
+    return points_;
+  }
 
-  bool Full() const { return points_.size() >= capacity_; }
+  /// Freezes a full candidate (see the class comment). With `equal` null
+  /// the points move into a new shared buffer; otherwise `equal` must hold
+  /// bitwise-equal points, and the candidate's own copy is released.
+  /// Returns the buffer the candidate now reads.
+  const std::shared_ptr<const PointBuffer>& Freeze(
+      std::shared_ptr<const PointBuffer> equal) {
+    FDM_DCHECK(Full() && !frozen());
+    const size_t dim = points_.dim();
+    frozen_ = equal != nullptr
+                  ? std::move(equal)
+                  : std::make_shared<const PointBuffer>(std::move(points_));
+    points_ = PointBuffer(dim, capacity_);
+    return frozen_;
+  }
+
+  bool frozen() const { return frozen_ != nullptr; }
+  bool Full() const { return frozen() || points_.size() >= capacity_; }
   double mu() const { return mu_; }
   size_t capacity() const { return capacity_; }
-  const PointBuffer& points() const { return points_; }
+  const PointBuffer& points() const { return frozen() ? *frozen_ : points_; }
 
  private:
   template <typename PointAt>
@@ -121,7 +153,8 @@ class StreamingCandidate {
 
   double mu_;
   size_t capacity_;
-  PointBuffer points_;
+  PointBuffer points_;  // empty once frozen
+  std::shared_ptr<const PointBuffer> frozen_;  // set once frozen
 };
 
 }  // namespace fdm

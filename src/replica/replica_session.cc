@@ -321,6 +321,14 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
     // poll left unapplied. Any other segment is fetched whole.
     const uint64_t offset =
         seg.first_seq == fetch_first_seq_ ? fetch_offset_ : 0;
+    // An idle poll: the manifest lists the newest segment ending exactly
+    // at the next fetch offset, with nothing fetched left unapplied and no
+    // record past the applied position, so a fetch could only come back
+    // empty.
+    if (is_last && offset != 0 && unapplied_.empty() && seg.bytes == offset &&
+        manifest.primary_seq <= applied_seq_) {
+      break;
+    }
     auto fetched = source_->FetchWalSegment(
         seg.first_seq, offset == 0 ? 0 : offset + unapplied_.size());
     if (!fetched.ok()) return ApplyOutcome::kStaleManifest;

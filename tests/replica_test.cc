@@ -412,15 +412,17 @@ TEST_F(ReplicaTest, RewrittenLogForcesDivergenceRebuild) {
   ASSERT_TRUE(rewritten->Sync().ok());
   ASSERT_NE(rewritten->StateVersion(), old_version);
 
-  // The follower resumes from its offset (the rewritten segment has the
-  // same name and size, so the range is empty) and only the version check
-  // exposes the rewrite. The rebuild must drop the offset: its tail is
-  // refetched from byte 0 without a detour through the stale-manifest
-  // path, which an offset into the old log would have forced.
+  // The follower holds an offset into the log (the rewritten segment has
+  // the same name and size, and the manifest lists no record past the
+  // follower's position, so it reads as an idle poll that fetches no
+  // range) and only the version check exposes the rewrite. The rebuild
+  // must drop the offset: its tail is refetched from byte 0 without a
+  // detour through the stale-manifest path, which an offset into the old
+  // log would have forced.
   auto polled = follower->Poll();
   ASSERT_TRUE(polled.ok()) << polled.status().ToString();
   EXPECT_GE(follower->Stats().divergence_rebuilds, 1u);
-  EXPECT_GT(fault->ranged_fetches(), 0);
+  EXPECT_EQ(fault->ranged_fetches(), 0);
   EXPECT_EQ(fault->last_fetch_offset(), 0u);
   EXPECT_EQ(follower->Stats().stale_manifest_retries, 0u);
   ExpectSameSolution(rewritten->sink(), follower->sink());
@@ -468,6 +470,55 @@ TEST_F(ReplicaTest, FetchedBytesGrowInProportionToNewRecords) {
   ExpectSameSolution(primary->sink(), follower->sink());
 }
 
+// A caught-up follower of an idle primary asks for the manifest only: the
+// newest segment is listed at exactly its fetch offset, so a WAL fetch
+// could only come back empty. The first poll after new records fetches
+// once, from that offset.
+TEST_F(ReplicaTest, IdlePollsFetchTheManifestOnly) {
+  const Dataset ds = TestData(2, 200, 71);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  auto primary = DurableSession::Create(dir_, spec, DurableSessionOptions{});
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  const size_t head = 150;
+  for (size_t i = 0; i < head; ++i) {
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
+  }
+  ASSERT_TRUE(primary->Sync().ok());
+
+  auto source = std::make_shared<FaultInjectingSource>(
+      std::make_shared<DirReplicationSource>(dir_));
+  auto follower = ReplicaSession::Bootstrap(source);
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  ASSERT_EQ(follower->applied_seq(), static_cast<int64_t>(head));
+
+  const auto before = follower->Stats();
+  const int64_t manifests_before = source->manifest_fetches();
+  constexpr int kIdlePolls = 5;
+  for (int poll = 0; poll < kIdlePolls; ++poll) {
+    auto applied = follower->Poll();
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_EQ(*applied, 0);
+  }
+  EXPECT_EQ(source->manifest_fetches() - manifests_before, kIdlePolls);
+  EXPECT_EQ(follower->Stats().segments_fetched, before.segments_fetched);
+  EXPECT_EQ(follower->Stats().fetched_bytes, before.fetched_bytes);
+  EXPECT_EQ(follower->Stats().lag, 0);
+
+  for (size_t i = head; i < ds.size(); ++i) {
+    const StreamPoint pt = ds.At(i);
+    ASSERT_TRUE(primary->Ingest({&pt, 1}, /*as_batch=*/false).ok());
+  }
+  ASSERT_TRUE(primary->Sync().ok());
+  const int64_t ranged_before = source->ranged_fetches();
+  auto caught_up = follower->Poll();
+  ASSERT_TRUE(caught_up.ok()) << caught_up.status().ToString();
+  EXPECT_EQ(*caught_up, static_cast<int64_t>(ds.size() - head));
+  EXPECT_EQ(follower->Stats().segments_fetched, before.segments_fetched + 1);
+  EXPECT_EQ(source->ranged_fetches(), ranged_before + 1);
+  ExpectSameSolution(primary->sink(), follower->sink());
+}
+
 // A follower checks shipped records against the spec as recovery does: a
 // record outside the quotas fails the poll (and a fresh bootstrap) with an
 // error instead of aborting in the sink.
@@ -511,7 +562,7 @@ TEST_F(ReplicaTest, FollowerRejectsARecordTheSpecCannotHold) {
 // or mid-record — takes the stale-manifest path: the offset is dropped,
 // the segment refetched from byte 0, and the follower stays bit-identical.
 TEST_F(ReplicaTest, BadRangedFetchRefetchesFromZero) {
-  const Dataset ds = TestData(2, 200, 61);
+  const Dataset ds = TestData(2, 250, 61);
   const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
   auto primary = DurableSession::Create(dir_, spec);  // one segment
   ASSERT_TRUE(primary.ok()) << primary.status().ToString();
@@ -561,6 +612,7 @@ TEST_F(ReplicaTest, BadRangedFetchRefetchesFromZero) {
   ASSERT_TRUE(primary->Sync().ok());
   auto applied = follower->Poll();
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied, 50);
   EXPECT_NE(fault->last_fetch_offset(), 0u);
   EXPECT_EQ(follower->Stats().stale_manifest_retries, retries);
   ExpectSameSolution(primary->sink(), follower->sink());
