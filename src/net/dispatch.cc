@@ -11,12 +11,14 @@
 #include <utility>
 #include <vector>
 
+#include "net/frame.h"
 #include "obs/metrics.h"
 #include "replica/replica_manager.h"
 #include "replica/replication_source.h"
 #include "service/durable_session.h"
 #include "service/session_layout.h"
 #include "service/session_manager.h"
+#include "util/binary_io.h"
 #include "util/stringutil.h"
 
 namespace fdm::net {
@@ -284,7 +286,8 @@ RequestOutcome RequestDispatcher::HandleRequest(std::string_view line,
 
 RequestOutcome RequestDispatcher::Execute(const RequestInfo& request,
                                           LineSource& payload,
-                                          std::string* out) {
+                                          std::string* out,
+                                          std::optional<FileRange>* body) {
   const std::string_view verb = request.verb;
   if (verb.empty()) return RequestOutcome::kReply;  // blank line
   RequestsCounter().Inc();
@@ -343,7 +346,8 @@ RequestOutcome RequestDispatcher::Execute(const RequestInfo& request,
   if (verb == "SOLVE") {
     Solve(request, name, out);
   } else if (!(follower() ? ExecuteFollower(request, name, out)
-                          : ExecutePrimary(request, name, payload, out))) {
+                          : ExecutePrimary(request, name, payload, out,
+                                           body))) {
     Append(out, "ERR unknown command '", verb, "'\n");
   }
   return RequestOutcome::kReply;
@@ -369,7 +373,8 @@ void RequestDispatcher::Solve(const RequestInfo& request,
 
 bool RequestDispatcher::ExecutePrimary(const RequestInfo& request,
                                        const std::string& name,
-                                       LineSource& payload, std::string* out) {
+                                       LineSource& payload, std::string* out,
+                                       std::optional<FileRange>* body) {
   SessionManager& sessions = *sessions_;
   const std::string_view verb = request.verb;
   if (verb == "CREATE") {
@@ -403,7 +408,7 @@ bool RequestDispatcher::ExecutePrimary(const RequestInfo& request,
     }
   } else if (verb == "RMANIFEST" || verb == "RFETCHSNAP" ||
              verb == "RFETCHWAL") {
-    HandleReplicationVerb(verb, name, request.args, out);
+    HandleReplicationVerb(verb, name, request.args, out, body);
   } else if (verb == "REPLICA" || verb == "LAG") {
     Append(out, "ERR ", verb,
            " is a follower verb (start with --follow=DIR)\n");
@@ -471,10 +476,9 @@ bool RequestDispatcher::ExecuteFollower(const RequestInfo& request,
   return true;
 }
 
-void RequestDispatcher::HandleReplicationVerb(std::string_view verb,
-                                              const std::string& name,
-                                              std::string_view args,
-                                              std::string* out) {
+void RequestDispatcher::HandleReplicationVerb(
+    std::string_view verb, const std::string& name, std::string_view args,
+    std::string* out, std::optional<FileRange>* body) {
   if (!IsValidSessionName(name)) {
     out->append("ERR invalid session name\n");
     return;
@@ -541,18 +545,35 @@ void RequestDispatcher::HandleReplicationVerb(std::string_view verb,
   // Binary reply: a one-line header announcing the byte count, the raw
   // bytes, then a newline to restore line discipline. Over TCP the whole
   // reply is one length-delimited frame; over stdin the client reads
-  // exactly `bytes=` bytes after the header line. The source reads the
-  // range straight into `out`, sized up front for it, the header and the
-  // newlines: growing by the last newline would double a multi-MiB buffer.
-  const auto header = [out](uint64_t bytes) {
-    out->reserve(out->size() + 32 + bytes);
-    Append(out, "OK bytes=", bytes, "\n");
-  };
-  const Status fetched =
-      verb == "RFETCHSNAP"
-          ? source.AppendSnapshot(seq, out, header)
-          : source.AppendWalSegment(seq, offset, out, header);
-  if (!Failed(fetched, out)) out->push_back('\n');
+  // exactly `bytes=` bytes after the header line.
+  auto range = verb == "RFETCHSNAP" ? source.OpenSnapshot(seq)
+                                    : source.OpenWalSegment(seq, offset);
+  if (Failed(range.status(), out)) return;
+  const size_t start = out->size();
+  Append(out, "OK bytes=", range->length, "\n");
+  // Checked before a byte is read: a frame reader refuses a larger reply
+  // whole, and stdin answers the same so the transports stay identical.
+  const uint64_t reply_bytes = out->size() - start + range->length + 1;
+  if (reply_bytes > kMaxFramePayloadBytes) {
+    out->resize(start);
+    Append(out, "ERR ", verb, " reply of ", reply_bytes,
+           " bytes exceeds the ", kMaxFramePayloadBytes,
+           "-byte frame limit\n");
+    return;
+  }
+  if (body != nullptr) {
+    body->emplace(std::move(range.value()));
+    return;
+  }
+  // Sized up front for the bytes and the newline: growing by the last
+  // newline would double a multi-MiB buffer.
+  out->reserve(out->size() + range->length + 1);
+  if (Status s = AppendFileRange(*range, out); !s.ok()) {
+    out->resize(start);
+    Failed(s, out);
+    return;
+  }
+  out->push_back('\n');
 }
 
 int ServeLines(RequestDispatcher& dispatcher, std::istream& in,

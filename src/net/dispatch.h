@@ -6,12 +6,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
 namespace fdm {
 class SessionManager;
 class ReplicaManager;
+struct FileRange;
 }  // namespace fdm
 
 namespace fdm::net {
@@ -111,10 +113,14 @@ struct RequestInfo {
 ///
 /// They read the session's on-disk state through a per-session
 /// `DirReplicationSource`, whose sealed-segment checksums and
-/// active-segment scan position persist across polls; a fetched range is
-/// read straight into `*out` after its header line and not kept. A
-/// follower sees exactly what a shared-filesystem follower would: the
-/// durable prefix.
+/// active-segment scan position persist across polls. A fetch opens the
+/// file and checks the range before it reads a byte: a reply that would
+/// not fit one frame (`kMaxFramePayloadBytes`, header line and newline
+/// included) is answered `ERR` on both transports. Otherwise the range is
+/// read straight into `*out` after its header line, or, when the caller
+/// takes it (`Execute`'s `body`), left in the file for the transport to
+/// send; either way the dispatcher keeps none of it. A follower sees
+/// exactly what a shared-filesystem follower would: the durable prefix.
 class RequestDispatcher {
  public:
   /// Primary serving mode. `root_dir` is the session-manager root (the
@@ -135,9 +141,14 @@ class RequestDispatcher {
   /// well-formed SOLVE only.
   RequestInfo Classify(std::string_view line) const;
   /// Runs a request `Classify` read (counted in `fdm_net_requests_total`
-  /// unless the line was blank).
+  /// unless the line was blank). With `body` set, a successful RFETCHSNAP or
+  /// RFETCHWAL appends only its header line and puts the open range in
+  /// `*body`: the reply is then the header, the range's bytes and a '\n',
+  /// which the caller sends (the TCP server, from the file). Without it
+  /// every reply byte is appended to `*out`.
   RequestOutcome Execute(const RequestInfo& request, LineSource& payload,
-                         std::string* out);
+                         std::string* out,
+                         std::optional<FileRange>* body = nullptr);
 
   bool follower() const { return replicas_ != nullptr; }
 
@@ -146,11 +157,13 @@ class RequestDispatcher {
              std::string* out);
   /// The verbs only one role serves; false when `request.verb` is none.
   bool ExecutePrimary(const RequestInfo& request, const std::string& name,
-                      LineSource& payload, std::string* out);
+                      LineSource& payload, std::string* out,
+                      std::optional<FileRange>* body);
   bool ExecuteFollower(const RequestInfo& request, const std::string& name,
                        std::string* out);
   void HandleReplicationVerb(std::string_view verb, const std::string& name,
-                             std::string_view args, std::string* out);
+                             std::string_view args, std::string* out,
+                             std::optional<FileRange>* body);
 
   SessionManager* const sessions_ = nullptr;   // primary mode
   ReplicaManager* const replicas_ = nullptr;   // follower mode

@@ -14,9 +14,9 @@ size_t BeginFrame(std::string* out) {
   return at;
 }
 
-void EndFrame(size_t at, std::string* out) {
-  const uint32_t n =
-      static_cast<uint32_t>(out->size() - at - kFrameHeaderBytes);
+void EndFrame(size_t at, std::string* out, size_t unbuffered) {
+  const uint32_t n = static_cast<uint32_t>(out->size() - at -
+                                           kFrameHeaderBytes + unbuffered);
   char* header = out->data() + at;
   header[0] = static_cast<char>((n >> 24) & 0xff);
   header[1] = static_cast<char>((n >> 16) & 0xff);

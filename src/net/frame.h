@@ -32,13 +32,15 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 inline constexpr size_t kMaxFramePayloadBytes = 64u << 20;
 
 /// Capacity a drained connection buffer may keep. A buffer that grew past
-/// this for one large frame (a bulk batch, a shipped snapshot, a follower's
-/// bootstrap WAL fetch) is released once empty, so an idle connection never
-/// pins its largest message; below it, capacity is reused and steady small
-/// traffic allocates nothing. The bound is paid once per connection — and
-/// a follower opens one per replicated session — so it is sized to the
-/// largest steady-state frame (a 256-line OBSERVEB is ~21 KB), not to
-/// bulk transfers.
+/// this for one large frame (a bulk OBSERVEB batch, a long pipelined run of
+/// requests, a large METRICS reply) is released once empty, so an idle
+/// connection never pins its largest message; below it, capacity is reused
+/// and steady small traffic allocates nothing. The bound is paid once per
+/// connection, so it is sized to the largest steady-state frame (a 256-line
+/// OBSERVEB is ~21 KB), not to bulk transfers. A fetch reply's bytes never
+/// enter a server buffer (the TCP server sends them from the file), but a
+/// follower opens one client connection per replicated session and its
+/// receive buffer keeps the same bound.
 inline constexpr size_t kRetainedBufferBytes = 64u << 10;
 
 /// Frees `buf` when it is empty but holds more than `kRetainedBufferBytes`
@@ -57,8 +59,10 @@ void AppendFrame(std::string_view payload, std::string* out);
 size_t BeginFrame(std::string* out);
 
 /// Writes the header of the frame `BeginFrame` started at `at`: the
-/// length of everything appended since.
-void EndFrame(size_t at, std::string* out);
+/// length of everything appended since, plus `unbuffered` payload bytes the
+/// caller sends after them from elsewhere (a fetch reply's range, sent from
+/// its file). The total must not exceed `kMaxFramePayloadBytes`.
+void EndFrame(size_t at, std::string* out, size_t unbuffered = 0);
 
 enum class FrameParse {
   kNeedMore,  // fewer bytes than one header + payload; read more

@@ -90,7 +90,10 @@ Status NetClient::Send(std::string_view payload) {
   AppendFrame(payload, &frame);
   size_t sent = 0;
   while (sent < frame.size()) {
-    const ssize_t n = ::write(fd_, frame.data() + sent, frame.size() - sent);
+    // MSG_NOSIGNAL: a peer that reset the connection is an error return,
+    // not a SIGPIPE that ends the process.
+    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
+                             MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       const std::string err =
@@ -135,6 +138,20 @@ Result<std::string> NetClient::Recv() {
 Result<std::string> NetClient::Call(std::string_view request) {
   if (Status s = Send(request); !s.ok()) return s;
   return Recv();
+}
+
+Result<std::string> ReconnectingClient::Call(std::string_view request) {
+  for (int attempt = 0;; ++attempt) {
+    if (!client_.connected()) {
+      auto connected = NetClient::Connect(host_, port_);
+      if (!connected.ok()) return connected.status();
+      client_ = std::move(connected.value());
+    }
+    auto reply = client_.Call(request);
+    // A transport error closed the client: retry once on a fresh
+    // connection (a primary restart between calls looks like this).
+    if (reply.ok() || attempt == 1) return reply;
+  }
 }
 
 }  // namespace fdm::net

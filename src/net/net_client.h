@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "util/status.h"
 
@@ -48,6 +49,26 @@ class NetClient {
   // in one TCP segment, so the surplus must survive until the next Recv.
   // Capacity past `kRetainedBufferBytes` is released once drained.
   std::string in_;
+};
+
+/// A `NetClient` kept to one address: dialed on first use, and redialed
+/// once per call after a transport error, so a peer that restarted
+/// between calls costs no failed call. `ERR` replies are replies, not
+/// transport errors: they keep the connection. Not thread-safe.
+class ReconnectingClient {
+ public:
+  ReconnectingClient(std::string host, int port)
+      : host_(std::move(host)), port_(port) {}
+
+  /// `NetClient::Call` on the kept connection.
+  Result<std::string> Call(std::string_view request);
+  /// Drops the connection; the next call dials again.
+  void Close() { client_.Close(); }
+
+ private:
+  std::string host_;
+  int port_ = 0;
+  NetClient client_;
 };
 
 }  // namespace fdm::net

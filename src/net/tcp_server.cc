@@ -4,8 +4,11 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "net/dispatch.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
+#include "util/binary_io.h"
 
 namespace fdm::net {
 namespace {
@@ -52,6 +57,10 @@ NetCounters& Counters() {
   return c;
 }
 
+/// Bytes one read takes, and the unread input a connection that cannot run
+/// its next request may hold before it stops reading.
+constexpr size_t kReadBytes = 64u << 10;
+
 /// Per-connection state. Owned by exactly one event loop; only that
 /// loop's thread touches it, except that a solve worker holds a
 /// shared_ptr while an offloaded SOLVE is in flight (it never mutates —
@@ -73,12 +82,33 @@ struct Conn {
   // costs O(reply bytes), not O(reply bytes² / write size).
   std::string out;
   size_t out_pos = 0;
+  // A fetch reply's body, still in its file: sent once `out` drains, then
+  // the reply's closing '\n' is appended to `out`. The frame header
+  // already counts both. Held until sent or the connection closes.
+  std::optional<FileRange> range;
   size_t buffered = 0;     // this conn's share of fdm_net_buffered_bytes
   bool busy = false;       // offloaded cold SOLVE in flight
+  bool want_in = true;     // EPOLLIN currently armed
   bool want_out = false;   // EPOLLOUT currently armed
   bool closing = false;    // QUIT: flush `out`, then close
   bool closed = false;     // fd gone; late completions are dropped
 };
+
+/// Whether the connection may run its next request now. Per-connection
+/// replies are FIFO, so an offloaded SOLVE or a range still being sent
+/// holds back every request behind it; after QUIT nothing more runs.
+bool CanRun(const Conn& conn) {
+  return !conn.busy && !conn.range && !conn.closing;
+}
+
+/// Reads are paced to requests: a connection that cannot run its next
+/// request keeps reading only until it holds `kReadBytes` unread, so a
+/// client pipelining behind a cold SOLVE or a large fetch pins a bounded
+/// input buffer and the rest waits in its socket.
+bool MayRead(const Conn& conn) {
+  return !conn.closed &&
+         (CanRun(conn) || conn.in.size() - conn.pos < kReadBytes);
+}
 
 /// Drops the consumed prefix of `conn.in` once it is at least as long as
 /// what is left, so every byte is moved O(1) times however many passes a
@@ -126,6 +156,23 @@ void Wake(EventLoop& loop) {
       ::write(loop.event_fd, &one, sizeof(one));
 }
 
+/// Arms the epoll events the connection can act on: EPOLLIN while it may
+/// read, EPOLLOUT while reply bytes (text or a range) wait on a full
+/// socket. Every state change that moves either ends in a flush, which
+/// calls this, so it is the one place the interest set changes.
+void UpdateInterest(EventLoop& loop, Conn& conn) {
+  const bool want_in = MayRead(conn);
+  const bool want_out =
+      conn.out_pos < conn.out.size() || conn.range.has_value();
+  if (want_in == conn.want_in && want_out == conn.want_out) return;
+  epoll_event ev{};
+  ev.events = (want_in ? EPOLLIN : 0u) | (want_out ? EPOLLOUT : 0u);
+  ev.data.fd = conn.fd;
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  conn.want_in = want_in;
+  conn.want_out = want_out;
+}
+
 }  // namespace
 
 struct TcpServer::Impl {
@@ -154,7 +201,8 @@ struct TcpServer::Impl {
   void AdoptConn(size_t loop_index, int fd);
   void ReadConn(EventLoop& loop, const std::shared_ptr<Conn>& conn);
   void Drive(EventLoop& loop, const std::shared_ptr<Conn>& conn);
-  void FlushConn(EventLoop& loop, const std::shared_ptr<Conn>& conn);
+  void RunRequests(EventLoop& loop, const std::shared_ptr<Conn>& conn);
+  bool FlushConn(EventLoop& loop, const std::shared_ptr<Conn>& conn);
   void CloseConn(EventLoop& loop, const std::shared_ptr<Conn>& conn);
   void HandleInbox(size_t loop_index);
   void LoopRun(size_t index);
@@ -203,12 +251,14 @@ void TcpServer::Impl::AdoptConn(size_t loop_index, int fd) {
 
 void TcpServer::Impl::ReadConn(EventLoop& loop,
                                const std::shared_ptr<Conn>& conn) {
-  char buf[64 << 10];
-  while (true) {
+  char buf[kReadBytes];
+  while (MayRead(*conn)) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->in.append(buf, static_cast<size_t>(n));
       Counters().bytes_in.Add(static_cast<uint64_t>(n));
+      Drive(loop, conn);  // run what arrived before reading more
+      if (static_cast<size_t>(n) < sizeof(buf)) return;  // socket drained
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -221,7 +271,15 @@ void TcpServer::Impl::ReadConn(EventLoop& loop,
 
 void TcpServer::Impl::Drive(EventLoop& loop,
                             const std::shared_ptr<Conn>& conn) {
-  while (!conn->busy && !conn->closing && !conn->closed) {
+  do {
+    RunRequests(loop, conn);
+    CompactInput(*conn);
+  } while (FlushConn(loop, conn));  // a sent range frees the requests behind
+}
+
+void TcpServer::Impl::RunRequests(EventLoop& loop,
+                                  const std::shared_ptr<Conn>& conn) {
+  while (CanRun(*conn) && !conn->closed) {
     if (conn->pos == conn->frame_end) {
       std::string_view payload;
       size_t consumed = 0;
@@ -286,15 +344,17 @@ void TcpServer::Impl::Drive(EventLoop& loop,
       solve_cv.notify_one();
       break;
     }
-    // The reply is framed in place in `conn->out`: a fetched range is
-    // read into the connection buffer once and never copied.
+    // The reply is framed in place in `conn->out`. A fetch leaves its
+    // range in the file: the frame counts it and its closing newline, and
+    // FlushConn sends it from the file once the text ahead of it is out.
     const size_t frame_at = BeginFrame(&conn->out);
     const RequestOutcome outcome =
-        dispatcher->Execute(request, payload_lines, &conn->out);
+        dispatcher->Execute(request, payload_lines, &conn->out, &conn->range);
     if (conn->out.size() == frame_at + kFrameHeaderBytes) {
       conn->out.resize(frame_at);  // no reply, no frame
     } else {
-      EndFrame(frame_at, &conn->out);
+      EndFrame(frame_at, &conn->out,
+               conn->range ? conn->range->length + 1 : 0);
     }
     resume();
     if (outcome == RequestOutcome::kQuit) {
@@ -302,51 +362,61 @@ void TcpServer::Impl::Drive(EventLoop& loop,
       break;
     }
   }
-  CompactInput(*conn);
-  FlushConn(loop, conn);
 }
 
-void TcpServer::Impl::FlushConn(EventLoop& loop,
+bool TcpServer::Impl::FlushConn(EventLoop& loop,
                                 const std::shared_ptr<Conn>& conn) {
-  if (conn->closed) return;
-  while (conn->out_pos < conn->out.size()) {
-    const ssize_t n = ::write(conn->fd, conn->out.data() + conn->out_pos,
-                              conn->out.size() - conn->out_pos);
-    if (n > 0) {
-      Counters().bytes_out.Add(static_cast<uint64_t>(n));
-      conn->out_pos += static_cast<size_t>(n);
-      if (conn->out_pos == conn->out.size()) {
-        conn->out.clear();
-        conn->out_pos = 0;
-      } else if (conn->out_pos >= conn->out.size() - conn->out_pos) {
-        conn->out.erase(0, conn->out_pos);
-        conn->out_pos = 0;
+  if (conn->closed) return false;
+  bool range_sent = false;
+  while (true) {
+    ssize_t n = 0;
+    if (conn->out_pos < conn->out.size()) {
+      n = ::write(conn->fd, conn->out.data() + conn->out_pos,
+                  conn->out.size() - conn->out_pos);
+      if (n > 0) {
+        Counters().bytes_out.Add(static_cast<uint64_t>(n));
+        conn->out_pos += static_cast<size_t>(n);
+        if (conn->out_pos == conn->out.size()) {
+          conn->out.clear();
+          conn->out_pos = 0;
+        } else if (conn->out_pos >= conn->out.size() - conn->out_pos) {
+          conn->out.erase(0, conn->out_pos);
+          conn->out_pos = 0;
+        }
+        continue;
       }
+    } else if (!conn->range) {
+      break;  // everything is sent
+    } else if (conn->range->length == 0) {
+      conn->range.reset();  // the file is closed here
+      conn->out.push_back('\n');
+      range_sent = true;
       continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_out) {
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-        conn->want_out = true;
+    } else {
+      // The kernel copies from the page cache to the socket; the bytes
+      // never pass through this process.
+      FileRange& range = *conn->range;
+      off_t offset = static_cast<off_t>(range.offset);
+      n = ::sendfile(conn->fd, range.file.fd(), &offset, range.length);
+      if (n > 0) {
+        Counters().bytes_out.Add(static_cast<uint64_t>(n));
+        range.offset += static_cast<uint64_t>(n);
+        range.length -= static_cast<uint64_t>(n);
+        continue;
       }
-      SettleBuffers(*conn);
-      return;
     }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    // A socket error, or (n == 0 from sendfile) a file that ended before
+    // the length its frame announced: a short frame would leave the
+    // client misreading the stream, so the connection closes instead.
     CloseConn(loop, conn);
-    return;
+    return false;
   }
-  if (conn->want_out) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->want_out = false;
-  }
+  UpdateInterest(loop, *conn);
   SettleBuffers(*conn);
-  if (conn->closing) CloseConn(loop, conn);
+  if (conn->closing && conn->out.empty()) CloseConn(loop, conn);
+  return range_sent;
 }
 
 void TcpServer::Impl::CloseConn(EventLoop& loop,
@@ -355,6 +425,7 @@ void TcpServer::Impl::CloseConn(EventLoop& loop,
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conn->closed = true;
+  conn->range.reset();  // an unsent range's file is closed now
   if (conn->buffered != 0) {
     Counters().buffered_bytes.Add(-static_cast<double>(conn->buffered));
     conn->buffered = 0;
@@ -383,6 +454,14 @@ void TcpServer::Impl::HandleInbox(size_t loop_index) {
 }
 
 void TcpServer::Impl::LoopRun(size_t index) {
+  // A peer that resets mid-reply fails the next write or sendfile with
+  // EPIPE, which also raises SIGPIPE; its default action would end the
+  // process. sendfile takes no MSG_NOSIGNAL, so the loop threads, the only
+  // ones writing sockets, block it and read EPIPE as a closed connection.
+  sigset_t pipe_signal;
+  sigemptyset(&pipe_signal);
+  sigaddset(&pipe_signal, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
   EventLoop& loop = *loops[index];
   epoll_event events[64];
   while (true) {
@@ -411,12 +490,9 @@ void TcpServer::Impl::LoopRun(size_t index) {
         CloseConn(loop, conn);
         continue;
       }
-      if (events[i].events & EPOLLIN) {
-        ReadConn(loop, conn);
-        if (!conn->closed) Drive(loop, conn);
-      }
-      if ((events[i].events & EPOLLOUT) && !conn->closed) {
-        FlushConn(loop, conn);
+      if (events[i].events & EPOLLIN) ReadConn(loop, conn);
+      if ((events[i].events & EPOLLOUT) && FlushConn(loop, conn)) {
+        Drive(loop, conn);  // the range is sent: run the requests behind it
       }
     }
     if (stopping.load(std::memory_order_acquire)) break;

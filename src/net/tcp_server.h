@@ -38,17 +38,25 @@ struct TcpServerOptions {
 /// one response frame carrying the dispatcher's reply bytes, identical to
 /// what the stdin transport would have written, built in place in the
 /// connection's output buffer; blank lines produce no response frame. A
+/// replication fetch's range is the exception: it is `sendfile`d from
+/// the open file after its header line, so the server holds none of it; a
+/// file that ends before the announced length closes the connection. A
 /// malformed frame header (oversized length) is a protocol error: the
 /// connection is closed.
+///
+/// Reads are paced to requests: the loop runs what arrived between 64 KiB
+/// reads, and a connection waiting on an offloaded SOLVE or a range in
+/// flight stops reading once it holds 64 KiB unread.
 ///
 /// Overload behavior (see net/admission.h): a request naming a session
 /// over its token-bucket rate, or a cache-missing SOLVE beyond the global
 /// cold-solve capacity, is answered immediately with a complete
 /// `ERR shed ...` response frame (announced payload lines are drained, so
 /// the pipeline stays in framing) instead of queueing. Admitted cold
-/// SOLVEs run on the solve-worker pool; while one is in flight its
-/// connection is "busy" — later pipelined requests on that connection
-/// wait (per-connection reply order is FIFO), other connections proceed.
+/// SOLVEs run on the solve-worker pool; while one (or a fetch range) is
+/// in flight its connection is "busy" — later pipelined requests on that
+/// connection wait (per-connection reply order is FIFO), other
+/// connections proceed.
 ///
 /// QUIT over TCP replies (snapshotting on a primary, exactly like stdin)
 /// and then closes that connection; the server keeps serving others.

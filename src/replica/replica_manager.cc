@@ -12,8 +12,12 @@
 
 namespace fdm {
 
-ReplicaManager::ReplicaManager(ReplicaManagerOptions options)
-    : options_(std::move(options)) {}
+ReplicaManager::ReplicaManager(ReplicaManagerOptions options,
+                               std::string primary_host, int primary_port)
+    : options_(std::move(options)),
+      primary_host_(std::move(primary_host)),
+      primary_port_(primary_port),
+      discovery_(primary_host_, primary_port_) {}
 
 Result<std::unique_ptr<ReplicaManager>> ReplicaManager::Create(
     ReplicaManagerOptions options) {
@@ -32,9 +36,7 @@ Result<std::unique_ptr<ReplicaManager>> ReplicaManager::Create(
     }
   }
   std::unique_ptr<ReplicaManager> manager(
-      new ReplicaManager(std::move(options)));
-  manager->primary_host_ = std::move(host);
-  manager->primary_port_ = port;
+      new ReplicaManager(std::move(options), std::move(host), port));
   manager->DiscoverSessions();
   if (manager->options_.poll_ms > 0) {
     manager->background_ = std::thread([m = manager.get()] {
@@ -60,9 +62,10 @@ void ReplicaManager::DiscoverSessions() {
     // Ask the primary's front end. Discovery failing (primary down, mid-
     // restart) is not fatal: known sessions keep serving at their applied
     // positions and the next sweep retries.
-    auto client = net::NetClient::Connect(primary_host_, primary_port_);
-    if (!client.ok()) return;
-    auto reply = client->Call("LIST");
+    Result<std::string> reply = [this] {
+      std::lock_guard<std::mutex> lock(discovery_mu_);
+      return discovery_.Call("LIST");
+    }();
     if (!reply.ok()) return;
     std::istringstream in(*reply);
     std::string token;
@@ -171,9 +174,8 @@ Result<int64_t> ReplicaManager::Poll(const std::string& name) {
 
 Status ReplicaManager::PollAll() {
   DiscoverSessions();
-  std::vector<std::string> names = SessionNames();
   Status first_error;
-  for (const std::string& name : names) {
+  for (const std::string& name : KnownNames()) {
     auto applied = Poll(name);
     if (!applied.ok() && first_error.ok()) first_error = applied.status();
   }
@@ -195,6 +197,10 @@ bool ReplicaManager::SolveLikelyCached(const std::string& name) const {
 
 std::vector<std::string> ReplicaManager::SessionNames() {
   DiscoverSessions();
+  return KnownNames();
+}
+
+std::vector<std::string> ReplicaManager::KnownNames() const {
   std::vector<std::string> names;
   std::lock_guard<std::mutex> lock(mu_);
   names.reserve(entries_.size());

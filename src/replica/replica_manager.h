@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/solution.h"
+#include "net/net_client.h"
 #include "replica/replica_session.h"
 #include "util/status.h"
 
@@ -40,8 +41,9 @@ struct ReplicaManagerOptions {
 /// `ReplicaSession`s over one primary root, each behind its own
 /// reader–writer lock (queries shared, catch-up exclusive) so SOLVE/STATS
 /// keep flowing while tails apply. Sessions are discovered lazily — at
-/// creation and on every `PollAll`/`SessionNames` — so sessions created on
-/// the primary after the follower starts appear without a restart.
+/// creation and once per `PollAll`/`SessionNames` — so sessions created on
+/// the primary after the follower starts appear without a restart. A
+/// `tcp://` primary is asked with `LIST` over one kept connection.
 ///
 /// There is no write surface at all: the follower applies only what the
 /// primary's log says, which is what makes its answers bit-identical to
@@ -102,11 +104,16 @@ class ReplicaManager {
     std::unique_ptr<ReplicaSession> replica;  // null until first touch
   };
 
-  explicit ReplicaManager(ReplicaManagerOptions options);
+  /// `primary_host` is empty unless `primary_root` is `tcp://host:port`.
+  ReplicaManager(ReplicaManagerOptions options, std::string primary_host,
+                 int primary_port);
 
   /// Rescans the primary root for session directories, registering new
   /// names (existing entries are untouched).
   void DiscoverSessions();
+
+  /// The names registered so far, without rescanning.
+  std::vector<std::string> KnownNames() const;
 
   /// Entry for `name`, bootstrapping the follower on first touch.
   Result<std::shared_ptr<Entry>> Follower(const std::string& name);
@@ -115,8 +122,12 @@ class ReplicaManager {
 
   ReplicaManagerOptions options_;
   /// Set iff `primary_root` is `tcp://host:port`.
-  std::string primary_host_;
-  int primary_port_ = 0;
+  const std::string primary_host_;
+  const int primary_port_;
+  /// The connection `DiscoverSessions` sends LIST on (tcp:// primaries
+  /// only), kept across sweeps instead of dialed per sweep.
+  std::mutex discovery_mu_;  // guards discovery_
+  net::ReconnectingClient discovery_;
   mutable std::mutex mu_;  // guards entries_
   std::map<std::string, std::shared_ptr<Entry>> entries_;
 

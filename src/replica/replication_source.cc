@@ -123,35 +123,35 @@ void DirReplicationSource::InvalidateCaches() {
   scanned_last_seq_ = 0;
 }
 
-Result<std::string> DirReplicationSource::FetchSnapshot(int64_t seq) {
+namespace {
+
+Result<std::string> ReadRange(const Result<FileRange>& range) {
+  if (!range.ok()) return range.status();
   std::string bytes;
-  if (Status s = AppendSnapshot(seq, &bytes); !s.ok()) return s;
+  if (Status s = AppendFileRange(*range, &bytes); !s.ok()) return s;
   return bytes;
+}
+
+}  // namespace
+
+Result<std::string> DirReplicationSource::FetchSnapshot(int64_t seq) {
+  return ReadRange(OpenSnapshot(seq));
 }
 
 Result<std::string> DirReplicationSource::FetchWalSegment(int64_t first_seq,
                                                           uint64_t offset) {
-  std::string bytes;
-  if (Status s = AppendWalSegment(first_seq, offset, &bytes); !s.ok()) {
-    return s;
-  }
-  return bytes;
+  return ReadRange(OpenWalSegment(first_seq, offset));
 }
 
-Status DirReplicationSource::AppendSnapshot(
-    int64_t seq, std::string* out,
-    const std::function<void(uint64_t)>& header) const {
-  return AppendFileRange(
-      SessionSnapDir(dir_) + "/" + SessionSnapshotFileName(seq), 0, out,
-      header);
+Result<FileRange> DirReplicationSource::OpenSnapshot(int64_t seq) const {
+  return OpenFileRange(
+      SessionSnapDir(dir_) + "/" + SessionSnapshotFileName(seq), 0);
 }
 
-Status DirReplicationSource::AppendWalSegment(
-    int64_t first_seq, uint64_t offset, std::string* out,
-    const std::function<void(uint64_t)>& header) const {
-  return AppendFileRange(
-      SessionWalDir(dir_) + "/" + WalSegmentFileName(first_seq), offset, out,
-      header);
+Result<FileRange> DirReplicationSource::OpenWalSegment(
+    int64_t first_seq, uint64_t offset) const {
+  return OpenFileRange(
+      SessionWalDir(dir_) + "/" + WalSegmentFileName(first_seq), offset);
 }
 
 }  // namespace fdm

@@ -2,13 +2,13 @@
 #define FDM_REPLICA_REPLICATION_SOURCE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "service/wal.h"
+#include "util/binary_io.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -84,8 +84,8 @@ class ReplicationSource {
 /// (first_seq, size) and computed once; the snapshots are re-examined per
 /// manifest, and the active segment is scanned only past the point the
 /// previous manifest reached, one `kIoWindowBytes` window at a time.
-/// Fetches are positioned reads of exactly the requested range, straight
-/// into the caller's buffer; nothing fetched is kept.
+/// A fetch opens exactly the requested range and reads it with positioned
+/// reads straight into the returned buffer; nothing fetched is kept.
 class DirReplicationSource final : public ReplicationSource {
  public:
   /// `session_dir` is the primary session directory (the one holding
@@ -99,15 +99,13 @@ class DirReplicationSource final : public ReplicationSource {
                                       uint64_t offset) override;
 
   /// The one fetch path, behind `FetchSnapshot` and the primary's
-  /// RFETCHSNAP reply: appends the snapshot at `seq` to `*out`, after
-  /// `header(n)`, read straight into `out` (see `AppendFileRange`), so a
-  /// fetched byte is held once.
-  Status AppendSnapshot(int64_t seq, std::string* out,
-                        const std::function<void(uint64_t)>& header = {}) const;
-  /// The same for `FetchWalSegment` and RFETCHWAL.
-  Status AppendWalSegment(
-      int64_t first_seq, uint64_t offset, std::string* out,
-      const std::function<void(uint64_t)>& header = {}) const;
+  /// RFETCHSNAP reply: opens the snapshot at `seq` as a whole-file range,
+  /// reading nothing. `FetchSnapshot` reads it into the returned string;
+  /// the TCP front end sends it from the file.
+  Result<FileRange> OpenSnapshot(int64_t seq) const;
+  /// The same for `FetchWalSegment` and RFETCHWAL: the segment from byte
+  /// `offset` to its end.
+  Result<FileRange> OpenWalSegment(int64_t first_seq, uint64_t offset) const;
 
   const std::string& dir() const { return dir_; }
 

@@ -40,29 +40,12 @@ bool ForEachListItem(std::string_view list,
 
 SocketReplicationSource::SocketReplicationSource(std::string host, int port,
                                                  std::string session)
-    : host_(std::move(host)), port_(port), session_(std::move(session)) {}
-
-Result<std::string> SocketReplicationSource::Call(
-    const std::string& request) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!client_.connected()) {
-      auto connected = net::NetClient::Connect(host_, port_);
-      if (!connected.ok()) return connected.status();
-      client_ = std::move(connected.value());
-    }
-    auto reply = client_.Call(request);
-    if (reply.ok()) return reply;
-    // Transport error: the client closed itself; retry once on a fresh
-    // connection (covers a primary restart between polls).
-    if (attempt == 1) return reply.status();
-  }
-  return Status::IoError("unreachable");
-}
+    : session_(std::move(session)), client_(std::move(host), port) {}
 
 void SocketReplicationSource::InvalidateCaches() { client_.Close(); }
 
 Result<ReplicaManifest> SocketReplicationSource::GetManifest() {
-  auto reply = Call("RMANIFEST " + session_);
+  auto reply = client_.Call("RMANIFEST " + session_);
   if (!reply.ok()) return reply.status();
   std::string_view line = *reply;
   if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
@@ -147,7 +130,8 @@ Result<std::string> SocketReplicationSource::ParseBytesReply(
 }
 
 Result<std::string> SocketReplicationSource::FetchSnapshot(int64_t seq) {
-  auto reply = Call("RFETCHSNAP " + session_ + " " + std::to_string(seq));
+  auto reply =
+      client_.Call("RFETCHSNAP " + session_ + " " + std::to_string(seq));
   if (!reply.ok()) return reply.status();
   return ParseBytesReply(*reply);
 }
@@ -157,7 +141,7 @@ Result<std::string> SocketReplicationSource::FetchWalSegment(
   std::string request =
       "RFETCHWAL " + session_ + " " + std::to_string(first_seq);
   if (offset != 0) request += " " + std::to_string(offset);
-  auto reply = Call(request);
+  auto reply = client_.Call(request);
   if (!reply.ok()) return reply.status();
   return ParseBytesReply(*reply);
 }

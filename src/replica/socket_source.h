@@ -25,8 +25,8 @@ namespace fdm {
 /// tailing follower asks for the bytes past its last applied record, so
 /// a poll ships only the new records.
 ///
-/// The connection is lazy and self-healing: established on first use,
-/// re-established once per call after a transport error (a restarting
+/// The connection is a `net::ReconnectingClient`: established on first
+/// use, re-established once per call after a transport error (a restarting
 /// primary looks like one failed poll, which followers already treat as
 /// ordinary control flow). `ERR` replies are returned as error Statuses
 /// without dropping the connection. Not thread-safe — `ReplicaManager`
@@ -45,16 +45,11 @@ class SocketReplicationSource final : public ReplicationSource {
   void InvalidateCaches() override;
 
  private:
-  /// One request/response round trip, reconnecting once on a transport
-  /// error. Returns the raw reply frame payload.
-  Result<std::string> Call(const std::string& request);
   /// Parses a `OK bytes=<n>\n<raw>\n` fetch reply.
   static Result<std::string> ParseBytesReply(const std::string& reply);
 
-  const std::string host_;
-  const int port_;
   const std::string session_;
-  net::NetClient client_;
+  net::ReconnectingClient client_;
 };
 
 }  // namespace fdm

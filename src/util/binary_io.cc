@@ -167,23 +167,25 @@ Result<FileChecksum> ChecksumFile(const std::string& path) {
   return FileChecksum{file->size(), *hash};
 }
 
-Status AppendFileRange(const std::string& path, uint64_t offset,
-                       std::string* out,
-                       const std::function<void(uint64_t)>& header) {
+Result<FileRange> OpenFileRange(const std::string& path, uint64_t offset) {
   auto file = ReadOnlyFile::Open(path);
   if (!file.ok()) return file.status();
-  if (offset > file->size()) {
+  const uint64_t size = file->size();
+  if (offset > size) {
     return Status::IoError("read offset " + std::to_string(offset) +
                            " past end of " + path + " (" +
-                           std::to_string(file->size()) + " bytes)");
+                           std::to_string(size) + " bytes)");
   }
-  const uint64_t bytes = file->size() - offset;
-  const size_t start = out->size();
-  if (header) header(bytes);
+  return FileRange{std::move(file.value()), offset, size - offset};
+}
+
+Status AppendFileRange(const FileRange& range, std::string* out) {
   const size_t at = out->size();
-  out->resize(at + bytes);
-  if (Status s = file->ReadAt(offset, out->data() + at, bytes); !s.ok()) {
-    out->resize(start);
+  out->resize(at + range.length);
+  if (Status s = range.file.ReadAt(range.offset, out->data() + at,
+                                   range.length);
+      !s.ok()) {
+    out->resize(at);
     return s;
   }
   return Status::Ok();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,6 +52,9 @@ class ReadOnlyFile {
   ~ReadOnlyFile();
 
   uint64_t size() const { return size_; }
+  /// The open descriptor, for a transfer the kernel runs from the file
+  /// itself (`sendfile`); it stays owned by this object.
+  int fd() const { return fd_; }
 
   /// Reads exactly `len` bytes at `offset` into `dst`, resuming short
   /// reads and EINTR; a file that ends first (it shrank) is an error.
@@ -67,15 +69,25 @@ class ReadOnlyFile {
   uint64_t size_ = 0;
 };
 
-/// Appends the bytes of `path` from `offset` to its end to `*out`, read
-/// straight into the tail of `out`, so the bytes are held once, in the
-/// caller's buffer. `header`, when set, runs first with the byte count and
-/// appends what must precede the bytes (a fetch reply's length line).
-/// Offset 0 is the whole file; an offset past the end is an error. On any
-/// error `*out` is left as it was.
-Status AppendFileRange(const std::string& path, uint64_t offset,
-                       std::string* out,
-                       const std::function<void(uint64_t)>& header = {});
+/// The bytes of an open file from `offset` to where it ended at open
+/// (`ReadOnlyFile::size`): a fetch reply's body, read into a buffer by
+/// `AppendFileRange` or sent from the file by the TCP front end.
+struct FileRange {
+  ReadOnlyFile file;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
+/// Opens `path` and takes its bytes from `offset` to its end; nothing is
+/// read yet. Offset 0 is the whole file; an offset past the end is an
+/// error.
+Result<FileRange> OpenFileRange(const std::string& path, uint64_t offset);
+
+/// Appends `range`'s bytes to `*out`, read straight into the tail of `out`,
+/// so the bytes are held once, in the caller's buffer. A file that shrank
+/// since it was opened is an error, and on any error `*out` is left as it
+/// was.
+Status AppendFileRange(const FileRange& range, std::string* out);
 
 /// The one bounded reader of the durable layer: a window over a byte
 /// source that a parser consumes from the front.

@@ -99,22 +99,29 @@ TEST(BinaryIoTest, AppendFileRangeReadsFromAnOffsetToTheEnd) {
   }
 
   std::string whole = "prefix:";
-  ASSERT_TRUE(AppendFileRange(path, 0, &whole).ok());
+  auto all = OpenFileRange(path, 0);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->length, contents.size());
+  ASSERT_TRUE(AppendFileRange(*all, &whole).ok());
   EXPECT_EQ(whole, "prefix:" + contents);
-  // The header callback sees the byte count and lands before the bytes.
+  // The range knows its byte count before a byte is read.
+  auto last = OpenFileRange(path, 99000);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last->length, 1000u);
   std::string tail;
-  ASSERT_TRUE(AppendFileRange(path, 99000, &tail, [&tail](uint64_t n) {
-                tail += "n=" + std::to_string(n) + ";";
-              }).ok());
-  EXPECT_EQ(tail, "n=1000;" + contents.substr(99000));
-  std::string at_end;
-  ASSERT_TRUE(AppendFileRange(path, contents.size(), &at_end).ok());
-  EXPECT_TRUE(at_end.empty());
+  ASSERT_TRUE(AppendFileRange(*last, &tail).ok());
+  EXPECT_EQ(tail, contents.substr(99000));
+  auto at_end = OpenFileRange(path, contents.size());
+  ASSERT_TRUE(at_end.ok());
+  EXPECT_EQ(at_end->length, 0u);
 
-  // Errors leave the buffer as it was.
+  // Errors: nothing to open, and a file that shrank after it was opened,
+  // which leaves the buffer as it was.
+  EXPECT_FALSE(OpenFileRange(path, contents.size() + 1).ok());
+  EXPECT_FALSE(OpenFileRange(path + ".missing", 0).ok());
+  std::filesystem::resize_file(path, 99500);
   std::string kept = "kept";
-  EXPECT_FALSE(AppendFileRange(path, contents.size() + 1, &kept).ok());
-  EXPECT_FALSE(AppendFileRange(path + ".missing", 0, &kept).ok());
+  EXPECT_FALSE(AppendFileRange(*last, &kept).ok());
   EXPECT_EQ(kept, "kept");
   std::remove(path.c_str());
 }

@@ -11,8 +11,10 @@
 namespace fdm {
 
 inline Result<std::string> FileBytes(const std::string& path) {
+  auto range = OpenFileRange(path, 0);
+  if (!range.ok()) return range.status();
   std::string bytes;
-  if (Status s = AppendFileRange(path, 0, &bytes); !s.ok()) return s;
+  if (Status s = AppendFileRange(*range, &bytes); !s.ok()) return s;
   return bytes;
 }
 

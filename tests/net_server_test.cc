@@ -549,6 +549,313 @@ TEST_F(NetServerTest, LargeReplyThroughSmallWindowArrivesWhole) {
   ::close(fd);
 }
 
+/// Pseudo-random bytes (NULs included), so a misplaced byte shows.
+std::string RandomBytes(size_t n) {
+  std::string bytes(n, '\0');
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  for (char& c : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(state >> 56);
+  }
+  return bytes;
+}
+
+/// Path of session `name`'s snapshot 1 under `root`, its directory made:
+/// RFETCHSNAP ships whatever file holds a snapshot name.
+std::string SnapshotOne(const std::string& root, const std::string& name) {
+  const std::string dir = SessionSnapDir(root + "/" + name);
+  std::filesystem::create_directories(dir);
+  return dir + "/" + SessionSnapshotFileName(1);
+}
+
+/// Reads reply frames off a raw socket in order, keeping the bytes read
+/// past one frame for the next.
+struct FrameReader {
+  explicit FrameReader(int socket) : fd(socket) {}
+
+  int fd = -1;
+  std::string wire;
+
+  /// The next frame's payload; false when the connection ends first.
+  bool Next(std::string* payload) {
+    char chunk[4096];
+    while (true) {
+      std::string_view view;
+      size_t consumed = 0;
+      if (net::ParseFrame(wire, &view, &consumed) ==
+          net::FrameParse::kFrame) {
+        payload->assign(view);
+        wire.erase(0, consumed);
+        return true;
+      }
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) return false;
+      wire.append(chunk, static_cast<size_t>(n));
+    }
+  }
+  /// Reads until the wire holds at least `n` bytes.
+  bool Fill(size_t n) {
+    char chunk[4096];
+    while (wire.size() < n) {
+      const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+      if (got <= 0) return false;
+      wire.append(chunk, static_cast<size_t>(got));
+    }
+    return true;
+  }
+};
+
+/// Polls every 10 ms until `progress` has stood still for 100 ms (the
+/// server is blocked on a full socket or has stopped reading), at most
+/// 5 s; returns the largest value `gauge` showed meanwhile.
+double PeakUntilStill(const obs::Gauge& gauge, const obs::Counter& progress) {
+  double peak = gauge.Value();
+  uint64_t last = progress.Value();
+  for (int i = 0, still = 0; i < 500 && still < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    peak = std::max(peak, gauge.Value());
+    const uint64_t now = progress.Value();
+    still = now == last ? still + 1 : 0;
+    last = now;
+  }
+  return peak;
+}
+
+std::string FetchReply(const std::string& bytes) {
+  return "OK bytes=" + std::to_string(bytes.size()) + "\n" + bytes + "\n";
+}
+
+// A fetched range leaves the primary from its file: while a client holds a
+// 9 MiB RFETCHSNAP reply unread, no connection buffer holds any of it, and
+// the reply still arrives byte for byte once the client reads.
+TEST_F(NetServerTest, RangeInFlightHoldsNoConnectionBuffer) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "needs the metrics registry";
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(TestData(60))).ok());
+  const std::string snap = RandomBytes(9u << 20);
+  std::ofstream(SnapshotOne(root_, "big"), std::ios::binary) << snap;
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::Gauge& buffered = registry.GetGauge("fdm_net_buffered_bytes", "");
+  const obs::Counter& sent = registry.GetCounter("fdm_net_bytes_out_total", "");
+  const double baseline = buffered.Value();
+
+  FrameReader reader(ConnectRaw((*server)->port(), /*rcvbuf=*/4096));
+  ASSERT_GE(reader.fd, 0);
+  std::string frames;
+  net::AppendFrame("RFETCHSNAP big 1\n", &frames);
+  net::AppendFrame("LIST\n", &frames);
+  ASSERT_TRUE(WriteAll(reader.fd, frames));
+  ASSERT_TRUE(reader.Fill(64));  // the reply has started
+  EXPECT_EQ(PeakUntilStill(buffered, sent), baseline);
+
+  std::string reply;
+  ASSERT_TRUE(reader.Next(&reply));
+  EXPECT_TRUE(reply == FetchReply(snap)) << "reply of " << reply.size();
+  ASSERT_TRUE(reader.Next(&reply));
+  EXPECT_EQ(reply, "OK big\n");
+  ::close(reader.fd);
+}
+
+// The server reads a connection only as fast as it runs its requests: a
+// client that pipelines 4 MiB of LIST frames behind a 9 MiB RFETCHSNAP and
+// reads nothing pins well under 1 MiB of server buffers (without pacing,
+// the input buffer takes all 4 MiB), and every reply then arrives in order.
+TEST_F(NetServerTest, ReadsPauseWhileARangeIsInFlight) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "needs the metrics registry";
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(TestData(60))).ok());
+  const std::string snap = RandomBytes(9u << 20);
+  std::ofstream(SnapshotOne(root_, "big"), std::ios::binary) << snap;
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto& registry = obs::MetricsRegistry::Global();
+  const obs::Gauge& buffered = registry.GetGauge("fdm_net_buffered_bytes", "");
+  const obs::Counter& read = registry.GetCounter("fdm_net_bytes_in_total", "");
+  const double baseline = buffered.Value();
+
+  FrameReader reader(ConnectRaw((*server)->port(), /*rcvbuf=*/4096));
+  ASSERT_GE(reader.fd, 0);
+  std::string fetch;
+  net::AppendFrame("RFETCHSNAP big 1\n", &fetch);
+  ASSERT_TRUE(WriteAll(reader.fd, fetch));
+  constexpr int kLists = 4096;
+  std::string lists;
+  for (int i = 0; i < kLists; ++i) {
+    net::AppendFrame("LIST" + std::string(1019, ' ') + "\n", &lists);
+  }
+  // The writes block once the server stops reading, so they run beside
+  // the reads below.
+  std::atomic<bool> written{false};
+  std::thread writer([&] { written = WriteAll(reader.fd, lists); });
+  ASSERT_TRUE(reader.Fill(64));  // the reply has started
+  EXPECT_LT(PeakUntilStill(buffered, read), baseline + (1u << 20));
+
+  std::string reply;
+  ASSERT_TRUE(reader.Next(&reply));
+  EXPECT_TRUE(reply == FetchReply(snap)) << "reply of " << reply.size();
+  int answered = 0;
+  while (answered < kLists && reader.Next(&reply) && reply == "OK big\n") {
+    ++answered;
+  }
+  writer.join();
+  EXPECT_TRUE(written);
+  EXPECT_EQ(answered, kLists) << "last reply: " << reply;
+  ::close(reader.fd);
+}
+
+// The server holds the snapshot's file open while it sends: unlinking the
+// snapshot after its reply started (the primary pruning it) does not cut
+// the reply short.
+TEST_F(NetServerTest, UnlinkedSnapshotStillArrivesWhole) {
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(TestData(60))).ok());
+  const std::string snap = RandomBytes(9u << 20);
+  const std::string path = SnapshotOne(root_, "big");
+  std::ofstream(path, std::ios::binary) << snap;
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  FrameReader reader(ConnectRaw((*server)->port(), /*rcvbuf=*/4096));
+  ASSERT_GE(reader.fd, 0);
+  std::string frame;
+  net::AppendFrame("RFETCHSNAP big 1\n", &frame);
+  ASSERT_TRUE(WriteAll(reader.fd, frame));
+  ASSERT_TRUE(reader.Fill(64));  // the file is open: the header is out
+  ASSERT_TRUE(std::filesystem::remove(path));
+
+  std::string reply;
+  ASSERT_TRUE(reader.Next(&reply));
+  EXPECT_TRUE(reply == FetchReply(snap)) << "reply of " << reply.size();
+  ::close(reader.fd);
+}
+
+// A file that ends before the length its frame announced (truncated while
+// being sent) closes that connection: the client sees the connection end
+// inside the frame, never a short frame it would misparse. Other
+// connections are still served.
+TEST_F(NetServerTest, TruncatedRangeClosesTheConnection) {
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(TestData(60))).ok());
+  // Sparse: no disk blocks. 32 MiB is far more than the socket buffers
+  // hold, so most of the range is unsent when the file is cut.
+  const std::string path = SnapshotOne(root_, "big");
+  std::ofstream(path, std::ios::binary).close();
+  std::filesystem::resize_file(path, 32u << 20);
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  FrameReader reader(ConnectRaw((*server)->port(), /*rcvbuf=*/4096));
+  ASSERT_GE(reader.fd, 0);
+  std::string frame;
+  net::AppendFrame("RFETCHSNAP big 1\n", &frame);
+  net::AppendFrame("LIST\n", &frame);
+  ASSERT_TRUE(WriteAll(reader.fd, frame));
+  ASSERT_TRUE(reader.Fill(64));
+  std::filesystem::resize_file(path, 1u << 20);
+
+  std::string reply;
+  EXPECT_FALSE(reader.Next(&reply));  // the connection ended mid-frame
+  std::string_view payload;
+  size_t consumed = 0;
+  EXPECT_EQ(net::ParseFrame(reader.wire, &payload, &consumed),
+            net::FrameParse::kNeedMore);
+  EXPECT_LT(reader.wire.size(), 32u << 20);
+  ::close(reader.fd);
+
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  auto list = client->Call("LIST");
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(*list, "OK big\n");
+}
+
+size_t OpenFds() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A client that disconnects while its range is being sent leaves nothing
+// open on the server: the socket and the range's file are both closed.
+TEST_F(NetServerTest, ClientGoneMidRangeReleasesTheFile) {
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(TestData(60))).ok());
+  const std::string path = SnapshotOne(root_, "big");
+  std::ofstream(path, std::ios::binary).close();
+  std::filesystem::resize_file(path, 32u << 20);  // sparse
+
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const size_t baseline = OpenFds();
+  FrameReader reader(ConnectRaw((*server)->port(), /*rcvbuf=*/4096));
+  ASSERT_GE(reader.fd, 0);
+  std::string frame;
+  net::AppendFrame("RFETCHSNAP big 1\n", &frame);
+  ASSERT_TRUE(WriteAll(reader.fd, frame));
+  ASSERT_TRUE(reader.Fill(64));
+  ::close(reader.fd);  // unread bytes: the close resets the connection
+
+  size_t open = OpenFds();
+  for (int i = 0; i < 500 && open != baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    open = OpenFds();
+  }
+  EXPECT_EQ(open, baseline);
+  // The server is still serving.
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  auto list = client->Call("LIST");
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(*list, "OK big\n");
+}
+
+// A tcp:// follower asks for the session list over one kept connection and
+// once per sweep: 50 sweeps over two sessions open the two sessions'
+// replication connections and nothing more. Dialing per LIST, twice per
+// sweep, opened at least 100.
+TEST_F(NetServerTest, PollAllKeepsOneDiscoveryConnection) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "needs the metrics registry";
+  auto manager = NewManager();
+  for (const std::string name : {"a", "b"}) {
+    const Dataset ds = TestData(60, name == "a" ? 59 : 61);
+    ASSERT_TRUE(manager->CreateSession(name, SpecFor(ds)).ok());
+    IngestAll(*manager, name, ds);
+    ASSERT_TRUE(manager->DropResident(name).ok());  // make it durable
+  }
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  ReplicaManagerOptions options;
+  options.primary_root =
+      "tcp://127.0.0.1:" + std::to_string((*server)->port());
+  auto replicas = ReplicaManager::Create(options);
+  ASSERT_TRUE(replicas.ok()) << replicas.status().ToString();
+  const obs::Counter& accepted = obs::MetricsRegistry::Global().GetCounter(
+      "fdm_net_connections_total", "");
+  const uint64_t before = accepted.Value();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE((*replicas)->PollAll().ok());
+  }
+  EXPECT_LE(accepted.Value() - before, 3u);
+  EXPECT_EQ((*replicas)->SessionNames(), (std::vector<std::string>{"a", "b"}));
+  auto stats = (*replicas)->Stats("b");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->applied_seq, 60);
+}
+
 TEST_F(NetServerTest, QuitOverTcpClosesOnlyThatConnection) {
   const Dataset ds = TestData(60, 43);
   auto manager = NewManager();

@@ -8,6 +8,7 @@
 #include "net/dispatch.h"
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -447,6 +448,31 @@ TEST_F(ServeProtocolTest, FetchRepliesLargerThanTheWindowAreTheFileBytes) {
   const std::string script = "RFETCHWAL s 1\nRFETCHWAL s 1 " +
                              std::to_string(offset) +
                              "\nRFETCHSNAP s 12000\nLIST\n";
+  EXPECT_EQ(RunStdin(dispatcher, script), expected);
+  std::string tcp;
+  RunTcp(dispatcher, script, &tcp);
+  EXPECT_EQ(tcp, expected);
+}
+
+// A fetch whose reply would not fit one frame (64 MiB) is answered ERR,
+// with the reply's size and the limit, before a byte of the file is read;
+// over TCP the request pipelined behind it is still answered. The 65 MiB
+// snapshot is a sparse file: it takes no disk blocks.
+TEST_F(ServeProtocolTest, FetchOverTheFrameLimitIsAnErrOnBothTransports) {
+  const Dataset ds = TestData();
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
+  const std::string snap_dir = SessionSnapDir(root_ + "/p/s");
+  std::filesystem::create_directories(snap_dir);
+  const std::string path = snap_dir + "/" + SessionSnapshotFileName(1);
+  std::ofstream(path, std::ios::binary).close();
+  std::filesystem::resize_file(path, 65u << 20);
+
+  const std::string script = "RFETCHSNAP s 1\nLIST\n";
+  const std::string expected =
+      "ERR RFETCHSNAP reply of 68157459 bytes exceeds the 67108864-byte "
+      "frame limit\nOK s\n";
   EXPECT_EQ(RunStdin(dispatcher, script), expected);
   std::string tcp;
   RunTcp(dispatcher, script, &tcp);
