@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/timer.h"
 
 namespace fdm {
 
@@ -38,22 +37,24 @@ obs::Counter& MissCounter() {
 
 }  // namespace
 
+std::optional<Result<Solution>> SolveCache::ServeHit(
+    uint64_t version, std::string_view context, const Timer& since) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!cached_.has_value() || version_ != version) return std::nullopt;
+  ++hits_;
+  std::optional<Result<Solution>> result = cached_;
+  const auto elapsed_ns = static_cast<uint64_t>(since.ElapsedNanos());
+  hit_ns_.Record(elapsed_ns);
+  HitCounter().Inc();
+  CachedSolveHist().RecordWithContext(elapsed_ns, context, version);
+  return result;
+}
+
 Result<Solution> SolveCache::GetOrCompute(
     uint64_t version, const std::function<Result<Solution>()>& solver,
     std::string_view context) {
   Timer timer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cached_.has_value() && version_ == version) {
-      ++hits_;
-      Result<Solution> result = *cached_;
-      hit_ns_.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-      HitCounter().Inc();
-      CachedSolveHist().RecordWithContext(
-          static_cast<uint64_t>(timer.ElapsedNanos()), context, version);
-      return result;
-    }
-  }
+  if (auto hit = ServeHit(version, context, timer)) return *std::move(hit);
   // Compute under a separate mutex so the entry mutex stays cheap: a
   // long post-processing run must not block `GetStats` (STATS on the
   // serving path) or a concurrent hit for the already-cached version.
@@ -62,20 +63,7 @@ Result<Solution> SolveCache::GetOrCompute(
   // same version wait and then be served the first caller's result by
   // the re-check below.
   std::lock_guard<std::mutex> compute_lock(compute_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cached_.has_value() && version_ == version) {
-      ++hits_;
-      Result<Solution> result = *cached_;
-      // A hit behind a concurrent compute waited for compute_mu_ — its
-      // latency belongs in the hit series (that wait is what a caller saw).
-      hit_ns_.Record(static_cast<uint64_t>(timer.ElapsedNanos()));
-      HitCounter().Inc();
-      CachedSolveHist().RecordWithContext(
-          static_cast<uint64_t>(timer.ElapsedNanos()), context, version);
-      return result;
-    }
-  }
+  if (auto hit = ServeHit(version, context, timer)) return *std::move(hit);
   Result<Solution> result = solver();
   const uint64_t solve_ns = static_cast<uint64_t>(timer.ElapsedNanos());
   std::lock_guard<std::mutex> lock(mu_);

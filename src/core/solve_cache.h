@@ -10,6 +10,7 @@
 #include "core/solution.h"
 #include "obs/histogram.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace fdm {
 
@@ -71,19 +72,23 @@ class SolveCache {
   /// one with an unrelated version history).
   void Invalidate();
 
-  /// True iff a `GetOrCompute(version, ...)` right now would be a hit.
-  /// Cheap (no histogram copies) — the serving front end's admission
-  /// control asks this per SOLVE to tell apart the ~µs cached path from a
-  /// cache-missing recompute it may have to shed. Advisory only: a
-  /// concurrent ingest can move the sink's version right after.
-  bool IsCachedAt(uint64_t version) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cached_.has_value() && version_ == version;
+  /// The hit `GetOrCompute(version, ...)` would serve, counted as one;
+  /// nullopt on a miss, with nothing counted or computed. An event loop
+  /// answers a cached SOLVE through this and hands a miss elsewhere.
+  std::optional<Result<Solution>> Lookup(uint64_t version,
+                                         std::string_view context = {}) {
+    return ServeHit(version, context, Timer());
   }
 
   Stats GetStats() const;
 
  private:
+  /// `Lookup`, timing the hit from `since`: a hit that waited for
+  /// `compute_mu_` records that wait in the hit series.
+  std::optional<Result<Solution>> ServeHit(uint64_t version,
+                                           std::string_view context,
+                                           const Timer& since);
+
   mutable std::mutex mu_;  // guards all fields below; held briefly
   std::mutex compute_mu_;  // serializes solver callbacks; never nested in mu_
   std::optional<Result<Solution>> cached_;

@@ -146,35 +146,6 @@ std::string_view ParsePointFields(std::string_view text, int64_t* id,
   return coords->size() == start ? "requires numeric coordinates" : "";
 }
 
-/// Tokenizes what admission control needs, the verb, the session and
-/// OBSERVEB's count, and leaves the rest in `args`.
-RequestInfo ParseRequest(std::string_view line) {
-  RequestInfo request;
-  request.verb = NextToken(&line);
-  if (request.verb != "LIST" && request.verb != "METRICS" &&
-      request.verb != "QUIT") {
-    request.session = NextToken(&line);
-  }
-  if (request.verb == "OBSERVEB" && !request.session.empty()) {
-    // The count is the token's leading [+-]digits, as `operator>>` read
-    // it, so the announced line count (the framing) never changes. What
-    // follows the digits is left in `args`: `2junk` drains 2 lines, ERR.
-    const std::string_view token = NextToken(&line);
-    const size_t sign = token.starts_with('+') || token.starts_with('-');
-    const size_t end =
-        std::min(token.find_first_not_of("0123456789", sign), token.size());
-    int64_t n = -1;
-    request.has_count =
-        end > sign && ParseInteger(token.substr(0, end), &n) && n >= 0;
-    if (request.has_count) request.payload_lines = n;
-    // `line` resumes right after the token.
-    line = std::string_view(token.data() + end,
-                            token.size() - end + line.size());
-  }
-  request.args = line;
-  return request;
-}
-
 /// OBSERVEB's body: parses the n announced point lines and ingests them as
 /// one batch. A malformed line fails the whole batch (nothing is applied —
 /// a batch is one request), but the remaining lines are still consumed so
@@ -264,32 +235,55 @@ RequestDispatcher::RequestDispatcher(ReplicaManager* replicas,
 
 RequestDispatcher::~RequestDispatcher() = default;
 
-RequestInfo RequestDispatcher::Classify(std::string_view line) const {
-  RequestInfo request = ParseRequest(line);
-  // Only a well-formed SOLVE is probed: a malformed one is answered with
-  // its arity error on the caller's thread, never shed or offloaded.
-  if (request.verb == "SOLVE" && !request.session.empty() &&
-      AtLineEnd(request.args)) {
-    const std::string name(request.session);
-    request.cold_solve = sessions_ != nullptr
-                             ? !sessions_->SolveLikelyCached(name)
-                             : !replicas_->SolveLikelyCached(name);
+RequestInfo RequestDispatcher::Classify(std::string_view line) {
+  // Only what admission control needs is tokenized here: the verb, the
+  // session and OBSERVEB's count. The rest stays in `args`.
+  RequestInfo request;
+  request.verb = NextToken(&line);
+  if (request.verb != "LIST" && request.verb != "METRICS" &&
+      request.verb != "QUIT") {
+    request.session = NextToken(&line);
   }
+  if (request.verb == "OBSERVEB" && !request.session.empty()) {
+    // The count is the token's leading [+-]digits, as `operator>>` read
+    // it, so the announced line count (the framing) never changes. What
+    // follows the digits is left in `args`: `2junk` drains 2 lines, ERR.
+    const std::string_view token = NextToken(&line);
+    const size_t sign = token.starts_with('+') || token.starts_with('-');
+    const size_t end =
+        std::min(token.find_first_not_of("0123456789", sign), token.size());
+    int64_t n = -1;
+    request.has_count =
+        end > sign && ParseInteger(token.substr(0, end), &n) && n >= 0;
+    if (request.has_count) request.payload_lines = n;
+    // `line` resumes right after the token.
+    line = std::string_view(token.data() + end,
+                            token.size() - end + line.size());
+  }
+  request.args = line;
   return request;
 }
 
 RequestOutcome RequestDispatcher::HandleRequest(std::string_view line,
                                                 LineSource& payload,
                                                 std::string* out) {
-  return Execute(ParseRequest(line), payload, out);
+  return Execute(Classify(line), payload, out);
 }
 
 RequestOutcome RequestDispatcher::Execute(const RequestInfo& request,
                                           LineSource& payload,
                                           std::string* out,
-                                          std::optional<FileRange>* body) {
+                                          std::optional<FileRange>* body,
+                                          bool defer_cold_solve) {
   const std::string_view verb = request.verb;
   if (verb.empty()) return RequestOutcome::kReply;  // blank line
+  if (verb == "SOLVE" && !request.session.empty()) {
+    // Counted where it is answered: a deferred SOLVE, by the `Execute`
+    // that runs it later.
+    const RequestOutcome outcome = Solve(request, out, defer_cold_solve);
+    if (outcome == RequestOutcome::kReply) RequestsCounter().Inc();
+    return outcome;
+  }
   RequestsCounter().Inc();
   if (verb == "QUIT") {
     if (!AtLineEnd(request.args)) {
@@ -343,32 +337,38 @@ RequestOutcome RequestDispatcher::Execute(const RequestInfo& request,
     return RequestOutcome::kReply;
   }
   const std::string name(request.session);
-  if (verb == "SOLVE") {
-    Solve(request, name, out);
-  } else if (!(follower() ? ExecuteFollower(request, name, out)
-                          : ExecutePrimary(request, name, payload, out,
-                                           body))) {
+  if (!(follower() ? ExecuteFollower(request, name, out)
+                   : ExecutePrimary(request, name, payload, out, body))) {
     Append(out, "ERR unknown command '", verb, "'\n");
   }
   return RequestOutcome::kReply;
 }
 
-void RequestDispatcher::Solve(const RequestInfo& request,
-                              const std::string& name, std::string* out) {
-  if (!SessionOnly(request, out)) return;
+RequestOutcome RequestDispatcher::Solve(const RequestInfo& request,
+                                        std::string* out,
+                                        bool defer_cold_solve) {
+  // A malformed SOLVE is answered here, never deferred.
+  if (!SessionOnly(request, out)) return RequestOutcome::kReply;
+  const std::string name(request.session);
   if (sessions_ != nullptr) {
-    auto solution = sessions_->Solve(name);
-    if (Failed(solution.status(), out)) return;
-    AppendSolution(*solution, out);
+    auto solution = defer_cold_solve ? sessions_->SolveIfCached(name)
+                                     : std::optional(sessions_->Solve(name));
+    if (!solution.has_value()) return RequestOutcome::kDeferredSolve;
+    if (Failed(solution->status(), out)) return RequestOutcome::kReply;
+    AppendSolution(**solution, out);
     out->push_back('\n');
-    return;
+    return RequestOutcome::kReply;
   }
-  auto solve = replicas_->Solve(name);
-  if (Failed(solve.status(), out)) return;
-  AppendSolution(solve->solution, out);
-  Append(out, " version=", solve->state_version,
-         " applied=", solve->applied_seq, " lag=", solve->lag,
-         " stale=", solve->stale ? 1 : 0, "\n");
+  auto solve = defer_cold_solve ? replicas_->SolveIfCached(name)
+                                : std::optional(replicas_->Solve(name));
+  if (!solve.has_value()) return RequestOutcome::kDeferredSolve;
+  if (Failed(solve->status(), out)) return RequestOutcome::kReply;
+  const ReplicaManager::ReplicaSolve& answer = **solve;
+  AppendSolution(answer.solution, out);
+  Append(out, " version=", answer.state_version,
+         " applied=", answer.applied_seq, " lag=", answer.lag,
+         " stale=", answer.stale ? 1 : 0, "\n");
+  return RequestOutcome::kReply;
 }
 
 bool RequestDispatcher::ExecutePrimary(const RequestInfo& request,

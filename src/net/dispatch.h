@@ -52,6 +52,9 @@ class StringLineSource final : public LineSource {
 enum class RequestOutcome {
   kReply,  // keep the conversation going
   kQuit,   // client said QUIT: stdin loop exits, TCP closes the connection
+  /// A SOLVE `Execute(..., defer_cold_solve)` did not answer from the
+  /// cache, appending and counting nothing: the caller runs it elsewhere.
+  kDeferredSolve,
 };
 
 /// One request line, read once: `Classify` reads it for the TCP front
@@ -69,11 +72,6 @@ struct RequestInfo {
   std::string_view verb;  // "" for a blank line
   /// Session the request names ("" for LIST/METRICS/QUIT/blank/garbage).
   std::string_view session;
-  /// True for a well-formed SOLVE (nothing after the name) that would
-  /// miss the solve cache (or touch a spilled/unbootstrapped session): the
-  /// ~750x-slower path admission may have to shed. Advisory — state can
-  /// move before execution.
-  bool cold_solve = false;
   /// Payload lines the request announces (OBSERVEB's n, the count token's
   /// leading `[+-]digits`): a transport that sheds the request must still
   /// drain them to stay in framing. `OBSERVEB s 2junk` drains 2, then ERRs.
@@ -91,7 +89,7 @@ struct RequestInfo {
 /// serve (QUIT, METRICS, LIST, SOLVE) and the session-name and
 /// unknown-verb replies have one handler each.
 ///
-/// `HandleRequest` (and `Execute`, for a request `Classify` already read)
+/// `HandleRequest` (and `Execute`, for a request `Classify` read)
 /// consumes exactly one request — the command line plus any payload lines
 /// it announces, pulled from `payload` — and appends the full reply text
 /// to `*out`. Every reply path consumes precisely the request's own input
@@ -134,27 +132,30 @@ class RequestDispatcher {
   RequestDispatcher& operator=(const RequestDispatcher&) = delete;
   ~RequestDispatcher();
 
-  /// `Execute(Classify(line))`, without the solve-cache probe.
+  /// `Execute(Classify(line))`, a cold SOLVE included.
   RequestOutcome HandleRequest(std::string_view line, LineSource& payload,
                                std::string* out);
-  /// Reads `line` without executing it; probes the solve cache for a
-  /// well-formed SOLVE only.
-  RequestInfo Classify(std::string_view line) const;
-  /// Runs a request `Classify` read (counted in `fdm_net_requests_total`
-  /// unless the line was blank). With `body` set, a successful RFETCHSNAP or
+  /// Reads `line` without executing it: a parse, no lookup.
+  static RequestInfo Classify(std::string_view line);
+  /// Runs a request `Classify` read, counted in `fdm_net_requests_total`
+  /// unless blank or deferred. With `body` set, a successful RFETCHSNAP or
   /// RFETCHWAL appends only its header line and puts the open range in
   /// `*body`: the reply is then the header, the range's bytes and a '\n',
   /// which the caller sends (the TCP server, from the file). Without it
-  /// every reply byte is appended to `*out`.
+  /// every reply byte is appended to `*out`. With `defer_cold_solve`, a
+  /// well-formed SOLVE is answered only from the solve cache, in one
+  /// lookup under one shared lock; a miss or an unknown, spilled or
+  /// unbootstrapped session returns `kDeferredSolve`, nothing loaded.
   RequestOutcome Execute(const RequestInfo& request, LineSource& payload,
                          std::string* out,
-                         std::optional<FileRange>* body = nullptr);
+                         std::optional<FileRange>* body = nullptr,
+                         bool defer_cold_solve = false);
 
   bool follower() const { return replicas_ != nullptr; }
 
  private:
-  void Solve(const RequestInfo& request, const std::string& name,
-             std::string* out);
+  RequestOutcome Solve(const RequestInfo& request, std::string* out,
+                       bool defer_cold_solve);
   /// The verbs only one role serves; false when `request.verb` is none.
   bool ExecutePrimary(const RequestInfo& request, const std::string& name,
                       LineSource& payload, std::string* out,

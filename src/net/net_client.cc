@@ -113,6 +113,12 @@ Result<std::string> NetClient::Recv() {
     size_t consumed = 0;
     const FrameParse parsed = ParseFrame(in_, &payload, &consumed);
     if (parsed == FrameParse::kFrame) {
+      if (consumed == in_.size()) {
+        // The frame is all that was read (a reply to a lone request): hand
+        // the buffer over, header erased in place, instead of a copy.
+        in_.erase(0, kFrameHeaderBytes);
+        return std::exchange(in_, std::string());
+      }
       std::string reply(payload);
       in_.erase(0, consumed);
       ReleaseIfDrained(in_);  // don't pin the largest reply ever read

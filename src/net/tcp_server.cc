@@ -132,8 +132,9 @@ void SettleBuffers(Conn& conn) {
   conn.buffered = held;
 }
 
-/// An offloaded cold SOLVE. `Classify` probes only a well-formed SOLVE (a
-/// session name, nothing after it), so the name is all the worker needs.
+/// A SOLVE the event loop's `Execute` deferred. Only a well-formed SOLVE
+/// (a session name, nothing after it) is, so the name is all the worker's
+/// `Execute` needs to compute, reload or bootstrap off the loop.
 struct SolveTask {
   std::shared_ptr<Conn> conn;
   std::string session;
@@ -309,7 +310,7 @@ void TcpServer::Impl::RunRequests(EventLoop& loop,
       conn->pos = conn->frame_end - payload_lines.rest().size();
     };
 
-    const RequestInfo request = dispatcher->Classify(line);
+    const RequestInfo request = RequestDispatcher::Classify(line);
     if (request.verb.empty()) {  // blank line: no response frame
       resume();
       continue;
@@ -325,31 +326,13 @@ void TcpServer::Impl::RunRequests(EventLoop& loop,
       resume();
       continue;
     }
-    if (request.cold_solve) {
-      if (!admission.TryEnterColdSolve()) {
-        AppendFrame("ERR shed cold solve capacity\n", &conn->out);
-        resume();
-        continue;
-      }
-      // Admitted: run it on the solve pool, the one request whose text is
-      // copied. SOLVE announces no payload lines, so the whole remainder of
-      // the frame is later requests — they wait until the completion lands
-      // (FIFO per connection).
-      conn->busy = true;
-      resume();
-      {
-        std::lock_guard<std::mutex> lock(solve_mu);
-        solve_queue.push_back(SolveTask{conn, std::string(request.session)});
-      }
-      solve_cv.notify_one();
-      break;
-    }
     // The reply is framed in place in `conn->out`. A fetch leaves its
     // range in the file: the frame counts it and its closing newline, and
     // FlushConn sends it from the file once the text ahead of it is out.
     const size_t frame_at = BeginFrame(&conn->out);
-    const RequestOutcome outcome =
-        dispatcher->Execute(request, payload_lines, &conn->out, &conn->range);
+    const RequestOutcome outcome = dispatcher->Execute(
+        request, payload_lines, &conn->out, &conn->range,
+        /*defer_cold_solve=*/true);
     if (conn->out.size() == frame_at + kFrameHeaderBytes) {
       conn->out.resize(frame_at);  // no reply, no frame
     } else {
@@ -357,6 +340,23 @@ void TcpServer::Impl::RunRequests(EventLoop& loop,
                conn->range ? conn->range->length + 1 : 0);
     }
     resume();
+    if (outcome == RequestOutcome::kDeferredSolve) {
+      if (!admission.TryEnterColdSolve()) {
+        AppendFrame("ERR shed cold solve capacity\n", &conn->out);
+        continue;
+      }
+      // Admitted: run it on the solve pool, the one request whose text is
+      // copied. SOLVE announces no payload lines, so the whole remainder of
+      // the frame is later requests — they wait until the completion lands
+      // (FIFO per connection).
+      conn->busy = true;
+      {
+        std::lock_guard<std::mutex> lock(solve_mu);
+        solve_queue.push_back(SolveTask{conn, std::string(request.session)});
+      }
+      solve_cv.notify_one();
+      break;
+    }
     if (outcome == RequestOutcome::kQuit) {
       conn->closing = true;  // flush the reply, then close
       break;

@@ -48,8 +48,12 @@ struct TcpServerOptions {
 /// reads, and a connection waiting on an offloaded SOLVE or a range in
 /// flight stops reading once it holds 64 KiB unread.
 ///
+/// An event loop answers a SOLVE only from the solve cache; any other
+/// well-formed SOLVE (a miss, a spilled or unbootstrapped session) comes
+/// back deferred, so no loop ever computes, reloads or bootstraps.
+///
 /// Overload behavior (see net/admission.h): a request naming a session
-/// over its token-bucket rate, or a cache-missing SOLVE beyond the global
+/// over its token-bucket rate, or a deferred SOLVE beyond the global
 /// cold-solve capacity, is answered immediately with a complete
 /// `ERR shed ...` response frame (announced payload lines are drained, so
 /// the pipeline stays in framing) instead of queueing. Admitted cold

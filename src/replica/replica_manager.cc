@@ -11,6 +11,22 @@
 #include "service/session_layout.h"
 
 namespace fdm {
+namespace {
+
+/// A follower SOLVE's answer: `solution` with the position it is correct
+/// for, read field by field (`Stats()` would copy the cache histograms).
+Result<ReplicaManager::ReplicaSolve> AtPosition(const ReplicaSession& replica,
+                                                Result<Solution> solution) {
+  if (!solution.ok()) return solution.status();
+  ReplicaManager::ReplicaSolve result(std::move(solution.value()));
+  result.state_version = replica.StateVersion();
+  result.applied_seq = replica.applied_seq();
+  result.lag = replica.lag();
+  result.stale = result.lag > 0;
+  return result;
+}
+
+}  // namespace
 
 ReplicaManager::ReplicaManager(ReplicaManagerOptions options,
                                std::string primary_host, int primary_port)
@@ -89,42 +105,45 @@ void ReplicaManager::DiscoverSessions() {
   }
 }
 
+std::shared_ptr<ReplicaManager::Entry> ReplicaManager::FindEntry(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(name);
+  return it == entries_.end() ? nullptr : it->second;
+}
+
 Result<std::shared_ptr<ReplicaManager::Entry>> ReplicaManager::Follower(
     const std::string& name) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it != entries_.end()) entry = it->second;
-  }
+  std::shared_ptr<Entry> entry = FindEntry(name);
   if (entry == nullptr) {
     // Maybe created on the primary after our last scan.
     DiscoverSessions();
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
+    entry = FindEntry(name);
+    if (entry == nullptr) {
       return Status::InvalidArgument("no session named '" + name +
                                      "' under " + options_.primary_root);
     }
-    entry = it->second;
   }
   {
-    std::unique_lock<std::shared_mutex> entry_lock(entry->mu);
-    if (entry->replica == nullptr) {
-      std::shared_ptr<ReplicationSource> source;
-      if (!primary_host_.empty()) {
-        source = std::make_shared<SocketReplicationSource>(
-            primary_host_, primary_port_, name);
-      } else {
-        source = std::make_shared<DirReplicationSource>(
-            options_.primary_root + "/" + name);
-      }
-      auto replica =
-          ReplicaSession::Bootstrap(std::move(source), options_.replica);
-      if (!replica.ok()) return replica.status();
-      entry->replica =
-          std::make_unique<ReplicaSession>(std::move(replica.value()));
+    // Bootstrapped once and never reset, so a shared look finds it.
+    std::shared_lock<std::shared_mutex> entry_lock(entry->mu);
+    if (entry->replica != nullptr) return entry;
+  }
+  std::unique_lock<std::shared_mutex> entry_lock(entry->mu);
+  if (entry->replica == nullptr) {
+    std::shared_ptr<ReplicationSource> source;
+    if (!primary_host_.empty()) {
+      source = std::make_shared<SocketReplicationSource>(primary_host_,
+                                                         primary_port_, name);
+    } else {
+      source = std::make_shared<DirReplicationSource>(options_.primary_root +
+                                                      "/" + name);
     }
+    auto replica =
+        ReplicaSession::Bootstrap(std::move(source), options_.replica);
+    if (!replica.ok()) return replica.status();
+    entry->replica =
+        std::make_unique<ReplicaSession>(std::move(replica.value()));
   }
   return entry;
 }
@@ -135,15 +154,18 @@ Result<ReplicaManager::ReplicaSolve> ReplicaManager::Solve(
   if (!entry.ok()) return entry.status();
   std::shared_lock<std::shared_mutex> lock((*entry)->mu);
   const ReplicaSession& replica = *(*entry)->replica;
-  auto solution = replica.Solve();
-  if (!solution.ok()) return solution.status();
-  ReplicaSolve result(std::move(solution.value()));
-  const auto stats = replica.Stats();
-  result.state_version = stats.state_version;
-  result.applied_seq = stats.applied_seq;
-  result.lag = stats.lag;
-  result.stale = stats.stale;
-  return result;
+  return AtPosition(replica, replica.Solve());
+}
+
+std::optional<Result<ReplicaManager::ReplicaSolve>>
+ReplicaManager::SolveIfCached(const std::string& name) {
+  const std::shared_ptr<Entry> entry = FindEntry(name);
+  if (entry == nullptr) return std::nullopt;
+  std::shared_lock<std::shared_mutex> lock(entry->mu);
+  if (entry->replica == nullptr) return std::nullopt;  // bootstrap elsewhere
+  auto solution = entry->replica->SolveIfCached();
+  if (!solution.has_value()) return std::nullopt;
+  return AtPosition(*entry->replica, *std::move(solution));
 }
 
 Result<ReplicaSession::ReplicaStats> ReplicaManager::Stats(
@@ -180,19 +202,6 @@ Status ReplicaManager::PollAll() {
     if (!applied.ok() && first_error.ok()) first_error = applied.status();
   }
   return first_error;
-}
-
-bool ReplicaManager::SolveLikelyCached(const std::string& name) const {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) return false;
-    entry = it->second;
-  }
-  std::shared_lock<std::shared_mutex> lock(entry->mu);
-  if (entry->replica == nullptr) return false;  // bootstrap is cold
-  return entry->replica->SolveCached();
 }
 
 std::vector<std::string> ReplicaManager::SessionNames() {

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -91,11 +92,11 @@ class ReplicaManager {
   /// All sessions currently visible under the primary root.
   std::vector<std::string> SessionNames();
 
-  /// True iff `Solve(name)` right now would be a follower-cache hit.
-  /// Advisory and cheap: a session not yet bootstrapped reports false
-  /// without bootstrapping it — that first touch is exactly the expensive
-  /// path admission control wants to classify as cold.
-  bool SolveLikelyCached(const std::string& name) const;
+  /// `Solve(name)` when it is a follower-cache hit, under one shared lock;
+  /// nullopt means "not served here": an unknown session, one not
+  /// bootstrapped yet, or a miss. It never bootstraps, polls or computes,
+  /// so an event loop may call it and hand the rest to `Solve` elsewhere.
+  std::optional<Result<ReplicaSolve>> SolveIfCached(const std::string& name);
 
  private:
   struct Entry {
@@ -114,6 +115,9 @@ class ReplicaManager {
 
   /// The names registered so far, without rescanning.
   std::vector<std::string> KnownNames() const;
+
+  /// The registered entry for `name`, or null; no discovery.
+  std::shared_ptr<Entry> FindEntry(const std::string& name) const;
 
   /// Entry for `name`, bootstrapping the follower on first touch.
   Result<std::shared_ptr<Entry>> Follower(const std::string& name);

@@ -335,9 +335,11 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
     ++segments_fetched_;
     SegmentsFetchedCounter().Inc();
     NoteFetched(fetched->size());
-    // The segment's bytes from `offset` on.
-    std::string bytes = offset == 0 ? std::move(fetched.value())
-                                    : std::move(unapplied_) + *fetched;
+    // The segment's bytes from `offset` on: the fetch itself, unless a
+    // budget-bound poll left fetched bytes unapplied ahead of it.
+    std::string bytes = unapplied_.empty() || offset == 0
+                            ? std::move(fetched.value())
+                            : std::move(unapplied_) + *fetched;
     unapplied_.clear();
     if (seg.checksum != 0) {
       // A sealed segment is immutable: a whole fetch must match the listed
@@ -423,7 +425,7 @@ ReplicaSession::ReplicaStats ReplicaSession::Stats() const {
   stats.primary_seq = last_primary_seq_;
   stats.primary_version = last_primary_version_;
   stats.advert_seq = last_advert_seq_;
-  stats.lag = std::max<int64_t>(0, last_primary_seq_ - applied_seq_);
+  stats.lag = lag();
   stats.stale = stats.lag > 0;
   stats.state_version = sink_->StateVersion();
   stats.resyncs = resyncs_;

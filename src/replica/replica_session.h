@@ -1,8 +1,10 @@
 #ifndef FDM_REPLICA_REPLICA_SESSION_H_
 #define FDM_REPLICA_REPLICA_SESSION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/solution.h"
@@ -90,11 +92,10 @@ class ReplicaSession {
 
   uint64_t StateVersion() const { return sink_->StateVersion(); }
 
-  /// True iff `Solve()` right now would be a cache hit (advisory — a
-  /// concurrent tail apply can move the version). The serving front end's
-  /// admission control uses this to classify follower SOLVEs.
-  bool SolveCached() const {
-    return solve_cache_->IsCachedAt(sink_->StateVersion());
+  /// `Solve()` when it is a cache hit (counted as one); else nullopt,
+  /// with nothing computed.
+  std::optional<Result<Solution>> SolveIfCached() const {
+    return solve_cache_->Lookup(sink_->StateVersion());
   }
 
   /// Exact membership of `id` at the follower's applied position — the
@@ -157,6 +158,11 @@ class ReplicaSession {
 
   const std::string& spec() const { return spec_; }
   int64_t applied_seq() const { return applied_seq_; }
+  /// Records the primary held past `applied_seq()` as of the last manifest
+  /// (`Stats().lag`; never negative).
+  int64_t lag() const {
+    return std::max<int64_t>(0, last_primary_seq_ - applied_seq_);
+  }
   const StreamSink& sink() const { return *sink_; }
 
  private:

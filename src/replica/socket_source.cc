@@ -112,7 +112,7 @@ Result<ReplicaManifest> SocketReplicationSource::GetManifest() {
 }
 
 Result<std::string> SocketReplicationSource::ParseBytesReply(
-    const std::string& reply) {
+    std::string reply) {
   const size_t nl = reply.find('\n');
   if (nl == std::string::npos) return Status::IoError("malformed fetch reply");
   const std::string_view header(reply.data(), nl);
@@ -126,14 +126,18 @@ Result<std::string> SocketReplicationSource::ParseBytesReply(
       reply.size() < nl + 1 + static_cast<size_t>(bytes)) {
     return Status::IoError("malformed fetch reply");
   }
-  return reply.substr(nl + 1, static_cast<size_t>(bytes));
+  // The bytes stay where they arrived: the header line is erased in
+  // front of them and the closing newline cut behind.
+  reply.erase(0, nl + 1);
+  reply.resize(static_cast<size_t>(bytes));
+  return reply;
 }
 
 Result<std::string> SocketReplicationSource::FetchSnapshot(int64_t seq) {
   auto reply =
       client_.Call("RFETCHSNAP " + session_ + " " + std::to_string(seq));
   if (!reply.ok()) return reply.status();
-  return ParseBytesReply(*reply);
+  return ParseBytesReply(std::move(reply.value()));
 }
 
 Result<std::string> SocketReplicationSource::FetchWalSegment(
@@ -143,7 +147,7 @@ Result<std::string> SocketReplicationSource::FetchWalSegment(
   if (offset != 0) request += " " + std::to_string(offset);
   auto reply = client_.Call(request);
   if (!reply.ok()) return reply.status();
-  return ParseBytesReply(*reply);
+  return ParseBytesReply(std::move(reply.value()));
 }
 
 }  // namespace fdm

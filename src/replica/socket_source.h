@@ -45,8 +45,9 @@ class SocketReplicationSource final : public ReplicationSource {
   void InvalidateCaches() override;
 
  private:
-  /// Parses a `OK bytes=<n>\n<raw>\n` fetch reply.
-  static Result<std::string> ParseBytesReply(const std::string& reply);
+  /// Parses a `OK bytes=<n>\n<raw>\n` fetch reply into its raw bytes, in
+  /// the reply's own buffer.
+  static Result<std::string> ParseBytesReply(std::string reply);
 
   const std::string session_;
   net::ReconnectingClient client_;

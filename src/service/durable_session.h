@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -186,6 +187,12 @@ class DurableSession {
     const StreamSink& sink = *sink_;
     return solve_cache_->GetOrCompute(
         sink.StateVersion(), [&sink] { return sink.Solve(); }, dir_);
+  }
+
+  /// `Solve()` when it is a cache hit (counted as one); else nullopt,
+  /// with nothing computed.
+  std::optional<Result<Solution>> SolveIfCached() const {
+    return solve_cache_->Lookup(sink_->StateVersion(), dir_);
   }
 
   /// Replaces the session's solve cache (the manager hands every session

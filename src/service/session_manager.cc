@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <type_traits>
 #include <utility>
 
 #include "core/parallelism.h"
@@ -18,6 +19,10 @@ obs::Gauge& ResidentGauge() {
   static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
       "fdm_sessions_resident", "sessions currently live in memory");
   return g;
+}
+
+Status NoSuchSession(const std::string& name) {
+  return Status::InvalidArgument("no session named '" + name + "'");
 }
 
 }  // namespace
@@ -76,11 +81,8 @@ Status SessionManager::CreateSession(const std::string& name,
   if (!IsValidSessionName(name)) {
     return Status::InvalidArgument("invalid session name '" + name + "'");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (entries_.count(name) != 0) {
-      return Status::InvalidArgument("session '" + name + "' already exists");
-    }
+  if (FindEntry(name, /*touch=*/false) != nullptr) {
+    return Status::InvalidArgument("session '" + name + "' already exists");
   }
   // Build the session BEFORE publishing the entry: a concurrent touch of
   // the name must either miss the map entirely ("no session") or find a
@@ -90,22 +92,15 @@ Status SessionManager::CreateSession(const std::string& name,
   auto session = DurableSession::Create(DirFor(name), spec, options_.session);
   if (!session.ok()) return session.status();
   auto entry = std::make_shared<Entry>();
-  entry->session =
-      std::make_unique<DurableSession>(std::move(session.value()));
-  entry->session->AttachSolveCache(entry->solve_cache);
-  entry->resident.store(true, std::memory_order_release);
-  resident_count_.fetch_add(1, std::memory_order_relaxed);
-  ResidentGauge().Set(static_cast<double>(
-      resident_count_.load(std::memory_order_relaxed)));
+  SetSession(*entry,
+             std::make_unique<DurableSession>(std::move(session.value())));
   {
     std::lock_guard<std::mutex> lock(mu_);
     entry->last_used = ++tick_;
     if (!entries_.emplace(name, entry).second) {
       // Lost a pure in-memory race for the name after our directory won
       // (e.g. a concurrent rescan registered it); keep the existing entry.
-      resident_count_.fetch_sub(1, std::memory_order_relaxed);
-      ResidentGauge().Set(static_cast<double>(
-          resident_count_.load(std::memory_order_relaxed)));
+      SetSession(*entry, nullptr);
       return Status::InvalidArgument("session '" + name + "' already exists");
     }
   }
@@ -113,38 +108,27 @@ Status SessionManager::CreateSession(const std::string& name,
   return Status::Ok();
 }
 
-Result<std::shared_ptr<SessionManager::Entry>> SessionManager::Resident(
-    const std::string& name) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      return Status::InvalidArgument("no session named '" + name + "'");
-    }
-    entry = it->second;
-    entry->last_used = ++tick_;
-  }
-  {
-    std::unique_lock<std::shared_mutex> entry_lock(entry->mu);
-    if (entry->session == nullptr) {
-      // Spilled (or inherited from a previous process): recover from the
-      // newest snapshot + WAL tail. Re-attach the entry's cache — state
-      // versions survive recovery bit-exactly, so a still-matching cached
-      // solution is served on the first post-recovery query.
-      auto session = DurableSession::Open(DirFor(name), options_.session);
-      if (!session.ok()) return session.status();
-      entry->session =
-          std::make_unique<DurableSession>(std::move(session.value()));
-      entry->session->AttachSolveCache(entry->solve_cache);
-      entry->resident.store(true, std::memory_order_release);
-      resident_count_.fetch_add(1, std::memory_order_relaxed);
-      ResidentGauge().Set(static_cast<double>(
-          resident_count_.load(std::memory_order_relaxed)));
-    }
-  }
-  EnforceResidencyLimit();
-  return entry;
+std::shared_ptr<SessionManager::Entry> SessionManager::FindEntry(
+    const std::string& name, bool touch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(name);
+  if (it == entries_.end()) return nullptr;
+  if (touch) it->second->last_used = ++tick_;
+  return it->second;
+}
+
+void SessionManager::SetSession(Entry& entry,
+                                std::unique_ptr<DurableSession> session) {
+  const bool was_resident = entry.session != nullptr;
+  const bool resident = session != nullptr;
+  if (resident) session->AttachSolveCache(entry.solve_cache);
+  entry.session = std::move(session);
+  entry.resident.store(resident, std::memory_order_release);
+  if (resident == was_resident) return;
+  const size_t count =
+      resident ? resident_count_.fetch_add(1, std::memory_order_relaxed) + 1
+               : resident_count_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  ResidentGauge().Set(static_cast<double>(count));
 }
 
 void SessionManager::EnforceResidencyLimit() {
@@ -178,7 +162,7 @@ void SessionManager::EnforceResidencyLimit() {
       // caller is about to use.
       if (victim == nullptr || victim->last_used == newest) return;
     }
-    std::unique_lock<std::shared_mutex> victim_lock(victim->mu);
+    Exclusive victim_lock(victim->mu);
     if (victim->session == nullptr) continue;  // raced with another spill
     // Spill = snapshot (so recovery is instant, no WAL replay) + drop.
     if (Status s = victim->session->TakeSnapshot(); !s.ok()) {
@@ -186,47 +170,52 @@ void SessionManager::EnforceResidencyLimit() {
       // next explicit Snapshot()/shutdown will retry and report.
       return;
     }
-    victim->session.reset();
-    victim->resident.store(false, std::memory_order_release);
-    resident_count_.fetch_sub(1, std::memory_order_relaxed);
-    ResidentGauge().Set(static_cast<double>(
-        resident_count_.load(std::memory_order_relaxed)));
+    SetSession(*victim, nullptr);
   }
 }
 
-template <typename Fn>
-auto SessionManager::WithSession(const std::string& name, Fn&& fn)
+template <typename Lock, typename Fn>
+auto SessionManager::WithSession(const std::string& name, Fn&& fn,
+                                 bool* was_resident)
     -> decltype(fn(std::declval<DurableSession&>())) {
+  // A shared holder gets a const session: it may run beside other readers.
+  using Session = std::conditional_t<std::is_same_v<Lock, Exclusive>,
+                                     DurableSession, const DurableSession>;
+  if (was_resident != nullptr) *was_resident = true;
   for (;;) {
-    auto entry = Resident(name);
-    if (!entry.ok()) return entry.status();
-    std::unique_lock<std::shared_mutex> lock((*entry)->mu);
-    // The session can be spilled between Resident() and the lock; the
-    // guard's scope is the loop body, so retrying releases it first (the
-    // entry mutex is not recursive).
-    if ((*entry)->session == nullptr) continue;
-    return fn(*(*entry)->session);
-  }
-}
-
-template <typename Fn>
-auto SessionManager::WithSessionShared(const std::string& name, Fn&& fn)
-    -> decltype(fn(std::declval<const DurableSession&>())) {
-  for (;;) {
-    auto entry = Resident(name);
-    if (!entry.ok()) return entry.status();
-    std::shared_lock<std::shared_mutex> lock((*entry)->mu);
-    // Same spill race as WithSession: reloading needs the exclusive lock,
-    // so drop the shared one and go back through Resident().
-    if ((*entry)->session == nullptr) continue;
-    return fn(static_cast<const DurableSession&>(*(*entry)->session));
+    const std::shared_ptr<Entry> entry = FindEntry(name, /*touch=*/true);
+    if (entry == nullptr) return NoSuchSession(name);
+    {
+      Lock lock(entry->mu);
+      if (entry->session != nullptr) {
+        Session& session = *entry->session;
+        return fn(session);
+      }
+    }
+    if (was_resident != nullptr) *was_resident = false;
+    {
+      Exclusive lock(entry->mu);
+      if (entry->session == nullptr) {
+        // Spilled (or inherited from a previous process): recover from the
+        // newest snapshot + WAL tail. The entry's cache is re-attached —
+        // state versions survive recovery bit-exactly, so a still-matching
+        // cached solution is served on the first post-recovery query.
+        auto session = DurableSession::Open(DirFor(name), options_.session);
+        if (!session.ok()) return session.status();
+        SetSession(*entry, std::make_unique<DurableSession>(
+                               std::move(session.value())));
+      }
+    }
+    // The lock is released first: a spill takes the victim's lock, and
+    // the session can be spilled again before the retry looks it up.
+    EnforceResidencyLimit();
   }
 }
 
 Result<IngestOutcome> SessionManager::Ingest(
     const std::string& name, std::span<const StreamPoint> batch,
     bool as_batch) {
-  return WithSession(name, [&](DurableSession& session) {
+  return WithSession<Exclusive>(name, [&](DurableSession& session) {
     return session.Ingest(batch, as_batch);
   });
 }
@@ -236,79 +225,46 @@ Result<Solution> SessionManager::Solve(const std::string& name) {
   // touching the sink; a miss runs the post-processing while holding the
   // lock shared, which still excludes ingest (exclusive) but lets STATS
   // and other SOLVEs through. SolveCache serializes the compute itself.
-  return WithSessionShared(name, [](const DurableSession& session) {
-    return session.Solve();
-  });
+  return WithSession<Shared>(
+      name, [](const DurableSession& session) { return session.Solve(); });
 }
 
-bool SessionManager::SolveLikelyCached(const std::string& name) const {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) return false;
-    entry = it->second;
-  }
-  std::shared_lock<std::shared_mutex> entry_lock(entry->mu);
-  if (entry->session == nullptr) return false;  // spilled: a reload is cold
-  return entry->solve_cache->IsCachedAt(entry->session->StateVersion());
+std::optional<Result<Solution>> SessionManager::SolveIfCached(
+    const std::string& name) {
+  const std::shared_ptr<Entry> entry = FindEntry(name, /*touch=*/true);
+  if (entry == nullptr) return std::nullopt;
+  Shared lock(entry->mu);
+  if (entry->session == nullptr) return std::nullopt;  // spilled: no reload
+  return entry->session->SolveIfCached();
 }
 
 Status SessionManager::Snapshot(const std::string& name) {
-  return WithSession(name, [](DurableSession& session) {
-    return session.TakeSnapshot();
-  });
+  return WithSession<Exclusive>(
+      name, [](DurableSession& session) { return session.TakeSnapshot(); });
 }
 
 Status SessionManager::DropResident(const std::string& name) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      return Status::InvalidArgument("no session named '" + name + "'");
-    }
-    entry = it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(entry->mu);
+  const std::shared_ptr<Entry> entry = FindEntry(name, /*touch=*/false);
+  if (entry == nullptr) return NoSuchSession(name);
+  Exclusive lock(entry->mu);
   // Deliberately no snapshot: the in-memory sink state is discarded and
   // must be reconstructed from snapshot + WAL tail. Note the WAL
   // destructor still flushes buffered records, so this models a graceful
   // kill; power-loss artifacts (torn/unsynced tails) are exercised by
   // wal_test and the torn-tail session test, which mutilate the files
   // directly.
-  if (entry->session != nullptr) {
-    entry->session.reset();
-    entry->resident.store(false, std::memory_order_release);
-    resident_count_.fetch_sub(1, std::memory_order_relaxed);
-    ResidentGauge().Set(static_cast<double>(
-        resident_count_.load(std::memory_order_relaxed)));
-  }
+  SetSession(*entry, nullptr);
   return Status::Ok();
 }
 
 Result<SessionManager::SessionStats> SessionManager::Stats(
     const std::string& name) {
-  // Record residency BEFORE the query: reading the counters below loads a
-  // spilled session, so sampling afterwards would always report true. The
-  // entry mutex is taken only after releasing the map mutex (the lock
-  // order everywhere else), so the sample is a snapshot, not a guarantee.
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      return Status::InvalidArgument("no session named '" + name + "'");
-    }
-    entry = it->second;
-  }
+  // `resident` is what the first look found: reading the counters loads
+  // a spilled session, so sampling afterwards would always report true.
   bool was_resident = false;
-  {
-    std::shared_lock<std::shared_mutex> entry_lock(entry->mu);
-    was_resident = entry->session != nullptr;
-  }
-  return WithSessionShared(
-      name, [&](const DurableSession& session) -> Result<SessionStats> {
+  return WithSession<Shared>(
+      name,
+      [&](const DurableSession& session) -> Result<SessionStats> {
         SessionStats stats;
         stats.name = name;
         stats.spec = session.spec();
@@ -340,7 +296,8 @@ Result<SessionManager::SessionStats> SessionManager::Stats(
         }
         stats.kernel = std::string(simd::ActiveKernelName());
         return stats;
-      });
+      },
+      &was_resident);
 }
 
 std::vector<std::string> SessionManager::SessionNames() const {
@@ -372,7 +329,7 @@ Status SessionManager::SnapshotAll() {
   }
   std::vector<Status> results(resident.size());
   Parallelism::Run(resident.size(), [&](size_t i) {
-    std::unique_lock<std::shared_mutex> lock(resident[i]->mu);
+    Exclusive lock(resident[i]->mu);
     if (resident[i]->session == nullptr) return;  // spilled meanwhile
     results[i] = resident[i]->session->TakeSnapshot();
   });

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -50,10 +51,10 @@ struct SessionManagerOptions {
 /// (`std::shared_mutex`), so ingest into different sessions proceeds in
 /// parallel (and each sink can additionally parallelize `ObserveBatch`
 /// internally over its own rungs/shards), while queries (`Solve`, `Stats`)
-/// take the lock shared: they run concurrently with each other and are
-/// answered from the session's `SolveCache` whenever the sink's state
-/// version has not moved — a cached SOLVE never serializes against STATS
-/// on the same session or against any other session's ingest.
+/// take it shared, and only a reload takes it exclusive: they run
+/// concurrently with each other and are answered from the session's
+/// `SolveCache` whenever the sink's state version has not moved — STATS
+/// never waits for a SOLVE, cached or cold, of the same session.
 /// Manager-wide sweeps (`SnapshotAll`, destructor flush) fan the sessions
 /// out over the process-wide width (core/parallelism.h).
 ///
@@ -145,12 +146,12 @@ class SessionManager {
   };
   Result<SessionStats> Stats(const std::string& name);
 
-  /// True iff `Solve(name)` right now would be served from the session's
-  /// solve cache. Advisory (state can move between the probe and the
-  /// query) and deliberately cheap: a spilled or unknown session reports
-  /// false without loading anything — reloading is exactly the kind of
-  /// work an overloaded front end wants to classify as cold.
-  bool SolveLikelyCached(const std::string& name) const;
+  /// `Solve(name)` when it is a cache hit on a resident session: one name
+  /// lookup, one shared lock, the memoized solution (counted as a hit,
+  /// LRU stamp bumped). nullopt means "not served here": an unknown or
+  /// spilled session, or a miss. It never loads or computes, so an event
+  /// loop may call it and hand the rest to `Solve` on another thread.
+  std::optional<Result<Solution>> SolveIfCached(const std::string& name);
 
   /// All known sessions (resident and spilled), sorted by name.
   std::vector<std::string> SessionNames() const;
@@ -180,26 +181,27 @@ class SessionManager {
     return options_.root_dir + "/" + name;
   }
 
-  /// Returns the entry for `name`, recovering it from disk if spilled, and
-  /// bumps its LRU stamp. May spill another (least-recently-used) session
-  /// to honor `max_resident`.
-  Result<std::shared_ptr<Entry>> Resident(const std::string& name);
+  /// The entry for `name`, or null; `touch` bumps its LRU stamp. The one
+  /// name lookup: it holds the map mutex only for the find.
+  std::shared_ptr<Entry> FindEntry(const std::string& name, bool touch);
 
-  /// Runs `fn(session)` with the entry lock held exclusively,
-  /// transparently reloading if the session was spilled between `Resident`
-  /// and the lock (the lock is released before each retry — never recurse
-  /// while holding it).
-  template <typename Fn>
-  auto WithSession(const std::string& name, Fn&& fn)
+  /// Installs `session` in `entry` (null spills or drops it), attaching
+  /// the entry's solve cache and keeping `resident`, `resident_count_` and
+  /// the `fdm_sessions_resident` gauge in step. The caller holds
+  /// `entry.mu` exclusively or has not published the entry yet.
+  void SetSession(Entry& entry, std::unique_ptr<DurableSession> session);
+
+  using Exclusive = std::unique_lock<std::shared_mutex>;
+  using Shared = std::shared_lock<std::shared_mutex>;
+
+  /// Runs `fn(session)` holding the entry lock as `Lock` (a `Shared` holder
+  /// gets a const session). Residency is checked under that lock; a
+  /// spilled session is reloaded under `Exclusive`, released before the
+  /// retry. `*was_resident` reports whether the first look found it.
+  template <typename Lock, typename Fn>
+  auto WithSession(const std::string& name, Fn&& fn,
+                   bool* was_resident = nullptr)
       -> decltype(fn(std::declval<DurableSession&>()));
-
-  /// As `WithSession`, but holds the entry lock *shared*: `fn` gets a
-  /// const session and may run concurrently with other shared holders.
-  /// Ingest and snapshots (exclusive holders) are excluded, which is what
-  /// makes it safe for a cache-missing `Solve` to read the sink.
-  template <typename Fn>
-  auto WithSessionShared(const std::string& name, Fn&& fn)
-      -> decltype(fn(std::declval<const DurableSession&>()));
 
   /// Spills LRU sessions until the resident count is within bounds.
   void EnforceResidencyLimit();

@@ -183,8 +183,9 @@ struct WalSegmentInfo {
 /// Durability/performance knobs of the write-ahead log.
 struct WalOptions {
   /// Rotate to a fresh segment file once the active one exceeds this size.
-  /// A WAL fetch replies with at most one segment, held whole in the
-  /// primary's connection buffer: this bounds what a lagging follower pins.
+  /// A WAL fetch replies with at most one segment, which the primary sends
+  /// from the file without buffering it: this bounds one fetch reply, which
+  /// the follower still receives and holds whole.
   size_t segment_bytes = 1u << 20;
   /// fsync after this many appended records (1 = fsync every record; large
   /// values batch the fsyncs, trading a bounded tail of re-playable — but

@@ -233,6 +233,50 @@ TEST_F(NetServerTest, MalformedSolveIsAnsweredNotShed) {
   (*server)->admission().LeaveColdSolve();
 }
 
+TEST_F(NetServerTest, ColdSolveCountsOnceWhenAnsweredAndNeverWhenShed) {
+  // fdm_net_requests_total counts a request where it is answered: a cold
+  // SOLVE the event loop defers counts once, on the solve worker that
+  // answers it, a cached one once on the loop, and one shed at the cold
+  // cap not at all.
+  const Dataset ds = TestData(200);
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("s", SpecFor(ds)).ok());
+  IngestAll(*manager, "s", ds);
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  net::TcpServerOptions options;
+  options.admission.cold_solve_cap = 1;
+  auto server = net::TcpServer::Start(&dispatcher, std::move(options));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  const obs::Counter& requests = obs::MetricsRegistry::Global().GetCounter(
+      "fdm_net_requests_total", "");
+  const uint64_t one = obs::kMetricsEnabled ? 1 : 0;
+  const uint64_t before = requests.Value();
+
+  auto cold = client->Call("SOLVE s");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->rfind("OK div=", 0), 0u) << *cold;
+  EXPECT_EQ(requests.Value(), before + one);
+  auto cached = client->Call("SOLVE s");
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(*cached, *cold);
+  EXPECT_EQ(requests.Value(), before + 2 * one);
+
+  // A point far from the rest moves the state, so the next SOLVE is cold;
+  // with the one slot held it sheds.
+  const double far[] = {1000.0, -1000.0};
+  const StreamPoint point{100000, 1, far};
+  ASSERT_TRUE(manager->Ingest("s", {&point, 1}, /*as_batch=*/false).ok());
+  ASSERT_TRUE((*server)->admission().TryEnterColdSolve());
+  auto shed = client->Call("SOLVE s");
+  ASSERT_TRUE(shed.ok());
+  EXPECT_EQ(*shed, "ERR shed cold solve capacity\n");
+  EXPECT_EQ((*server)->admission().cold_shed_total(), 1u);
+  EXPECT_EQ(requests.Value(), before + 2 * one);
+  (*server)->admission().LeaveColdSolve();
+}
+
 TEST_F(NetServerTest, SessionRateLimitShedsAndPreservesFraming) {
   const Dataset ds = TestData(60, 29);
   auto manager = NewManager();

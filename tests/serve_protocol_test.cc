@@ -19,6 +19,7 @@
 #include "file_bytes.h"
 #include "net/net_client.h"
 #include "net/tcp_server.h"
+#include "obs/metrics.h"
 #include "obs/metrics_dump.h"
 #include "replica/replica_manager.h"
 #include "service/session_layout.h"
@@ -620,6 +621,145 @@ TEST_F(ServeProtocolTest, TrailingGarbageRejectedOnFollower) {
   for (const auto& c : cases) {
     EXPECT_EQ(RunStdin(dispatcher, c.request + "\n"), c.expect) << c.request;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The event loop's SOLVE: `Execute` told to defer answers a well-formed
+// SOLVE from the cache in one lookup, or hands it back deferred with
+// nothing appended, computed, loaded or bootstrapped; the TCP server then
+// sheds it at the cold cap or runs it on a solve worker.
+// ---------------------------------------------------------------------------
+
+class DeferredSolveTest : public ServeProtocolTest {
+ protected:
+  /// Runs `line` as the TCP event loop does.
+  static net::RequestOutcome OnLoop(net::RequestDispatcher& dispatcher,
+                                    const std::string& line,
+                                    std::string* out) {
+    out->clear();
+    net::StringLineSource no_payload{std::string_view()};
+    return dispatcher.Execute(net::RequestDispatcher::Classify(line),
+                              no_payload, out, /*body=*/nullptr,
+                              /*defer_cold_solve=*/true);
+  }
+
+  /// A primary session `s` holding `n` points of `TestData()`.
+  std::unique_ptr<SessionManager> Primary(size_t n, size_t max_resident = 0) {
+    SessionManagerOptions options;
+    options.root_dir = root_ + "/p";
+    options.max_resident = max_resident;
+    auto manager = SessionManager::Create(options);
+    EXPECT_TRUE(manager.ok()) << manager.status().ToString();
+    const Dataset ds = TestData();
+    EXPECT_TRUE((*manager)->CreateSession("s", SpecFor(ds)).ok());
+    for (size_t i = 0; i < n; ++i) {
+      const StreamPoint pt = ds.At(i);
+      EXPECT_TRUE((*manager)->Ingest("s", {&pt, 1}, /*as_batch=*/false).ok());
+    }
+    return std::move(manager.value());
+  }
+
+  static uint64_t SolveMisses(SessionManager& manager) {
+    auto stats = manager.Stats("s");
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return stats.ok() ? stats->solve_misses : 0;
+  }
+};
+
+TEST_F(DeferredSolveTest, MissIsDeferredUnrunAndHitAnsweredInPlace) {
+  auto manager = Primary(40);
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  std::string out;
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE s", &out),
+            net::RequestOutcome::kDeferredSolve);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(SolveMisses(*manager), 0u);
+  // An unknown session is the worker's to answer, as a miss is.
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE ghost", &out),
+            net::RequestOutcome::kDeferredSolve);
+  EXPECT_EQ(out, "");
+  // A malformed SOLVE is answered on the spot, never deferred.
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE s extra", &out),
+            net::RequestOutcome::kReply);
+  EXPECT_EQ(out, "ERR SOLVE takes only a session name\n");
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE", &out), net::RequestOutcome::kReply);
+  EXPECT_EQ(out, "ERR SOLVE requires a session name\n");
+  EXPECT_EQ(SolveMisses(*manager), 0u);
+
+  // The worker's path computes; the loop then answers the hit with the
+  // same bytes.
+  const std::string computed = RunStdin(dispatcher, "SOLVE s\n");
+  ASSERT_EQ(computed.rfind("OK div=", 0), 0u) << computed;
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE s", &out), net::RequestOutcome::kReply);
+  EXPECT_EQ(out, computed);
+  auto stats = manager->Stats("s");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->solve_misses, 1u);
+  EXPECT_EQ(stats->solve_hits, 1u);
+}
+
+TEST_F(DeferredSolveTest, SpilledSessionIsDeferredWithoutALoad) {
+  auto manager = Primary(40, /*max_resident=*/1);
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_EQ(RunStdin(dispatcher, "SOLVE s\n").rfind("OK div=", 0), 0u);
+  const Dataset ds = TestData();
+  ASSERT_TRUE(manager->CreateSession("other", SpecFor(ds)).ok());  // spills s
+  ASSERT_EQ(manager->ResidentCount(), 1u);
+  // Its solution is still cached (the cache outlives the spill), but
+  // serving it would mean a reload on the event loop.
+  std::string out;
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE s", &out),
+            net::RequestOutcome::kDeferredSolve);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(manager->ResidentCount(), 1u);
+  auto stats = manager->Stats("s");  // this loads it
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->resident) << "the deferred SOLVE reloaded the session";
+}
+
+TEST_F(DeferredSolveTest, IngestBetweenParseAndExecuteDefers) {
+  // The request is read, then another connection's OBSERVE moves the
+  // session's state before it runs: the SOLVE that was a hit when read is
+  // a miss when run, and the event loop must not compute it.
+  auto manager = Primary(40);
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  ASSERT_EQ(RunStdin(dispatcher, "SOLVE s\n").rfind("OK div=", 0), 0u);
+  const std::string line = "SOLVE s";
+  const net::RequestInfo request = net::RequestDispatcher::Classify(line);
+  const uint64_t version = manager->Stats("s")->state_version;
+  ASSERT_EQ(RunStdin(dispatcher, "OBSERVE s 1000 1 50 -50\n"), "OK\n");
+  ASSERT_NE(manager->Stats("s")->state_version, version);
+  std::string out;
+  net::StringLineSource no_payload{std::string_view()};
+  EXPECT_EQ(dispatcher.Execute(request, no_payload, &out, /*body=*/nullptr,
+                               /*defer_cold_solve=*/true),
+            net::RequestOutcome::kDeferredSolve);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(SolveMisses(*manager), 1u);
+}
+
+TEST_F(DeferredSolveTest, FollowerDefersASessionNotBootstrapped) {
+  auto manager = Primary(40);
+  ASSERT_TRUE(manager->Snapshot("s").ok());
+  ReplicaManagerOptions options;
+  options.primary_root = root_ + "/p";
+  auto replicas = ReplicaManager::Create(options);
+  ASSERT_TRUE(replicas.ok()) << replicas.status().ToString();
+  net::RequestDispatcher dispatcher(replicas->get(), options.primary_root);
+  obs::Counter& bootstraps = obs::MetricsRegistry::Global().GetCounter(
+      "fdm_replica_bootstraps_total", "");
+  const uint64_t bootstraps0 = bootstraps.Value();
+  std::string out;
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE s", &out),
+            net::RequestOutcome::kDeferredSolve);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(bootstraps.Value(), bootstraps0);
+  // The worker's path bootstraps and computes; then the loop serves hits.
+  const std::string computed = RunStdin(dispatcher, "SOLVE s\n");
+  ASSERT_EQ(computed.rfind("OK div=", 0), 0u) << computed;
+  EXPECT_EQ(bootstraps.Value(), bootstraps0 + (obs::kMetricsEnabled ? 1 : 0));
+  EXPECT_EQ(OnLoop(dispatcher, "SOLVE s", &out), net::RequestOutcome::kReply);
+  EXPECT_EQ(out, computed);
 }
 
 }  // namespace

@@ -291,5 +291,51 @@ TEST_F(SessionManagerTest, BatchIngestMatchesPerElement) {
   EXPECT_DOUBLE_EQ(a->diversity, b->diversity);
 }
 
+TEST_F(SessionManagerTest, StatsDoesNotWaitForAColdSolveOfTheSameSession) {
+  // Queries hold the session lock shared and only shared: a resident
+  // session's residency is checked under it, so STATS runs beside a cold
+  // SOLVE of the same session instead of queueing for the exclusive lock.
+  // A cold solve records its miss when it ends, so a STATS reply reading
+  // solve_misses=0 was answered while that solve was still running. STATS
+  // is issued 2 ms into a solve of ~20 ms; a host that stalls this thread
+  // past the solve's end can lose one round, so two of three must hold (a
+  // STATS that waits for the lock loses all three).
+  BlobsOptions blobs;
+  blobs.n = 5000;
+  blobs.dim = 16;
+  blobs.seed = 65;
+  const Dataset ds = MakeBlobs(blobs);
+  std::vector<StreamPoint> points;
+  points.reserve(ds.size());
+  for (size_t i = 0; i < ds.size(); ++i) points.push_back(ds.At(i));
+  // Many rungs and a large k: a cold solve of tens of milliseconds.
+  const std::string spec =
+      "algo=sfdm2 dim=16 quotas=40,40 eps=0.05 dmin=0.1 dmax=100";
+  auto manager = SessionManager::Create(Options());
+  ASSERT_TRUE(manager.ok());
+  int answered_during_solve = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::string name = "cold" + std::to_string(round);
+    ASSERT_TRUE((*manager)->CreateSession(name, spec).ok());
+    ASSERT_TRUE((*manager)->Ingest(name, points, /*as_batch=*/true).ok());
+    std::atomic<bool> started{false};
+    std::thread solver([&] {
+      started.store(true);
+      EXPECT_TRUE((*manager)->Solve(name).ok());
+    });
+    while (!started.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto during = (*manager)->Stats(name);
+    solver.join();
+    ASSERT_TRUE(during.ok()) << during.status().ToString();
+    EXPECT_EQ(during->observed, static_cast<int64_t>(ds.size()));
+    if (during->solve_misses == 0) ++answered_during_solve;
+    auto after = (*manager)->Stats(name);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->solve_misses, 1u);
+  }
+  EXPECT_GE(answered_during_solve, 2) << "STATS waited for the cold solve";
+}
+
 }  // namespace
 }  // namespace fdm
