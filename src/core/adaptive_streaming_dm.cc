@@ -4,9 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/diversity.h"
 #include "core/snapshot_util.h"
-#include "core/parallelism.h"
 #include "geo/point_buffer_io.h"
 #include "util/binary_io.h"
 #include "util/check.h"
@@ -127,38 +125,16 @@ bool AdaptiveStreamingDm::Observe(const StreamPoint& point) {
 }
 
 Result<Solution> AdaptiveStreamingDm::Solve() const {
-  // Per-rung diversity over the width (each task writes only its own
-  // slot), then a sequential ascending-µ winner scan with strict `>` — the
-  // same split as the fixed-ladder sinks, so output is bit-identical to
-  // the sequential path at any thread count.
-  std::vector<double> diversity(rungs_.size(), -1.0);
-  std::vector<uint8_t> full(rungs_.size(), 0);
-  Parallelism::Run(rungs_.size(), [&](size_t j) {
-    const StreamingCandidate& rung = rungs_[j];
-    if (!rung.Full()) return;
-    full[j] = 1;
-    diversity[j] =
-        k_ >= 2 ? MinPairwiseDistance(rung.points(), metric_) : rung.mu();
-  });
-  const StreamingCandidate* best = nullptr;
-  double best_div = -1.0;
-  for (size_t j = 0; j < rungs_.size(); ++j) {
-    if (!full[j]) continue;
-    if (diversity[j] > best_div) {
-      best_div = diversity[j];
-      best = &rungs_[j];
-    }
-  }
-  if (best == nullptr) {
+  auto best = BestFullCandidate(
+      rungs_.size(),
+      [this](size_t j) -> const StreamingCandidate& { return rungs_[j]; }, k_,
+      metric_);
+  if (!best.has_value()) {
     return Status::Infeasible(
         "no candidate reached k=" + std::to_string(k_) +
         " elements; stream has fewer than k sufficiently distinct points");
   }
-  Solution solution(dim_);
-  solution.points = best->points();
-  solution.diversity = best_div;
-  solution.mu = best->mu();
-  return solution;
+  return *std::move(best);
 }
 
 Status AdaptiveStreamingDm::Snapshot(SnapshotWriter& writer) const {

@@ -2,11 +2,14 @@
 #define FDM_CORE_STREAMING_CANDIDATE_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "core/solution.h"
 #include "geo/point_buffer.h"
 #include "util/check.h"
 
@@ -156,6 +159,19 @@ class StreamingCandidate {
   PointBuffer points_;  // empty once frozen
   std::shared_ptr<const PointBuffer> frozen_;  // set once frozen
 };
+
+/// The solution of the unconstrained streaming sinks (Algorithm 1's
+/// post-processing): among the `count` candidates `candidate(j)`, in
+/// ascending µ, the full one of greatest diversity — the minimum pairwise
+/// distance of its `k` points, or µ when `k < 2`. The diversities are
+/// computed over the process-wide width, each task writing only its own
+/// slot; the winner scan stays a sequential ascending pass with strict
+/// `>`, so the output is bit-identical at any width. Nullopt when no
+/// candidate is full (each sink words its own Infeasible error).
+std::optional<Solution> BestFullCandidate(
+    size_t count,
+    const std::function<const StreamingCandidate&(size_t)>& candidate, int k,
+    const Metric& metric);
 
 }  // namespace fdm
 

@@ -1,10 +1,7 @@
 #include "core/streaming_dm.h"
 
 #include <string>
-#include <vector>
 
-#include "core/diversity.h"
-#include "core/parallelism.h"
 #include "core/snapshot_util.h"
 #include "util/binary_io.h"
 
@@ -21,42 +18,17 @@ Result<StreamingDm> StreamingDm::Create(int k, size_t dim, MetricKind metric,
 }
 
 Result<Solution> StreamingDm::Solve() const {
-  // Phase 1 — per-candidate diversity, fanned out over the width:
-  // each task writes only its own slot, and `MinPairwiseDistance` touches
-  // nothing but the candidate's points and local scratch. Phase 2 — the
-  // winner scan — stays a sequential ascending-µ pass with strict `>`, so
-  // the chosen rung (and hence the output) is bit-identical to the
-  // sequential path at any thread count.
-  std::vector<double> diversity(rungs(), -1.0);
-  std::vector<uint8_t> full(rungs(), 0);
-  Parallelism::Run(rungs(), [&](size_t j) {
-    const StreamingCandidate& candidate = blind(j);
-    if (!candidate.Full()) return;
-    full[j] = 1;
-    diversity[j] = k() >= 2
-                       ? MinPairwiseDistance(candidate.points(), metric())
-                       : candidate.mu();
-  });
-  const StreamingCandidate* best = nullptr;
-  double best_div = -1.0;
-  for (size_t j = 0; j < rungs(); ++j) {
-    if (!full[j]) continue;
-    if (diversity[j] > best_div) {
-      best_div = diversity[j];
-      best = &blind(j);
-    }
-  }
-  if (best == nullptr) {
+  auto best = BestFullCandidate(
+      rungs(),
+      [this](size_t j) -> const StreamingCandidate& { return blind(j); }, k(),
+      metric());
+  if (!best.has_value()) {
     return Status::Infeasible(
         "no candidate reached k=" + std::to_string(k()) +
         " elements; the stream has fewer than k sufficiently distinct "
         "points or d_min is overestimated");
   }
-  Solution solution(dim());
-  solution.points = best->points();
-  solution.diversity = best_div;
-  solution.mu = best->mu();
-  return solution;
+  return *std::move(best);
 }
 
 Status StreamingDm::Snapshot(SnapshotWriter& writer) const {

@@ -35,15 +35,16 @@ size_t ReleaseIfDrained(std::string& buf) {
 
 FrameParse ParseFrame(std::string_view buf, std::string_view* payload,
                       size_t* consumed, size_t max_payload) {
+  *consumed = 0;
   if (buf.size() < kFrameHeaderBytes) return FrameParse::kNeedMore;
   const auto b = [&](size_t i) {
     return static_cast<uint32_t>(static_cast<unsigned char>(buf[i]));
   };
   const uint32_t n = (b(0) << 24) | (b(1) << 16) | (b(2) << 8) | b(3);
   if (n > max_payload) return FrameParse::kError;
-  if (buf.size() < kFrameHeaderBytes + n) return FrameParse::kNeedMore;
-  *payload = buf.substr(kFrameHeaderBytes, n);
   *consumed = kFrameHeaderBytes + n;
+  if (buf.size() < *consumed) return FrameParse::kNeedMore;
+  *payload = buf.substr(kFrameHeaderBytes, n);
   return FrameParse::kFrame;
 }
 

@@ -72,7 +72,10 @@ enum class FrameParse {
 
 /// Parses the frame at the head of `buf` without copying. On `kFrame`,
 /// `*payload` views into `buf` and `*consumed` is header + payload size.
-/// `max_payload` guards the header before any allocation happens.
+/// `max_payload` guards the header before any allocation happens. On
+/// `kNeedMore` with the header read and within `max_payload`, `*consumed`
+/// is the size the whole frame will have (else 0), so a client can hold
+/// it in one allocation.
 FrameParse ParseFrame(std::string_view buf, std::string_view* payload,
                       size_t* consumed,
                       size_t max_payload = kMaxFramePayloadBytes);

@@ -128,6 +128,10 @@ Result<std::string> NetClient::Recv() {
       Close();
       return Status::IoError("oversized reply frame");
     }
+    // Once the header has passed the size check, a large reply costs one
+    // allocation, not a doubling per read. A server must not do this: a
+    // bare header announcing 64 MiB would pin that much of it.
+    in_.reserve(consumed);
     char chunk[64 << 10];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n <= 0) {

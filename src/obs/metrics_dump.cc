@@ -1,7 +1,6 @@
 #include "obs/metrics_dump.h"
 
 #include <cctype>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -12,26 +11,11 @@ namespace fdm::obs {
 
 MetricsDumper::MetricsDumper(std::string path, int period_ms)
     : path_(std::move(path)) {
-  if (period_ms > 0) {
-    thread_ = std::thread([this, period_ms] {
-      std::unique_lock<std::mutex> lock(mu_);
-      while (!cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
-                           [this] { return stopping_; })) {
-        DumpOnce();
-      }
-    });
-  }
+  dumps_.Start(period_ms, [this] { DumpOnce(); });
 }
 
 MetricsDumper::~MetricsDumper() {
-  if (thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
+  dumps_.Stop();
   DumpOnce();
 }
 

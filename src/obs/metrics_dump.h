@@ -1,12 +1,10 @@
 #ifndef FDM_OBS_METRICS_DUMP_H_
 #define FDM_OBS_METRICS_DUMP_H_
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
+#include "util/periodic_thread.h"
 #include "util/status.h"
 
 namespace fdm::obs {
@@ -29,10 +27,7 @@ class MetricsDumper {
   void DumpOnce() const;
 
   const std::string path_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::thread thread_;
+  PeriodicThread dumps_;
 };
 
 /// Parses a `PATH[,PERIOD_MS]` metrics-dump spec (the serving CLI's

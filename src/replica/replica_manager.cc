@@ -1,6 +1,5 @@
 #include "replica/replica_manager.h"
 
-#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <utility>
@@ -54,24 +53,14 @@ Result<std::unique_ptr<ReplicaManager>> ReplicaManager::Create(
   std::unique_ptr<ReplicaManager> manager(
       new ReplicaManager(std::move(options), std::move(host), port));
   manager->DiscoverSessions();
-  if (manager->options_.poll_ms > 0) {
-    manager->background_ = std::thread([m = manager.get()] {
-      m->BackgroundLoop();
-    });
-  }
+  // Per-session errors are retried next tick.
+  manager->poller_.Start(manager->options_.poll_ms,
+                         [m = manager.get()] { (void)m->PollAll(); });
   return manager;
 }
 
-ReplicaManager::~ReplicaManager() {
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mu_);
-      stopping_ = true;
-    }
-    background_cv_.notify_all();
-    background_.join();
-  }
-}
+// Polling stops before the entries it polls go.
+ReplicaManager::~ReplicaManager() { poller_.Stop(); }
 
 void ReplicaManager::DiscoverSessions() {
   if (!primary_host_.empty()) {
@@ -215,18 +204,6 @@ std::vector<std::string> ReplicaManager::KnownNames() const {
   names.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) names.push_back(name);
   return names;
-}
-
-void ReplicaManager::BackgroundLoop() {
-  const auto period = std::chrono::milliseconds(options_.poll_ms);
-  std::unique_lock<std::mutex> lock(background_mu_);
-  while (!stopping_) {
-    background_cv_.wait_for(lock, period, [this] { return stopping_; });
-    if (stopping_) return;
-    lock.unlock();
-    (void)PollAll();  // per-session errors retried next tick
-    lock.lock();
-  }
 }
 
 }  // namespace fdm

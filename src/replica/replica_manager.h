@@ -1,7 +1,6 @@
 #ifndef FDM_REPLICA_REPLICA_MANAGER_H_
 #define FDM_REPLICA_REPLICA_MANAGER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -9,12 +8,12 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/solution.h"
 #include "net/net_client.h"
 #include "replica/replica_session.h"
+#include "util/periodic_thread.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -122,8 +121,6 @@ class ReplicaManager {
   /// Entry for `name`, bootstrapping the follower on first touch.
   Result<std::shared_ptr<Entry>> Follower(const std::string& name);
 
-  void BackgroundLoop();
-
   ReplicaManagerOptions options_;
   /// Set iff `primary_root` is `tcp://host:port`.
   const std::string primary_host_;
@@ -135,10 +132,7 @@ class ReplicaManager {
   mutable std::mutex mu_;  // guards entries_
   std::map<std::string, std::shared_ptr<Entry>> entries_;
 
-  std::thread background_;
-  std::mutex background_mu_;
-  std::condition_variable background_cv_;
-  bool stopping_ = false;
+  PeriodicThread poller_;  // PollAll every poll_ms
 };
 
 }  // namespace fdm

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "service/durable_session.h"
-#include "service/sink_spec.h"
 #include "util/binary_io.h"
 
 namespace fdm {
@@ -100,37 +98,16 @@ void ReplicaSession::NoteFetched(size_t bytes) {
 
 Result<ReplicaSession> ReplicaSession::Bootstrap(
     std::shared_ptr<ReplicationSource> source, ReplicaOptions options) {
-  ReplicaSession session(std::move(source), options);
   BootstrapCounter().Inc();
-
-  auto manifest = session.source_->GetManifest();
+  auto manifest = source->GetManifest();
   if (!manifest.ok()) return manifest.status();
-  session.spec_ = manifest->spec;
-  session.NoteManifest(*manifest);
-  // The spec decides whether the follower mirrors the duplicate guard —
-  // same authority rule as the primary's Open — and which records a tail
-  // may apply.
-  auto parsed = SinkSpec::Parse(session.spec_);
+  // The primary's spec decides the sink, which records a tail may apply
+  // and whether the follower mirrors the duplicate guard.
+  auto parsed = SessionState::Parse(manifest->spec);
   if (!parsed.ok()) return parsed.status();
-  session.dedup_enabled_ = parsed->dedup;
-  session.rule_ = parsed->Rule();
-
-  auto restored = session.BootstrapFromSnapshot(*manifest, /*min_seq=*/0);
-  if (!restored.ok()) return restored.status();
-  if (!*restored) {
-    // No loadable snapshot: start fresh and replay the whole log (valid
-    // only while the log still reaches back to seq 1 — if it does not,
-    // the sync loop below detects the gap and re-syncs from whatever
-    // snapshot the next manifest lists).
-    auto fresh = MakeSinkFromSpec(session.spec_);
-    if (!fresh.ok()) return fresh.status();
-    session.sink_ = std::move(fresh.value());
-    session.applied_seq_ = 0;
-    if (session.dedup_enabled_) {
-      session.dedup_ = std::make_unique<DedupFilter>();
-    }
-  }
-
+  ReplicaSession session(std::move(source), options, std::move(*parsed));
+  session.NoteManifest(*manifest);
+  if (Status s = session.RestoreOrFresh(*manifest); !s.ok()) return s;
   if (auto applied = session.SyncOnce(); !applied.ok()) {
     return applied.status();
   }
@@ -138,8 +115,10 @@ Result<ReplicaSession> ReplicaSession::Bootstrap(
 }
 
 Result<int64_t> ReplicaSession::Poll() {
-  obs::ScopedTimer poll_timer(PollHist(), spec_,
-                              sink_ != nullptr ? sink_->StateVersion() : 0);
+  // The timer keeps a view of its context, and a re-sync or a divergence
+  // rebuild replaces the state `spec()` lives in: it views a copy.
+  const std::string context = spec();
+  obs::ScopedTimer poll_timer(PollHist(), context, StateVersion());
   auto applied = SyncOnce();
   if (applied.ok()) {
     AppliedCounter().Add(static_cast<uint64_t>(*applied));
@@ -152,7 +131,7 @@ Result<int64_t> ReplicaSession::Poll() {
 Status ReplicaSession::RefreshLag() {
   auto manifest = source_->GetManifest();
   if (!manifest.ok()) return manifest.status();
-  if (manifest->spec != spec_) {
+  if (manifest->spec != spec()) {
     return Status::IoError("primary spec changed under the follower");
   }
   NoteManifest(*manifest);
@@ -164,7 +143,7 @@ Result<int64_t> ReplicaSession::SyncOnce() {
   for (int attempt = 0; attempt < kMaxSyncAttempts; ++attempt) {
     auto manifest = source_->GetManifest();
     if (!manifest.ok()) return manifest.status();
-    if (manifest->spec != spec_) {
+    if (manifest->spec != spec()) {
       return Status::IoError("primary spec changed under the follower");
     }
     NoteManifest(*manifest);
@@ -188,25 +167,13 @@ Result<int64_t> ReplicaSession::SyncOnce() {
           // fetch offset points into the old log.
           source_->InvalidateCaches();
           DropFetchOffset();
-          sink_.reset();
-          // The filter mirrors the discarded history — discard it with
-          // the sink (the snapshot restore below brings back the footer
-          // copy, or a fresh one re-taught by the re-applied tail).
-          dedup_.reset();
-          duplicates_rejected_ = 0;
-          applied_seq_ = 0;
           // Version numbering restarts with the rebuilt sink, so a cached
           // solution from the diverged history could collide with a new
           // version — drop it.
           solve_cache_->Invalidate();
-          auto restored = BootstrapFromSnapshot(*manifest, /*min_seq=*/0);
-          if (!restored.ok()) return restored.status();
-          if (!*restored) {
-            auto fresh = MakeSinkFromSpec(spec_);
-            if (!fresh.ok()) return fresh.status();
-            sink_ = std::move(fresh.value());
-            if (dedup_enabled_) dedup_ = std::make_unique<DedupFilter>();
-          }
+          // The sink and the guard mirror the discarded history; both are
+          // replaced, and the re-applied tail does the rest.
+          if (Status s = RestoreOrFresh(*manifest); !s.ok()) return s;
           continue;  // re-apply the tail over the rebuilt state
         }
         // Progress (or a clean stop at the primary's in-flight tail);
@@ -227,8 +194,7 @@ Result<int64_t> ReplicaSession::SyncOnce() {
         // strictly ahead of us can bridge the gap.
         ++resyncs_;
         ResyncCounter().Inc();
-        auto swapped = BootstrapFromSnapshot(*manifest, applied_seq_);
-        if (!swapped.ok()) return swapped.status();
+        BootstrapFromSnapshot(*manifest, applied_seq_);
         // Even when no newer snapshot is listed yet, retry with a fresh
         // manifest — the primary prunes only after writing one, so it
         // appears shortly; attempts bound the wait.
@@ -243,7 +209,20 @@ Result<int64_t> ReplicaSession::SyncOnce() {
       "can sync)");
 }
 
-Result<bool> ReplicaSession::BootstrapFromSnapshot(
+Status ReplicaSession::RestoreOrFresh(const ReplicaManifest& manifest) {
+  if (BootstrapFromSnapshot(manifest, /*min_seq=*/0)) return Status::Ok();
+  // No loadable snapshot: start fresh and replay the whole log (valid only
+  // while the log still reaches back to seq 1 — if it does not, the sync
+  // loop detects the gap and re-syncs from whatever snapshot the next
+  // manifest lists).
+  auto fresh = state_.Fresh();
+  if (!fresh.ok()) return fresh.status();
+  state_ = std::move(fresh.value());
+  applied_seq_ = 0;
+  return Status::Ok();
+}
+
+bool ReplicaSession::BootstrapFromSnapshot(
     const ReplicaManifest& manifest, int64_t min_seq) {
   // Newest first; stop at min_seq — a re-sync must never move the served
   // state backward (versions and lag stay monotone for readers).
@@ -260,23 +239,11 @@ Result<bool> ReplicaSession::BootstrapFromSnapshot(
     }
     auto reader = SnapshotReader::FromBytes(std::move(bytes.value()));
     if (!reader.ok()) continue;
-    auto restored = RestoreSessionSnapshot(*reader, spec_, it->seq);
+    // The snapshot's dedup footer carries the guard at exactly this
+    // position; the WAL tail applied after it re-teaches the rest.
+    auto restored = state_.Restore(*reader, it->seq, /*counters=*/nullptr);
     if (!restored.ok()) continue;
-    sink_ = std::move(restored.value());
-    // The snapshot's dedup footer carries the filter at exactly this
-    // position; the WAL tail applied after it re-teaches the rest. A
-    // footer-less snapshot (pre-dedup primary) starts the mirror empty.
-    if (dedup_enabled_) {
-      int64_t rejected = 0;
-      auto filter = ReadSessionFooters(*reader, nullptr, &rejected);
-      if (filter != nullptr) {
-        dedup_ = std::move(filter);
-        duplicates_rejected_ = rejected;
-      } else {
-        dedup_ = std::make_unique<DedupFilter>();
-        duplicates_rejected_ = 0;
-      }
-    }
+    state_ = std::move(restored.value());
     applied_seq_ = it->seq;
     DropFetchOffset();  // the new position is not where the offset was
     ++snapshots_loaded_;
@@ -296,7 +263,7 @@ Result<ReplicaSession::ApplyOutcome> ReplicaSession::ApplyFrom(
   // crash-recovery replay takes), so a follower's apply is bit-identical
   // to recovery by construction. `applied_seq_` advances only when a
   // batch has actually reached the sink.
-  WalBatchApplier applier(*sink_, rule_, dedup_.get());
+  WalBatchApplier applier = state_.Applier();
   bool budget_hit = false;
 
   auto flush = [&]() {
@@ -427,7 +394,7 @@ ReplicaSession::ReplicaStats ReplicaSession::Stats() const {
   stats.advert_seq = last_advert_seq_;
   stats.lag = lag();
   stats.stale = stats.lag > 0;
-  stats.state_version = sink_->StateVersion();
+  stats.state_version = StateVersion();
   stats.resyncs = resyncs_;
   stats.divergence_rebuilds = divergence_rebuilds_;
   stats.stale_manifest_retries = stale_manifest_retries_;
@@ -435,11 +402,11 @@ ReplicaSession::ReplicaStats ReplicaSession::Stats() const {
   stats.snapshots_loaded = snapshots_loaded_;
   stats.torn_tails_seen = torn_tails_seen_;
   stats.fetched_bytes = fetched_bytes_;
-  stats.dedup = dedup_enabled_;
-  stats.duplicates_rejected = duplicates_rejected_;
-  if (dedup_ != nullptr) {
-    stats.filter_bytes = dedup_->MemoryBytes();
-    stats.filter_grows = dedup_->Grows();
+  stats.duplicates_rejected = state_.duplicates_rejected();
+  if (const DedupFilter* guard = state_.guard(); guard != nullptr) {
+    stats.dedup = true;
+    stats.filter_bytes = guard->MemoryBytes();
+    stats.filter_grows = guard->Grows();
   }
   stats.solve = solve_cache_->GetStats();
   return stats;

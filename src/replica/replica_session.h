@@ -11,8 +11,7 @@
 #include "core/solve_cache.h"
 #include "core/stream_sink.h"
 #include "replica/replication_source.h"
-#include "service/dedup_filter.h"
-#include "service/sink_spec.h"
+#include "service/durable_session.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -85,17 +84,17 @@ class ReplicaSession {
   /// between polls are cache hits. The solution reflects `applied_seq()`,
   /// which may trail the primary; check `Stats().stale`.
   Result<Solution> Solve() const {
-    const StreamSink& sink = *sink_;
+    const StreamSink& sink = state_.sink();
     return solve_cache_->GetOrCompute(sink.StateVersion(),
                                       [&sink] { return sink.Solve(); });
   }
 
-  uint64_t StateVersion() const { return sink_->StateVersion(); }
+  uint64_t StateVersion() const { return state_.sink().StateVersion(); }
 
   /// `Solve()` when it is a cache hit (counted as one); else nullopt,
   /// with nothing computed.
   std::optional<Result<Solution>> SolveIfCached() const {
-    return solve_cache_->Lookup(sink_->StateVersion());
+    return solve_cache_->Lookup(StateVersion());
   }
 
   /// Exact membership of `id` at the follower's applied position — the
@@ -105,7 +104,8 @@ class ReplicaSession {
   /// is restored from snapshot footers and maintained by tail application
   /// in lockstep with the sink); always false otherwise.
   bool KnownId(int64_t id) const {
-    return dedup_ != nullptr && dedup_->Contains(id);
+    const DedupFilter* guard = state_.guard();
+    return guard != nullptr && guard->Contains(id);
   }
 
   struct ReplicaStats {
@@ -156,14 +156,14 @@ class ReplicaSession {
   };
   ReplicaStats Stats() const;
 
-  const std::string& spec() const { return spec_; }
+  const std::string& spec() const { return state_.spec(); }
   int64_t applied_seq() const { return applied_seq_; }
   /// Records the primary held past `applied_seq()` as of the last manifest
   /// (`Stats().lag`; never negative).
   int64_t lag() const {
     return std::max<int64_t>(0, last_primary_seq_ - applied_seq_);
   }
-  const StreamSink& sink() const { return *sink_; }
+  const StreamSink& sink() const { return state_.sink(); }
 
  private:
   /// Outcome of one manifest-application pass (`ApplyFrom`).
@@ -175,10 +175,11 @@ class ReplicaSession {
     kNeedSnapshot,    // the tail after applied_seq_ was pruned away
   };
 
-  explicit ReplicaSession(std::shared_ptr<ReplicationSource> source,
-                          ReplicaOptions options)
+  ReplicaSession(std::shared_ptr<ReplicationSource> source,
+                 ReplicaOptions options, SessionState state)
       : source_(std::move(source)),
         options_(options),
+        state_(std::move(state)),
         solve_cache_(std::make_shared<SolveCache>()) {}
 
   /// Applies records after `applied_seq_` from the segments `manifest`
@@ -187,9 +188,12 @@ class ReplicaSession {
                                  int64_t* applied);
 
   /// Restores the newest loadable snapshot strictly after `min_seq` and
-  /// swaps it in (spec-checked). Ok(false) = no usable snapshot listed.
-  Result<bool> BootstrapFromSnapshot(const ReplicaManifest& manifest,
-                                     int64_t min_seq);
+  /// swaps its state in. False = none loadable; the state stays as it is.
+  bool BootstrapFromSnapshot(const ReplicaManifest& manifest, int64_t min_seq);
+
+  /// The state a bootstrap or a divergence rebuild starts from: the newest
+  /// loadable snapshot's, else a fresh one at position 0.
+  Status RestoreOrFresh(const ReplicaManifest& manifest);
 
   /// The manifest-refresh / apply / re-sync loop shared by `Bootstrap` and
   /// `Poll`; applies until caught up, budget-bound, or out of attempts.
@@ -201,7 +205,7 @@ class ReplicaSession {
   bool DivergedFromAdvert(const ReplicaManifest& manifest) const {
     return manifest.advert_seq != 0 && manifest.primary_version != 0 &&
            applied_seq_ == manifest.advert_seq &&
-           sink_->StateVersion() != manifest.primary_version;
+           StateVersion() != manifest.primary_version;
   }
 
   void NoteManifest(const ReplicaManifest& manifest);
@@ -218,15 +222,11 @@ class ReplicaSession {
 
   std::shared_ptr<ReplicationSource> source_;
   ReplicaOptions options_;
-  std::string spec_;
-  std::unique_ptr<StreamSink> sink_;
-  /// Mirror of the primary's duplicate guard (null when dedup=off):
+  /// The primary's spec, sink and duplicate guard at `applied_seq_` (only
+  /// parsed until `Bootstrap` restores or starts it): the guard is
   /// restored whole from snapshot dedup footers, then re-taught by every
-  /// applied tail record — so it tracks the sink's position exactly.
-  std::unique_ptr<DedupFilter> dedup_;
-  bool dedup_enabled_ = false;  // from the primary's spec
-  PointRule rule_;              // from the primary's spec
-  int64_t duplicates_rejected_ = 0;  // primary's count, footer-mirrored
+  /// applied tail record, so it tracks the sink's position.
+  SessionState state_;
   std::shared_ptr<SolveCache> solve_cache_;  // never null
   int64_t applied_seq_ = 0;
   /// Ranged-fetch position: the segment holding record `applied_seq_` and

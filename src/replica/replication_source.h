@@ -45,11 +45,12 @@ struct ReplicaManifest {
 };
 
 /// Follower-side transport interface: how a replica reads a primary's
-/// replication state. The first implementation is a shared filesystem
-/// directory (`DirReplicationSource`); a socket transport plugs in behind
-/// the same three calls. All methods may be called repeatedly and must
-/// tolerate the primary mutating between calls — fetch failures are
-/// ordinary control flow for a follower, never fatal on their own.
+/// replication state, in four calls. Two transports implement it: a
+/// shared filesystem directory (`DirReplicationSource`) and a primary's
+/// TCP front end (`SocketReplicationSource`, replica/socket_source.h). All
+/// methods may be called repeatedly and must tolerate the primary mutating
+/// between calls — fetch failures are ordinary control flow for a
+/// follower, never fatal on their own.
 class ReplicationSource {
  public:
   virtual ~ReplicationSource() = default;

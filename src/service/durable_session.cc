@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,17 +89,6 @@ obs::Histogram& DedupProbeHist() {
   return h;
 }
 
-void WriteStatsFooter(SnapshotWriter& writer,
-                      const SessionIngestCounters& counters) {
-  writer.WriteString(kSessionStatsTag);
-  writer.WriteI64(counters.kept_total);
-  writer.WriteI64(counters.ingest_batches);
-  writer.WriteI64(counters.snapshots_taken);
-  writer.WriteDouble(counters.snapshot_write_ms_total);
-  writer.WriteI64(counters.restores);
-  writer.WriteI64(counters.replayed_records);
-}
-
 // Lenient by design: a snapshot written before the footer existed simply
 // has no trailing bytes (counters stay zero), and any malformed tail —
 // impossible from corruption, since the file checksum covers the whole
@@ -121,44 +111,33 @@ bool ReadStatsFooter(SnapshotReader& reader, SessionIngestCounters& out) {
   return true;
 }
 
-// The dedup footer rides after the stats footer under its own tag, same
-// leniency contract: absent on pre-dedup snapshots and on dedup=off
-// sessions, and a malformed tail costs the filter (rebuilt from WAL
-// replay), never the restore. The stats footer layout itself is frozen —
-// adding fields there would make old snapshots unreadable, which is why
-// dedup state gets its own footer.
-void WriteDedupFooter(SnapshotWriter& writer, int64_t duplicates_rejected,
-                      const DedupFilter& filter) {
-  writer.WriteString(kSessionDedupTag);
-  writer.WriteI64(duplicates_rejected);
-  filter.Serialize(writer);
-}
-
 }  // namespace
 
-std::unique_ptr<DedupFilter> ReadSessionFooters(
-    SnapshotReader& reader, SessionIngestCounters* counters,
-    int64_t* duplicates_rejected) {
-  SessionIngestCounters scratch;
-  if (!ReadStatsFooter(reader, counters != nullptr ? *counters : scratch)) {
-    return nullptr;
-  }
-  if (reader.Remaining() == 0) return nullptr;  // pre-dedup snapshot
-  const std::string tag = reader.ReadString();
-  const int64_t rejected = reader.ReadI64();
-  if (!reader.ok() || tag != kSessionDedupTag) return nullptr;
-  auto filter = DedupFilter::Deserialize(reader);
-  if (!filter.ok()) return nullptr;
-  if (duplicates_rejected != nullptr) *duplicates_rejected = rejected;
-  return std::make_unique<DedupFilter>(std::move(filter.value()));
+Result<SessionState> SessionState::Parse(std::string spec) {
+  auto parsed = SinkSpec::Parse(spec);
+  if (!parsed.ok()) return parsed.status();
+  return SessionState(std::move(spec), std::move(parsed.value()));
 }
 
-Result<std::unique_ptr<StreamSink>> RestoreSessionSnapshot(
-    SnapshotReader& reader, std::string_view expected_spec,
-    int64_t expected_seq) {
+SessionState SessionState::WithSink(std::unique_ptr<StreamSink> sink) const {
+  SessionState state(spec_, parsed_);
+  state.sink_ = std::move(sink);
+  if (parsed_.dedup) state.guard_.emplace();
+  return state;
+}
+
+Result<SessionState> SessionState::Fresh() const {
+  auto sink = parsed_.MakeSink();
+  if (!sink.ok()) return sink.status();
+  return WithSink(std::move(sink.value()));
+}
+
+Result<SessionState> SessionState::Restore(
+    SnapshotReader& reader, int64_t seq,
+    SessionIngestCounters* counters) const {
   const std::string tag = reader.ReadString();
   const std::string stored_spec = reader.ReadString();
-  const int64_t seq = reader.ReadI64();
+  const int64_t stored_seq = reader.ReadI64();
   if (!reader.ok()) return reader.status();
   if (tag != kSessionTag) {
     return Status::IoError("not a session snapshot (tag '" + tag + "')");
@@ -166,20 +145,57 @@ Result<std::unique_ptr<StreamSink>> RestoreSessionSnapshot(
   // A snapshot written under a different spec (edited SPEC file, foreign
   // file copied in) must not restore silently — the caller's configuration
   // and the restored sink's would disagree.
-  if (stored_spec != expected_spec) {
+  if (stored_spec != spec_) {
     return Status::IoError("session snapshot spec mismatch");
   }
-  if (expected_seq >= 0 && seq != expected_seq) {
+  if (stored_seq != seq) {
     return Status::IoError("session snapshot seq mismatch: header says " +
-                           std::to_string(seq) + ", expected " +
-                           std::to_string(expected_seq));
+                           std::to_string(stored_seq) + ", expected " +
+                           std::to_string(seq));
   }
-  auto restored = RestoreSink(reader);
-  if (!restored.ok()) return restored.status();
-  if ((*restored)->ObservedElements() != seq) {
+  auto sink = RestoreSink(reader);
+  if (!sink.ok()) return sink.status();
+  if ((*sink)->ObservedElements() != seq) {
     return Status::IoError("session snapshot observed-count mismatch");
   }
-  return restored;
+  SessionState state = WithSink(std::move(sink.value()));
+  SessionIngestCounters stats;
+  if (!ReadStatsFooter(reader, stats)) return state;
+  if (counters != nullptr) *counters = stats;
+  // The spec is the authority on the guard: a dedup=on state keeps the
+  // empty one made above unless a well-formed dedup footer replaces it.
+  if (!parsed_.dedup || reader.Remaining() == 0) return state;
+  const std::string dedup_tag = reader.ReadString();
+  const int64_t rejected = reader.ReadI64();
+  if (!reader.ok() || dedup_tag != kSessionDedupTag) return state;
+  auto guard = DedupFilter::Deserialize(reader);
+  if (!guard.ok()) return state;
+  state.guard_ = std::move(guard.value());
+  state.duplicates_rejected_ = rejected;
+  return state;
+}
+
+Status SessionState::WriteHead(SnapshotWriter& writer) const {
+  writer.WriteString(kSessionTag);
+  writer.WriteString(spec_);
+  writer.WriteI64(sink_->ObservedElements());
+  return sink_->Snapshot(writer);
+}
+
+void SessionState::WriteFooters(SnapshotWriter& writer,
+                                const SessionIngestCounters& counters) const {
+  writer.WriteString(kSessionStatsTag);
+  writer.WriteI64(counters.kept_total);
+  writer.WriteI64(counters.ingest_batches);
+  writer.WriteI64(counters.snapshots_taken);
+  writer.WriteDouble(counters.snapshot_write_ms_total);
+  writer.WriteI64(counters.restores);
+  writer.WriteI64(counters.replayed_records);
+  if (guard_) {
+    writer.WriteString(kSessionDedupTag);
+    writer.WriteI64(duplicates_rejected_);
+    guard_->Serialize(writer);
+  }
 }
 
 Result<ReplicationAdvert> ReadReplicationAdvert(const std::string& dir) {
@@ -204,16 +220,13 @@ bool DurableSession::Exists(const std::string& dir) {
   return std::filesystem::exists(SessionSpecPath(dir), ec);
 }
 
-DurableSession::DurableSession(std::string dir, std::string spec,
-                               const SinkSpec& parsed,
+DurableSession::DurableSession(std::string dir, SessionState state,
                                DurableSessionOptions options)
     : dir_(std::move(dir)),
-      spec_(std::move(spec)),
       options_(options),
-      solve_cache_(std::make_shared<SolveCache>()),
-      rule_(parsed.Rule()) {
+      state_(std::move(state)),
+      solve_cache_(std::make_shared<SolveCache>()) {
   if (options_.keep_snapshots == 0) options_.keep_snapshots = 1;
-  if (parsed.dedup) dedup_ = std::make_unique<DedupFilter>();
 }
 
 Result<DurableSession> DurableSession::Create(std::string dir,
@@ -223,10 +236,10 @@ Result<DurableSession> DurableSession::Create(std::string dir,
     return Status::InvalidArgument("session dir already holds a session: " +
                                    dir + " (use Open)");
   }
-  auto parsed = SinkSpec::Parse(spec);
+  auto parsed = SessionState::Parse(std::move(spec));
   if (!parsed.ok()) return parsed.status();
-  auto sink = parsed->MakeSink();
-  if (!sink.ok()) return sink.status();
+  auto state = parsed->Fresh();
+  if (!state.ok()) return state.status();
 
   std::error_code ec;
   std::filesystem::create_directories(SessionSnapDir(dir), ec);
@@ -240,12 +253,11 @@ Result<DurableSession> DurableSession::Create(std::string dir,
   // SPEC is written last: its existence marks the directory as a session.
   {
     std::ofstream out(SessionSpecPath(dir));
-    out << spec << "\n";
+    out << state->spec() << "\n";
     if (!out) return Status::IoError("cannot write " + SessionSpecPath(dir));
   }
 
-  DurableSession session(std::move(dir), std::move(spec), *parsed, options);
-  session.sink_ = std::move(sink.value());
+  DurableSession session(std::move(dir), std::move(state.value()), options);
   session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
   return session;
 }
@@ -259,39 +271,31 @@ Result<DurableSession> DurableSession::Open(std::string dir,
       return Status::IoError("no session at " + dir + " (missing SPEC)");
     }
   }
-  auto parsed = SinkSpec::Parse(spec);
+  auto parsed = SessionState::Parse(std::move(spec));
   if (!parsed.ok()) return parsed.status();
-  DurableSession session(std::move(dir), std::move(spec), *parsed, options);
+  DurableSession session(std::move(dir), std::move(parsed.value()), options);
 
   // Newest loadable snapshot wins; a corrupt snapshot (torn write, bit
   // rot — checksums catch both) falls back to the previous one, and
-  // ultimately to a fresh sink replaying the whole WAL.
+  // ultimately to a fresh state replaying the whole WAL.
   Timer restore_timer;
   auto snapshots = ListSessionSnapshots(SessionSnapDir(session.dir_));
+  bool restored = false;
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     auto reader = SnapshotReader::FromFile(it->second);
     if (!reader.ok()) continue;
-    auto restored = RestoreSessionSnapshot(*reader, session.spec_, it->first);
-    if (!restored.ok()) continue;
-    session.sink_ = std::move(restored.value());
+    auto state =
+        session.state_.Restore(*reader, it->first, &session.counters_);
+    if (!state.ok()) continue;
+    session.state_ = std::move(state.value());
     session.snapshot_seq_ = it->first;
-    int64_t duplicates_rejected = 0;
-    auto dedup = ReadSessionFooters(*reader, &session.counters_,
-                                    &duplicates_rejected);
-    // The spec is the authority on whether the guard exists: a snapshot
-    // written before dedup (or with a lost footer) keeps the empty filter
-    // that the WAL-tail replay below re-teaches; a stray footer on a
-    // dedup=off session is ignored.
-    if (session.dedup_ != nullptr && dedup != nullptr) {
-      session.dedup_ = std::move(dedup);
-      session.duplicates_rejected_ = duplicates_rejected;
-    }
+    restored = true;
     break;
   }
-  if (session.sink_ == nullptr) {
-    auto fresh = parsed->MakeSink();
+  if (!restored) {
+    auto fresh = session.state_.Fresh();
     if (!fresh.ok()) return fresh.status();
-    session.sink_ = std::move(fresh.value());
+    session.state_ = std::move(fresh.value());
   }
 
   auto wal = WriteAheadLog::Open(SessionWalDir(session.dir_), options.wal);
@@ -300,8 +304,7 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   // crash/spill but is not in the footer; replaying reports its mutations
   // so the cumulative count comes back exact. The same pass rebuilds the
   // dedup filter's tail membership.
-  WalBatchApplier applier(*session.sink_, session.rule_,
-                          session.dedup_.get());
+  WalBatchApplier applier = session.state_.Applier();
   auto replayed = wal->Replay(session.snapshot_seq_, applier);
   if (!replayed.ok()) return replayed.status();
   session.counters_.restores += 1;
@@ -310,7 +313,7 @@ Result<DurableSession> DurableSession::Open(std::string dir,
   RestoresCounter().Inc();
   RestoreHist().RecordWithContext(
       static_cast<uint64_t>(restore_timer.ElapsedNanos()), session.dir_,
-      session.sink_->StateVersion());
+      session.StateVersion());
   session.wal_ = std::make_unique<WriteAheadLog>(std::move(wal.value()));
   return session;
 }
@@ -318,8 +321,9 @@ Result<DurableSession> DurableSession::Open(std::string dir,
 Result<IngestOutcome> DurableSession::Ingest(
     std::span<const StreamPoint> batch, bool as_batch) {
   if (!broken_.ok()) return broken_;
+  const PointRule rule = state_.rule();
   for (const StreamPoint& point : batch) {
-    if (Status s = rule_.Check(point.coords.size(), point.group); !s.ok()) {
+    if (Status s = rule.Check(point.coords.size(), point.group); !s.ok()) {
       return s;
     }
   }
@@ -334,18 +338,18 @@ Result<IngestOutcome> DurableSession::Ingest(
   // an id the log does not hold.
   std::vector<StreamPoint> fresh_storage;
   std::span<const StreamPoint> fresh = batch;
-  if (dedup_ != nullptr) {
+  if (DedupFilter* guard = state_.guard(); guard != nullptr) {
     fresh_storage.reserve(batch.size());
-    const uint64_t grows_before = dedup_->Grows();
+    const uint64_t grows_before = guard->Grows();
     for (const StreamPoint& point : batch) {
       bool is_new;
       if ((probe_sample_++ & 63) == 0) {
         Timer probe_timer;
-        is_new = dedup_->InsertIfAbsent(point.id);
+        is_new = guard->InsertIfAbsent(point.id);
         DedupProbeHist().Record(
             static_cast<uint64_t>(probe_timer.ElapsedNanos()));
       } else {
-        is_new = dedup_->InsertIfAbsent(point.id);
+        is_new = guard->InsertIfAbsent(point.id);
       }
       if (is_new) {
         fresh_storage.push_back(point);
@@ -354,10 +358,10 @@ Result<IngestOutcome> DurableSession::Ingest(
       }
     }
     fresh = fresh_storage;
-    duplicates_rejected_ += outcome.duplicates;
+    state_.CountRejected(outcome.duplicates);
     DedupCheckedCounter().Add(batch.size());
     DedupRejectedCounter().Add(static_cast<uint64_t>(outcome.duplicates));
-    DedupFilterGrowsCounter().Add(dedup_->Grows() - grows_before);
+    DedupFilterGrowsCounter().Add(guard->Grows() - grows_before);
   }
   // Nothing left to apply (an empty call, or all duplicates) is a complete
   // no-op: no WAL call, and not even the batch counters move, because no
@@ -378,7 +382,7 @@ Result<IngestOutcome> DurableSession::Ingest(
   // One apply call on every path, so `kept_total` counts rung inserts
   // whether the client sent OBSERVE or OBSERVEB, exactly as WAL replay
   // recounts them (a one-point batch is bit-identical to `Observe`).
-  const size_t mutations = sink_->ObserveBatch(fresh);
+  const size_t mutations = state_.sink().ObserveBatch(fresh);
   counters_.kept_total += static_cast<int64_t>(mutations);
   ObservedCounter().Add(fresh.size());
   KeptCounter().Add(mutations);
@@ -402,8 +406,8 @@ Status DurableSession::MaybeAutoSnapshot() {
 Status DurableSession::PublishReplicationState() {
   SnapshotWriter writer(SessionReplAdvertPath(dir_));
   writer.WriteString(kReplAdvertTag);
-  writer.WriteI64(sink_->ObservedElements());
-  writer.WriteU64(sink_->StateVersion());
+  writer.WriteI64(ObservedElements());
+  writer.WriteU64(StateVersion());
   return writer.Commit();
 }
 
@@ -420,28 +424,21 @@ Status DurableSession::TakeSnapshot() {
   // snapshot claims "everything up to seq is covered", which is only true
   // if no acknowledged record can disappear behind it.
   if (Status s = Sync(); !s.ok()) return s;
-  const int64_t seq = sink_->ObservedElements();
+  const int64_t seq = ObservedElements();
   if (seq == snapshot_seq_) return Status::Ok();  // up to date (or empty)
 
   Timer snap_timer;
   // Streamed to the file as it is written: the snapshot is never held
   // whole in memory (the dedup footer alone can run to megabytes).
   SnapshotWriter writer(SnapshotPath(seq));
-  writer.WriteString(kSessionTag);
-  writer.WriteString(spec_);
-  writer.WriteI64(seq);
-  if (Status s = sink_->Snapshot(writer); !s.ok()) return s;
-  // Stats footer: written after the sink state so `RestoreSessionSnapshot`
-  // (and the replica bootstrap, which shares it) can stop at the sink and
-  // ignore the tail. The footer counts this snapshot as taken — a restore
-  // from it must see the count that was true once it existed.
+  if (Status s = state_.WriteHead(writer); !s.ok()) return s;
+  // The footer counts this snapshot as taken — a restore from it must see
+  // the count that was true once it existed — and the time to write the
+  // sink state.
   SessionIngestCounters footer = counters_;
   footer.snapshots_taken += 1;
   footer.snapshot_write_ms_total += snap_timer.ElapsedSeconds() * 1000.0;
-  WriteStatsFooter(writer, footer);
-  if (dedup_ != nullptr) {
-    WriteDedupFooter(writer, duplicates_rejected_, *dedup_);
-  }
+  state_.WriteFooters(writer, footer);
   const size_t payload_bytes = writer.PayloadBytes();
   if (Status s = writer.Commit(); !s.ok()) return s;
   snapshot_seq_ = seq;
@@ -449,8 +446,7 @@ Status DurableSession::TakeSnapshot() {
   counters_.snapshot_write_ms_total += snap_timer.ElapsedSeconds() * 1000.0;
   SnapshotBytesCounter().Add(payload_bytes);
   SnapshotWriteHist().RecordWithContext(
-      static_cast<uint64_t>(snap_timer.ElapsedNanos()), dir_,
-      sink_->StateVersion());
+      static_cast<uint64_t>(snap_timer.ElapsedNanos()), dir_, StateVersion());
 
   // Prune snapshots beyond keep_snapshots first, then drop only the WAL
   // prefix below the OLDEST snapshot still retained: if the newest

@@ -6,47 +6,19 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "core/solution.h"
 #include "core/solve_cache.h"
 #include "core/stream_sink.h"
 #include "service/dedup_filter.h"
+#include "service/sink_spec.h"
 #include "service/wal.h"
 #include "util/status.h"
 
 namespace fdm {
 
 class SnapshotReader;
-struct SinkSpec;
-
-/// Restores the sink embedded in one session snapshot (the payload
-/// `DurableSession::TakeSnapshot` writes: tag, spec, stream position, sink
-/// state). Fails — instead of restoring silently — when the tag is wrong,
-/// the stored spec differs from `expected_spec`, or the embedded stream
-/// position disagrees with the header/`expected_seq` (pass -1 to accept
-/// any position). Shared by `DurableSession::Open` and the replica
-/// bootstrap path, which restores from shipped bytes rather than a file.
-Result<std::unique_ptr<StreamSink>> RestoreSessionSnapshot(
-    SnapshotReader& reader, std::string_view expected_spec,
-    int64_t expected_seq);
-
-/// Counters persisted in the session snapshot's stats footer; declared
-/// below (`ReadSessionFooters` needs the type).
-struct SessionIngestCounters;
-
-/// Reads the lenient footers that follow the sink state in a session
-/// snapshot: the stats footer (into `counters` when non-null) and, after
-/// it, the dedup footer — returning the restored duplicate-guard filter,
-/// or null when the snapshot predates dedup, carries no filter, or has a
-/// malformed tail. `duplicates_rejected` (when non-null) receives the
-/// persisted rejection count alongside a non-null filter. Never fails:
-/// like the stats footer, missing or foreign trailing bytes must cost
-/// statistics at worst, never the restore. Shared by `DurableSession::Open`
-/// and the replica bootstrap (which restores from shipped bytes).
-std::unique_ptr<DedupFilter> ReadSessionFooters(
-    SnapshotReader& reader, SessionIngestCounters* counters,
-    int64_t* duplicates_rejected);
+class SnapshotWriter;
 
 /// The replication advertisement a primary publishes at each durability
 /// point (see `DurableSession::PublishReplicationState`): the stream
@@ -89,6 +61,77 @@ struct SessionIngestCounters {
   int64_t restores = 0;
   /// WAL records replayed across all restores.
   int64_t replayed_records = 0;
+};
+
+/// One session's in-memory state, the same on a primary (`DurableSession`)
+/// and a follower (`ReplicaSession`): the spec, the sink and, iff the spec
+/// says `dedup=on`, the duplicate guard with its rejection count. It is the
+/// only code that builds this state from a spec and the only reader and
+/// writer of the session snapshot payload,
+///
+///   "fdm.session" | spec | seq | sink state | stats footer | dedup footer
+///
+/// so crash recovery and follower bootstrap restore through one path. The
+/// footers are lenient: a payload may end after the sink state or after
+/// the stats footer, and a malformed footer costs what it holds, never the
+/// restore.
+class SessionState {
+ public:
+  /// Parses `spec`, once. The result holds no sink or guard yet: only
+  /// `Fresh` and `Restore` may be called on it.
+  static Result<SessionState> Parse(std::string spec);
+
+  /// This spec's state with a new sink and, iff `dedup=on`, an empty guard.
+  Result<SessionState> Fresh() const;
+
+  /// This spec's state restored from the snapshot payload in `reader`,
+  /// taken at stream position `seq`. Fails on a wrong tag, spec or position
+  /// or a sink state that does not restore. `counters`, when non-null,
+  /// receives the stats footer. The spec decides the guard: a `dedup=on`
+  /// state takes the dedup footer's guard and count, or an empty guard
+  /// without a well-formed footer; a `dedup=off` state reads no dedup
+  /// footer.
+  Result<SessionState> Restore(SnapshotReader& reader, int64_t seq,
+                               SessionIngestCounters* counters) const;
+
+  /// The payload head: tag, spec, stream position, sink state.
+  Status WriteHead(SnapshotWriter& writer) const;
+  /// The footers after the head: stats, then dedup iff there is a guard.
+  void WriteFooters(SnapshotWriter& writer,
+                    const SessionIngestCounters& counters) const;
+
+  /// The applier crash-recovery replay and follower tails apply records
+  /// through; the guard relearns every applied id.
+  WalBatchApplier Applier() {
+    return WalBatchApplier(*sink_, rule(), guard());
+  }
+
+  const std::string& spec() const { return spec_; }
+  /// The points the sink admits (`SinkSpec::Rule`).
+  PointRule rule() const { return parsed_.Rule(); }
+  StreamSink& sink() { return *sink_; }
+  const StreamSink& sink() const { return *sink_; }
+  /// The duplicate guard; null when the spec says `dedup=off`.
+  DedupFilter* guard() { return guard_ ? &*guard_ : nullptr; }
+  const DedupFilter* guard() const { return guard_ ? &*guard_ : nullptr; }
+  /// Exact duplicates the guard rejected, cumulative.
+  int64_t duplicates_rejected() const { return duplicates_rejected_; }
+  void CountRejected(int64_t duplicates) {
+    duplicates_rejected_ += duplicates;
+  }
+
+ private:
+  SessionState(std::string spec, SinkSpec parsed)
+      : spec_(std::move(spec)), parsed_(std::move(parsed)) {}
+  /// This spec's state over `sink`, with an empty guard iff `dedup=on`:
+  /// the one place a guard starts empty.
+  SessionState WithSink(std::unique_ptr<StreamSink> sink) const;
+
+  std::string spec_;
+  SinkSpec parsed_;
+  std::unique_ptr<StreamSink> sink_;  // null only in a `Parse` result
+  std::optional<DedupFilter> guard_;
+  int64_t duplicates_rejected_ = 0;
 };
 
 /// What one `Ingest` call did: how many points were applied (WAL-logged
@@ -184,7 +227,7 @@ class DurableSession {
   /// (`Stats`, other `Solve`s) — the manager's reader–writer session lock
   /// excludes ingest while a query reads the sink.
   Result<Solution> Solve() const {
-    const StreamSink& sink = *sink_;
+    const StreamSink& sink = state_.sink();
     return solve_cache_->GetOrCompute(
         sink.StateVersion(), [&sink] { return sink.Solve(); }, dir_);
   }
@@ -192,7 +235,7 @@ class DurableSession {
   /// `Solve()` when it is a cache hit (counted as one); else nullopt,
   /// with nothing computed.
   std::optional<Result<Solution>> SolveIfCached() const {
-    return solve_cache_->Lookup(sink_->StateVersion(), dir_);
+    return solve_cache_->Lookup(StateVersion(), dir_);
   }
 
   /// Replaces the session's solve cache (the manager hands every session
@@ -205,7 +248,7 @@ class DurableSession {
   }
 
   /// The sink's monotone state version (see `StreamSink::StateVersion`).
-  uint64_t StateVersion() const { return sink_->StateVersion(); }
+  uint64_t StateVersion() const { return state_.sink().StateVersion(); }
 
   /// Query-path counters of this session's cache.
   SolveCache::Stats SolveCacheStats() const {
@@ -226,36 +269,37 @@ class DurableSession {
   Status PublishReplicationState();
 
   const std::string& dir() const { return dir_; }
-  const std::string& spec() const { return spec_; }
+  const std::string& spec() const { return state_.spec(); }
   /// Cumulative counters, footer-persisted (see `SessionIngestCounters`).
   const SessionIngestCounters& IngestCounters() const { return counters_; }
   /// True iff the spec enables the duplicate guard (`dedup=on`).
-  bool DedupEnabled() const { return dedup_ != nullptr; }
+  bool DedupEnabled() const { return state_.guard() != nullptr; }
   /// Exact duplicates rejected before the WAL, cumulative. Persisted in
   /// the snapshot's dedup footer — exact across LRU spill (which snapshots
   /// first) and snapshot-covered recovery; rejections since the last
   /// snapshot are deliberately not WAL-logged (they ARE the records kept
   /// out of the log), so a hard crash forgets only that recent delta.
-  int64_t DuplicatesRejected() const { return duplicates_rejected_; }
+  int64_t DuplicatesRejected() const {
+    return state_.duplicates_rejected();
+  }
   /// The duplicate guard (null when `dedup=off`).
-  const DedupFilter* dedup_filter() const { return dedup_.get(); }
-  int64_t ObservedElements() const { return sink_->ObservedElements(); }
-  size_t StoredElements() const { return sink_->StoredElements(); }
+  const DedupFilter* dedup_filter() const { return state_.guard(); }
+  int64_t ObservedElements() const {
+    return state_.sink().ObservedElements();
+  }
+  size_t StoredElements() const { return state_.sink().StoredElements(); }
   /// Stream position of the newest on-disk snapshot (0 = none).
   int64_t SnapshotSeq() const { return snapshot_seq_; }
   /// Records observed since the newest snapshot.
   int64_t UnsnapshottedRecords() const {
-    return sink_->ObservedElements() - snapshot_seq_;
+    return ObservedElements() - snapshot_seq_;
   }
-  StreamSink& sink() { return *sink_; }
-  const StreamSink& sink() const { return *sink_; }
+  StreamSink& sink() { return state_.sink(); }
+  const StreamSink& sink() const { return state_.sink(); }
 
  private:
-  /// The one place `Create` and `Open` derive what the session admits
-  /// from its parsed spec: the point dimension, the group count, an empty
-  /// duplicate guard when `dedup=on`, and `keep_snapshots` clamped to at
-  /// least 1. The caller supplies the sink and the WAL.
-  DurableSession(std::string dir, std::string spec, const SinkSpec& parsed,
+  /// Clamps `keep_snapshots` to at least 1; the caller supplies the WAL.
+  DurableSession(std::string dir, SessionState state,
                  DurableSessionOptions options);
 
   Status MaybeAutoSnapshot();
@@ -264,15 +308,11 @@ class DurableSession {
   Result<int64_t> PruneSnapshots();
   std::string SnapshotPath(int64_t seq) const;
   std::string dir_;
-  std::string spec_;
   DurableSessionOptions options_;
-  std::unique_ptr<StreamSink> sink_;
+  SessionState state_;
   std::unique_ptr<WriteAheadLog> wal_;
-  std::unique_ptr<DedupFilter> dedup_;  // null unless spec says dedup=on
-  int64_t duplicates_rejected_ = 0;
   uint64_t probe_sample_ = 0;  // 1-in-64 sampling of the probe histogram
   std::shared_ptr<SolveCache> solve_cache_;  // never null
-  PointRule rule_;  // from the spec; every ingested point must fit it
   int64_t snapshot_seq_ = 0;
   SessionIngestCounters counters_;
   Status broken_;  // latched WAL-append failure; session needs a reopen

@@ -55,23 +55,15 @@ Result<std::unique_ptr<SessionManager>> SessionManager::Create(
     manager->entries_.emplace(name, std::make_shared<Entry>());
   }
 
-  if (manager->options_.background_snapshot_ms > 0) {
-    manager->background_ = std::thread([m = manager.get()] {
-      m->BackgroundLoop();
-    });
-  }
+  // The periodic durability sweep; its errors are retried next tick.
+  manager->snapshot_sweep_.Start(
+      manager->options_.background_snapshot_ms,
+      [m = manager.get()] { (void)m->SnapshotAll(); });
   return manager;
 }
 
 SessionManager::~SessionManager() {
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mu_);
-      stopping_ = true;
-    }
-    background_cv_.notify_all();
-    background_.join();
-  }
+  snapshot_sweep_.Stop();
   // Clean shutdown = snapshot everything so the next start replays nothing.
   (void)SnapshotAll();
 }
@@ -337,19 +329,6 @@ Status SessionManager::SnapshotAll() {
     if (!s.ok()) return s;
   }
   return Status::Ok();
-}
-
-void SessionManager::BackgroundLoop() {
-  const auto period =
-      std::chrono::milliseconds(options_.background_snapshot_ms);
-  std::unique_lock<std::mutex> lock(background_mu_);
-  while (!stopping_) {
-    background_cv_.wait_for(lock, period, [this] { return stopping_; });
-    if (stopping_) return;
-    lock.unlock();
-    (void)SnapshotAll();  // periodic durability sweep; errors retried next tick
-    lock.lock();
-  }
 }
 
 }  // namespace fdm

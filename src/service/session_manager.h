@@ -2,7 +2,6 @@
 #define FDM_SERVICE_SESSION_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,12 +10,12 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/solution.h"
 #include "core/solve_cache.h"
 #include "service/durable_session.h"
+#include "util/periodic_thread.h"
 #include "util/status.h"
 
 namespace fdm {
@@ -206,8 +205,6 @@ class SessionManager {
   /// Spills LRU sessions until the resident count is within bounds.
   void EnforceResidencyLimit();
 
-  void BackgroundLoop();
-
   SessionManagerOptions options_;
   mutable std::mutex mu_;  // guards entries_ + tick_
   std::map<std::string, std::shared_ptr<Entry>> entries_;
@@ -217,10 +214,7 @@ class SessionManager {
   /// runs once the cap is actually exceeded.
   std::atomic<size_t> resident_count_{0};
 
-  std::thread background_;
-  std::mutex background_mu_;
-  std::condition_variable background_cv_;
-  bool stopping_ = false;
+  PeriodicThread snapshot_sweep_;  // every background_snapshot_ms
 };
 
 }  // namespace fdm

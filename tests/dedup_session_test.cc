@@ -312,22 +312,32 @@ TEST_F(DedupSessionTest, FilterSurvivesLruSpill) {
   EXPECT_GT(reloaded->filter_bytes, 0u);
 }
 
-// The lenient-footer contract, at the unit level: `ReadSessionFooters`
-// must treat a missing or truncated tail as "nothing persisted" (the
-// filter rebuilds from WAL replay), never as a restore failure — that is
-// what lets pre-dedup snapshots keep loading.
+// The lenient-footer contract, at the unit level: `SessionState::Restore`
+// treats a missing or truncated footer as "nothing persisted", never as a
+// restore failure — that is what lets pre-dedup snapshots keep loading —
+// and the spec, not the footer, decides the guard: a dedup=on state
+// without a well-formed dedup footer starts with an empty guard (WAL
+// replay re-teaches it), and a dedup footer on a dedup=off spec is ignored.
 TEST_F(DedupSessionTest, SessionFooterReaderIsLenient) {
-  // No footers at all (a pre-footer snapshot tail).
-  {
+  const std::string off_spec = "algo=streaming_dm dim=2 k=2 dmin=0.1 dmax=10";
+  const std::string on_spec = off_spec + " dedup=on";
+  // A fresh `spec` session's payload at seq 0: head, then `footers`.
+  const auto payload = [](const std::string& spec, const auto& footers) {
+    auto state = SessionState::Parse(spec)->Fresh();
+    EXPECT_TRUE(state.ok()) << state.status().ToString();
     SnapshotWriter writer;
-    auto reader = SnapshotReader::FromBytes(writer.Serialize());
-    ASSERT_TRUE(reader.ok());
-    int64_t rejected = -1;
-    EXPECT_EQ(ReadSessionFooters(*reader, nullptr, &rejected), nullptr);
-    EXPECT_EQ(rejected, -1);  // untouched
-  }
-  // Stats footer only (a pre-dedup snapshot): counters restored, no
-  // filter, no error.
+    EXPECT_TRUE(state->WriteHead(writer).ok());
+    footers(writer);
+    return writer.Serialize();
+  };
+  const auto restore = [](const std::string& spec, std::string bytes,
+                          SessionIngestCounters* counters) {
+    auto reader = SnapshotReader::FromBytes(std::move(bytes));
+    EXPECT_TRUE(reader.ok());
+    auto state = SessionState::Parse(spec);
+    EXPECT_TRUE(state.ok()) << state.status().ToString();
+    return state->Restore(*reader, /*seq=*/0, counters);
+  };
   const auto write_stats = [](SnapshotWriter& writer) {
     writer.WriteString("fdm.session.stats");
     writer.WriteI64(7);    // kept_total
@@ -337,49 +347,75 @@ TEST_F(DedupSessionTest, SessionFooterReaderIsLenient) {
     writer.WriteI64(0);    // restores
     writer.WriteI64(0);    // replayed_records
   };
-  SnapshotWriter stats_only;
-  write_stats(stats_only);
+  const auto write_stats_and_dedup = [&](SnapshotWriter& writer) {
+    write_stats(writer);
+    writer.WriteString("fdm.session.dedup");
+    writer.WriteI64(4);  // duplicates_rejected
+    DedupFilter filter;
+    ASSERT_TRUE(filter.InsertIfAbsent(11));
+    ASSERT_TRUE(filter.InsertIfAbsent(22));
+    filter.Serialize(writer);
+  };
+  const auto expect_empty_guard = [](const SessionState& state) {
+    ASSERT_NE(state.guard(), nullptr);
+    EXPECT_EQ(state.guard()->Size(), 0u);
+    EXPECT_EQ(state.duplicates_rejected(), 0);
+  };
+
+  // No footers at all (a pre-footer snapshot tail): counters untouched.
   {
-    auto reader = SnapshotReader::FromBytes(stats_only.Serialize());
-    ASSERT_TRUE(reader.ok());
     SessionIngestCounters counters;
-    int64_t rejected = -1;
-    EXPECT_EQ(ReadSessionFooters(*reader, &counters, &rejected), nullptr);
-    EXPECT_EQ(counters.kept_total, 7);
-    EXPECT_EQ(rejected, -1);
+    counters.kept_total = -1;
+    auto state = restore(on_spec, payload(on_spec, [](SnapshotWriter&) {}),
+                         &counters);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(counters.kept_total, -1);
+    expect_empty_guard(*state);
   }
-  // Stats + dedup footer: the filter comes back with its membership and
-  // the rejection count.
-  SnapshotWriter full;
-  write_stats(full);
-  full.WriteString("fdm.session.dedup");
-  full.WriteI64(4);  // duplicates_rejected
-  DedupFilter filter;
-  ASSERT_TRUE(filter.InsertIfAbsent(11));
-  ASSERT_TRUE(filter.InsertIfAbsent(22));
-  filter.Serialize(full);
+  // Stats footer only (a pre-dedup snapshot): counters restored, an empty
+  // guard, no error.
   {
-    auto reader = SnapshotReader::FromBytes(full.Serialize());
-    ASSERT_TRUE(reader.ok());
-    int64_t rejected = 0;
-    auto restored = ReadSessionFooters(*reader, nullptr, &rejected);
-    ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(rejected, 4);
-    EXPECT_TRUE(restored->Contains(11));
-    EXPECT_TRUE(restored->Contains(22));
-    EXPECT_FALSE(restored->Contains(33));
+    SessionIngestCounters counters;
+    auto state = restore(on_spec, payload(on_spec, write_stats), &counters);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(counters.kept_total, 7);
+    EXPECT_EQ(counters.ingest_batches, 3);
+    expect_empty_guard(*state);
+  }
+  // Stats + dedup footer: the guard comes back with its membership and
+  // the rejection count.
+  {
+    SessionIngestCounters counters;
+    auto state =
+        restore(on_spec, payload(on_spec, write_stats_and_dedup), &counters);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(counters.kept_total, 7);
+    ASSERT_NE(state->guard(), nullptr);
+    EXPECT_EQ(state->duplicates_rejected(), 4);
+    EXPECT_TRUE(state->guard()->Contains(11));
+    EXPECT_TRUE(state->guard()->Contains(22));
+    EXPECT_FALSE(state->guard()->Contains(33));
   }
   // A truncated dedup footer (tag but nothing after) degrades to "no
-  // filter persisted", not an error.
-  SnapshotWriter truncated;
-  write_stats(truncated);
-  truncated.WriteString("fdm.session.dedup");
+  // guard persisted", not an error.
   {
-    auto reader = SnapshotReader::FromBytes(truncated.Serialize());
-    ASSERT_TRUE(reader.ok());
-    int64_t rejected = -1;
-    EXPECT_EQ(ReadSessionFooters(*reader, nullptr, &rejected), nullptr);
-    EXPECT_EQ(rejected, -1);
+    auto state = restore(on_spec, payload(on_spec, [&](SnapshotWriter& w) {
+                           write_stats(w);
+                           w.WriteString("fdm.session.dedup");
+                         }),
+                         nullptr);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    expect_empty_guard(*state);
+  }
+  // A dedup footer on a dedup=off spec is ignored: no guard, no count.
+  {
+    SessionIngestCounters counters;
+    auto state =
+        restore(off_spec, payload(off_spec, write_stats_and_dedup), &counters);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(counters.kept_total, 7);
+    EXPECT_EQ(state->guard(), nullptr);
+    EXPECT_EQ(state->duplicates_rejected(), 0);
   }
 }
 

@@ -669,6 +669,31 @@ std::string FetchReply(const std::string& bytes) {
   return "OK bytes=" + std::to_string(bytes.size()) + "\n" + bytes + "\n";
 }
 
+// A large reply costs the client one allocation of its frame's size: once
+// the header is read, `NetClient::Recv` reserves the whole frame instead of
+// doubling its buffer through the 64 KiB reads, which left this reply, just
+// over 1 MiB, in a 2 MiB buffer.
+TEST_F(NetServerTest, LargeReplyArrivesInOneFrameSizedBuffer) {
+  auto manager = NewManager();
+  ASSERT_TRUE(manager->CreateSession("big", SpecFor(TestData(60))).ok());
+  const std::string snap = RandomBytes((1u << 20) + (1u << 10));
+  {
+    std::ofstream out(SnapshotOne(root_, "big"), std::ios::binary);
+    out << snap;
+  }
+  net::RequestDispatcher dispatcher(manager.get(), root_);
+  auto server = net::TcpServer::Start(&dispatcher, {});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = net::NetClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto reply = client->Call("RFETCHSNAP big 1");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(*reply == FetchReply(snap));
+  EXPECT_LT(reply->capacity(), reply->size() * 3 / 2)
+      << reply->capacity() << " bytes held for a " << reply->size()
+      << "-byte reply";
+}
+
 // A fetched range leaves the primary from its file: while a client holds a
 // 9 MiB RFETCHSNAP reply unread, no connection buffer holds any of it, and
 // the reply still arrives byte for byte once the client reads.

@@ -9,9 +9,12 @@
 #include "replica/replica_session.h"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -428,6 +431,109 @@ TEST_F(ReplicaTest, RewrittenLogForcesDivergenceRebuild) {
   ExpectSameSolution(rewritten->sink(), follower->sink());
 }
 
+// A SPEC that does not parse fails both restore paths before any snapshot
+// is read: `Open` with the spec's own error, and a follower's bootstrap
+// before it fetches a snapshot or a WAL segment.
+TEST_F(ReplicaTest, UnparsableSpecFailsBeforeAnySnapshotIsRead) {
+  const Dataset ds = TestData(2, 60, 31);
+  {
+    auto primary = MakePrimary(
+        dir_, "algo=streaming_dm dim=2 k=4" + BoundsSuffix(ds), ds);
+    ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  }
+  std::ofstream(SessionSpecPath(dir_)) << "algo=streaming_dm dim=2 k=x\n";
+  auto opened = DurableSession::Open(dir_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+      << opened.status().ToString();
+
+  auto fault = std::make_shared<FaultInjectingSource>(
+      std::make_shared<DirReplicationSource>(dir_));
+  auto manifest = fault->GetManifest();
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_FALSE(manifest->snapshots.empty());
+  for (const auto& snapshot : manifest->snapshots) {
+    fault->FailSnapshot(snapshot.seq);
+  }
+  for (const auto& segment : manifest->segments) {
+    fault->FailSegment(segment.first_seq);
+  }
+  auto follower = ReplicaSession::Bootstrap(fault);
+  ASSERT_FALSE(follower.ok());
+  EXPECT_EQ(follower.status().code(), StatusCode::kInvalidArgument)
+      << follower.status().ToString();
+  EXPECT_EQ(fault->forced_failures(), 0);  // nothing was fetched
+}
+
+// The same rebuild under dedup=on drops the diverged history's duplicate
+// guard with its sink. Each history re-sends some ids (rejected, counted in
+// its snapshot's dedup footer); the rewrite uses other ids. After the
+// rebuild the follower's rejection count, guard structure and membership
+// are the rewritten primary's, and it knows none of the lost history's ids.
+TEST_F(ReplicaTest, DivergenceRebuildDropsTheLostHistorysGuard) {
+  const Dataset ds = TestData(2, 80, 47);
+  const std::string spec =
+      "algo=streaming_dm dim=2 k=4 dedup=on" + BoundsSuffix(ds);
+  const size_t n = ds.size();
+  // Sends `points(i)` for i < n; at n/2 re-sends the first `resent` of
+  // them, which the guard rejects, then snapshots.
+  const auto write_history = [&](const auto& points, int64_t resent,
+                                 DurableSession& primary) {
+    for (size_t i = 0; i < n; ++i) {
+      const StreamPoint pt = points(i);
+      ASSERT_TRUE(primary.Ingest({&pt, 1}, /*as_batch=*/false).ok());
+      if (i + 1 != n / 2) continue;
+      for (int64_t d = 0; d < resent; ++d) {
+        const StreamPoint again = points(static_cast<size_t>(d));
+        auto outcome = primary.Ingest({&again, 1}, /*as_batch=*/false);
+        ASSERT_TRUE(outcome.ok());
+        ASSERT_EQ(outcome->duplicates, 1);
+      }
+      ASSERT_TRUE(primary.TakeSnapshot().ok());
+    }
+    ASSERT_TRUE(primary.Sync().ok());
+  };
+  {
+    auto primary = DurableSession::Create(dir_, spec);
+    ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+    write_history([&](size_t i) { return ds.At(i); }, 10, *primary);
+  }
+  auto fault = std::make_shared<FaultInjectingSource>(
+      std::make_shared<DirReplicationSource>(dir_));
+  auto follower = ReplicaSession::Bootstrap(fault);
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  ASSERT_EQ(follower->Stats().duplicates_rejected, 10);
+  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(follower->KnownId(ds.At(i).id));
+  const uint64_t old_version = follower->StateVersion();
+
+  // Same spec, same record count, other ids, constant points.
+  std::filesystem::remove_all(dir_);
+  auto rewritten = DurableSession::Create(dir_, spec);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  constexpr int64_t kBase = 1000;
+  const std::vector<double> constant = {1.0, 1.0};
+  write_history(
+      [&](size_t i) {
+        return StreamPoint{kBase + static_cast<int64_t>(i), 0, constant};
+      },
+      5, *rewritten);
+  ASSERT_NE(rewritten->StateVersion(), old_version);
+
+  auto polled = follower->Poll();
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  const auto stats = follower->Stats();
+  EXPECT_GE(stats.divergence_rebuilds, 1u);
+  ExpectSameSolution(rewritten->sink(), follower->sink());
+  EXPECT_EQ(stats.duplicates_rejected, 5);
+  EXPECT_EQ(stats.duplicates_rejected, rewritten->DuplicatesRejected());
+  EXPECT_EQ(stats.filter_bytes, rewritten->dedup_filter()->MemoryBytes());
+  EXPECT_EQ(stats.filter_grows, rewritten->dedup_filter()->Grows());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(follower->KnownId(kBase + static_cast<int64_t>(i))) << i;
+    EXPECT_FALSE(follower->KnownId(ds.At(i).id)) << ds.At(i).id;
+  }
+}
+
 // What a follower pays per new record: tailing a live primary in many
 // small polls, each poll fetches only the records it has not applied (a
 // ranged fetch from its offset), so the bytes fetched stay within 1.2x the
@@ -797,6 +903,48 @@ TEST_F(ReplicaTest, ReplicaManagerMirrorsAPrimaryRoot) {
   ASSERT_TRUE(gamma.ok()) << gamma.status().ToString();
   EXPECT_EQ(gamma->applied_seq, 1);
   EXPECT_EQ(gamma->lag, 0);
+}
+
+// With `poll_ms` set, a ReplicaManager catches up on its own: after the
+// first touch bootstraps the follower, nothing but the background poll
+// moves it.
+TEST_F(ReplicaTest, ReplicaManagerPollsInTheBackground) {
+  const Dataset ds = TestData(2, 120, 61);
+  const std::string spec = "algo=sfdm2 dim=2 quotas=2,2" + BoundsSuffix(ds);
+  const std::string root = dir_ + "/primary_root";
+  SessionManagerOptions primary_options;
+  primary_options.root_dir = root;
+  auto primaries = SessionManager::Create(primary_options);
+  ASSERT_TRUE(primaries.ok());
+  ASSERT_TRUE((*primaries)->CreateSession("live", spec).ok());
+  ASSERT_TRUE((*primaries)->Snapshot("live").ok());
+
+  ReplicaManagerOptions options;
+  options.primary_root = root;
+  options.poll_ms = 5;
+  auto followers = ReplicaManager::Create(options);
+  ASSERT_TRUE(followers.ok()) << followers.status().ToString();
+  ASSERT_TRUE((*followers)->Stats("live").ok());
+
+  std::vector<StreamPoint> points;
+  for (size_t i = 0; i < ds.size(); ++i) points.push_back(ds.At(i));
+  ASSERT_TRUE((*primaries)->Ingest("live", points, /*as_batch=*/true).ok());
+  ASSERT_TRUE((*primaries)->Snapshot("live").ok());  // durable + advertised
+  const int64_t n = static_cast<int64_t>(ds.size());
+  int64_t applied = 0;
+  for (int i = 0; i < 500 && applied != n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    auto stats = (*followers)->Stats("live");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    applied = stats->applied_seq;
+  }
+  ASSERT_EQ(applied, n);
+  auto solve = (*followers)->Solve("live");
+  ASSERT_TRUE(solve.ok()) << solve.status().ToString();
+  EXPECT_FALSE(solve->stale);
+  auto primary_solution = (*primaries)->Solve("live");
+  ASSERT_TRUE(primary_solution.ok());
+  EXPECT_EQ(solve->solution.Ids(), primary_solution->Ids());
 }
 
 }  // namespace

@@ -7,11 +7,13 @@
 
 #include "net/dispatch.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -512,6 +514,27 @@ TEST(MetricsDumpSpecTest, ValidSpecsParse) {
   // Non-digit suffix after the comma: the comma belongs to the path.
   auto comma_path = obs::MakeMetricsDumper(dir + "/odd,name.prom");
   ASSERT_TRUE(comma_path.ok());
+}
+
+// With a period the dumper rewrites its file while it lives, not only in
+// its destructor: a removed dump file comes back.
+TEST(MetricsDumpSpecTest, PeriodicDumpRewritesTheFile) {
+  const std::string path = ::testing::TempDir() + "/fdm_periodic_dump.prom";
+  std::filesystem::remove(path);
+  const auto appears = [&path] {
+    for (int i = 0; i < 500 && !std::filesystem::exists(path); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return std::filesystem::exists(path);
+  };
+  auto dumper = obs::MakeMetricsDumper(path + ",5");
+  ASSERT_TRUE(dumper.ok());
+  ASSERT_NE(*dumper, nullptr);
+  EXPECT_TRUE(appears());
+  std::filesystem::remove(path);
+  EXPECT_TRUE(appears());
+  dumper->reset();
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------
