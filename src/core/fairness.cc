@@ -1,6 +1,8 @@
 #include "core/fairness.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace fdm {
@@ -9,11 +11,18 @@ Status FairnessConstraint::Validate() const {
   if (quotas.empty()) {
     return Status::InvalidArgument("fairness constraint has no groups");
   }
+  int64_t total = 0;
   for (size_t i = 0; i < quotas.size(); ++i) {
     if (quotas[i] <= 0) {
       return Status::InvalidArgument("quota for group " + std::to_string(i) +
                                      " must be positive, got " +
                                      std::to_string(quotas[i]));
+    }
+    total += quotas[i];
+    if (total > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument(
+          "quotas sum to more than " +
+          std::to_string(std::numeric_limits<int>::max()));
     }
   }
   return Status::Ok();

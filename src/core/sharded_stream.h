@@ -23,7 +23,7 @@ struct ShardedStreamingOptions {
 
 /// Sharded ingestion driver for *unconstrained* max-min diversity
 /// maximization — the streaming-side realization of the composable-coreset
-/// approach (`ComposableCoresetDm`, Indyk et al. [27]).
+/// approach of Indyk et al. [27].
 ///
 /// The stream is split round-robin into `num_shards` substreams, each
 /// ingested by its own `StreamingDm` (Algorithm 1). Shards share no state,
@@ -31,11 +31,11 @@ struct ShardedStreamingOptions {
 /// merges the per-shard solutions — each is a composable coreset for
 /// remote-edge diversity: `k` points pairwise `≥ µ*_shard` — and
 /// post-processes once with GMM farthest-first selection over the union,
-/// exactly the map/reduce shape of `ComposableCoresetDm` with the per-block
-/// GMM replaced by the `(1−ε)/2`-approximate streaming candidates. The
-/// merge-then-GMM step inherits the composable-coreset constant-factor
-/// guarantee relative to the single-stream run (verified on synthetic data
-/// in sharded_stream_test.cc).
+/// exactly the map/reduce shape of Indyk et al.'s GMM-per-block coreset with
+/// the per-block GMM replaced by the `(1−ε)/2`-approximate streaming
+/// candidates. The merge-then-GMM step inherits the composable-coreset
+/// constant-factor guarantee relative to the single-stream run (verified on
+/// synthetic data in sharded_stream_test.cc).
 ///
 /// Memory is `num_shards ×` the single-stream algorithm; update cost per
 /// element is identical, but batches spread across shards *and* wall-clock

@@ -1,7 +1,6 @@
 #include "data/normalize.h"
 
 #include <cmath>
-#include <limits>
 
 #include "util/check.h"
 
@@ -40,27 +39,6 @@ void ZScoreNormalize(std::vector<double>& features, size_t n, size_t dim) {
     for (size_t d = 0; d < dim; ++d) {
       features[i * dim + d] =
           (features[i * dim + d] - stats.mean[d]) / stats.stddev[d];
-    }
-  }
-}
-
-void MinMaxNormalize(std::vector<double>& features, size_t n, size_t dim) {
-  FDM_CHECK(features.size() == n * dim);
-  if (n == 0) return;
-  std::vector<double> lo(dim, std::numeric_limits<double>::infinity());
-  std::vector<double> hi(dim, -std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t d = 0; d < dim; ++d) {
-      const double v = features[i * dim + d];
-      if (v < lo[d]) lo[d] = v;
-      if (v > hi[d]) hi[d] = v;
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t d = 0; d < dim; ++d) {
-      const double range = hi[d] - lo[d];
-      features[i * dim + d] =
-          range > 0.0 ? (features[i * dim + d] - lo[d]) / range : 0.5;
     }
   }
 }

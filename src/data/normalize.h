@@ -23,10 +23,6 @@ ColumnStats ComputeColumnStats(const std::vector<double>& features, size_t n,
 /// unit standard deviation") and Census ("normalized numeric attributes").
 void ZScoreNormalize(std::vector<double>& features, size_t n, size_t dim);
 
-/// In-place min-max scaling of each column to `[0, 1]`; constant columns
-/// map to 0.5.
-void MinMaxNormalize(std::vector<double>& features, size_t n, size_t dim);
-
 }  // namespace fdm
 
 #endif  // FDM_DATA_NORMALIZE_H_

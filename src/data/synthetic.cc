@@ -1,8 +1,5 @@
 #include "data/synthetic.h"
 
-#include <cmath>
-#include <numbers>
-
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -63,28 +60,6 @@ std::vector<int32_t> SampleGroups(size_t n, const std::vector<double>& probs,
     out[i] = g;
   }
   return out;
-}
-
-Dataset MakeTwoMoons(size_t n, double noise, uint64_t seed) {
-  Rng rng(seed);
-  Dataset ds("two-moons", 2, 2, MetricKind::kEuclidean);
-  ds.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t group = static_cast<int32_t>(i % 2);
-    const double t = rng.NextDouble() * std::numbers::pi;
-    double x, y;
-    if (group == 0) {
-      x = std::cos(t);
-      y = std::sin(t);
-    } else {
-      x = 1.0 - std::cos(t);
-      y = 0.5 - std::sin(t);
-    }
-    const double p[2] = {x + noise * rng.NextGaussian(),
-                         y + noise * rng.NextGaussian()};
-    ds.Add(p, group);
-  }
-  return ds;
 }
 
 Dataset MakeUniformSquare(size_t n, uint64_t seed) {

@@ -31,10 +31,6 @@ Dataset MakeBlobs(const BlobsOptions& options);
 std::vector<int32_t> SampleGroups(size_t n, const std::vector<double>& probs,
                                   uint64_t seed);
 
-/// A tiny deterministic 2-D dataset with two half-moon shaped groups;
-/// used by examples and the Fig. 2 illustration.
-Dataset MakeTwoMoons(size_t n, double noise, uint64_t seed);
-
 /// Uniform random points in the unit square (Fig. 1 illustration).
 Dataset MakeUniformSquare(size_t n, uint64_t seed);
 

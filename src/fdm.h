@@ -18,7 +18,6 @@
 /// includes compile faster.
 
 #include "core/clustering.h"        // IWYU pragma: export
-#include "core/composable_coreset.h"  // IWYU pragma: export
 #include "core/diversity.h"         // IWYU pragma: export
 #include "core/fairness.h"          // IWYU pragma: export
 #include "core/gmm.h"               // IWYU pragma: export
@@ -35,7 +34,6 @@
 #include "core/solve_cache.h"       // IWYU pragma: export
 #include "core/stream_sink.h"       // IWYU pragma: export
 #include "core/streaming_dm.h"      // IWYU pragma: export
-#include "core/validate.h"          // IWYU pragma: export
 #include "replica/replica_manager.h"  // IWYU pragma: export
 #include "replica/replica_session.h"  // IWYU pragma: export
 #include "replica/replication_source.h"  // IWYU pragma: export

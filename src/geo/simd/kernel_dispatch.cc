@@ -54,8 +54,7 @@ bool CpuSupportsAvx512F() {
 /// architectures — the vocabulary `FDM_KERNEL` is validated against.
 /// A name outside this list is a typo and fails loudly; a name inside it
 /// that is not *available* here merely warns and falls back.
-constexpr std::string_view kKnownTargets[] = {"scalar", "avx2", "avx512",
-                                              "neon"};
+constexpr std::string_view kKnownTargets[] = {"scalar", "avx2", "avx512"};
 
 bool IsKnownTargetName(std::string_view name) {
   for (const std::string_view known : kKnownTargets) {
@@ -89,12 +88,6 @@ struct Dispatch {
     if (const KernelOps* avx512 = internal::Avx512KernelOpsOrNull();
         avx512 != nullptr && CpuSupportsAvx512F()) {
       available.push_back(avx512);
-    }
-    if (const KernelOps* neon = internal::NeonKernelOpsOrNull();
-        neon != nullptr) {
-      // NEON double-precision SIMD is mandatory on aarch64 — compiled-in
-      // implies runnable.
-      available.push_back(neon);
     }
     standard = available.back();
     if (const char* env = std::getenv("FDM_KERNEL");

@@ -12,10 +12,10 @@ namespace fdm::simd {
 ///
 /// The table is resolved exactly once per process, in this order:
 ///   1. every compiled-in target the running CPU supports is *available*
-///      ("scalar" always; "avx2" / "avx512" via cpuid on x86-64; "neon" on
-///      aarch64);
+///      ("scalar" always; "avx2" / "avx512" via cpuid on x86-64; other
+///      architectures run the scalar target);
 ///   2. if the environment variable `FDM_KERNEL` names an available target
-///      ("scalar" | "avx2" | "avx512" | "neon"), that target is selected —
+///      ("scalar" | "avx2" | "avx512"), that target is selected —
 ///      the testing/CI override that pins a build to one code path;
 ///   3. otherwise the best available target is selected (the last
 ///      non-scalar entry of `AvailableKernelTargets()`, falling back to
@@ -36,7 +36,7 @@ namespace fdm::simd {
 /// first use). Hot paths call this once per scan, not per point.
 const KernelOps& ActiveKernelOps();
 
-/// Name of the active target ("scalar" | "avx2" | "avx512" | "neon") —
+/// Name of the active target ("scalar" | "avx2" | "avx512") —
 /// surfaced in serving stats and bench JSONs so recorded numbers are
 /// self-describing.
 std::string_view ActiveKernelName();

@@ -13,7 +13,6 @@ namespace fdm::simd::internal {
 const KernelOps& ScalarKernelOps();
 const KernelOps* Avx2KernelOpsOrNull();    // x86-64 builds only
 const KernelOps* Avx512KernelOpsOrNull();  // x86-64 builds only
-const KernelOps* NeonKernelOpsOrNull();    // aarch64 builds only
 
 /// The angular epilogue shared by every target: maps a block's 8 dot
 /// products to angles through `fdm::internal::AngularFromDotAndNorms` and

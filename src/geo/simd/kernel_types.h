@@ -10,13 +10,13 @@ namespace fdm::simd {
 /// Lane width of the point-block (AoSoA) coordinate layout: points are
 /// stored in blocks of 8, and within a block dimension-major — the 8
 /// doubles of one dimension row are contiguous and 64-byte aligned (one
-/// cache line, one AVX-512 register, two AVX2 registers, four NEON
-/// registers). The one-to-many kernels vectorize *across the 8 points of a
-/// block*, so each lane accumulates its point's distance over the
-/// dimensions in exactly the scalar `Metric` order — which is what makes
-/// every target bit-identical to the scalar reference without constraining
-/// how a target reduces lanes to the block minimum (min is order-invariant
-/// for the non-NaN, non-negative raw distances the metrics produce).
+/// cache line, one AVX-512 register, two AVX2 registers). The one-to-many
+/// kernels vectorize *across the 8 points of a block*, so each lane
+/// accumulates its point's distance over the dimensions in exactly the
+/// scalar `Metric` order — which is what makes every target bit-identical
+/// to the scalar reference without constraining how a target reduces
+/// lanes to the block minimum (min is order-invariant for the non-NaN,
+/// non-negative raw distances the metrics produce).
 inline constexpr size_t kPointBlockLanes = 8;
 
 /// Blocks needed to hold `n` points.

@@ -16,9 +16,8 @@ namespace fdm {
 /// Algorithms the experiments compare (Section V-A "Algorithms"), plus the
 /// scenario sinks layered on the library (unconstrained streaming and the
 /// sharded coreset driver). Each kind is resolved through the algorithm
-/// registry (`harness/registry.h`) — benches and examples construct every
-/// algorithm uniformly, and new scenarios plug in by registering an entry
-/// rather than editing the harness.
+/// registry (`harness/registry.h`), so benches and examples construct every
+/// algorithm uniformly.
 enum class AlgorithmKind {
   kGmm,       // unconstrained greedy upper-bound reference
   kFairSwap,  // offline, m = 2 [32]
@@ -72,7 +71,7 @@ struct RunResult {
   bool ok = false;
   std::string error;
   /// Distance-kernel dispatch target the run executed under
-  /// ("scalar" | "avx2" | "neon" — see `geo/simd/kernel_dispatch.h`), so
+  /// ("scalar" | "avx2" | "avx512" — see `geo/simd/kernel_dispatch.h`), so
   /// recorded timings are self-describing. Dispatch never changes outputs,
   /// only throughput.
   std::string kernel_target;

@@ -6,21 +6,9 @@
 #include "baselines/fair_gmm.h"
 #include "baselines/fair_swap.h"
 #include "core/gmm.h"
-#include "core/sink_snapshot.h"
-#include "core/sfdm1.h"
-#include "core/sfdm2.h"
-#include "core/sharded_stream.h"
-#include "core/sliding_window.h"
+#include "service/sink_spec.h"
 
 namespace fdm {
-
-StreamingOptions StreamingOptionsFrom(const RunConfig& config) {
-  StreamingOptions streaming;
-  streaming.epsilon = config.epsilon;
-  streaming.d_min = config.bounds.min;
-  streaming.d_max = config.bounds.max;
-  return streaming;
-}
 
 namespace {
 
@@ -79,102 +67,59 @@ AlgorithmEntry FairGmmEntry() {
   return entry;
 }
 
-AlgorithmEntry Sfdm1Entry() {
+/// Every streaming kind is built the way the server builds a session's
+/// sink: the dataset's shape and the run's config as a `SinkSpec`, made by
+/// `SinkSpec::MakeSink`.
+AlgorithmEntry StreamingEntry(std::string name, std::string algo) {
   AlgorithmEntry entry;
-  entry.name = "SFDM1";
+  entry.name = std::move(name);
   entry.streaming = true;
-  entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
-    return WrapSink(Sfdm1::Create(config.constraint, dataset.dim(),
-                                  dataset.metric_kind(),
-                                  StreamingOptionsFrom(config)));
-  };
-  return entry;
-}
-
-AlgorithmEntry Sfdm2Entry() {
-  AlgorithmEntry entry;
-  entry.name = "SFDM2";
-  entry.streaming = true;
-  entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
-    return WrapSink(Sfdm2::Create(config.constraint, dataset.dim(),
-                                  dataset.metric_kind(),
-                                  StreamingOptionsFrom(config)));
-  };
-  return entry;
-}
-
-AlgorithmEntry StreamingDmEntry() {
-  AlgorithmEntry entry;
-  entry.name = "StreamingDM";
-  entry.streaming = true;
-  entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
-    return WrapSink(StreamingDm::Create(config.constraint.TotalK(),
-                                        dataset.dim(), dataset.metric_kind(),
-                                        StreamingOptionsFrom(config)));
-  };
-  return entry;
-}
-
-AlgorithmEntry ShardedEntry() {
-  AlgorithmEntry entry;
-  entry.name = "ShardedDM";
-  entry.streaming = true;
-  entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
-    ShardedStreamingOptions sharding;
-    sharding.num_shards = config.num_shards;
-    return WrapSink(ShardedStreamingDm::Create(
-        config.constraint.TotalK(), dataset.dim(), dataset.metric_kind(),
-        StreamingOptionsFrom(config), sharding));
-  };
-  return entry;
-}
-
-AlgorithmEntry SlidingWindowEntry() {
-  AlgorithmEntry entry;
-  entry.name = "SlidingWindowDM";
-  entry.streaming = true;
-  entry.make_sink = [](const Dataset& dataset, const RunConfig& config) {
+  entry.make_sink = [algo = std::move(algo)](const Dataset& dataset,
+                                             const RunConfig& config) {
+    SinkSpec spec;
+    spec.algo = algo;
+    spec.dim = dataset.dim();
+    spec.metric = dataset.metric_kind();
+    spec.epsilon = config.epsilon;
+    spec.d_min = config.bounds.min;
+    spec.d_max = config.bounds.max;
+    if (algo == "sfdm1" || algo == "sfdm2") {
+      spec.quotas = config.constraint.quotas;
+    } else {
+      spec.k = config.constraint.TotalK();
+    }
+    spec.shards = config.num_shards;
     // Window 0 covers the whole dataset, making the windowed run directly
     // comparable to the one-pass algorithms on the same stream.
-    const int64_t window =
-        config.window_size > 0 ? config.window_size
-                               : static_cast<int64_t>(dataset.size());
-    int64_t checkpoints = config.window_checkpoints;
-    if (checkpoints < 1) checkpoints = 1;
-    if (checkpoints > window) checkpoints = window;
-    const int k = config.constraint.TotalK();
-    const size_t dim = dataset.dim();
-    const MetricKind metric = dataset.metric_kind();
-    const StreamingOptions streaming = StreamingOptionsFrom(config);
-    return WrapSink(SlidingWindow<StreamingDm>::Create(
-        window, checkpoints, [k, dim, metric, streaming] {
-          return StreamingDm::Create(k, dim, metric, streaming);
-        }));
+    spec.window = config.window_size > 0
+                      ? config.window_size
+                      : static_cast<int64_t>(dataset.size());
+    spec.checkpoints = config.window_checkpoints;
+    return spec.MakeSink();
   };
   return entry;
 }
 
 }  // namespace
 
-AlgorithmRegistry::AlgorithmRegistry() {
-  Register(AlgorithmKind::kGmm, GmmEntry());
-  Register(AlgorithmKind::kFairSwap, FairSwapEntry());
-  Register(AlgorithmKind::kFairFlow, FairFlowEntry());
-  Register(AlgorithmKind::kFairGmm, FairGmmEntry());
-  Register(AlgorithmKind::kSfdm1, Sfdm1Entry());
-  Register(AlgorithmKind::kSfdm2, Sfdm2Entry());
-  Register(AlgorithmKind::kStreamingDm, StreamingDmEntry());
-  Register(AlgorithmKind::kSharded, ShardedEntry());
-  Register(AlgorithmKind::kSlidingWindow, SlidingWindowEntry());
-}
+AlgorithmRegistry::AlgorithmRegistry()
+    : entries_{
+          {AlgorithmKind::kGmm, GmmEntry()},
+          {AlgorithmKind::kFairSwap, FairSwapEntry()},
+          {AlgorithmKind::kFairFlow, FairFlowEntry()},
+          {AlgorithmKind::kFairGmm, FairGmmEntry()},
+          {AlgorithmKind::kSfdm1, StreamingEntry("SFDM1", "sfdm1")},
+          {AlgorithmKind::kSfdm2, StreamingEntry("SFDM2", "sfdm2")},
+          {AlgorithmKind::kStreamingDm,
+           StreamingEntry("StreamingDM", "streaming_dm")},
+          {AlgorithmKind::kSharded, StreamingEntry("ShardedDM", "sharded")},
+          {AlgorithmKind::kSlidingWindow,
+           StreamingEntry("SlidingWindowDM", "sliding_window")},
+      } {}
 
-AlgorithmRegistry& AlgorithmRegistry::Instance() {
-  static AlgorithmRegistry registry;
+const AlgorithmRegistry& AlgorithmRegistry::Instance() {
+  static const AlgorithmRegistry registry;
   return registry;
-}
-
-void AlgorithmRegistry::Register(AlgorithmKind kind, AlgorithmEntry entry) {
-  entries_[kind] = std::move(entry);
 }
 
 const AlgorithmEntry* AlgorithmRegistry::Find(AlgorithmKind kind) const {

@@ -9,7 +9,6 @@
 
 #include "core/solution.h"
 #include "core/stream_sink.h"
-#include "core/streaming_dm.h"
 #include "data/dataset.h"
 #include "harness/experiment.h"
 #include "util/status.h"
@@ -35,20 +34,15 @@ struct AlgorithmEntry {
   OfflineSolver solve;          // set iff `!streaming`
 };
 
-/// The registry the harness dispatches through, keyed by `AlgorithmKind`.
-///
-/// All built-in algorithms (the paper's six plus the unconstrained
-/// streaming baseline and the sharded driver) are pre-registered; benches,
-/// examples, and tests can register additional scenarios (windowed,
-/// alternative shardings, …) — or override a builtin — without touching
-/// the harness, and `RunAlgorithm`/`RunRepeated` pick them up uniformly.
+/// The registry the harness dispatches through, keyed by `AlgorithmKind`:
+/// the paper's six algorithms plus the unconstrained streaming baseline,
+/// the sharded driver and the sliding window, fixed at construction.
+/// Benches, examples and tests reach every algorithm through it, so
+/// `RunAlgorithm`/`RunRepeated` construct them uniformly.
 class AlgorithmRegistry {
  public:
-  /// The process-wide registry, with builtins pre-registered.
-  static AlgorithmRegistry& Instance();
-
-  /// Registers (or replaces) the entry for `kind`.
-  void Register(AlgorithmKind kind, AlgorithmEntry entry);
+  /// The process-wide registry.
+  static const AlgorithmRegistry& Instance();
 
   /// The entry for `kind`, or nullptr if none is registered.
   const AlgorithmEntry* Find(AlgorithmKind kind) const;
@@ -59,11 +53,8 @@ class AlgorithmRegistry {
  private:
   AlgorithmRegistry();  // registers the builtins
 
-  std::map<AlgorithmKind, AlgorithmEntry> entries_;
+  const std::map<AlgorithmKind, AlgorithmEntry> entries_;
 };
-
-/// The streaming options a config implies (ε and the distance bounds).
-StreamingOptions StreamingOptionsFrom(const RunConfig& config);
 
 }  // namespace fdm
 

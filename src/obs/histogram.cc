@@ -18,12 +18,6 @@ uint64_t HistogramSnapshot::BucketUpperBound(size_t index) {
   return BucketLowerBound(index + 1) - 1;
 }
 
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
-  for (size_t i = 0; i < kBucketCount; ++i) counts[i] += other.counts[i];
-  count += other.count;
-  sum += other.sum;
-}
-
 uint64_t HistogramSnapshot::Percentile(double q) const {
   if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);

@@ -64,9 +64,6 @@ struct HistogramSnapshot {
     sum += v;
   }
 
-  /// Element-wise addition; deterministic in any merge order.
-  void Merge(const HistogramSnapshot& other);
-
   /// Upper bound of the bucket holding the q-th quantile (q in [0, 1]);
   /// 0 when empty. Reported values are thus conservative (never below the
   /// true quantile) and exact below 8.

@@ -115,12 +115,6 @@ void DedupFilter::RebuildTable(size_t slots) {
   }
 }
 
-void DedupFilter::Clear() {
-  const uint64_t grows = grows_;
-  *this = DedupFilter();
-  grows_ = grows;
-}
-
 size_t DedupFilter::MemoryBytes() const {
   return bits_.size() * sizeof(uint64_t) + table_.size() * sizeof(int64_t);
 }

@@ -59,10 +59,6 @@ class DedupFilter {
   /// Bitmap and table doublings so far (restored across snapshots).
   uint64_t Grows() const { return grows_; }
 
-  /// Drops every id and returns to the empty structure; the cumulative
-  /// grow count is kept.
-  void Clear();
-
   /// Appends the set to `writer` in the footer layout every release has
   /// used: a bucket-count field (a legal constant), the grow count, a
   /// retired counter slot (0), and the ids as one i64 list.

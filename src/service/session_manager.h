@@ -139,7 +139,7 @@ class SessionManager {
     uint64_t filter_bytes = 0;
     uint64_t filter_grows = 0;
     /// Distance-kernel dispatch target serving this process ("scalar" |
-    /// "avx2" | "neon") — process-wide, surfaced per STATS reply so bench
+    /// "avx2" | "avx512") — process-wide, surfaced per STATS reply so bench
     /// recordings against the server are self-describing.
     std::string kernel;
   };

@@ -1,12 +1,15 @@
 #include "service/sink_spec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "core/adaptive_streaming_dm.h"
 #include "core/fairness.h"
+#include "core/guess_ladder.h"
 #include "core/sink_snapshot.h"
 #include "core/sfdm1.h"
 #include "core/sfdm2.h"
@@ -18,6 +21,11 @@
 namespace fdm {
 
 namespace {
+
+/// The most candidates one spec may allocate at Create. An empty
+/// `StreamingCandidate` is 144 B, so this bounds one CREATE at ~9.4 MB
+/// before its first point.
+constexpr size_t kMaxCandidates = size_t{1} << 16;
 
 Status Invalid(const std::string& what) {
   return Status::InvalidArgument("sink spec: " + what);
@@ -31,6 +39,18 @@ Result<int64_t> ParseInt(const std::string& key, const std::string& value) {
     return Invalid("bad integer for " + key + ": '" + value + "'");
   }
   return static_cast<int64_t>(v);
+}
+
+// `k` and the quotas are `int`s: a value outside `int` is an error, never
+// narrowed into a different number.
+Result<int> ParseIntValue(const std::string& key, const std::string& value) {
+  auto v = ParseInt(key, value);
+  if (!v.ok()) return v.status();
+  if (*v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max()) {
+    return Invalid(key + " out of range: '" + value + "'");
+  }
+  return static_cast<int>(*v);
 }
 
 Result<double> ParseDouble(const std::string& key, const std::string& value) {
@@ -68,15 +88,15 @@ Result<SinkSpec> SinkSpec::Parse(std::string_view text) {
       spec.dim = static_cast<size_t>(*v);
       saw_dim = true;
     } else if (key == "k") {
-      auto v = ParseInt(key, value);
+      auto v = ParseIntValue(key, value);
       if (!v.ok()) return v.status();
-      spec.k = static_cast<int>(*v);
+      spec.k = *v;
     } else if (key == "quotas") {
       spec.quotas.clear();
       for (const std::string& part : Split(value, ',')) {
-        auto v = ParseInt(key, part);
+        auto v = ParseIntValue(key, part);
         if (!v.ok()) return v.status();
-        spec.quotas.push_back(static_cast<int>(*v));
+        spec.quotas.push_back(*v);
       }
     } else if (key == "metric") {
       auto kind = ParseMetricKind(value);
@@ -181,17 +201,42 @@ size_t SinkSpec::GroupCount() const {
 }
 
 Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
+  if (algo == "adaptive") {
+    if (k < 1) return Invalid("algo=adaptive requires k>=1");
+    return WrapSink(
+        AdaptiveStreamingDm::Create(k, dim, metric, epsilon, max_rungs));
+  }
+  const bool fair = algo == "sfdm1" || algo == "sfdm2";
+  if (!fair && algo != "streaming_dm" && algo != "sharded" &&
+      algo != "sliding_window") {
+    return Invalid("unknown algo '" + algo + "'");
+  }
+  if (fair && quotas.empty()) {
+    return Invalid("algo=" + algo + " requires quotas");
+  }
+  if (!fair && k < 1) return Invalid("algo=" + algo + " requires k>=1");
+  if (algo == "sliding_window" && window < 1) {
+    return Invalid("algo=sliding_window requires window>=1");
+  }
+  // The fixed-ladder kinds allocate every candidate at Create: per rung, one
+  // blind candidate and one per group, in every shard.
+  const auto ladder = GuessLadder::Create(d_min, d_max, epsilon);
+  if (!ladder.ok()) return ladder.status();
+  const size_t per_rung = (1 + GroupCount()) * (algo == "sharded" ? shards : 1);
+  if (static_cast<double>(ladder->size()) * static_cast<double>(per_rung) >
+      kMaxCandidates) {
+    return Invalid("algo=" + algo + " needs " +
+                   std::to_string(ladder->size()) + " rungs x " +
+                   std::to_string(per_rung) +
+                   " candidates per rung, over the limit of " +
+                   std::to_string(kMaxCandidates) + " candidates");
+  }
+
   StreamingOptions streaming;
   streaming.epsilon = epsilon;
   streaming.d_min = d_min;
   streaming.d_max = d_max;
-
-  if (algo == "streaming_dm") {
-    if (k < 1) return Invalid("algo=streaming_dm requires k>=1");
-    return WrapSink(StreamingDm::Create(k, dim, metric, streaming));
-  }
-  if (algo == "sfdm1" || algo == "sfdm2") {
-    if (quotas.empty()) return Invalid("algo=" + algo + " requires quotas");
+  if (fair) {
     FairnessConstraint constraint;
     constraint.quotas = quotas;
     if (algo == "sfdm1") {
@@ -199,33 +244,23 @@ Result<std::unique_ptr<StreamSink>> SinkSpec::MakeSink() const {
     }
     return WrapSink(Sfdm2::Create(constraint, dim, metric, streaming));
   }
-  if (algo == "adaptive") {
-    if (k < 1) return Invalid("algo=adaptive requires k>=1");
-    return WrapSink(
-        AdaptiveStreamingDm::Create(k, dim, metric, epsilon, max_rungs));
+  if (algo == "streaming_dm") {
+    return WrapSink(StreamingDm::Create(k, dim, metric, streaming));
   }
   if (algo == "sharded") {
-    if (k < 1) return Invalid("algo=sharded requires k>=1");
     ShardedStreamingOptions sharding;
     sharding.num_shards = shards;
     return WrapSink(
         ShardedStreamingDm::Create(k, dim, metric, streaming, sharding));
   }
-  if (algo == "sliding_window") {
-    if (k < 1) return Invalid("algo=sliding_window requires k>=1");
-    if (window < 1) return Invalid("algo=sliding_window requires window>=1");
-    int64_t cp = checkpoints;
-    if (cp < 1) cp = 1;
-    if (cp > window) cp = window;
-    const int kk = k;
-    const size_t d = dim;
-    const MetricKind m = metric;
-    return WrapSink(SlidingWindow<StreamingDm>::Create(
-        window, cp, [kk, d, m, streaming] {
-          return StreamingDm::Create(kk, d, m, streaming);
-        }));
-  }
-  return Invalid("unknown algo '" + algo + "'");
+  const int64_t cp = std::clamp<int64_t>(checkpoints, 1, window);
+  const int kk = k;
+  const size_t d = dim;
+  const MetricKind m = metric;
+  return WrapSink(SlidingWindow<StreamingDm>::Create(
+      window, cp, [kk, d, m, streaming] {
+        return StreamingDm::Create(kk, d, m, streaming);
+      }));
 }
 
 Result<std::unique_ptr<StreamSink>> MakeSinkFromSpec(std::string_view text) {

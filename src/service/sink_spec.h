@@ -28,10 +28,10 @@ struct PointRule {
 };
 
 /// A textual, dataset-free description of a streaming sink — the unit of
-/// configuration the service layer stores per session. Unlike the harness
-/// registry (which reads k/dim/metric off a `Dataset`), a serving session
+/// configuration the service layer stores per session. A serving session
 /// has no dataset: the spec carries everything needed to build the sink
-/// before the first element arrives.
+/// before the first element arrives. The harness registry fills one from a
+/// `Dataset` and a run's config.
 ///
 /// Format: whitespace-separated `key=value` tokens, e.g.
 ///
@@ -95,8 +95,11 @@ struct SinkSpec {
   /// `dim` and `GroupCount()` as the session's admission rule.
   PointRule Rule() const { return PointRule{dim, GroupCount()}; }
 
-  /// Builds a fresh sink. Fails if required keys for the chosen algorithm
-  /// are missing or inconsistent.
+  /// Builds a fresh sink: the one sink factory of the server and the
+  /// experiment harness. Fails if required keys for the chosen algorithm
+  /// are missing or inconsistent, or, before anything is allocated, if a
+  /// fixed-ladder kind would hold more than 2^16 candidates (rungs ×
+  /// (1 + groups), times `shards` for algo=sharded).
   Result<std::unique_ptr<StreamSink>> MakeSink() const;
 };
 

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 
 namespace fdm {
 
@@ -58,44 +56,11 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string FormatDouble(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
-}
-
 void AppendGeneral(double value, std::string* out) {
   char buf[32];
   out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
                                  std::chars_format::general, 6)
                        .ptr);
-}
-
-std::string FormatCount(double value) {
-  const char* suffix = "";
-  double v = value;
-  if (std::fabs(v) >= 1e9) {
-    v /= 1e9;
-    suffix = "G";
-  } else if (std::fabs(v) >= 1e6) {
-    v /= 1e6;
-    suffix = "M";
-  } else if (std::fabs(v) >= 1e3) {
-    v /= 1e3;
-    suffix = "K";
-  }
-  char buf[64];
-  if (suffix[0] == '\0') {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f%s", v, suffix);
-  }
-  return buf;
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
 }
 
 std::string PadLeft(std::string_view text, size_t width) {

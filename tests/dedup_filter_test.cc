@@ -451,22 +451,6 @@ TEST(DedupFilterTest, RestoresFingerprintFilterFooter) {
   EXPECT_LE(restored->MemoryBytes(), 64u * 1024);
 }
 
-TEST(DedupFilterTest, ClearKeepsCountersDropsMembership) {
-  DedupFilter filter;
-  for (int64_t id = 0; id < 5000; ++id) {
-    ASSERT_TRUE(filter.InsertIfAbsent(id));
-  }
-  const uint64_t grows = filter.Grows();
-  ASSERT_GT(grows, 0u);
-  filter.Clear();
-  EXPECT_EQ(filter.Size(), 0u);
-  EXPECT_EQ(filter.Grows(), grows);  // cumulative, like the session stat
-  for (int64_t id = 0; id < 5000; ++id) {
-    ASSERT_FALSE(filter.Contains(id));
-    ASSERT_TRUE(filter.InsertIfAbsent(id));
-  }
-}
-
 TEST(DedupFilterTest, DeserializeRejectsMalformedBytes) {
   DedupFilter filter;
   for (int64_t id = 0; id < 100; ++id) filter.InsertIfAbsent(id);

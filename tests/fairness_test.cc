@@ -1,6 +1,7 @@
 #include "core/fairness.h"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,20 @@ TEST(FairnessConstraintTest, ValidateRejectsEmptyAndNonPositive) {
   FairnessConstraint negative;
   negative.quotas = {-1, 2};
   EXPECT_FALSE(negative.Validate().ok());
+}
+
+TEST(FairnessConstraintTest, ValidateRejectsASumPastIntMax) {
+  // TotalK() adds the quotas as int, so a sum past INT_MAX must never
+  // validate.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  FairnessConstraint c;
+  c.quotas = {2000000000, 2000000000};
+  EXPECT_EQ(c.Validate().code(), StatusCode::kInvalidArgument);
+  c.quotas = {kMax, 1};
+  EXPECT_EQ(c.Validate().code(), StatusCode::kInvalidArgument);
+  c.quotas = {kMax - 1, 1};
+  EXPECT_TRUE(c.Validate().ok());
+  EXPECT_EQ(c.TotalK(), kMax);
 }
 
 TEST(FairnessConstraintTest, ValidateAgainstGroupSizes) {

@@ -48,27 +48,9 @@ TEST(ZScoreTest, PreservesColumnOrdering) {
   EXPECT_LT(m[1], m[3]);  // 10 < 20 in column 1
 }
 
-TEST(MinMaxTest, MapsToUnitInterval) {
-  std::vector<double> m{-10, 0, 0, 5, 10, 10};  // columns {-10,0,10},{0,5,10}
-  MinMaxNormalize(m, 3, 2);
-  EXPECT_DOUBLE_EQ(m[0], 0.0);
-  EXPECT_DOUBLE_EQ(m[2], 0.5);
-  EXPECT_DOUBLE_EQ(m[4], 1.0);
-  EXPECT_DOUBLE_EQ(m[1], 0.0);
-  EXPECT_DOUBLE_EQ(m[3], 0.5);
-  EXPECT_DOUBLE_EQ(m[5], 1.0);
-}
-
-TEST(MinMaxTest, ConstantColumnMapsToHalf) {
-  std::vector<double> m{7, 7, 7};
-  MinMaxNormalize(m, 3, 1);
-  for (const double v : m) EXPECT_DOUBLE_EQ(v, 0.5);
-}
-
 TEST(NormalizeTest, EmptyMatrixIsNoop) {
   std::vector<double> m;
   ZScoreNormalize(m, 0, 3);
-  MinMaxNormalize(m, 0, 3);
   EXPECT_TRUE(m.empty());
 }
 

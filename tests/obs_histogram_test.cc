@@ -105,34 +105,5 @@ TEST(ObsHistogramTest, PercentileExactBelowEight) {
   EXPECT_EQ(5u, h.Max());
 }
 
-TEST(ObsHistogramTest, MergeIsDeterministicAndOrderFree) {
-  std::mt19937_64 rng(11);
-  std::vector<uint64_t> values;
-  for (int i = 0; i < 5000; ++i) values.push_back(rng() >> (rng() % 50));
-
-  H single;
-  for (const uint64_t v : values) single.Record(v);
-
-  // Shard the same samples three ways, merge in two different orders.
-  H shards[3];
-  for (size_t i = 0; i < values.size(); ++i) {
-    shards[i % 3].Record(values[i]);
-  }
-  H forward;
-  forward.Merge(shards[0]);
-  forward.Merge(shards[1]);
-  forward.Merge(shards[2]);
-  H backward;
-  backward.Merge(shards[2]);
-  backward.Merge(shards[1]);
-  backward.Merge(shards[0]);
-
-  EXPECT_EQ(single.counts, forward.counts);
-  EXPECT_EQ(single.counts, backward.counts);
-  EXPECT_EQ(single.count, forward.count);
-  EXPECT_EQ(single.sum, forward.sum);
-  EXPECT_EQ(forward.Percentile(0.99), backward.Percentile(0.99));
-}
-
 }  // namespace
 }  // namespace fdm::obs

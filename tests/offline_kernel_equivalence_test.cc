@@ -3,7 +3,7 @@
 // (GreedyGmm, threshold clustering, pairwise diversity) now route their
 // distance loops through the dispatched kernel subsystem, and the routing
 // contract is bit-identical selection under every target reachable on the
-// build machine (scalar always; AVX2/AVX-512/NEON when the CPU has them —
+// build machine (scalar always; AVX2/AVX-512 when the CPU has them —
 // the same sweep FDM_KERNEL forces externally in CI). The streaming-sink
 // counterpart of this test lives in incremental_solve_test.cc.
 

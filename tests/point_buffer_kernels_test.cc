@@ -1,7 +1,7 @@
 // Equivalence of the PointBuffer one-to-many kernels with the scalar
 // Metric on random data, for all three paper metrics (Euclidean,
 // Manhattan, angular) and for *every dispatch target reachable on the
-// build machine* (scalar always; AVX2/NEON when the CPU has them — the
+// build machine* (scalar always; AVX2/AVX-512 when the CPU has them — the
 // same sweep `FDM_KERNEL` forces externally in CI). Every target must
 // return bit-identical raw distances and make the same threshold
 // decisions as a point-at-a-time scan — the streaming insert rule, and

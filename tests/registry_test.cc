@@ -124,31 +124,5 @@ TEST(RunAlgorithmRegistryTest, ShardedKindHonorsNumShards) {
   EXPECT_GT(eight.stored_elements, two.stored_elements);
 }
 
-TEST(AlgorithmRegistryTest, ScenariosPlugInWithoutTouchingTheHarness) {
-  // A scenario override: re-register kSharded with a different default
-  // shard count, run through the unchanged harness, then restore.
-  AlgorithmRegistry& registry = AlgorithmRegistry::Instance();
-  const AlgorithmEntry original = *registry.Find(AlgorithmKind::kSharded);
-
-  AlgorithmEntry scenario = original;
-  scenario.name = "ShardedDM/16";
-  scenario.make_sink = [&original](const Dataset& ds,
-                                   const RunConfig& config) {
-    RunConfig wide = config;
-    wide.num_shards = 16;
-    return original.make_sink(ds, wide);
-  };
-  registry.Register(AlgorithmKind::kSharded, scenario);
-
-  const Dataset ds = TestData(2, 25, 2000);
-  const RunResult r = RunAlgorithm(ds, ConfigFor(ds, AlgorithmKind::kSharded, 5));
-  EXPECT_EQ(AlgorithmName(AlgorithmKind::kSharded), "ShardedDM/16");
-  registry.Register(AlgorithmKind::kSharded, original);
-
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.selected_ids.size(), 5u);
-  EXPECT_EQ(AlgorithmName(AlgorithmKind::kSharded), "ShardedDM");
-}
-
 }  // namespace
 }  // namespace fdm

@@ -585,6 +585,27 @@ TEST_F(ServeProtocolTest, NonFiniteBatchLineIsRejectedAndDrained) {
 }
 
 // ---------------------------------------------------------------------------
+// Regression: a CREATE whose sink would hold millions of candidates is an
+// ERR, where it used to end the whole server with std::bad_alloc.
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeProtocolTest, OversizedCreateIsAnErrAndLeavesNoSession) {
+  auto manager = NewManager("p");
+  net::RequestDispatcher dispatcher(manager.get(), root_ + "/p");
+  for (const std::string spec :
+       {"algo=sharded dim=2 k=5 shards=3000000 dmin=0.1 dmax=10",
+        "algo=sfdm2 dim=2 quotas=1,1 eps=0.0000005 dmin=0.1 dmax=10"}) {
+    const std::string out = RunStdin(dispatcher, "CREATE big " + spec + "\n");
+    EXPECT_EQ(out.rfind("ERR InvalidArgument: sink spec: ", 0), 0u) << out;
+    EXPECT_FALSE(std::filesystem::exists(root_ + "/p/big")) << spec;
+  }
+  EXPECT_EQ(RunStdin(dispatcher,
+                     "CREATE big algo=sfdm2 dim=2 quotas=1,1 dmin=0.1 "
+                     "dmax=10\nLIST\n"),
+            "OK\nOK big\n");
+}
+
+// ---------------------------------------------------------------------------
 // Regression: no-payload verbs reject trailing garbage consistently
 // (`METRICS json garbage` used to be silently accepted).
 // ---------------------------------------------------------------------------

@@ -27,9 +27,22 @@ TEST(SimdDispatchTest, ScalarIsAlwaysAvailableAndFirst) {
   ASSERT_FALSE(targets.empty());
   EXPECT_EQ(targets.front(), "scalar");
   for (const std::string_view t : targets) {
-    EXPECT_TRUE(t == "scalar" || t == "avx2" || t == "avx512" || t == "neon")
+    EXPECT_TRUE(t == "scalar" || t == "avx2" || t == "avx512")
         << "unexpected target " << t;
   }
+}
+
+TEST(SimdDispatchTest, Avx2ListedWhenCpuSupportsIt) {
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  // The avx2 TU is always compiled on x86-64, so the target is listed
+  // exactly when cpuid says avx2. The default-target test compares against
+  // this same list, so without this check a dispatch that silently fell
+  // back to scalar would pass every other test.
+  EXPECT_EQ(IsAvailable("avx2"), __builtin_cpu_supports("avx2") != 0);
+#else
+  GTEST_SKIP() << "avx2 availability is x86-64-only";
+#endif
 }
 
 TEST(SimdDispatchTest, Avx512ListedWhenCpuSupportsIt) {
@@ -98,10 +111,11 @@ TEST(SimdDispatchTest, ForceForTestSwitchesAndRestores) {
 
 TEST(SimdDispatchTest, ClassifyKernelEnvThreeWaySplit) {
   // Every available target classifies as available; every *known* name
-  // that is not available here (e.g. "neon" on x86, "avx512" on an old
-  // CPU) classifies as known-but-unavailable — the warn-and-fall-back
-  // path. Anything else is unknown — the fail-loudly path.
-  for (const std::string_view known : {"scalar", "avx2", "avx512", "neon"}) {
+  // that is not available here (e.g. "avx512" on an old CPU, or anything
+  // but "scalar" off x86-64) classifies as known-but-unavailable — the
+  // warn-and-fall-back path. Anything else is unknown — the fail-loudly
+  // path.
+  for (const std::string_view known : {"scalar", "avx2", "avx512"}) {
     const internal::KernelEnvClass c = internal::ClassifyKernelEnv(known);
     if (IsAvailable(known)) {
       EXPECT_EQ(c, internal::KernelEnvClass::kAvailable) << known;
@@ -111,6 +125,8 @@ TEST(SimdDispatchTest, ClassifyKernelEnvThreeWaySplit) {
   }
   EXPECT_EQ(internal::ClassifyKernelEnv("sse9"),
             internal::KernelEnvClass::kUnknown);
+  EXPECT_EQ(internal::ClassifyKernelEnv("neon"),
+            internal::KernelEnvClass::kUnknown);  // no such target
   EXPECT_EQ(internal::ClassifyKernelEnv("AVX2"),
             internal::KernelEnvClass::kUnknown);  // names are exact
   EXPECT_EQ(internal::ClassifyKernelEnv(""),
@@ -130,7 +146,7 @@ TEST(SimdDispatchTest, GarbageEnvFailsLoudlyWithValidTargetList) {
   ::setenv("FDM_KERNEL", "sse9", /*overwrite=*/1);
   EXPECT_EXIT({ (void)ActiveKernelName(); }, testing::ExitedWithCode(2),
               "FDM_KERNEL=sse9 is not a valid kernel target; valid targets: "
-              "scalar, avx2, avx512, neon");
+              "scalar, avx2, avx512");
   if (prior != nullptr) {
     ::setenv("FDM_KERNEL", saved.c_str(), /*overwrite=*/1);
   } else {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/guess_ladder.h"
 #include "data/synthetic.h"
 
 namespace fdm {
@@ -47,6 +48,64 @@ TEST(SinkSpecTest, MakeSinkRequiresAlgoSpecificKeys) {
                    "algo=sliding_window dim=2 k=3 dmin=0.1 dmax=10")
                    .ok());
   EXPECT_FALSE(MakeSinkFromSpec("algo=nope dim=2 k=3").ok());
+}
+
+TEST(SinkSpecTest, RejectsKAndQuotasOutsideInt) {
+  // Narrowed, k=4294967297 ran as k=1 and quotas=4294967297,1 as 1,1.
+  for (const char* text :
+       {"algo=streaming_dm dim=2 k=4294967297 dmin=0.1 dmax=10",
+        "algo=streaming_dm dim=2 k=-2147483649 dmin=0.1 dmax=10",
+        "algo=sfdm2 dim=2 quotas=4294967297,1 dmin=0.1 dmax=10",
+        "algo=sfdm2 dim=2 quotas=1,2147483648 dmin=0.1 dmax=10"}) {
+    EXPECT_EQ(SinkSpec::Parse(text).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+  auto widest = SinkSpec::Parse("algo=streaming_dm dim=2 k=2147483647");
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->k, 2147483647);
+  // Each quota fits in an int but their sum does not.
+  EXPECT_EQ(MakeSinkFromSpec("algo=sfdm2 dim=2 quotas=2000000000,2000000000 "
+                             "dmin=0.1 dmax=10")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SinkSpecTest, RefusesMoreThanTwoToTheSixteenCandidates) {
+  constexpr size_t kCap = size_t{1} << 16;
+  const std::string bounds = " dmin=0.1 dmax=10";
+  const size_t rungs = GuessLadder::Create(0.1, 10, 0.1)->size();
+  // A sharded sink holds one candidate per rung in every shard.
+  const auto sharded = [&](size_t shards) {
+    return MakeSinkFromSpec("algo=sharded dim=2 k=5 shards=" +
+                            std::to_string(shards) + bounds);
+  };
+  EXPECT_TRUE(sharded(kCap / rungs).ok());
+  EXPECT_EQ(sharded(kCap / rungs + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sharded(3000000).status().code(), StatusCode::kInvalidArgument);
+  // An SFDM-2 rung holds one blind candidate and one per group.
+  const auto fair = [&](size_t groups) {
+    std::string quotas = "1";
+    for (size_t g = 1; g < groups; ++g) quotas += ",1";
+    return MakeSinkFromSpec("algo=sfdm2 dim=2 quotas=" + quotas + bounds);
+  };
+  EXPECT_TRUE(fair(kCap / rungs - 1).ok());
+  EXPECT_EQ(fair(kCap / rungs).status().code(), StatusCode::kInvalidArgument);
+  // ~9.2 M rungs, under GuessLadder's own 10^7 cap.
+  EXPECT_EQ(MakeSinkFromSpec("algo=sfdm2 dim=2 quotas=1,1 eps=0.0000005" +
+                             bounds)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A bad ladder is refused before a single shard is built.
+  EXPECT_NE(MakeSinkFromSpec("algo=sharded dim=2 k=5 shards=3000000 "
+                             "dmin=10 dmax=0.1")
+                .status()
+                .ToString()
+                .find("d_max must be >= d_min"),
+            std::string::npos);
 }
 
 TEST(SinkSpecTest, EveryAlgoBuildsAndIngests) {

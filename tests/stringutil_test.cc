@@ -33,28 +33,6 @@ TEST(JoinTest, Joins) {
   EXPECT_EQ(Join({}, ","), "");
 }
 
-TEST(FormatDoubleTest, Precision) {
-  EXPECT_EQ(FormatDouble(3.14159, 3), "3.142");
-  EXPECT_EQ(FormatDouble(3.14159, 0), "3");
-  EXPECT_EQ(FormatDouble(-0.5, 2), "-0.50");
-  EXPECT_EQ(FormatDouble(1000.0, 1), "1000.0");
-}
-
-TEST(FormatCountTest, EngineeringSuffixes) {
-  EXPECT_EQ(FormatCount(999), "999");
-  EXPECT_EQ(FormatCount(1000), "1.00K");
-  EXPECT_EQ(FormatCount(48842), "48.84K");
-  EXPECT_EQ(FormatCount(2426116), "2.43M");
-  EXPECT_EQ(FormatCount(1.5e9), "1.50G");
-}
-
-TEST(StartsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("--flag", "--"));
-  EXPECT_FALSE(StartsWith("-f", "--"));
-  EXPECT_TRUE(StartsWith("abc", ""));
-  EXPECT_FALSE(StartsWith("", "x"));
-}
-
 TEST(PadTest, LeftAndRight) {
   EXPECT_EQ(PadLeft("ab", 5), "   ab");
   EXPECT_EQ(PadRight("ab", 5), "ab   ");

@@ -121,14 +121,6 @@ TEST(SampleGroupsTest, UnnormalizedWeightsAccepted) {
   EXPECT_NEAR(count0, 37500, 800);
 }
 
-TEST(TwoMoonsTest, TwoBalancedGroups) {
-  const Dataset ds = MakeTwoMoons(1000, 0.05, 5);
-  EXPECT_EQ(ds.num_groups(), 2);
-  const auto sizes = ds.GroupSizes();
-  EXPECT_EQ(sizes[0], 500u);
-  EXPECT_EQ(sizes[1], 500u);
-}
-
 TEST(UniformSquareTest, PointsInUnitSquare) {
   const Dataset ds = MakeUniformSquare(500, 7);
   EXPECT_EQ(ds.size(), 500u);
