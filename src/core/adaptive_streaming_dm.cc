@@ -127,8 +127,8 @@ bool AdaptiveStreamingDm::Observe(const StreamPoint& point) {
 Result<Solution> AdaptiveStreamingDm::Solve() const {
   auto best = BestFullCandidate(
       rungs_.size(),
-      [this](size_t j) -> const StreamingCandidate& { return rungs_[j]; }, k_,
-      metric_);
+      [this](size_t j) -> const StreamingCandidate& { return rungs_[j]; },
+      /*pool=*/nullptr, k_, metric_);
   if (!best.has_value()) {
     return Status::Infeasible(
         "no candidate reached k=" + std::to_string(k_) +

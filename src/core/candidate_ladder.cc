@@ -1,7 +1,6 @@
 #include "core/candidate_ladder.h"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,24 +37,6 @@ bool Contiguous(std::span<const StreamPoint> batch) {
   return true;
 }
 
-// Whether two buffers of one sink hold bitwise-equal points: ids, groups,
-// coordinate bits and norm bits. Equal ids are not enough, since a session
-// without the exactly-once guard may re-send an id with other coordinates.
-bool SameBits(const PointBuffer& a, const PointBuffer& b) {
-  if (a.size() != b.size() || !std::ranges::equal(a.ids(), b.ids()) ||
-      !std::ranges::equal(a.groups(), b.groups())) {
-    return false;
-  }
-  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (bits(a.SquaredNormAt(i)) != bits(b.SquaredNormAt(i))) return false;
-    for (size_t d = 0; d < a.dim(); ++d) {
-      if (bits(a.CoordAt(i, d)) != bits(b.CoordAt(i, d))) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 CandidateLadder::CandidateLadder(int k, size_t dim, MetricKind metric,
@@ -66,7 +47,8 @@ CandidateLadder::CandidateLadder(int k, size_t dim, MetricKind metric,
       metric_(metric),
       ladder_(std::move(ladder)),
       groups_(group_capacities.size()),
-      rung_inserts_(ladder_.size(), 0) {
+      rung_inserts_(ladder_.size(), 0),
+      pool_(dim) {
   blind_.reserve(ladder_.size());
   specific_.reserve(groups_ * ladder_.size());
   for (size_t j = 0; j < ladder_.size(); ++j) {
@@ -122,19 +104,28 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
                   "stream element group out of range");
   }
   observed_ += static_cast<int64_t>(raw_batch.size());
+  // Per-batch scratch, reused across batches and thread-local like
+  // `StreamingCandidate::TryAddRun`'s, so an idle sink holds none of it:
+  // the repacked batch, the per-group positions (computed once and shared
+  // read-only by all rungs) and the per-rung insert counts.
+  thread_local PackedBatch packed;
+  thread_local std::vector<std::vector<size_t>> by_group_scratch;
+  thread_local std::vector<size_t> rung_kept_scratch;
+  // The rung tasks may run on pool threads, where the names above would
+  // denote that thread's scratch: they reach the caller's through these.
+  std::vector<std::vector<size_t>>& by_group = by_group_scratch;
+  std::vector<size_t>& rung_kept = rung_kept_scratch;
   const std::span<const StreamPoint> batch =
-      Contiguous(raw_batch) ? raw_batch : packed_.Pack(raw_batch, dim_);
+      Contiguous(raw_batch) ? raw_batch : packed.Pack(raw_batch, dim_);
   const size_t rungs = blind_.size();
-  // Per-group positions, computed once and shared read-only by all rungs
-  // (member scratch, reused across batches like packed_).
-  by_group_.resize(groups_);
-  for (auto& positions : by_group_) positions.clear();
+  if (by_group.size() < groups_) by_group.resize(groups_);
+  for (size_t g = 0; g < groups_; ++g) by_group[g].clear();
   if (groups_ > 0) {
     for (size_t t = 0; t < batch.size(); ++t) {
-      by_group_[static_cast<size_t>(batch[t].group)].push_back(t);
+      by_group[static_cast<size_t>(batch[t].group)].push_back(t);
     }
   }
-  rung_kept_.assign(rungs, 0);
+  rung_kept.assign(rungs, 0);
 #ifndef FDM_NO_METRICS
   // Per-rung admission-scan latency, sampled 1 batch in 16: always-on
   // timing would read the clock twice per rung per batch (~80 rungs × two
@@ -150,7 +141,7 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
           "fdm_ingest_rung_scan_ns",
           "per-rung admission-scan latency per batch (1/16 sampled)");
 #endif
-  // Task j touches only rung j's candidates and slot j of rung_kept_.
+  // Task j touches only rung j's candidates and slot j of rung_kept.
   Parallelism::Run(rungs, [&](size_t j) {
 #ifndef FDM_NO_METRICS
     // Clock reads only on sampled batches — an unconditional timer would
@@ -166,9 +157,9 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
     for (size_t g = 0; g < groups_; ++g) {
       StreamingCandidate& candidate = specific_[g * rungs + j];
       if (candidate.Full()) continue;
-      kept += candidate.TryAddBatchIndexed(batch, by_group_[g], metric_);
+      kept += candidate.TryAddBatchIndexed(batch, by_group[g], metric_);
     }
-    rung_kept_[j] = kept;
+    rung_kept[j] = kept;
 #ifndef FDM_NO_METRICS
     if (sampled) {
       rung_hist.Record(static_cast<uint64_t>(
@@ -180,9 +171,9 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
   });
   size_t mutations = 0;
   for (size_t j = 0; j < rungs; ++j) {
-    if (rung_kept_[j] == 0) continue;
-    rung_inserts_[j] += rung_kept_[j];
-    mutations += rung_kept_[j];
+    if (rung_kept[j] == 0) continue;
+    rung_inserts_[j] += rung_kept[j];
+    mutations += rung_kept[j];
     // Only a rung that kept a point can have filled a candidate.
     FreezeIfFull(blind_[j]);
     for (size_t g = 0; g < groups_; ++g) {
@@ -194,46 +185,33 @@ size_t CandidateLadder::ObserveBatch(std::span<const StreamPoint> raw_batch) {
 }
 
 void CandidateLadder::FreezeIfFull(StreamingCandidate& candidate) {
-  if (!candidate.Full() || candidate.frozen()) return;
-  const PointBuffer& points = candidate.points();
-  if (points.empty()) return;  // capacity 0: holds no heap to share
-  const int64_t first = points.IdAt(0);
-  auto it = std::ranges::lower_bound(
-      frozen_, first, {},
-      [](const std::shared_ptr<const PointBuffer>& b) { return b->IdAt(0); });
-  for (auto same = it; same != frozen_.end() && (*same)->IdAt(0) == first;
-       ++same) {
-    if (SameBits(**same, points)) {
-      candidate.Freeze(*same);
-      return;
-    }
+  // A capacity-0 candidate is full from the start and holds no heap.
+  if (!candidate.Full() || candidate.frozen() || candidate.capacity() == 0) {
+    return;
   }
-  frozen_.insert(it, candidate.Freeze(nullptr));
-}
-
-template <typename Fn>
-void CandidateLadder::ForEachDistinctBuffer(Fn&& fn) const {
-  for (const auto& buffer : frozen_) fn(*buffer);
-  for (const auto* row : {&blind_, &specific_}) {
-    for (const StreamingCandidate& c : *row) {
-      if (!c.frozen()) fn(c.points());
-    }
-  }
+  candidate.Freeze(pool_);
 }
 
 size_t CandidateLadder::StoredElements() const {
-  std::vector<int64_t> ids;
-  ForEachDistinctBuffer([&ids](const PointBuffer& buffer) {
-    ids.insert(ids.end(), buffer.ids().begin(), buffer.ids().end());
-  });
+  const std::span<const int64_t> frozen = pool_.entries().ids();
+  std::vector<int64_t> ids(frozen.begin(), frozen.end());
+  for (const auto* row : {&blind_, &specific_}) {
+    for (const StreamingCandidate& c : *row) {
+      if (c.frozen()) continue;
+      ids.insert(ids.end(), c.points().ids().begin(), c.points().ids().end());
+    }
+  }
   std::ranges::sort(ids);
   return static_cast<size_t>(std::ranges::unique(ids).begin() - ids.begin());
 }
 
 size_t CandidateLadder::CandidateBytes() const {
-  size_t bytes = 0;
-  ForEachDistinctBuffer(
-      [&bytes](const PointBuffer& buffer) { bytes += buffer.MemoryBytes(); });
+  size_t bytes = pool_.MemoryBytes();
+  for (const auto* row : {&blind_, &specific_}) {
+    for (const StreamingCandidate& c : *row) {
+      if (!c.frozen()) bytes += c.points().MemoryBytes();
+    }
+  }
   return bytes;
 }
 
@@ -274,9 +252,9 @@ void CandidateLadder::WriteState(SnapshotWriter& writer) const {
   writer.WriteU64(state_version_);
   writer.WriteU64(blind_.size());
   for (size_t j = 0; j < blind_.size(); ++j) {
-    SerializePointBuffer(writer, blind_[j].points());
+    Points(blind_[j]).Serialize(writer);
     for (size_t g = 0; g < groups_; ++g) {
-      SerializePointBuffer(writer, specific_[g * blind_.size() + j].points());
+      Points(specific_[g * blind_.size() + j]).Serialize(writer);
     }
   }
 }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -93,14 +92,17 @@ class PackedBatch {
 /// best-rung selection stays a sequential ascending-index scan with
 /// strict `>`.
 ///
-/// Full candidates are frozen and shared (`StreamingCandidate::Freeze`):
-/// when a candidate fills — in `Observe` right after the insert, in
-/// `ObserveBatch` after the rung fan-out joins, and at the end of
-/// `ReadState` — it takes the sink's frozen buffer with bitwise-equal
-/// contents (ids, groups, coordinate and norm bits) if there is one, and
-/// becomes a new one otherwise. The same elements often fill a candidate at
-/// many neighbouring guesses, so one buffer serves them all. Every reader
-/// goes through `points()`, so outputs and snapshot bytes do not change.
+/// Full candidates are frozen into one `PointPool` per sink
+/// (`StreamingCandidate::Freeze`): when a candidate fills — in `Observe`
+/// right after the insert, in `ObserveBatch` after the rung fan-out joins,
+/// and at the end of `ReadState` — it interns each of its points, keeps
+/// its entries as one run of the pool's index list and releases its own
+/// buffer. The same elements fill candidates at many neighbouring guesses,
+/// often with other companions, so each frozen point is stored once per
+/// sink. Non-full candidates keep their own kernel-layout buffers, so the
+/// admission scans are untouched. Every reader goes through `Points`, which
+/// reads pool entries by index, so outputs, kernel inputs and snapshot
+/// bytes do not change.
 class CandidateLadder : public StreamSink {
  public:
   /// Processes one stream element (Algorithm 1, lines 3–6; Algorithms 2
@@ -125,9 +127,8 @@ class CandidateLadder : public StreamSink {
   /// Total elements seen so far.
   int64_t ObservedElements() const override { return observed_; }
 
-  /// Heap bytes of candidate storage: `PointBuffer::MemoryBytes` of every
-  /// distinct buffer, a frozen buffer shared by several candidates counted
-  /// once.
+  /// Heap bytes of candidate storage: the pool (its entries, index list
+  /// and id map) and the buffer of every candidate that is not frozen.
   size_t CandidateBytes() const;
 
   const GuessLadder& ladder() const { return ladder_; }
@@ -154,6 +155,11 @@ class CandidateLadder : public StreamSink {
   const StreamingCandidate& specific(int g, size_t j) const {
     return specific_[static_cast<size_t>(g) * rungs() + j];
   }
+  /// The points of one of this sink's candidates, frozen or not.
+  CandidatePoints Points(const StreamingCandidate& candidate) const {
+    return candidate.Points(&pool_);
+  }
+  const PointPool& pool() const { return pool_; }
   /// Insertions into rung `j`'s candidates since construction or restore.
   uint64_t rung_inserts(size_t j) const { return rung_inserts_[j]; }
 
@@ -187,14 +193,9 @@ class CandidateLadder : public StreamSink {
   Status ReadState(SnapshotReader& reader);
 
  private:
-  /// Freezes `candidate` if it is full and not frozen yet, sharing an equal
-  /// frozen buffer of this sink when there is one (see the class comment).
+  /// Freezes `candidate` into the pool if it is full, holds a point and is
+  /// not frozen yet (see the class comment).
   void FreezeIfFull(StreamingCandidate& candidate);
-
-  /// Calls `fn` once per distinct buffer the candidates read: each frozen
-  /// buffer, then each unfrozen candidate's own.
-  template <typename Fn>
-  void ForEachDistinctBuffer(Fn&& fn) const;
 
   int k_;
   size_t dim_;
@@ -205,13 +206,9 @@ class CandidateLadder : public StreamSink {
   // specific_[g * rungs() + j] = S_µj,g.
   std::vector<StreamingCandidate> specific_;
   std::vector<uint64_t> rung_inserts_;  // per rung, see `rung_inserts`
-  // The distinct frozen buffers the candidates share, sorted by first id.
-  std::vector<std::shared_ptr<const PointBuffer>> frozen_;
+  PointPool pool_;  // the frozen candidates' points
   int64_t observed_ = 0;
   uint64_t state_version_ = 0;
-  PackedBatch packed_;  // batch repack scratch, reused across batches
-  std::vector<std::vector<size_t>> by_group_;  // per-group positions scratch
-  std::vector<size_t> rung_kept_;  // per-rung batch insert counts scratch
 };
 
 }  // namespace fdm

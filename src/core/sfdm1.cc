@@ -37,7 +37,7 @@ Result<Sfdm1> Sfdm1::Create(const FairnessConstraint& constraint, size_t dim,
 PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
   // Work on a copy of the group-blind candidate so Solve() stays const and
   // repeatable mid-stream.
-  PointBuffer working = blind(j).points();
+  PointBuffer working = Points(blind(j)).Copy();
 
   const std::vector<int> counts = GroupCounts(working, 2);
   int under = -1;  // the under-filled group i_u, if any
@@ -50,7 +50,7 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
   if (under < 0) return working;  // already fair (|S_µ| = k and no deficit)
 
   const int quota_under = constraint_.quotas[static_cast<size_t>(under)];
-  const PointBuffer& donors = specific(under, j).points();
+  const CandidatePoints donors = Points(specific(under, j));
 
   // The under-filled side of `working`, mirrored into the kernel block
   // layout: both balancing loops scan only that side, so each scan becomes
@@ -84,8 +84,8 @@ PointBuffer Sfdm1::BalancedCandidate(size_t j) const {
     FDM_CHECK_MSG(best_donor < donors.size(),
                   "SFDM1 balance: donor pool exhausted (U' membership "
                   "should prevent this)");
-    working.AddFrom(donors, best_donor);
-    under_side.AddFrom(donors, best_donor);
+    donors.AppendTo(working, best_donor);
+    donors.AppendTo(under_side, best_donor);
   }
 
   // Algorithm 2, lines 15–17: delete the other-group element closest to the

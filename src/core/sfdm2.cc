@@ -43,7 +43,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   // U' membership for this guess: |S_µ| = k ∧ |S_µ,i| >= k_i ∀i (line 9).
   if (!blind(j).Full()) return;
   for (int i = 0; i < m; ++i) {
-    if (static_cast<int>(specific(i, j).points().size()) <
+    if (static_cast<int>(specific(i, j).size()) <
         constraint_.quotas[static_cast<size_t>(i)]) {
       return;
     }
@@ -59,10 +59,10 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   std::unordered_set<int64_t> seen;
   size_t blind_count = 0;
   for (size_t slot = 0; slot <= static_cast<size_t>(m); ++slot) {
-    const PointBuffer& cand = RungCandidate(j, slot);
+    const CandidatePoints cand = RungCandidate(j, slot);
     for (size_t i = 0; i < cand.size(); ++i) {
       if (!seen.insert(cand.IdAt(i)).second) continue;
-      ground.AddFrom(cand, i);
+      cand.AppendTo(ground, i);
       origin.emplace_back(static_cast<uint32_t>(slot),
                           static_cast<uint32_t>(i));
     }
@@ -138,6 +138,7 @@ void Sfdm2::SolveRung(size_t j, RungSolve& memo) const {
   if (static_cast<int>(result.size()) != k) return;
 
   PointBuffer selected(dim(), result.size());
+  memo.picks.reserve(result.size());
   for (const int e : result) {
     selected.AddFrom(ground, static_cast<size_t>(e));
     memo.picks.push_back(origin[static_cast<size_t>(e)]);
@@ -189,7 +190,7 @@ Result<Solution> Sfdm2::Solve() const {
   Solution solution(dim());
   solution.points.Reserve(winner.picks.size());
   for (const auto& [slot, position] : winner.picks) {
-    solution.points.AddFrom(RungCandidate(best, slot), position);
+    RungCandidate(best, slot).AppendTo(solution.points, position);
   }
   solution.diversity = winner.diversity;
   solution.mu = ladder().At(best);

@@ -128,7 +128,8 @@ class Sfdm2 : public CandidateLadder {
     double diversity = 0.0;
     /// The solution's elements in selection order, as (candidate slot,
     /// position) pairs — see `RungCandidate` for the slots. Empty when the
-    /// rung was not eligible / could not be augmented to size `k`.
+    /// rung was not eligible / could not be augmented to size `k`; its
+    /// capacity is reserved once, at `k`, and kept across recomputes.
     std::vector<std::pair<uint32_t, uint32_t>> picks;
   };
 
@@ -137,9 +138,9 @@ class Sfdm2 : public CandidateLadder {
   void SolveRung(size_t j, RungSolve& memo) const;
 
   /// Rung `j`'s candidate in `slot`: 0 is `S_µj`, `g + 1` is `S_µj,g`.
-  const PointBuffer& RungCandidate(size_t j, size_t slot) const {
-    return slot == 0 ? blind(j).points()
-                     : specific(static_cast<int>(slot) - 1, j).points();
+  CandidatePoints RungCandidate(size_t j, size_t slot) const {
+    return Points(slot == 0 ? blind(j)
+                            : specific(static_cast<int>(slot) - 1, j));
   }
 
   /// Drops every memoized rung result and advances the state version

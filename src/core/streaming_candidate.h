@@ -2,8 +2,8 @@
 #define FDM_CORE_STREAMING_CANDIDATE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -11,9 +11,53 @@
 
 #include "core/solution.h"
 #include "geo/point_buffer.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace fdm {
+
+class PointPool;
+
+/// A candidate's points as their readers see them: `size()` rows of one
+/// buffer, in candidate order — all of the candidate's own buffer, or,
+/// once it is frozen, its entries in its owner's `PointPool`. Readers copy
+/// points out by row (`AppendTo`, `Copy`), so a frozen candidate reads the
+/// same ids, groups and coordinate and norm bits as the buffer it held.
+/// Valid until the buffer or the pool next changes.
+class CandidatePoints {
+ public:
+  /// All of `buffer`, in order.
+  explicit CandidatePoints(const PointBuffer& buffer)
+      : buffer_(&buffer), size_(buffer.size()) {}
+  /// Rows `rows` of `buffer`, in that order.
+  CandidatePoints(const PointBuffer& buffer, std::span<const uint32_t> rows)
+      : buffer_(&buffer), rows_(rows.data()), size_(rows.size()) {}
+
+  size_t size() const { return size_; }
+  int64_t IdAt(size_t i) const { return buffer_->IdAt(Row(i)); }
+  std::span<const double> GatherCoords(size_t i, std::span<double> out) const {
+    return buffer_->GatherCoords(Row(i), out);
+  }
+  /// Appends point `i` to `out`, bit for bit (`PointBuffer::AddFrom`).
+  void AppendTo(PointBuffer& out, size_t i) const {
+    out.AddFrom(*buffer_, Row(i));
+  }
+  /// A buffer holding exactly these points, in order, bit for bit.
+  PointBuffer Copy() const;
+  /// Writes these points as `SerializePointBuffer` writes `Copy()`.
+  void Serialize(SnapshotWriter& writer) const;
+
+ private:
+  /// The row of the buffer that holds point `i`.
+  size_t Row(size_t i) const {
+    FDM_DCHECK(i < size_);
+    return rows_ == nullptr ? i : rows_[i];
+  }
+
+  const PointBuffer* buffer_;
+  const uint32_t* rows_ = nullptr;  // null: point `i` is row `i`
+  size_t size_;
+};
 
 /// One candidate `S_µ` of Algorithm 1: a bounded set that accepts a point
 /// iff it is at distance `≥ µ` from everything already kept and the
@@ -23,14 +67,12 @@ namespace fdm {
 /// distance `≥ µ`, hence `div(S_µ) ≥ µ` whenever the candidate is full.
 ///
 /// Frozen state: a full candidate never changes again (it only ever
-/// appended, and full is permanent), so its owner may `Freeze` it. The
-/// points then move into an immutable `std::shared_ptr<const PointBuffer>`,
-/// or are dropped for an equal one the owner already holds, so candidates
-/// with equal contents (the same elements filling several guess rungs)
-/// store them once. A frozen candidate reads exactly as before: `Full()`
-/// holds, `points()` returns the shared buffer, and admission rejects
-/// every point. Copies share the frozen buffer, which is safe because
-/// nothing writes it.
+/// appended, and full is permanent), so its owner may `Freeze` it into the
+/// owner's `PointPool`. The candidate then keeps only where its entries
+/// start in the pool's index list, and releases its own buffer: the same
+/// element filling candidates at many guesses is stored once per owner. A
+/// frozen candidate reads exactly as before through `Points`: `Full()`
+/// holds, and admission rejects every point.
 class StreamingCandidate {
  public:
   StreamingCandidate(double mu, size_t capacity, size_t dim)
@@ -83,28 +125,27 @@ class StreamingCandidate {
     return points_;
   }
 
-  /// Freezes a full candidate (see the class comment). With `equal` null
-  /// the points move into a new shared buffer; otherwise `equal` must hold
-  /// bitwise-equal points, and the candidate's own copy is released.
-  /// Returns the buffer the candidate now reads.
-  const std::shared_ptr<const PointBuffer>& Freeze(
-      std::shared_ptr<const PointBuffer> equal) {
-    FDM_DCHECK(Full() && !frozen());
-    const size_t dim = points_.dim();
-    frozen_ = equal != nullptr
-                  ? std::move(equal)
-                  : std::make_shared<const PointBuffer>(std::move(points_));
-    points_ = PointBuffer(dim, capacity_);
-    return frozen_;
-  }
+  /// Freezes a full candidate into `pool` (see the class comment).
+  void Freeze(PointPool& pool);
 
-  bool frozen() const { return frozen_ != nullptr; }
+  bool frozen() const { return frozen_at_ != kNotFrozen; }
   bool Full() const { return frozen() || points_.size() >= capacity_; }
   double mu() const { return mu_; }
   size_t capacity() const { return capacity_; }
-  const PointBuffer& points() const { return frozen() ? *frozen_ : points_; }
+  /// Points held: the capacity once frozen.
+  size_t size() const { return frozen() ? capacity_ : points_.size(); }
+  /// The candidate's own buffer, which a frozen candidate has released.
+  const PointBuffer& points() const {
+    FDM_DCHECK(!frozen());
+    return points_;
+  }
+  /// The candidate's points, frozen or not; `pool` is its owner's pool,
+  /// and may be null for a candidate that is never frozen.
+  CandidatePoints Points(const PointPool* pool) const;
 
  private:
+  static constexpr size_t kNotFrozen = static_cast<size_t>(-1);
+
   template <typename PointAt>
   size_t TryAddRun(size_t count, const Metric& metric, PointAt&& point_at) {
     if (count == 0 || Full()) return 0;
@@ -156,8 +197,48 @@ class StreamingCandidate {
 
   double mu_;
   size_t capacity_;
-  PointBuffer points_;  // empty once frozen
-  std::shared_ptr<const PointBuffer> frozen_;  // set once frozen
+  PointBuffer points_;  // released once frozen
+  size_t frozen_at_ = kNotFrozen;  // start of its entries in the pool
+};
+
+/// The points of one owner's frozen candidates, each stored once: an
+/// append-only `PointBuffer` of entries, an index list that holds every
+/// frozen candidate's entries as one run, and an id map over the entries.
+/// A candidate that freezes interns each of its points — it reuses an
+/// entry only when id, group, coordinate bits and norm bits all match,
+/// since a session without the exactly-once guard may re-send an id with
+/// other coordinates — and appends the entries to the index list.
+class PointPool {
+ public:
+  explicit PointPool(size_t dim) : entries_(dim, 0) {}
+
+  /// Interns every point of `points`, in order; returns where their
+  /// entries start in the index list.
+  size_t Intern(const PointBuffer& points);
+
+  /// The `count` points whose entries start at `at` in the index list.
+  CandidatePoints Rows(size_t at, size_t count) const {
+    return CandidatePoints(entries_,
+                           std::span<const uint32_t>(rows_).subspan(at, count));
+  }
+
+  /// Every entry, each point stored once.
+  const PointBuffer& entries() const { return entries_; }
+
+  /// Heap bytes of the entries, the index list and the id map.
+  size_t MemoryBytes() const;
+
+ private:
+  /// The entry holding point `i` of `points`, added if none does.
+  uint32_t Entry(const PointBuffer& points, size_t i);
+  /// Puts `entry` in the id map's first free slot for its id.
+  void Place(uint32_t entry);
+
+  PointBuffer entries_;
+  std::vector<uint32_t> rows_;  // the index list
+  // Open-addressed id map (linear probing, power-of-two size, at most 3/4
+  // full): entry + 1 in each used slot, 0 in a free one.
+  std::vector<uint32_t> by_id_;
 };
 
 /// The solution of the unconstrained streaming sinks (Algorithm 1's
@@ -168,10 +249,11 @@ class StreamingCandidate {
 /// slot; the winner scan stays a sequential ascending pass with strict
 /// `>`, so the output is bit-identical at any width. Nullopt when no
 /// candidate is full (each sink words its own Infeasible error).
+/// `pool` is the owner's pool, null when the candidates are never frozen.
 std::optional<Solution> BestFullCandidate(
     size_t count,
-    const std::function<const StreamingCandidate&(size_t)>& candidate, int k,
-    const Metric& metric);
+    const std::function<const StreamingCandidate&(size_t)>& candidate,
+    const PointPool* pool, int k, const Metric& metric);
 
 }  // namespace fdm
 

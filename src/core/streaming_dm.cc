@@ -20,8 +20,8 @@ Result<StreamingDm> StreamingDm::Create(int k, size_t dim, MetricKind metric,
 Result<Solution> StreamingDm::Solve() const {
   auto best = BestFullCandidate(
       rungs(),
-      [this](size_t j) -> const StreamingCandidate& { return blind(j); }, k(),
-      metric());
+      [this](size_t j) -> const StreamingCandidate& { return blind(j); },
+      &pool(), k(), metric());
   if (!best.has_value()) {
     return Status::Infeasible(
         "no candidate reached k=" + std::to_string(k()) +

@@ -2,15 +2,17 @@
 #define FDM_GEO_POINT_BUFFER_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geo/metric.h"
 #include "geo/simd/kernel_dispatch.h"
 #include "obs/metrics.h"
-#include "util/aligned.h"
 #include "util/check.h"
 
 namespace fdm {
@@ -28,15 +30,19 @@ struct StreamPoint {
 
 /// Bounded, owning, structure-of-arrays point store.
 ///
-/// This is the storage behind every streaming candidate `S_µ`. Four arrays
-/// grow together — ids, groups, coordinates and the norm cache — and each
-/// point's coordinates are stored once, in the kernel layout: blocks of 8
-/// points, dimension-major within a block (coordinate `d` of point `i` at
-/// `blocks_[(i/8)·dim·8 + d·8 + i%8]`), 64-byte aligned rows, with the
-/// padding lanes of the final block *replicating the last real point*.
-/// The one-to-many distance kernels (`geo/simd/`) scan this layout with
-/// full-width vector loads and no tail masking anywhere — the replicated
-/// padding can tie with a real lane in a min reduction but never win it.
+/// This is the storage behind every streaming candidate `S_µ`. Four
+/// arrays grow together — the coordinates, the norm cache, ids and groups
+/// — and they are the four sections of one 64-byte-aligned heap slab, in
+/// that order, so a buffer is one allocation. Each point's coordinates are
+/// stored once, in the kernel layout: blocks of 8 points, dimension-major
+/// within a block (coordinate `d` of point `i` at
+/// `coords[(i/8)·dim·8 + d·8 + i%8]`), with the padding lanes of the final
+/// block *replicating the last real point*. A block row (8 doubles) is 64
+/// bytes, so the aligned slab base aligns every coordinate and norm row.
+/// The one-to-many distance kernels (`geo/simd/`) scan this
+/// layout with full-width vector loads and no tail masking anywhere — the
+/// replicated padding can tie with a real lane in a min reduction but
+/// never win it.
 ///
 /// A point's coordinates are therefore strided, never a contiguous span:
 /// `CoordAt` reads one of them, `GatherCoords` copies a point into
@@ -45,13 +51,16 @@ struct StreamPoint {
 /// snapshot writer gathers them point-major (`geo/point_buffer_io.h`).
 ///
 /// Growth: the constructor reserves nothing, so a buffer nothing has
-/// entered holds no heap. When a point opens a new block, all four arrays
-/// grow together to twice the current block count, but never past the
-/// blocks that hold `capacity`, and the id and group arrays never past
-/// `capacity` entries — a full buffer holds exactly what an up-front
-/// reservation would, and a 3-point one a single block. With `capacity`
-/// 0, or once it is exceeded, growth doubles without a cap. `Reserve`
-/// sizes a buffer that is about to be filled to a known size in one go.
+/// entered holds no heap. When a point opens a new block, the slab grows
+/// to twice the current block count, but never past the blocks that hold
+/// `capacity`, and its id and group sections never past `capacity`
+/// entries — a full buffer holds exactly what an up-front reservation
+/// would, and a 3-point one a single block. With `capacity` 0, or once it
+/// is exceeded, growth doubles without a cap. `Reserve` sizes a buffer
+/// that is about to be filled to a known size in one go. A block row a
+/// point opens starts zero-filled. A copy holds exactly the used blocks
+/// and rows of its source, bit for bit; a moved-from buffer holds no heap
+/// and still accepts points.
 ///
 /// Each stored point's squared L2 norm is cached on insertion (one extra
 /// double per point, padded and replicated like the coordinates), so the
@@ -70,21 +79,50 @@ class PointBuffer {
     FDM_CHECK(dim > 0);
   }
 
-  /// Reserves room for `n` points in all four arrays (never shrinks).
-  void Reserve(size_t n) {
-    ids_.reserve(n);
-    groups_.reserve(n);
-    const size_t blocks = simd::PointBlockCount(n);
-    blocks_.reserve(blocks * simd::PointBlockStride(dim_));
-    norms_.reserve(blocks * simd::kPointBlockLanes);
+  PointBuffer(const PointBuffer& other)
+      : dim_(other.dim_), capacity_(other.capacity_) {
+    if (other.size_ > 0) {
+      Reallocate(other.size_, simd::PointBlockCount(other.size_), other);
+    }
   }
 
-  /// Heap bytes held by the four arrays, computed from their capacities.
-  size_t MemoryBytes() const {
-    return (blocks_.capacity() + norms_.capacity()) * sizeof(double) +
-           ids_.capacity() * sizeof(int64_t) +
-           groups_.capacity() * sizeof(int32_t);
+  PointBuffer(PointBuffer&& other) noexcept
+      : dim_(other.dim_), capacity_(other.capacity_) {
+    Swap(other);
   }
+
+  PointBuffer& operator=(const PointBuffer& other) {
+    if (this != &other) {
+      PointBuffer copy(other);
+      Swap(copy);
+      dim_ = other.dim_;
+      capacity_ = other.capacity_;
+    }
+    return *this;
+  }
+
+  PointBuffer& operator=(PointBuffer&& other) noexcept {
+    if (this != &other) {
+      Release();
+      dim_ = other.dim_;
+      capacity_ = other.capacity_;
+      Swap(other);
+    }
+    return *this;
+  }
+
+  ~PointBuffer() { Release(); }
+
+  /// Reserves room for `n` points in all four sections (never shrinks).
+  void Reserve(size_t n) {
+    const size_t rows = std::max(rows_, n);
+    const size_t blocks = std::max(blocks_, simd::PointBlockCount(n));
+    if (rows != rows_ || blocks != blocks_) Reallocate(rows, blocks, *this);
+  }
+
+  /// Heap bytes of the slab: its block and norm rows and its id and group
+  /// slots, exactly (no rounding).
+  size_t MemoryBytes() const { return SlabBytes(rows_, blocks_); }
 
   /// Copies `p` into the buffer. The new point is now the last point, so
   /// its lane is replicated into every padding lane after it (see the
@@ -99,9 +137,9 @@ class PointBuffer {
   /// its gathered coordinates would store.
   void AddFrom(const PointBuffer& src, size_t i) {
     FDM_DCHECK(src.dim_ == dim_ && i < src.size());
-    AppendSlot(src.ids_[i], src.groups_[i]);
-    CopyLane(src, i, size() - 1);
-    norms_[size() - 1] = src.norms_[i];
+    AppendSlot(src.IdAt(i), src.GroupAt(i));
+    CopyLane(src, i, size_ - 1);
+    NormSection()[size_ - 1] = src.NormSection()[i];
     RepadTail();
   }
 
@@ -113,18 +151,18 @@ class PointBuffer {
   /// The block layout is INVALID for kernel scans until `SealPadding()`
   /// runs; callers must seal before any `MinDistanceTo`/`AllAtLeast`/
   /// `RawDistancesToAll`/`MinRawDistanceToMany` call touches the buffer.
-  /// (A freshly resized block row is zero-filled, and a zero padding lane
+  /// (A block row a point opens starts zero-filled, and a zero padding lane
   /// *can* win a min reduction — unlike the replicated-last-point padding
   /// the kernels are specified against.) The per-point accessors
   /// (`CoordAt`, `GatherCoords`, ids, groups, norms) stay valid throughout.
   void AddDeferPadding(const StreamPoint& p) {
     FDM_DCHECK(p.coords.size() == dim_);
     AppendSlot(p.id, p.group);
-    const size_t lane = Lane(size() - 1);
+    double* lane = CoordSection() + Lane(size_ - 1);
     for (size_t d = 0; d < dim_; ++d) {
-      blocks_[lane + d * simd::kPointBlockLanes] = p.coords[d];
+      lane[d * simd::kPointBlockLanes] = p.coords[d];
     }
-    norms_[size() - 1] = internal::SquaredNorm(p.coords.data(), dim_);
+    NormSection()[size_ - 1] = internal::SquaredNorm(p.coords.data(), dim_);
   }
 
   /// Restores the replicate-last-point padding invariant after a run of
@@ -135,29 +173,25 @@ class PointBuffer {
   /// moves into the hole — O(dim), including re-padding the block layout).
   void RemoveSwap(size_t index) {
     FDM_DCHECK(index < size());
-    const size_t last = size() - 1;
+    const size_t last = size_ - 1;
     if (index != last) {
-      ids_[index] = ids_[last];
-      groups_[index] = groups_[last];
-      norms_[index] = norms_[last];
+      IdSection()[index] = IdSection()[last];
+      GroupSection()[index] = GroupSection()[last];
+      NormSection()[index] = NormSection()[last];
       CopyLane(*this, last, index);
     }
-    ids_.pop_back();
-    groups_.pop_back();
-    const size_t blocks = simd::PointBlockCount(last);
-    blocks_.resize(blocks * simd::PointBlockStride(dim_));
-    norms_.resize(blocks * simd::kPointBlockLanes);
+    size_ = last;
     RepadTail();
   }
 
-  size_t size() const { return ids_.size(); }
-  bool empty() const { return ids_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   size_t dim() const { return dim_; }
 
   /// Coordinate `d` of the point at `i`, read from its block lane.
   double CoordAt(size_t i, size_t d) const {
     FDM_DCHECK(i < size() && d < dim_);
-    return blocks_[Lane(i) + d * simd::kPointBlockLanes];
+    return CoordSection()[Lane(i) + d * simd::kPointBlockLanes];
   }
 
   /// Copies the point at `i` into the caller's scratch `out` (at least
@@ -169,18 +203,24 @@ class PointBuffer {
     return out.first(dim_);
   }
 
-  int64_t IdAt(size_t i) const { return ids_[i]; }
-  int32_t GroupAt(size_t i) const { return groups_[i]; }
+  int64_t IdAt(size_t i) const {
+    FDM_DCHECK(i < size());
+    return IdSection()[i];
+  }
+  int32_t GroupAt(size_t i) const {
+    FDM_DCHECK(i < size());
+    return GroupSection()[i];
+  }
   /// Cached squared L2 norm of the point at `i` (bit-identical to
   /// `internal::SquaredNorm` over its coordinates).
   double SquaredNormAt(size_t i) const {
     FDM_DCHECK(i < size());
-    return norms_[i];
+    return NormSection()[i];
   }
 
   /// Whole-buffer views of the id and group arrays (serialization).
-  std::span<const int64_t> ids() const { return ids_; }
-  std::span<const int32_t> groups() const { return groups_; }
+  std::span<const int64_t> ids() const { return {IdSection(), size_}; }
+  std::span<const int32_t> groups() const { return {GroupSection(), size_}; }
 
   /// `d(x, S)` — distance from `x` to its nearest neighbour in the buffer;
   /// +infinity when empty (so "add if `d(x,S) >= µ`" admits the first point).
@@ -325,23 +365,19 @@ class PointBuffer {
   /// True iff the buffer holds an element with this id (O(n) scan; buffers
   /// are k-sized so this is cheap and only used in post-processing).
   bool ContainsId(int64_t id) const {
-    for (const int64_t have : ids_) {
+    for (const int64_t have : ids()) {
       if (have == id) return true;
     }
     return false;
   }
 
-  void Clear() {
-    ids_.clear();
-    groups_.clear();
-    blocks_.clear();
-    norms_.clear();
-  }
+  /// Drops every point and keeps the slab.
+  void Clear() { size_ = 0; }
 
  private:
   /// The kernel-facing view of the block layout (requires `size() >= 1`).
   simd::PointBlockView BlockView() const {
-    return simd::PointBlockView{blocks_.data(), norms_.data(), size(), dim_};
+    return simd::PointBlockView{CoordSection(), NormSection(), size_, dim_};
   }
 
   /// The one-to-many scan behind `AllAtLeast`/`MinRawDistanceTo`, routed
@@ -380,8 +416,8 @@ class PointBuffer {
     return 0.0;
   }
 
-  /// Index in `blocks_` of coordinate 0 of the point at `i`; coordinate
-  /// `d` is `d·kPointBlockLanes` further on.
+  /// Index in the coordinate section of coordinate 0 of the point at `i`;
+  /// coordinate `d` is `d·kPointBlockLanes` further on.
   size_t Lane(size_t i) const {
     return (i / simd::kPointBlockLanes) * simd::PointBlockStride(dim_) +
            i % simd::kPointBlockLanes;
@@ -389,33 +425,37 @@ class PointBuffer {
 
   /// Copies the coordinates of `src`'s point `i` into this buffer's `j`.
   void CopyLane(const PointBuffer& src, size_t i, size_t j) {
+    double* lane = CoordSection() + Lane(j);
     for (size_t d = 0; d < dim_; ++d) {
-      blocks_[Lane(j) + d * simd::kPointBlockLanes] = src.CoordAt(i, d);
+      lane[d * simd::kPointBlockLanes] = src.CoordAt(i, d);
     }
   }
 
-  /// Appends a new last point's id and group, growing the four arrays (and
-  /// opening a block) as the growth schedule says. Its lane and norm are
-  /// the caller's to fill; the padding after it is stale until `RepadTail`.
+  /// Appends a new last point's id and group, growing the slab (and
+  /// opening a zero-filled block) as the growth schedule says. Its lane and
+  /// norm are the caller's to fill; the padding after it is stale until
+  /// `RepadTail`.
   void AppendSlot(int64_t id, int32_t group) {
-    const size_t i = size();
-    if (i == ids_.capacity() ||
-        (i % simd::kPointBlockLanes == 0 &&
-         blocks_.size() + simd::PointBlockStride(dim_) > blocks_.capacity())) {
+    const size_t i = size_;
+    const bool opens_block = i % simd::kPointBlockLanes == 0;
+    if (i == rows_ || (opens_block && i / simd::kPointBlockLanes == blocks_)) {
       Grow(i);
     }
-    ids_.push_back(id);
-    groups_.push_back(group);
-    if (i % simd::kPointBlockLanes == 0) {
-      blocks_.resize(blocks_.size() + simd::PointBlockStride(dim_));
-      norms_.resize(norms_.size() + simd::kPointBlockLanes);
+    IdSection()[i] = id;
+    GroupSection()[i] = group;
+    size_ = i + 1;
+    if (opens_block) {
+      const size_t stride = simd::PointBlockStride(dim_);
+      std::fill_n(CoordSection() + i / simd::kPointBlockLanes * stride, stride,
+                  0.0);
+      std::fill_n(NormSection() + i, simd::kPointBlockLanes, 0.0);
     }
   }
 
   /// The growth schedule (class comment), for point `i`, the first that
   /// does not fit. A point that opens a block doubles the block count; one
-  /// inside the last block (only in a copy, whose capacities equal its
-  /// sizes, or past `capacity`) fills the ids and groups to that block.
+  /// inside the last block (only in a copy, whose sections hold exactly its
+  /// points, or past `capacity`) fills the ids and groups to that block.
   void Grow(size_t i) {
     const size_t used = simd::PointBlockCount(i);
     const size_t blocks = i % simd::kPointBlockLanes == 0
@@ -429,32 +469,92 @@ class PointBuffer {
   /// Restores the replicate-last-point invariant of the final block's
   /// padding lanes (coordinates and norms) after an append or a removal.
   void RepadTail() {
-    const size_t n = size();
-    if (n == 0) return;
-    const size_t last = n - 1;
+    if (size_ == 0) return;
+    const size_t last = size_ - 1;
     const size_t lane = last % simd::kPointBlockLanes;
-    double* row = blocks_.data() + Lane(last) - lane;
+    double* row = CoordSection() + Lane(last) - lane;
     for (size_t d = 0; d < dim_; ++d, row += simd::kPointBlockLanes) {
       for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) {
         row[l] = row[lane];
       }
     }
-    const size_t norm_base = last - lane;
+    double* norms = NormSection() + (last - lane);
     for (size_t l = lane + 1; l < simd::kPointBlockLanes; ++l) {
-      norms_[norm_base + l] = norms_[last];
+      norms[l] = norms[lane];
     }
   }
 
+  /// Bytes of a slab with `rows` id and group slots and `blocks` blocks.
+  size_t SlabBytes(size_t rows, size_t blocks) const {
+    return blocks * (simd::PointBlockStride(dim_) + simd::kPointBlockLanes) *
+               sizeof(double) +
+           rows * (sizeof(int64_t) + sizeof(int32_t));
+  }
+
+  /// The slab's sections (class comment), placed by `rows_` and `blocks_`.
+  /// The slab comes from `operator new`, which implicitly creates the
+  /// arrays of doubles, `int64_t` and `int32_t` the sections hold. Whether
+  /// a const buffer may write them is the public interface's call.
+  double* CoordSection() const { return reinterpret_cast<double*>(slab_); }
+  double* NormSection() const {
+    return CoordSection() + blocks_ * simd::PointBlockStride(dim_);
+  }
+  int64_t* IdSection() const {
+    return reinterpret_cast<int64_t*>(NormSection() +
+                                      blocks_ * simd::kPointBlockLanes);
+  }
+  int32_t* GroupSection() const {
+    return reinterpret_cast<int32_t*>(IdSection() + rows_);
+  }
+
+  /// Moves this buffer into a slab of `rows` slots and `blocks` blocks
+  /// holding `from`'s points (`from` may be this buffer): its used blocks,
+  /// padding included, and its ids, groups and norms, bit for bit.
+  void Reallocate(size_t rows, size_t blocks, const PointBuffer& from) {
+    PointBuffer grown(dim_, capacity_);
+    grown.slab_ = static_cast<std::byte*>(::operator new(
+        SlabBytes(rows, blocks), std::align_val_t{kSlabAlignment}));
+    grown.rows_ = rows;
+    grown.blocks_ = blocks;
+    grown.size_ = from.size_;
+    const size_t used = simd::PointBlockCount(from.size_);
+    std::copy_n(from.CoordSection(), used * simd::PointBlockStride(dim_),
+                grown.CoordSection());
+    std::copy_n(from.NormSection(), used * simd::kPointBlockLanes,
+                grown.NormSection());
+    std::copy_n(from.IdSection(), from.size_, grown.IdSection());
+    std::copy_n(from.GroupSection(), from.size_, grown.GroupSection());
+    Swap(grown);
+  }
+
+  /// Exchanges the slabs and point counts (not `dim_` or `capacity_`).
+  void Swap(PointBuffer& other) noexcept {
+    std::swap(slab_, other.slab_);
+    std::swap(size_, other.size_);
+    std::swap(rows_, other.rows_);
+    std::swap(blocks_, other.blocks_);
+  }
+
+  void Release() noexcept {
+    if (slab_ != nullptr) {
+      ::operator delete(slab_, std::align_val_t{kSlabAlignment});
+    }
+    slab_ = nullptr;
+    size_ = rows_ = blocks_ = 0;
+  }
+
+  /// One cache line, one 8-lane row of doubles: the block row stride.
+  static constexpr size_t kSlabAlignment = 64;
+
   size_t dim_;
   size_t capacity_;  // growth cap (class comment); 0 = uncapped
-  std::vector<int64_t> ids_;
-  std::vector<int32_t> groups_;
-  /// The coordinates and the matching per-point squared L2 norms, in the
-  /// kernel layout (see class comment), both 64-byte aligned so the
-  /// kernels' full-width aligned loads hold on every row.
-  std::vector<double, AlignedAllocator<double>> blocks_;
-  std::vector<double, AlignedAllocator<double>> norms_;
+  std::byte* slab_ = nullptr;
+  size_t size_ = 0;    // points held
+  size_t rows_ = 0;    // id and group slots in the slab
+  size_t blocks_ = 0;  // kernel blocks in the slab
 };
+
+static_assert(sizeof(PointBuffer) <= 48);
 
 }  // namespace fdm
 

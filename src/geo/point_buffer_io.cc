@@ -5,19 +5,43 @@
 
 namespace fdm {
 
-void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer) {
-  writer.WriteU64(buffer.dim());
-  writer.WriteI64Span(buffer.ids());
-  writer.WriteI32Span(buffer.groups());
-  // Gathered point-major out of the blocks into reused scratch
-  // (thread-local: the snapshot sweep serializes sessions on pool threads).
+namespace {
+
+// Writes `n` points of `buffer`, point `i` from row `row(i)`, in the layout
+// of the header comment, gathered point-major into reused scratch
+// (thread-local: the snapshot sweep serializes sessions on pool threads).
+template <typename Row>
+void WritePoints(SnapshotWriter& writer, const PointBuffer& buffer, size_t n,
+                 Row row) {
+  thread_local std::vector<int64_t> ids;
+  thread_local std::vector<int32_t> groups;
   thread_local std::vector<double> coords;
   const size_t dim = buffer.dim();
-  coords.resize(buffer.size() * dim);
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    buffer.GatherCoords(i, std::span<double>(coords).subspan(i * dim, dim));
+  ids.resize(n);
+  groups.resize(n);
+  coords.resize(n * dim);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = row(i);
+    ids[i] = buffer.IdAt(r);
+    groups[i] = buffer.GroupAt(r);
+    buffer.GatherCoords(r, std::span<double>(coords).subspan(i * dim, dim));
   }
+  writer.WriteU64(dim);
+  writer.WriteI64Span(ids);
+  writer.WriteI32Span(groups);
   writer.WriteDoubleSpan(coords);
+}
+
+}  // namespace
+
+void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer) {
+  WritePoints(writer, buffer, buffer.size(), [](size_t i) { return i; });
+}
+
+void SerializePointRows(SnapshotWriter& writer, const PointBuffer& buffer,
+                        std::span<const uint32_t> rows) {
+  WritePoints(writer, buffer, rows.size(),
+              [rows](size_t i) -> size_t { return rows[i]; });
 }
 
 void DeserializePointBuffer(SnapshotReader& reader, PointBuffer& buffer) {

@@ -1,6 +1,9 @@
 #ifndef FDM_GEO_POINT_BUFFER_IO_H_
 #define FDM_GEO_POINT_BUFFER_IO_H_
 
+#include <cstdint>
+#include <span>
+
 #include "geo/point_buffer.h"
 #include "util/binary_io.h"
 #include "util/status.h"
@@ -21,6 +24,11 @@ namespace fdm {
 /// IEEE-754 doubles), which is what makes a restored sink's `Solve()`
 /// bit-identical to the uninterrupted run.
 void SerializePointBuffer(SnapshotWriter& writer, const PointBuffer& buffer);
+
+/// Writes `buffer`'s points `rows`, in that order, exactly as
+/// `SerializePointBuffer` writes a buffer that holds just them.
+void SerializePointRows(SnapshotWriter& writer, const PointBuffer& buffer,
+                        std::span<const uint32_t> rows);
 
 /// Appends the serialized points into `buffer`, which must be constructed
 /// with the matching dimension (typically empty). On malformed input the

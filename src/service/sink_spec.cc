@@ -23,7 +23,7 @@ namespace fdm {
 namespace {
 
 /// The most candidates one spec may allocate at Create. An empty
-/// `StreamingCandidate` is 144 B, so this bounds one CREATE at ~9.4 MB
+/// `StreamingCandidate` is 72 B, so this bounds one CREATE at ~4.7 MB
 /// before its first point.
 constexpr size_t kMaxCandidates = size_t{1} << 16;
 

@@ -210,6 +210,123 @@ TEST(PointBufferTest, GrowthFollowsBlocksUpToCapacity) {
   EXPECT_EQ(reserved.MemoryBytes(), Dim6Bytes(20, 3));
 }
 
+// Points of `a` and `b` match bit for bit (ids, groups, coordinates and
+// cached norms), and so do scans of both under every metric, which also
+// read the padding lanes.
+void ExpectSameBits(const PointBuffer& a, const PointBuffer& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.dim(), b.dim());
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.IdAt(i), b.IdAt(i)) << "point " << i;
+    EXPECT_EQ(a.GroupAt(i), b.GroupAt(i)) << "point " << i;
+    EXPECT_EQ(bits(a.SquaredNormAt(i)), bits(b.SquaredNormAt(i)))
+        << "point " << i;
+    for (size_t d = 0; d < a.dim(); ++d) {
+      EXPECT_EQ(bits(a.CoordAt(i, d)), bits(b.CoordAt(i, d)))
+          << "point " << i << " coordinate " << d;
+    }
+  }
+  const std::vector<double> query(a.dim(), 0.125);
+  for (const MetricKind kind : {MetricKind::kEuclidean, MetricKind::kManhattan,
+                                MetricKind::kAngular}) {
+    const Metric metric(kind);
+    EXPECT_EQ(bits(a.MinRawDistanceTo(query, metric)),
+              bits(b.MinRawDistanceTo(query, metric)));
+  }
+}
+
+std::vector<double> RandomCoords(Rng& rng, size_t dim) {
+  std::vector<double> c(dim);
+  for (double& x : c) x = rng.NextDouble(-3.0, 3.0);
+  return c;
+}
+
+// The slab is managed by hand, so its copies are checked directly: a copy
+// (constructed or assigned) holds exactly the used blocks and rows of its
+// source and the same bits — a copied full k = 20 buffer at dim 6 reads
+// 1,584 B, whatever its source's slab held.
+TEST(PointBufferTest, CopyHoldsExactlyItsUsedSectionsAndTheSameBits) {
+  Rng rng(11);
+  PointBuffer source(6, 0);  // uncapped: 20 points sit in 32 rows, 4 blocks
+  for (int i = 0; i < 20; ++i) {
+    source.Add(Make(i, i % 3, RandomCoords(rng, 6)));
+  }
+  ASSERT_EQ(source.MemoryBytes(), Dim6Bytes(32, 4));
+
+  const PointBuffer copy(source);
+  EXPECT_EQ(copy.MemoryBytes(), 1584u);
+  EXPECT_EQ(copy.MemoryBytes(), Dim6Bytes(20, 3));
+  ExpectSameBits(copy, source);
+
+  PointBuffer assigned(6, 4);
+  for (int i = 0; i < 3; ++i) {
+    assigned.Add(Make(100 + i, 0, RandomCoords(rng, 6)));
+  }
+  assigned = source;
+  EXPECT_EQ(assigned.MemoryBytes(), Dim6Bytes(20, 3));
+  ExpectSameBits(assigned, source);
+
+  // A copy of an empty buffer holds no heap, whatever its source's slab.
+  source.Clear();
+  EXPECT_EQ(PointBuffer(source).MemoryBytes(), 0u);
+}
+
+// A moved-from buffer, constructed from or assigned away, holds nothing
+// and still accepts points; the target holds the source's slab and points.
+TEST(PointBufferTest, MovedFromBufferReadsZeroBytesAndStillAcceptsPoints) {
+  Rng rng(12);
+  PointBuffer source(6, 20);
+  for (int i = 0; i < 10; ++i) {
+    source.Add(Make(i, 0, RandomCoords(rng, 6)));
+  }
+  const PointBuffer snapshot(source);
+  const size_t bytes = source.MemoryBytes();
+
+  PointBuffer moved(std::move(source));
+  EXPECT_EQ(moved.MemoryBytes(), bytes);
+  ExpectSameBits(moved, snapshot);
+  EXPECT_EQ(source.MemoryBytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(source.empty());
+  const std::vector<double> c = RandomCoords(rng, 6);
+  source.Add(Make(42, 1, c));
+  ASSERT_EQ(source.size(), 1u);
+  EXPECT_EQ(source.MemoryBytes(), Dim6Bytes(8, 1));
+  EXPECT_EQ(source.IdAt(0), 42);
+  EXPECT_EQ(source.CoordAt(0, 5), c[5]);
+
+  PointBuffer target(6, 20);
+  target.Add(Make(7, 0, RandomCoords(rng, 6)));
+  target = std::move(moved);
+  EXPECT_EQ(target.MemoryBytes(), bytes);
+  ExpectSameBits(target, snapshot);
+  EXPECT_EQ(moved.MemoryBytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(moved.empty());
+  moved.Add(Make(43, 0, c));
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved.IdAt(0), 43);
+}
+
+// `AddFrom(*this, i)` whose point opens a new block moves the slab first
+// and still copies point `i`'s bits, and the new block's padding
+// replicates it.
+TEST(PointBufferTest, SelfAddFromThatOpensABlockKeepsThePointsBits) {
+  Rng rng(13);
+  PointBuffer buffer(6, 8);  // one block, full after 8 points
+  PointBuffer expected(6, 0);
+  std::vector<std::vector<double>> coords;
+  for (int i = 0; i < 8; ++i) {
+    coords.push_back(RandomCoords(rng, 6));
+    buffer.Add(Make(i, i % 2, coords.back()));
+    expected.Add(Make(i, i % 2, coords.back()));
+  }
+  ASSERT_EQ(buffer.MemoryBytes(), Dim6Bytes(8, 1));
+  buffer.AddFrom(buffer, 3);
+  expected.Add(Make(3, 1, coords[3]));
+  EXPECT_EQ(buffer.MemoryBytes(), Dim6Bytes(16, 2));
+  ExpectSameBits(buffer, expected);
+}
+
 TEST(PointBufferTest, GrowsBeyondReservedCapacity) {
   PointBuffer buf(1, 1);  // capacity is a reservation hint, not a cap
   for (int i = 0; i < 10; ++i) {
